@@ -34,7 +34,6 @@ from .harness import ReportRow, compare_methods, run_scenario, sweep, sweep_csv
 from .scenario import Scenario, load_scenario, save_scenario, scenario_from_dict, scenario_to_dict
 from .states import (
     BrightGaussianState,
-    DetectionBand,
     SqueezedInputSpec,
     apply_beamsplitter,
     apply_loss,

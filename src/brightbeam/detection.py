@@ -15,10 +15,11 @@ appear only in the electronic-noise subtraction utility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .entangle import minimize_gain, squeezing_variances
 from .errors import DegenerateModeError, DomainError
 from .states import (
     DARK_PORT_FACTOR,
@@ -33,20 +34,35 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """A photocurrent variance with its shot-noise reference."""
+    """A photocurrent variance with its shot-noise reference.
+
+    A result read off a state keeps that state and the photocurrent's
+    quadrature weights, so the sampling oracle can redraw the same channel.
+    """
 
     variance: float
     shot_noise: float
     normalized: float
     rel_db: float
+    state: BrightGaussianState | None = field(default=None, repr=False, compare=False)
+    weights: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_variance(cls, variance: float, shot_noise: float) -> "DetectionResult":
+    def from_variance(cls, variance: float, shot_noise: float,
+                      state: BrightGaussianState | None = None,
+                      weights: np.ndarray | None = None) -> "DetectionResult":
         if shot_noise <= 0:
             raise DegenerateModeError("shot-noise reference must be positive")
         normalized = variance / shot_noise
         return cls(float(variance), float(shot_noise), float(normalized),
-                   var_to_db(normalized))
+                   var_to_db(normalized), state, weights)
+
+    @classmethod
+    def read(cls, state: BrightGaussianState, weights: np.ndarray,
+             shot_noise: float) -> "DetectionResult":
+        """Photocurrent with the given quadrature weights, read off a state."""
+        return cls.from_variance(state.combination_variance(weights), shot_noise,
+                                 state, weights)
 
     def to_dict(self) -> dict:
         return {
@@ -106,6 +122,14 @@ def mz_geometry(repetition_rate: float, n: int) -> MzGeometry:
     )
 
 
+def _apply_budgets(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
+                   include_visibility: bool = True) -> BrightGaussianState:
+    """Apply each arm's pre-detection loss budget to its mode."""
+    for mode, budget in enumerate(budgets):
+        state = apply_loss(state, mode, budget.effective(include_visibility))
+    return state
+
+
 def method_a_measure(state: BrightGaussianState, mode: int, quadrature: str,
                      budget: LossBudget = LossBudget()) -> DetectionResult:
     """Single-beam quadrature measurement with the unbalanced Mach-Zehnder.
@@ -136,10 +160,7 @@ def method_a_joint(state: BrightGaussianState, quadrature: str,
     """
     if state.n_modes != 2:
         raise DomainError("method A joint measurement needs a two-mode state")
-    include_vis = quadrature == "Y"
-    lossy = state
-    for mode, budget in enumerate(budgets):
-        lossy = apply_loss(lossy, mode, budget.effective(include_vis))
+    lossy = _apply_budgets(state, budgets, include_visibility=(quadrature == "Y"))
     a1, a2 = lossy.amplitudes
     if a1 <= 0 or a2 <= 0:
         raise DegenerateModeError("joint measurement needs two bright carriers")
@@ -150,10 +171,28 @@ def method_a_joint(state: BrightGaussianState, quadrature: str,
     w = np.zeros(4)
     w[q] = a1
     w[2 + q] = sign * g_eff * a1
-    combo = DetectionResult.from_variance(lossy.combination_variance(w), shot)
-    w[2 + q] = -w[2 + q]
-    anti = DetectionResult.from_variance(lossy.combination_variance(w), shot)
-    return combo, anti
+    w_anti = w.copy()
+    w_anti[2 + q] = -w[2 + q]
+    return (DetectionResult.read(lossy, w, shot),
+            DetectionResult.read(lossy, w_anti, shot))
+
+
+def method_a_gain(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
+                  imbalance: float = 0.0) -> float:
+    """Shared gain g minimizing the method-A witness sum.
+
+    The sum is V(dX1 + g' dX2) + V(dY1 - g' dY2) at g' = g (1 + imbalance),
+    with the amplitude channel skipping the visibility loss as in
+    ``method_a_joint``.
+    """
+    state_x = _apply_budgets(state, budgets, include_visibility=False)
+    state_y = _apply_budgets(state, budgets)
+
+    def witness_sum(g):
+        g_eff = g * (1.0 + imbalance)
+        return squeezing_variances(state_x, g_eff)[0] + squeezing_variances(state_y, g_eff)[1]
+
+    return minimize_gain(witness_sum)[0]
 
 
 def _verification_interference(state: BrightGaussianState, phi: float,
@@ -165,11 +204,9 @@ def _verification_interference(state: BrightGaussianState, phi: float,
     """
     if state.n_modes != 2:
         raise DomainError("verification interference needs a two-mode state")
-    lossy = state
     if budgets is not None:
-        for mode, budget in enumerate(budgets):
-            lossy = apply_loss(lossy, mode, budget.effective())
-    return apply_beamsplitter(lossy, 0, 1, 0.5, phi)
+        state = _apply_budgets(state, budgets)
+    return apply_beamsplitter(state, 0, 1, 0.5, phi)
 
 
 _PORT_INDEX = {"d": 0, "c": 1}
@@ -202,9 +239,7 @@ def method_b_channels(state: BrightGaussianState, phi: float,
     shot = a_d ** 2 + (gain_c * a_c) ** 2
     w_sum = np.array([a_d, 0.0, gain_c * a_c, 0.0])
     w_diff = np.array([-a_d, 0.0, gain_c * a_c, 0.0])
-    total = DetectionResult.from_variance(out.combination_variance(w_sum), shot)
-    diff = DetectionResult.from_variance(out.combination_variance(w_diff), shot)
-    return total, diff
+    return DetectionResult.read(out, w_sum, shot), DetectionResult.read(out, w_diff, shot)
 
 
 def method_c_single_port(state: BrightGaussianState, phi: float, port: str = "c",
@@ -218,12 +253,28 @@ def method_c_single_port(state: BrightGaussianState, phi: float, port: str = "c"
     """
     if port not in _PORT_INDEX:
         raise DomainError(f"port must be 'c' or 'd', got {port!r}")
-    out = _verification_interference(state, phi, budgets)
-    index = _PORT_INDEX[port]
+    return _port_reading(_verification_interference(state, phi, budgets), _PORT_INDEX[port])
+
+
+def _port_reading(out: BrightGaussianState, index: int) -> DetectionResult:
     alpha = _port_amplitude(out, index)
     w = np.zeros(4)
     w[2 * index] = alpha
-    return DetectionResult.from_variance(out.combination_variance(w), alpha ** 2)
+    return DetectionResult.read(out, w, alpha ** 2)
+
+
+def bright_port_readings(out: BrightGaussianState) -> dict[str, DetectionResult]:
+    """Direct-detection reading of every bright port of an interferometer output.
+
+    Keys are ``port_d`` and ``port_c``; a dark port is left out.
+    """
+    readings = {}
+    for port, index in _PORT_INDEX.items():
+        try:
+            readings[f"port_{port}"] = _port_reading(out, index)
+        except DegenerateModeError:
+            pass
+    return readings
 
 
 def shot_noise_reference(amplitudes) -> float:

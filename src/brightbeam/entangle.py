@@ -9,7 +9,7 @@ witness with its theta-adapted bound, and optional gain optimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -152,34 +152,28 @@ def optimal_gains_for_theta(alpha: float, theta: float) -> GeneralizedCombinatio
     return GeneralizedCombination(h_a=a_ent, h_b=b_ent, g_a=b_ent, g_b=-a_ent)
 
 
+def minimize_gain(objective) -> tuple[float, bool]:
+    """Minimize objective(g) over a gain g in [1e-3, 1e3].
+
+    1-D bounded minimization on log g.  Returns (g, fallback): g = 1 when
+    the optimum is not finite (fallback is then True) or is worse than
+    unit gain.
+    """
+    res = minimize_scalar(lambda log_g: objective(float(np.exp(log_g))),
+                          bounds=(np.log(1e-3), np.log(1e3)),
+                          method="bounded", options={"xatol": 1e-12})
+    g = float(np.exp(res.x))
+    fallback = not (np.isfinite(g) and np.isfinite(res.fun))
+    if fallback or objective(g) > objective(1.0):
+        g = 1.0
+    return g, fallback
+
+
 def optimize_gain(state: BrightGaussianState) -> tuple[float, WitnessReport]:
     """Minimize the normalized witness sum over a single shared gain.
 
-    1-D bounded minimization on log g over [1e-3, 1e3]; falls back to
-    g = 1 (flagged) if the optimum is not finite.
+    See ``minimize_gain``; a non-finite optimum is flagged in the report.
     """
     _require_bright_pair(state)
-
-    def objective(log_g):
-        v_plus, v_minus = squeezing_variances(state, float(np.exp(log_g)))
-        return v_plus + v_minus
-
-    res = minimize_scalar(objective, bounds=(np.log(1e-3), np.log(1e3)),
-                          method="bounded", options={"xatol": 1e-12})
-    g_star = float(np.exp(res.x))
-    fallback = not (np.isfinite(g_star) and np.isfinite(res.fun))
-    if fallback or objective(np.log(g_star)) > objective(0.0):
-        g_star = 1.0
-    base = duan_simon(state, g_star)
-    if fallback:
-        base = WitnessReport(
-            v_sq_plus_x=base.v_sq_plus_x,
-            v_sq_minus_y=base.v_sq_minus_y,
-            gain_used=base.gain_used,
-            sum_value=base.sum_value,
-            product_value=base.product_value,
-            bound=base.bound,
-            entangled_witnessed=base.entangled_witnessed,
-            gain_fallback=True,
-        )
-    return g_star, base
+    g_star, fallback = minimize_gain(lambda g: sum(squeezing_variances(state, g)))
+    return g_star, replace(duan_simon(state, g_star), gain_fallback=fallback)

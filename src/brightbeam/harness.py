@@ -9,13 +9,19 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .detection import DetectionResult, method_a_joint, _port_amplitude
-from .entangle import generate_entangled, squeezing_variances, theta_adapted_bound
+from .detection import (
+    DetectionResult,
+    bright_port_readings,
+    method_a_gain,
+    method_a_joint,
+    method_b_channels,
+    method_c_single_port,
+)
+from .entangle import generate_entangled, theta_adapted_bound
 from .errors import ScenarioError
 from .scenario import Scenario, load_scenario
-from .states import BrightGaussianState, apply_beamsplitter, apply_loss, sample_fluctuations
+from .states import BrightGaussianState, sample_fluctuations
 
 CSV_HEADER = "method,param,value,v_sq_plus,v_sq_minus,sum,bound,witnessed,mc_sum,mc_stderr"
 SWEEP_PARAMS = ("theta", "phi", "gain", "squeezing_db", "eta",
@@ -60,100 +66,53 @@ class ReportRow:
         return d
 
 
-def _entangled_state(s: Scenario) -> BrightGaussianState:
-    return generate_entangled(s.input_a, s.input_b, s.theta, s.entangle_ratio,
-                              excess_correlation=s.excess_correlation)
+# Each evaluator returns (v_plus, v_minus, bound, gain, readings, channels):
+# readings name the DetectionResults reported under "raw", and a channel is
+# (DetectionResult, multiplier of its normalized variance) for the MC oracle.
+
+def _eval_a(s: Scenario, state: BrightGaussianState, budgets):
+    g = method_a_gain(state, budgets, s.imbalance) if s.gain == "optimize" else float(s.gain)
+    plus, plus_anti = method_a_joint(state, "X", budgets, g, s.imbalance)
+    minus, minus_anti = method_a_joint(state, "Y", budgets, g, s.imbalance)
+    readings = {"plus": plus, "plus_anti": plus_anti, "minus": minus, "minus_anti": minus_anti}
+    return plus.normalized, minus.normalized, 2.0, g, readings, [(plus, 1.0), (minus, 1.0)]
 
 
-def _optimize_shared_gain(objective) -> float:
-    res = minimize_scalar(lambda lg: objective(float(np.exp(lg))),
-                          bounds=(np.log(1e-3), np.log(1e3)),
-                          method="bounded", options={"xatol": 1e-12})
-    g = float(np.exp(res.x))
-    if not np.isfinite(g) or objective(g) > objective(1.0):
-        return 1.0
-    return g
+def _eval_b(s: Scenario, state: BrightGaussianState, budgets):
+    total, diff = method_b_channels(state, s.phi, budgets, s.imbalance)
+    readings = {"sum_channel": total, "diff_channel": diff}
+    return (total.normalized, diff.normalized, theta_adapted_bound(s.theta), 1.0, readings,
+            [(total, 1.0), (diff, 1.0)])
 
 
-def _eval_a(s: Scenario, state: BrightGaussianState):
-    state_x, state_y = state, state
-    for mode, budget in enumerate((s.budget_a, s.budget_b)):
-        state_x = apply_loss(state_x, mode, budget.effective(include_visibility=False))
-        state_y = apply_loss(state_y, mode, budget.effective(include_visibility=True))
-
-    def variances(g):
-        g_eff = g * (1.0 + s.imbalance)
-        v_plus = squeezing_variances(state_x, g_eff)[0]
-        v_minus = squeezing_variances(state_y, g_eff)[1]
-        return v_plus, v_minus
-
-    if s.gain == "optimize":
-        g = _optimize_shared_gain(lambda g: sum(variances(g)))
-    else:
-        g = float(s.gain)
-    v_plus, v_minus = variances(g)
-    g_eff = g * (1.0 + s.imbalance)
-    combo_x, anti_x = method_a_joint(state, "X", (s.budget_a, s.budget_b), g, s.imbalance)
-    combo_y, anti_y = method_a_joint(state, "Y", (s.budget_a, s.budget_b), g, s.imbalance)
-    raw = {"plus": combo_x.to_dict(), "plus_anti": anti_x.to_dict(),
-           "minus": combo_y.to_dict(), "minus_anti": anti_y.to_dict()}
-    shot = 1.0 + g_eff ** 2
-    channels = [
-        (state_x, np.array([1.0, 0.0, g_eff, 0.0]), shot, 1.0),
-        (state_y, np.array([0.0, 1.0, 0.0, -g_eff]), shot, 1.0),
-    ]
-    return v_plus, v_minus, v_plus + v_minus, 2.0, g, raw, channels
+def _eval_c(s: Scenario, state: BrightGaussianState, budgets):
+    # Only the blend (v_plus + v_minus)/2 is observable in the selected
+    # port; both report fields carry the port value.  The other port of
+    # the same output is reported when it is bright.
+    port = method_c_single_port(state, s.phi, s.port, budgets)
+    v = port.normalized
+    return v, v, 2.0, 1.0, bright_port_readings(port.state), [(port, 2.0)]
 
 
-def _eval_bc(s: Scenario, state: BrightGaussianState):
-    lossy = state
-    for mode, budget in enumerate((s.budget_a, s.budget_b)):
-        lossy = apply_loss(lossy, mode, budget.effective())
-    out = apply_beamsplitter(lossy, 0, 1, 0.5, s.phi)
-    if s.method == "B":
-        a_d = _port_amplitude(out, 0)
-        a_c = _port_amplitude(out, 1)
-        gain_c = 1.0 + s.imbalance
-        shot = a_d ** 2 + (gain_c * a_c) ** 2
-        w_sum = np.array([a_d, 0.0, gain_c * a_c, 0.0])
-        w_diff = np.array([-a_d, 0.0, gain_c * a_c, 0.0])
-        total = DetectionResult.from_variance(out.combination_variance(w_sum), shot)
-        diff = DetectionResult.from_variance(out.combination_variance(w_diff), shot)
-        raw = {"sum_channel": total.to_dict(), "diff_channel": diff.to_dict()}
-        channels = [(out, w_sum, shot, 1.0), (out, w_diff, shot, 1.0)]
-        v_plus, v_minus = total.normalized, diff.normalized
-        return (v_plus, v_minus, v_plus + v_minus,
-                theta_adapted_bound(s.theta), 1.0, raw, channels)
-    # Method C: only the blend (v_plus + v_minus)/2 is observable in the
-    # selected port; both report fields carry the port value.
-    index = 1 if s.port == "c" else 0
-    alpha = _port_amplitude(out, index)
-    w = np.zeros(4)
-    w[2 * index] = alpha
-    port_result = DetectionResult.from_variance(out.combination_variance(w), alpha ** 2)
-    raw = {f"port_{s.port}": port_result.to_dict()}
-    other = 1 - index
-    if out.amplitudes[other] > 1e-6 * np.linalg.norm(out.amplitudes):
-        w2 = np.zeros(4)
-        w2[2 * other] = out.amplitudes[other]
-        raw["port_" + ("d" if s.port == "c" else "c")] = DetectionResult.from_variance(
-            out.combination_variance(w2), out.amplitudes[other] ** 2).to_dict()
-    v = port_result.normalized
-    channels = [(out, w, alpha ** 2, 2.0)]
-    return v, v, 2.0 * v, 2.0, 1.0, raw, channels
+_EVALUATORS = {"A": _eval_a, "B": _eval_b, "C": _eval_c}
 
 
-def _mc_estimate(channels, count: int, seed: int):
-    """Empirical witness sum from the sampling oracle, with a standard error."""
-    cache: dict[int, np.ndarray] = {}
+def _mc_estimate(channels: list[tuple[DetectionResult, float]], count: int, seed: int):
+    """Empirical witness sum from the sampling oracle, with a standard error.
+
+    Channels read off the same state share one draw; each new state gets
+    the next seed.
+    """
     total = 0.0
     err_sq = 0.0
-    for state, w, shot, mult in channels:
-        key = id(state)
-        if key not in cache:
-            cache[key] = sample_fluctuations(state, count, seed + len(cache))
-        x = cache[key] @ w
-        v = float(np.var(x, ddof=1)) / shot
+    state = samples = None
+    draws = 0
+    for result, mult in channels:
+        if result.state is not state:
+            state = result.state
+            samples = sample_fluctuations(state, count, seed + draws)
+            draws += 1
+        v = float(np.var(samples @ result.weights, ddof=1)) / result.shot_noise
         total += mult * v
         err_sq += (mult * v) ** 2 * 2.0 / (count - 1)
     return total, math.sqrt(err_sq)
@@ -161,15 +120,14 @@ def _mc_estimate(channels, count: int, seed: int):
 
 def run_scenario(s: Scenario) -> ReportRow:
     """Evaluate one scenario; deterministic for a fixed seed."""
-    state = _entangled_state(s)
-    if s.method == "A":
-        parts = _eval_a(s, state)
-    else:
-        parts = _eval_bc(s, state)
-    v_plus, v_minus, total, bound, gain, raw, channels = parts
+    state = generate_entangled(s.input_a, s.input_b, s.theta, s.entangle_ratio,
+                               excess_correlation=s.excess_correlation)
+    v_plus, v_minus, bound, gain, readings, channels = _EVALUATORS[s.method](
+        s, state, (s.budget_a, s.budget_b))
     mc_sum = mc_stderr = None
     if s.mc_samples > 0:
         mc_sum, mc_stderr = _mc_estimate(channels, s.mc_samples, s.seed)
+    total = v_plus + v_minus
     return ReportRow(
         method=s.method,
         label=s.label,
@@ -179,7 +137,7 @@ def run_scenario(s: Scenario) -> ReportRow:
         bound=bound,
         witnessed=bool(total < bound),
         gain=gain,
-        raw=raw,
+        raw={key: r.to_dict() for key, r in readings.items()},
         mc_sum=mc_sum,
         mc_stderr=mc_stderr,
         frequency_mhz=s.frequency_mhz,

@@ -62,8 +62,14 @@ class Scenario:
                 raise ScenarioError(f"gain must be a number or 'optimize', got {self.gain!r}")
         elif self.gain <= 0:
             raise ScenarioError(f"gain must be positive, got {self.gain}")
-        if self.mc_samples < 0:
-            raise ScenarioError(f"mc_samples must be >= 0, got {self.mc_samples}")
+        if not _is_int(self.mc_samples) or self.mc_samples < 0 or self.mc_samples == 1:
+            raise ScenarioError(f"mc_samples must be 0 or an integer >= 2, got {self.mc_samples!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ScenarioError(f"seed must be an integer >= 0, got {self.seed!r}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 _INPUT_KEYS = ("amplitude", "squeezing_db", "antisqueezing_db",

@@ -82,21 +82,6 @@ class SqueezedInputSpec:
 
 
 @dataclass(frozen=True)
-class DetectionBand:
-    """Spectrum-analyzer measurement band.  Metadata only: the variance
-    model is single-sideband-frequency and carries no RBW/VBW response."""
-
-    center_frequency: float
-    rbw: float = 300e3
-    vbw: float = 30.0
-    repetition_rate: float = 82e6
-
-    def __post_init__(self):
-        if self.center_frequency <= 0:
-            raise DomainError("center_frequency must be positive")
-
-
-@dataclass(frozen=True)
 class BrightGaussianState:
     """n-mode bright Gaussian state: real carriers + quadrature covariance.
 

@@ -103,3 +103,27 @@ def test_exit_code_missing_file(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", "/nonexistent/path.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flat", [
+    {"mc_samples": 1}, {"mc_samples": 1.5}, {"mc_samples": True},
+    {"seed": -1, "mc_samples": 1000}, {"seed": 1.5},
+])
+def test_bad_mc_settings_in_file_exit_2(tmp_path, capsys, flat):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(flat))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(bad)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mc-samples", "1"], ["--mc-samples", "-3"], ["--mc-samples", "1.5"],
+    ["--seed", "-1", "--mc-samples", "1000"],
+])
+def test_bad_mc_flags_exit_2(scenario_file, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(scenario_file), *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

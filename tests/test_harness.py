@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from brightbeam.errors import ScenarioError
+from brightbeam import harness
+from brightbeam.detection import method_a_joint, method_b_channels, method_c_single_port
+from brightbeam.entangle import generate_entangled, optimize_gain
+from brightbeam.errors import DegenerateModeError, ScenarioError
 from brightbeam.harness import (
     CSV_HEADER,
     SWEEP_PARAMS,
@@ -15,6 +18,7 @@ from brightbeam.harness import (
     with_param,
 )
 from brightbeam.scenario import Scenario, scenario_from_dict
+from brightbeam.states import apply_loss
 
 SQ37 = {
     "input_a.squeezing_db": 3.7, "input_a.antisqueezing_db": 3.7,
@@ -178,3 +182,113 @@ class TestCompare:
         monkeypatch.setenv("BRIGHTBEAM_FIXTURES", str(tmp_path))
         with pytest.raises(ScenarioError, match="no fixture scenarios"):
             run_fixture_table()
+
+
+BUDGETS = {
+    "budget_a.prop_loss": 0.1, "budget_a.visibility": 0.95,
+    "budget_a.quantum_efficiency": 0.9,
+    "budget_b.prop_loss": 0.25, "budget_b.visibility": 0.9,
+    "budget_b.quantum_efficiency": 0.85,
+}
+PIN_CASES = [
+    {},
+    {"theta": 1.1, "phi": 1.3},
+    {**BUDGETS, "imbalance": 0.07},
+    {**BUDGETS, "imbalance": -0.05, "theta": 1.1, "phi": 1.9, "gain": 1.4},
+    {**BUDGETS, "imbalance": 0.07, "gain": "optimize"},
+]
+
+
+def _entangled(s):
+    return generate_entangled(s.input_a, s.input_b, s.theta, s.entangle_ratio,
+                              excess_correlation=s.excess_correlation)
+
+
+def _assert_raw(raw, expected):
+    assert set(raw) == set(expected)
+    for key, result in expected.items():
+        for field, value in result.to_dict().items():
+            assert raw[key][field] == pytest.approx(value, rel=1e-12), (key, field)
+
+
+class TestHarnessEqualsDetection:
+    """run_scenario reports exactly what the public detection functions give."""
+
+    @pytest.mark.parametrize("extra", PIN_CASES)
+    def test_method_a(self, extra):
+        s = make("A", **extra)
+        row = run_scenario(s)
+        budgets = (s.budget_a, s.budget_b)
+        plus, plus_anti = method_a_joint(_entangled(s), "X", budgets, row.gain, s.imbalance)
+        minus, minus_anti = method_a_joint(_entangled(s), "Y", budgets, row.gain, s.imbalance)
+        assert row.v_sq_plus == pytest.approx(plus.normalized, rel=1e-12)
+        assert row.v_sq_minus == pytest.approx(minus.normalized, rel=1e-12)
+        _assert_raw(row.raw, {"plus": plus, "plus_anti": plus_anti,
+                              "minus": minus, "minus_anti": minus_anti})
+
+    @pytest.mark.parametrize("extra", PIN_CASES)
+    def test_method_b(self, extra):
+        s = make("B", **extra)
+        row = run_scenario(s)
+        total, diff = method_b_channels(_entangled(s), s.phi, (s.budget_a, s.budget_b),
+                                        s.imbalance)
+        assert row.v_sq_plus == pytest.approx(total.normalized, rel=1e-12)
+        assert row.v_sq_minus == pytest.approx(diff.normalized, rel=1e-12)
+        _assert_raw(row.raw, {"sum_channel": total, "diff_channel": diff})
+
+    @pytest.mark.parametrize("port", ["c", "d"])
+    @pytest.mark.parametrize("extra", PIN_CASES + [{"phi": 0.0}])
+    def test_method_c(self, extra, port):
+        s = make("C", port=port, **extra)
+        budgets = (s.budget_a, s.budget_b)
+        expected = {}
+        for p in ("c", "d"):
+            try:
+                expected[f"port_{p}"] = method_c_single_port(_entangled(s), s.phi, p, budgets)
+            except DegenerateModeError:
+                pass
+        if f"port_{port}" not in expected:
+            with pytest.raises(DegenerateModeError):
+                run_scenario(s)
+            return
+        row = run_scenario(s)
+        v = expected[f"port_{port}"].normalized
+        assert row.v_sq_plus == pytest.approx(v, rel=1e-12)
+        assert row.v_sq_minus == pytest.approx(v, rel=1e-12)
+        _assert_raw(row.raw, expected)
+
+    def test_phi_zero_leaves_port_c_dark(self):
+        row = run_scenario(make("C", port="d", phi=0.0))
+        assert set(row.raw) == {"port_d"}
+        assert set(run_scenario(make("C", port="d")).raw) == {"port_c", "port_d"}
+
+    def test_optimized_gain_matches_optimize_gain(self):
+        extra = {"budget_a.prop_loss": 0.1, "budget_b.prop_loss": 0.3,
+                 "budget_b.quantum_efficiency": 0.8,
+                 "input_b.squeezing_db": 2.0, "input_b.antisqueezing_db": 2.5}
+        s = make("A", gain="optimize", **extra)
+        lossy = _entangled(s)
+        for mode, budget in enumerate((s.budget_a, s.budget_b)):
+            lossy = apply_loss(lossy, mode, budget.effective())
+        g, report = optimize_gain(lossy)
+        row = run_scenario(s)
+        assert g != pytest.approx(1.0)
+        assert row.gain == pytest.approx(g, rel=1e-12)
+        assert row.sum_value == pytest.approx(report.sum_value, rel=1e-12)
+
+
+class TestMonteCarloDrawPlan:
+    """One draw per measured state, in channel order, seeded seed, seed + 1, ..."""
+
+    @pytest.mark.parametrize("method, seeds", [("A", [11, 12]), ("B", [11]), ("C", [11])])
+    def test_draws_per_method(self, monkeypatch, method, seeds):
+        calls = []
+        real = harness.sample_fluctuations
+
+        def recording(state, count, seed):
+            calls.append((count, seed))
+            return real(state, count, seed)
+
+        monkeypatch.setattr(harness, "sample_fluctuations", recording)
+        run_scenario(make(method, mc_samples=1000, seed=11, **BUDGETS))
+        assert calls == [(1000, seed) for seed in seeds]

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -123,3 +124,25 @@ def test_bundled_fixture_files_load():
         with open(p, encoding="utf-8") as fh:
             raw = json.load(fh)
         assert raw["method"] == s.method
+
+
+@pytest.mark.parametrize("value", [1, -1, 1.5, 2.0, True, "100"])
+def test_bad_mc_samples_rejected(value):
+    with pytest.raises(ScenarioError, match="mc_samples"):
+        scenario_from_dict({"mc_samples": value})
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, True, "3"])
+def test_bad_seed_rejected(value):
+    with pytest.raises(ScenarioError, match="seed"):
+        scenario_from_dict({"seed": value})
+
+
+def test_mc_settings_accepted_and_revalidated_on_replace():
+    s = scenario_from_dict({"mc_samples": 2, "seed": 0})
+    assert (s.mc_samples, s.seed) == (2, 0)
+    assert scenario_from_dict({"mc_samples": 0}).mc_samples == 0
+    with pytest.raises(ScenarioError, match="mc_samples"):
+        replace(s, mc_samples=1)
+    with pytest.raises(ScenarioError, match="seed"):
+        replace(s, seed=-1)
