@@ -5,6 +5,10 @@ phase theta yield a pair of bright beams whose joint quadrature
 combinations drop below the coherent-state reference.  This module
 evaluates the sum/product witnesses, the gain-weighted generalized
 witness with its theta-adapted bound, and optional gain optimization.
+
+scipy is imported only when a gain is optimized (``minimize_gain``, i.e.
+a scenario with ``gain: "optimize"``), so importing this module and
+evaluating fixed-gain witnesses never load it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateModeError, DomainError
 from .states import (
@@ -155,18 +158,25 @@ def optimal_gains_for_theta(alpha: float, theta: float) -> GeneralizedCombinatio
 def minimize_gain(objective) -> tuple[float, bool]:
     """Minimize objective(g) over a gain g in [1e-3, 1e3].
 
-    1-D bounded minimization on log g.  Returns (g, fallback): g = 1 when
-    the optimum is not finite (fallback is then True) or is worse than
-    unit gain.
+    1-D bounded minimization on log g.  Brent's search settles in one
+    local minimum; when the objective has an interior maximum, the lowest
+    value may sit at the other end of the range, so both ends and unit
+    gain compete with its result.  Returns (g, fallback): g = 1 when the
+    optimum is not finite (fallback is then True) or is worse than unit
+    gain.
     """
+    from scipy.optimize import minimize_scalar  # ~0.5 s import, paid only here
+
+    lo, hi = 1e-3, 1e3
     res = minimize_scalar(lambda log_g: objective(float(np.exp(log_g))),
-                          bounds=(np.log(1e-3), np.log(1e3)),
+                          bounds=(np.log(lo), np.log(hi)),
                           method="bounded", options={"xatol": 1e-12})
     g = float(np.exp(res.x))
     fallback = not (np.isfinite(g) and np.isfinite(res.fun))
-    if fallback or objective(g) > objective(1.0):
-        g = 1.0
-    return g, fallback
+    if fallback:
+        return 1.0, True
+    # min keeps the first of equal values: Brent's g, then the ends, then 1.
+    return min((g, lo, hi, 1.0), key=objective), False
 
 
 def optimize_gain(state: BrightGaussianState) -> tuple[float, WitnessReport]:

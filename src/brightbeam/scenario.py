@@ -16,9 +16,13 @@ from dataclasses import dataclass, field, replace
 from .detection import LossBudget
 from .errors import ScenarioError
 from .states import SqueezedInputSpec
+from .units import is_finite_real
 
 METHODS = ("A", "B", "C")
 PORTS = ("c", "d")
+# Float fields that must hold finite numbers (frequency_mhz may also be None).
+_REAL_FIELDS = ("theta", "entangle_ratio", "phi", "excess_correlation", "imbalance",
+                "frequency_mhz")
 
 
 def _default_input() -> SqueezedInputSpec:
@@ -47,6 +51,10 @@ class Scenario:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ScenarioError(f"method must be one of {METHODS}, got {self.method!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not (is_finite_real(value) or (name == "frequency_mhz" and value is None)):
+                raise ScenarioError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 <= self.entangle_ratio <= 1.0:
             raise ScenarioError(
                 f"entangle_ratio must be in [0, 1], got {self.entangle_ratio}"
@@ -60,8 +68,11 @@ class Scenario:
         if isinstance(self.gain, str):
             if self.gain != "optimize":
                 raise ScenarioError(f"gain must be a number or 'optimize', got {self.gain!r}")
-        elif self.gain <= 0:
-            raise ScenarioError(f"gain must be positive, got {self.gain}")
+        elif not is_finite_real(self.gain) or self.gain <= 0:
+            raise ScenarioError(
+                f"gain must be a positive finite number or 'optimize', got {self.gain!r}")
+        if self.imbalance <= -1:
+            raise ScenarioError(f"imbalance must be > -1, got {self.imbalance}")
         if not _is_int(self.mc_samples) or self.mc_samples < 0 or self.mc_samples == 1:
             raise ScenarioError(f"mc_samples must be 0 or an integer >= 2, got {self.mc_samples!r}")
         if not _is_int(self.seed) or self.seed < 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateModeError, DomainError
-from .units import db_to_var
+from .units import db_to_var, is_finite_real
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -50,11 +50,10 @@ class SqueezedInputSpec:
     correlated_group: int | None = None
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise DomainError(f"amplitude must be >= 0, got {self.amplitude}")
-        for name in ("squeezing_db", "antisqueezing_db", "excess_phase_db"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("amplitude", "squeezing_db", "antisqueezing_db", "excess_phase_db"):
+            value = getattr(self, name)
+            if not is_finite_real(value) or value < 0:
+                raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
         if db_to_var(-self.squeezing_db) * db_to_var(self.antisqueezing_db) < 1.0 - PSD_TOL:
             raise DomainError(
                 "Heisenberg violation: squeezing %.3f dB needs antisqueezing >= %.3f dB"

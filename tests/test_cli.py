@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import brightbeam
 from brightbeam import SqueezedInputSpec
 from brightbeam.cli import cli, main
+from brightbeam.harness import fixtures_dir
 from brightbeam.scenario import Scenario, save_scenario
 
 
@@ -127,3 +133,57 @@ def test_bad_mc_flags_exit_2(scenario_file, capsys, flags):
         main(["simulate", "--scenario", str(scenario_file), *flags])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flat", [
+    {"theta": float("nan")}, {"theta": float("inf")}, {"theta": "x"}, {"theta": 10 ** 400},
+    {"method": "B", "phi": float("nan")}, {"phi": True},
+    {"imbalance": float("nan")}, {"imbalance": -1}, {"imbalance": -1, "gain": "optimize"},
+    {"gain": True}, {"gain": float("inf")},
+    {"entangle_ratio": float("nan")}, {"excess_correlation": "x"},
+    {"frequency_mhz": float("nan")},
+    {"input_a.squeezing_db": 1e6, "input_a.antisqueezing_db": 1e6},
+    {"input_b.antisqueezing_db": 1e6}, {"input_a.squeezing_db": float("nan")},
+    {"input_a.amplitude": float("inf")}, {"input_b.excess_phase_db": float("inf")},
+], ids=lambda flat: ",".join(f"{k}={v!r}"[:40] for k, v in flat.items()))
+def test_bad_scalar_fields_exit_2(tmp_path, capsys, flat):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(flat))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(bad)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+    assert any(key.partition(".")[0] in err for key in flat)
+
+
+def _run_then_list_scipy(tmp_path, *argv) -> tuple[str, list[str]]:
+    """Import the CLI in a fresh interpreter and run it on argv, if given;
+    return its stdout and the scipy modules loaded by the end."""
+    code = ("import json, sys\n"
+            "from brightbeam.cli import main\n"
+            "if sys.argv[1:]:\n"
+            "    main(sys.argv[1:])\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(brightbeam.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    out, _, loaded = done.stdout.rstrip("\n").rpartition("\n")
+    return out, json.loads(loaded)
+
+
+def test_no_scipy_at_start_up(tmp_path):
+    assert _run_then_list_scipy(tmp_path)[1] == []
+    out, loaded = _run_then_list_scipy(tmp_path, "table1")
+    assert "method" in out
+    assert loaded == []
+
+
+def test_optimised_gain_still_runs(tmp_path):
+    flat = json.loads((fixtures_dir() / "method_a.json").read_text(encoding="utf-8"))
+    path = tmp_path / "opt.json"
+    path.write_text(json.dumps(dict(flat, gain="optimize")))
+    out, loaded = _run_then_list_scipy(tmp_path, "simulate", "--scenario", str(path))
+    assert json.loads(out)["gain"] == 0.960531
+    assert "scipy.optimize" in loaded

@@ -5,6 +5,7 @@ import pytest
 
 from brightbeam import (
     GeneralizedCombination,
+    LossBudget,
     SqueezedInputSpec,
     apply_loss,
     compose,
@@ -13,6 +14,7 @@ from brightbeam import (
     generalized_witness,
     generate_entangled,
     make_coherent,
+    method_a_joint,
     normalized_combination_variances,
     optimal_gains_for_theta,
     optimize_gain,
@@ -20,6 +22,7 @@ from brightbeam import (
     squeezing_variances,
     theta_adapted_bound,
 )
+from brightbeam.detection import method_a_gain
 from brightbeam.errors import DegenerateModeError, DomainError
 from brightbeam.states import BrightGaussianState
 
@@ -214,6 +217,77 @@ class TestOptimizeGain:
     def test_coherent_pair_is_flat(self):
         g, report = optimize_gain(coherent_pair())
         assert report.sum_value == pytest.approx(2.0, abs=1e-9)
+
+
+# Every gain the optimisers may return, 20001 points log-spaced on [1e-3, 1e3].
+GAIN_GRID = np.logspace(-3.0, 3.0, 20001)
+GRID_STATES = 300
+
+
+def random_lossy_pair(rng) -> BrightGaussianState:
+    """An entangled pair from random inputs, phase and splitting, with random loss per beam."""
+    def beam():
+        sq = rng.uniform(0.0, 6.0)
+        return SqueezedInputSpec(rng.uniform(10.0, 1000.0), sq, sq + rng.uniform(0.0, 15.0),
+                                 excess_phase_db=rng.uniform(0.0, 25.0),
+                                 correlated_group=int(rng.integers(2)) or None)
+
+    st = generate_entangled(beam(), beam(), rng.uniform(0.2, math.pi - 0.2),
+                            rng.uniform(0.2, 0.8), rng.uniform(0.0, 1.0))
+    for mode in (0, 1):
+        st = apply_loss(st, mode, rng.uniform(0.3, 1.0))
+    return st
+
+
+def grid_sums(state_x, state_y, g):
+    """V(dX1 + g dX2) on state_x plus V(dY1 - g dY2) on state_y, each over
+    its coherent value 1 + g^2, for an array of gains g."""
+    cx, cy = state_x.cov, state_y.cov
+    return (cx[0, 0] + 2 * g * cx[0, 2] + g * g * cx[2, 2]
+            + cy[1, 1] - 2 * g * cy[1, 3] + g * g * cy[3, 3]) / (1 + g * g)
+
+
+def no_worse_than_grid(value, best):
+    return value <= best + 1e-12 * max(1.0, best)
+
+
+class TestGainAgainstDenseGrid:
+    """The optimised witness sum is at most the minimum over GAIN_GRID.
+
+    This pins the optimum itself, whatever method finds it.  Some of the
+    random states have an interior maximum on g > 0, so the lowest sum
+    sits at one end of the range.
+    """
+
+    def test_optimize_gain(self):
+        worse = []
+        for seed in range(GRID_STATES):
+            st = random_lossy_pair(np.random.default_rng(seed))
+            g, report = optimize_gain(st)
+            assert grid_sums(st, st, g) == pytest.approx(report.sum_value, rel=1e-12)
+            best = grid_sums(st, st, GAIN_GRID).min()
+            if not no_worse_than_grid(report.sum_value, best):
+                worse.append((seed, g, report.sum_value, best))
+        assert worse == []
+
+    def test_method_a_gain_with_imbalance(self):
+        worse = []
+        for seed in range(GRID_STATES):
+            rng = np.random.default_rng(seed)
+            st = random_lossy_pair(rng)
+            budgets = tuple(LossBudget(rng.uniform(0.5, 1.0), rng.uniform(0.8, 1.0),
+                                       rng.uniform(0.7, 1.0)) for _ in range(2))
+            for imbalance in (0.0, rng.uniform(-0.5, 0.5)):
+                g = method_a_gain(st, budgets, imbalance)
+                x, _ = method_a_joint(st, "X", budgets, g, imbalance)
+                y, _ = method_a_joint(st, "Y", budgets, g, imbalance)
+                total = x.normalized + y.normalized
+                g_eff = g * (1.0 + imbalance)
+                assert grid_sums(x.state, y.state, g_eff) == pytest.approx(total, rel=1e-12)
+                best = grid_sums(x.state, y.state, GAIN_GRID * (1.0 + imbalance)).min()
+                if not no_worse_than_grid(total, best):
+                    worse.append((seed, imbalance, g, total, best))
+        assert worse == []
 
 
 class TestInvariants:

@@ -25,6 +25,12 @@ def test_roundtrip():
         assert var_to_db(db_to_var(d)) == pytest.approx(d, abs=1e-12)
 
 
+def test_db_to_var_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="dB"):
+        db_to_var(1e6)
+    assert db_to_var(-1e6) == 0.0
+
+
 def test_var_to_db_rejects_nonpositive():
     with pytest.raises(DomainError):
         var_to_db(0.0)
