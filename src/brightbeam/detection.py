@@ -9,7 +9,10 @@ detected; at verification phase pi/2 its normalized variance is half the
 witness sum.
 
 All physics stays in shot-noise-normalized units; absolute dBm powers
-appear only in the electronic-noise subtraction utility.
+appear only in the electronic-noise subtraction utility.  Every readout
+broadcasts over a stack of states (see ``states``): gains, phases and
+imbalances may be arrays, and a pair of budgets may be a pair of
+lists of LossBudget, one per stack element.
 """
 
 from __future__ import annotations
@@ -19,15 +22,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entangle import minimize_gain, squeezing_variances
+from .entangle import witness_gains
 from .errors import DegenerateModeError, DomainError
 from .states import (
     DARK_PORT_FACTOR,
     BrightGaussianState,
     apply_beamsplitter,
     apply_loss,
+    float_if_scalar,
+    stacked,
 )
 from .units import var_to_db
+
+# var_to_db entry by entry: math.log10 on each, and the first entry that is
+# not positive raises.
+_var_to_db = np.vectorize(var_to_db, otypes=[float])
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -38,6 +47,7 @@ class DetectionResult:
 
     A result read off a state keeps that state and the photocurrent's
     quadrature weights, so the sampling oracle can redraw the same channel.
+    Read off a stack, the numbers are arrays over the stack.
     """
 
     variance: float
@@ -51,11 +61,12 @@ class DetectionResult:
     def from_variance(cls, variance: float, shot_noise: float,
                       state: BrightGaussianState | None = None,
                       weights: np.ndarray | None = None) -> "DetectionResult":
-        if shot_noise <= 0:
+        if np.any(shot_noise <= 0):
             raise DegenerateModeError("shot-noise reference must be positive")
         normalized = variance / shot_noise
-        return cls(float(variance), float(shot_noise), float(normalized),
-                   var_to_db(normalized), state, weights)
+        return cls(float_if_scalar(variance), float_if_scalar(shot_noise),
+                   float_if_scalar(normalized), float_if_scalar(_var_to_db(normalized)),
+                   state, weights)
 
     @classmethod
     def read(cls, state: BrightGaussianState, weights: np.ndarray,
@@ -126,8 +137,27 @@ def _apply_budgets(state: BrightGaussianState, budgets: tuple[LossBudget, LossBu
                    include_visibility: bool = True) -> BrightGaussianState:
     """Apply each arm's pre-detection loss budget to its mode."""
     for mode, budget in enumerate(budgets):
-        state = apply_loss(state, mode, budget.effective(include_visibility))
+        eta = stacked(budget, lambda b: b.effective(include_visibility))
+        state = apply_loss(state, mode, eta)
     return state
+
+
+def _square(x):
+    """x ** 2 rounded as Python's float power (libm pow), for arrays too.
+
+    ndarray ``**`` multiplies instead, which differs in the last bit for
+    about 0.1% of inputs; this keeps shot-noise references bit-identical
+    to Python float arithmetic.
+    """
+    return np.float_power(x, 2)
+
+
+def _weights(*entries) -> np.ndarray:
+    """Quadrature weights [dX1, dY1, dX2, dY2] set from (index, value) pairs."""
+    w = np.zeros(np.broadcast_shapes(*(np.shape(v) for _, v in entries)) + (4,))
+    for index, value in entries:
+        w[..., index] = value
+    return w
 
 
 def method_a_measure(state: BrightGaussianState, mode: int, quadrature: str,
@@ -137,13 +167,13 @@ def method_a_measure(state: BrightGaussianState, mode: int, quadrature: str,
     Phase (Y) measurements pay the full budget including visibility;
     amplitude (X) measurements need no interference and skip it.
     """
-    eta = budget.effective(include_visibility=(quadrature == "Y"))
+    eta = stacked(budget, lambda b: b.effective(include_visibility=(quadrature == "Y")))
     lossy = apply_loss(state, mode, eta)
-    alpha = lossy.amplitudes[mode]
-    if alpha <= 0:
+    alpha = lossy.amplitudes[..., mode]
+    if np.any(alpha <= 0):
         raise DegenerateModeError("phase measurement needs a bright carrier")
-    variance = alpha ** 2 * lossy.variance(mode, quadrature)
-    return DetectionResult.from_variance(variance, alpha ** 2)
+    variance = _square(alpha) * lossy.variance(mode, quadrature)
+    return DetectionResult.from_variance(variance, _square(alpha))
 
 
 def method_a_joint(state: BrightGaussianState, quadrature: str,
@@ -161,25 +191,21 @@ def method_a_joint(state: BrightGaussianState, quadrature: str,
     if state.n_modes != 2:
         raise DomainError("method A joint measurement needs a two-mode state")
     lossy = _apply_budgets(state, budgets, include_visibility=(quadrature == "Y"))
-    a1, a2 = lossy.amplitudes
-    if a1 <= 0 or a2 <= 0:
+    a1, a2 = lossy.amplitudes[..., 0], lossy.amplitudes[..., 1]
+    if np.any(a1 <= 0) or np.any(a2 <= 0):
         raise DegenerateModeError("joint measurement needs two bright carriers")
     q = 0 if quadrature == "X" else 1
     sign = 1.0 if quadrature == "X" else -1.0
     g_eff = g * (1.0 + imbalance)
-    shot = a1 ** 2 * (1.0 + g_eff ** 2)
-    w = np.zeros(4)
-    w[q] = a1
-    w[2 + q] = sign * g_eff * a1
-    w_anti = w.copy()
-    w_anti[2 + q] = -w[2 + q]
-    return (DetectionResult.read(lossy, w, shot),
-            DetectionResult.read(lossy, w_anti, shot))
+    shot = _square(a1) * (1.0 + _square(g_eff))
+    second = sign * g_eff * a1
+    return (DetectionResult.read(lossy, _weights((q, a1), (2 + q, second)), shot),
+            DetectionResult.read(lossy, _weights((q, a1), (2 + q, -second)), shot))
 
 
 def method_a_gain(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
                   imbalance: float = 0.0) -> float:
-    """Shared gain g minimizing the method-A witness sum.
+    """Shared gain g minimizing the method-A witness sum (per pair of a stack).
 
     The sum is V(dX1 + g' dX2) + V(dY1 - g' dY2) at g' = g (1 + imbalance),
     with the amplitude channel skipping the visibility loss as in
@@ -187,12 +213,7 @@ def method_a_gain(state: BrightGaussianState, budgets: tuple[LossBudget, LossBud
     """
     state_x = _apply_budgets(state, budgets, include_visibility=False)
     state_y = _apply_budgets(state, budgets)
-
-    def witness_sum(g):
-        g_eff = g * (1.0 + imbalance)
-        return squeezing_variances(state_x, g_eff)[0] + squeezing_variances(state_y, g_eff)[1]
-
-    return minimize_gain(witness_sum)[0]
+    return witness_gains(state_x, state_y, imbalance)[0]
 
 
 def _verification_interference(state: BrightGaussianState, phi: float,
@@ -212,14 +233,19 @@ def _verification_interference(state: BrightGaussianState, phi: float,
 _PORT_INDEX = {"d": 0, "c": 1}
 
 
-def _port_amplitude(out: BrightGaussianState, index: int) -> float:
-    alpha = out.amplitudes[index]
-    total = np.sqrt(np.sum(out.amplitudes ** 2))
-    if alpha ** 2 < (DARK_PORT_FACTOR ** 2) * total ** 2 or alpha <= 0:
+def _dark_port(out: BrightGaussianState, index: int):
+    """Where the port's carrier is too weak for a shot-noise reference."""
+    alpha = out.amplitudes[..., index]
+    total = np.sqrt(np.sum(out.amplitudes ** 2, axis=-1))
+    return (alpha ** 2 < (DARK_PORT_FACTOR ** 2) * total ** 2) | (alpha <= 0)
+
+
+def _port_amplitude(out: BrightGaussianState, index: int):
+    if np.any(_dark_port(out, index)):
         raise DegenerateModeError(
             "interferometer output port is dark; shot-noise normalization degenerate"
         )
-    return float(alpha)
+    return float_if_scalar(out.amplitudes[..., index])
 
 
 def method_b_channels(state: BrightGaussianState, phi: float,
@@ -236,9 +262,9 @@ def method_b_channels(state: BrightGaussianState, phi: float,
     a_d = _port_amplitude(out, 0)
     a_c = _port_amplitude(out, 1)
     gain_c = 1.0 + imbalance
-    shot = a_d ** 2 + (gain_c * a_c) ** 2
-    w_sum = np.array([a_d, 0.0, gain_c * a_c, 0.0])
-    w_diff = np.array([-a_d, 0.0, gain_c * a_c, 0.0])
+    shot = _square(a_d) + _square(gain_c * a_c)
+    w_sum = _weights((0, a_d), (2, gain_c * a_c))
+    w_diff = _weights((0, -a_d), (2, gain_c * a_c))
     return DetectionResult.read(out, w_sum, shot), DetectionResult.read(out, w_diff, shot)
 
 
@@ -253,27 +279,28 @@ def method_c_single_port(state: BrightGaussianState, phi: float, port: str = "c"
     """
     if port not in _PORT_INDEX:
         raise DomainError(f"port must be 'c' or 'd', got {port!r}")
-    return _port_reading(_verification_interference(state, phi, budgets), _PORT_INDEX[port])
+    out = _verification_interference(state, phi, budgets)
+    index = _PORT_INDEX[port]
+    return _port_reading(out, index, _port_amplitude(out, index))
 
 
-def _port_reading(out: BrightGaussianState, index: int) -> DetectionResult:
-    alpha = _port_amplitude(out, index)
-    w = np.zeros(4)
-    w[2 * index] = alpha
-    return DetectionResult.read(out, w, alpha ** 2)
+def _port_reading(out: BrightGaussianState, index: int, alpha) -> DetectionResult:
+    return DetectionResult.read(out, _weights((2 * index, alpha)), _square(alpha))
 
 
 def bright_port_readings(out: BrightGaussianState) -> dict[str, DetectionResult]:
     """Direct-detection reading of every bright port of an interferometer output.
 
-    Keys are ``port_d`` and ``port_c``; a dark port is left out.
+    Keys are ``port_d`` and ``port_c``; a dark port is left out.  In a
+    stack, a port that is dark at some states only reads NaN there.
     """
     readings = {}
     for port, index in _PORT_INDEX.items():
-        try:
-            readings[f"port_{port}"] = _port_reading(out, index)
-        except DegenerateModeError:
-            pass
+        dark = _dark_port(out, index)
+        if not np.all(dark):
+            alpha = np.where(dark, np.nan, out.amplitudes[..., index])
+            with np.errstate(invalid="ignore"):  # the NaN entries' positivity check
+                readings[f"port_{port}"] = _port_reading(out, index, float_if_scalar(alpha))
     return readings
 
 

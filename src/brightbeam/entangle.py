@@ -5,6 +5,8 @@ phase theta yield a pair of bright beams whose joint quadrature
 combinations drop below the coherent-state reference.  This module
 evaluates the sum/product witnesses, the gain-weighted generalized
 witness with its theta-adapted bound, and optional gain optimization.
+Generation and witnesses broadcast over stacked states (see ``states``);
+the gain is optimized state by state.
 
 scipy is imported only when a gain is optimized (``minimize_gain``, i.e.
 a scenario with ``gain: "optimize"``), so importing this module and
@@ -23,6 +25,7 @@ from .states import (
     SqueezedInputSpec,
     apply_beamsplitter,
     compose,
+    float_if_scalar,
     make_squeezed,
 )
 
@@ -73,7 +76,10 @@ class GeneralizedCombination:
 def generate_entangled(a: SqueezedInputSpec, b: SqueezedInputSpec,
                        theta: float, ratio: float = 0.5,
                        excess_correlation: float = 1.0) -> BrightGaussianState:
-    """Interfere two squeezed inputs into a (potentially) entangled pair."""
+    """Interfere two squeezed inputs into a (potentially) entangled pair.
+
+    Lists of specs and arrays of numbers give a stack of pairs.
+    """
     joint = compose([make_squeezed(a), make_squeezed(b)], excess_correlation)
     return apply_beamsplitter(joint, 0, 1, ratio, theta)
 
@@ -81,8 +87,21 @@ def generate_entangled(a: SqueezedInputSpec, b: SqueezedInputSpec,
 def _require_bright_pair(state: BrightGaussianState):
     if state.n_modes != 2:
         raise DomainError(f"expected a two-mode state, got {state.n_modes} modes")
-    if state.amplitudes[0] <= 0 or state.amplitudes[1] <= 0:
+    if np.any(state.amplitudes[..., :2] <= 0):
         raise DegenerateModeError("both modes need a carrier for witness evaluation")
+
+
+def _pair_entries(cov: np.ndarray) -> tuple[tuple, tuple]:
+    """X entries (c00, c02, c22) and Y entries (c11, c13, c33) of a pair's covariance."""
+    return ((cov[..., 0, 0], cov[..., 0, 2], cov[..., 2, 2]),
+            (cov[..., 1, 1], cov[..., 1, 3], cov[..., 3, 3]))
+
+
+def _joint_variances(x, y, g):
+    """(V(dX1 + g dX2), V(dY1 - g dY2)) / (1 + g^2) from X entries x and Y entries y."""
+    norm = 1.0 + g * g
+    return ((x[0] + 2 * g * x[1] + g * g * x[2]) / norm,
+            (y[0] - 2 * g * y[1] + g * g * y[2]) / norm)
 
 
 def squeezing_variances(state: BrightGaussianState, g: float = 1.0) -> tuple[float, float]:
@@ -92,11 +111,8 @@ def squeezing_variances(state: BrightGaussianState, g: float = 1.0) -> tuple[flo
     combination, so a coherent pair gives (1, 1) for every gain.
     """
     _require_bright_pair(state)
-    c = state.cov
-    norm = 1.0 + g * g
-    v_plus = (c[0, 0] + 2 * g * c[0, 2] + g * g * c[2, 2]) / norm
-    v_minus = (c[1, 1] - 2 * g * c[1, 3] + g * g * c[3, 3]) / norm
-    return float(v_plus), float(v_minus)
+    v_plus, v_minus = _joint_variances(*_pair_entries(state.cov), g)
+    return float_if_scalar(v_plus), float_if_scalar(v_minus)
 
 
 def duan_simon(state: BrightGaussianState, g: float = 1.0) -> WitnessReport:
@@ -122,7 +138,7 @@ def generalized_witness(state: BrightGaussianState,
     v = np.array([0.0, c.g_a, 0.0, c.g_b])
     lhs = state.combination_variance(u) + state.combination_variance(v)
     rhs = 2.0 * (abs(c.h_a * c.g_a) + abs(c.h_b * c.g_b))
-    return float(lhs), float(rhs), lhs < rhs
+    return float_if_scalar(lhs), float(rhs), lhs < rhs
 
 
 def normalized_combination_variances(state: BrightGaussianState,
@@ -133,7 +149,7 @@ def normalized_combination_variances(state: BrightGaussianState,
     v = np.array([0.0, c.g_a, 0.0, c.g_b])
     vu = state.combination_variance(u) / (c.h_a ** 2 + c.h_b ** 2)
     vv = state.combination_variance(v) / (c.g_a ** 2 + c.g_b ** 2)
-    return float(vu), float(vv)
+    return float_if_scalar(vu), float_if_scalar(vv)
 
 
 def theta_adapted_bound(theta: float) -> float:
@@ -179,11 +195,35 @@ def minimize_gain(objective) -> tuple[float, bool]:
     return min((g, lo, hi, 1.0), key=objective), False
 
 
+def witness_gains(state_x: BrightGaussianState, state_y: BrightGaussianState,
+                  imbalance=0.0):
+    """Per pair of a stack, the shared gain g minimizing the witness sum
+    V(dX1 + g' dX2) of state_x plus V(dY1 - g' dY2) of state_y, at
+    g' = g (1 + imbalance).
+
+    ``minimize_gain`` runs once per pair, on the covariance entries read
+    as floats.  Returns (gains, fallbacks), scalars for unstacked states.
+    """
+    _require_bright_pair(state_x)
+    _require_bright_pair(state_y)
+    xs = np.stack(_pair_entries(state_x.cov)[0], -1)
+    ys = np.stack(_pair_entries(state_y.cov)[1], -1)
+    batch = xs.shape[:-1]
+    results = []
+    for x, y, imb in zip(xs.reshape(-1, 3).tolist(), ys.reshape(-1, 3).tolist(),
+                         np.broadcast_to(imbalance, batch).ravel().tolist()):
+        def witness_sum(g, x=x, y=y, imb=imb):
+            v_plus, v_minus = _joint_variances(x, y, g * (1.0 + imb))
+            return v_plus + v_minus
+        results.append(minimize_gain(witness_sum))
+    gains, fallbacks = (np.reshape(column, batch) for column in zip(*results))
+    return float_if_scalar(gains), (fallbacks if batch else bool(fallbacks))
+
+
 def optimize_gain(state: BrightGaussianState) -> tuple[float, WitnessReport]:
     """Minimize the normalized witness sum over a single shared gain.
 
     See ``minimize_gain``; a non-finite optimum is flagged in the report.
     """
-    _require_bright_pair(state)
-    g_star, fallback = minimize_gain(lambda g: sum(squeezing_variances(state, g)))
+    g_star, fallback = witness_gains(state, state)
     return g_star, replace(duan_simon(state, g_star), gain_fallback=fallback)

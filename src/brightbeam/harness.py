@@ -19,7 +19,7 @@ from .detection import (
     method_c_single_port,
 )
 from .entangle import generate_entangled, theta_adapted_bound
-from .errors import ScenarioError
+from .errors import BrightBeamError, DomainError, ScenarioError
 from .scenario import Scenario, load_scenario
 from .states import BrightGaussianState, sample_fluctuations
 
@@ -66,30 +66,40 @@ class ReportRow:
         return d
 
 
-# Each evaluator returns (v_plus, v_minus, bound, gain, readings, channels):
-# readings name the DetectionResults reported under "raw", and a channel is
-# (DetectionResult, multiplier of its normalized variance) for the MC oracle.
+# Each evaluator takes scenarios that differ only in numbers, their stacked
+# entangled pair and budgets, and returns (v_plus, v_minus, bound, gain,
+# readings, channels) over the stack: readings name the DetectionResults
+# reported under "raw", and a channel is (DetectionResult, multiplier of its
+# normalized variance) for the MC oracle.
 
-def _eval_a(s: Scenario, state: BrightGaussianState, budgets):
-    g = method_a_gain(state, budgets, s.imbalance) if s.gain == "optimize" else float(s.gain)
-    plus, plus_anti = method_a_joint(state, "X", budgets, g, s.imbalance)
-    minus, minus_anti = method_a_joint(state, "Y", budgets, g, s.imbalance)
+def _column(ss: list[Scenario], name: str) -> np.ndarray:
+    return np.array([getattr(s, name) for s in ss], dtype=float)
+
+
+def _eval_a(ss: list[Scenario], state: BrightGaussianState, budgets):
+    imbalance = _column(ss, "imbalance")
+    if ss[0].gain == "optimize":
+        g = method_a_gain(state, budgets, imbalance)
+    else:
+        g = _column(ss, "gain")
+    plus, plus_anti = method_a_joint(state, "X", budgets, g, imbalance)
+    minus, minus_anti = method_a_joint(state, "Y", budgets, g, imbalance)
     readings = {"plus": plus, "plus_anti": plus_anti, "minus": minus, "minus_anti": minus_anti}
     return plus.normalized, minus.normalized, 2.0, g, readings, [(plus, 1.0), (minus, 1.0)]
 
 
-def _eval_b(s: Scenario, state: BrightGaussianState, budgets):
-    total, diff = method_b_channels(state, s.phi, budgets, s.imbalance)
+def _eval_b(ss: list[Scenario], state: BrightGaussianState, budgets):
+    total, diff = method_b_channels(state, _column(ss, "phi"), budgets, _column(ss, "imbalance"))
     readings = {"sum_channel": total, "diff_channel": diff}
-    return (total.normalized, diff.normalized, theta_adapted_bound(s.theta), 1.0, readings,
-            [(total, 1.0), (diff, 1.0)])
+    return (total.normalized, diff.normalized, theta_adapted_bound(_column(ss, "theta")), 1.0,
+            readings, [(total, 1.0), (diff, 1.0)])
 
 
-def _eval_c(s: Scenario, state: BrightGaussianState, budgets):
+def _eval_c(ss: list[Scenario], state: BrightGaussianState, budgets):
     # Only the blend (v_plus + v_minus)/2 is observable in the selected
     # port; both report fields carry the port value.  The other port of
-    # the same output is reported when it is bright.
-    port = method_c_single_port(state, s.phi, s.port, budgets)
+    # the same output is reported where it is bright.
+    port = method_c_single_port(state, _column(ss, "phi"), ss[0].port, budgets)
     v = port.normalized
     return v, v, 2.0, 1.0, bright_port_readings(port.state), [(port, 2.0)]
 
@@ -97,8 +107,9 @@ def _eval_c(s: Scenario, state: BrightGaussianState, budgets):
 _EVALUATORS = {"A": _eval_a, "B": _eval_b, "C": _eval_c}
 
 
-def _mc_estimate(channels: list[tuple[DetectionResult, float]], count: int, seed: int):
-    """Empirical witness sum from the sampling oracle, with a standard error.
+def _mc_estimate(channels: list[tuple[DetectionResult, float]], k: int, count: int, seed: int):
+    """Empirical witness sum of stack element k from the sampling oracle,
+    with a standard error.
 
     Channels read off the same state share one draw; each new state gets
     the next seed.
@@ -110,74 +121,104 @@ def _mc_estimate(channels: list[tuple[DetectionResult, float]], count: int, seed
     for result, mult in channels:
         if result.state is not state:
             state = result.state
-            samples = sample_fluctuations(state, count, seed + draws)
+            samples = sample_fluctuations(state[k], count, seed + draws)
             draws += 1
-        v = float(np.var(samples @ result.weights, ddof=1)) / result.shot_noise
+        v = float(np.var(samples @ result.weights[k], ddof=1)) / float(result.shot_noise[k])
         total += mult * v
         err_sq += (mult * v) ** 2 * 2.0 / (count - 1)
     return total, math.sqrt(err_sq)
 
 
+def _evaluate(ss: list[Scenario]) -> list[ReportRow]:
+    """Evaluate scenarios that share method, port and gain mode as one stack."""
+    state = generate_entangled([s.input_a for s in ss], [s.input_b for s in ss],
+                               _column(ss, "theta"), _column(ss, "entangle_ratio"),
+                               excess_correlation=_column(ss, "excess_correlation"))
+    budgets = ([s.budget_a for s in ss], [s.budget_b for s in ss])
+    v_plus, v_minus, bound, gain, readings, channels = _EVALUATORS[ss[0].method](
+        ss, state, budgets)
+
+    def per_point(x) -> list:
+        return x.tolist() if np.ndim(x) else [x] * len(ss)
+
+    v_plus, v_minus, bound, gain = map(per_point, (v_plus, v_minus, bound, gain))
+    raw = {key: {name: per_point(value) for name, value in r.to_dict().items()}
+           for key, r in readings.items()}
+    rows = []
+    for k, s in enumerate(ss):
+        mc_sum = mc_stderr = None
+        if s.mc_samples > 0:
+            mc_sum, mc_stderr = _mc_estimate(channels, k, s.mc_samples, s.seed)
+        total = v_plus[k] + v_minus[k]
+        rows.append(ReportRow(
+            method=s.method,
+            label=s.label,
+            v_sq_plus=v_plus[k],
+            v_sq_minus=v_minus[k],
+            sum_value=total,
+            bound=bound[k],
+            witnessed=bool(total < bound[k]),
+            gain=gain[k],
+            # A port that is dark at this point reads NaN and is left out.
+            raw={key: {name: values[k] for name, values in fields.items()}
+                 for key, fields in raw.items() if not math.isnan(fields["normalized"][k])},
+            mc_sum=mc_sum,
+            mc_stderr=mc_stderr,
+            frequency_mhz=s.frequency_mhz,
+        ))
+    return rows
+
+
 def run_scenario(s: Scenario) -> ReportRow:
-    """Evaluate one scenario; deterministic for a fixed seed."""
-    state = generate_entangled(s.input_a, s.input_b, s.theta, s.entangle_ratio,
-                               excess_correlation=s.excess_correlation)
-    v_plus, v_minus, bound, gain, readings, channels = _EVALUATORS[s.method](
-        s, state, (s.budget_a, s.budget_b))
-    mc_sum = mc_stderr = None
-    if s.mc_samples > 0:
-        mc_sum, mc_stderr = _mc_estimate(channels, s.mc_samples, s.seed)
-    total = v_plus + v_minus
-    return ReportRow(
-        method=s.method,
-        label=s.label,
-        v_sq_plus=v_plus,
-        v_sq_minus=v_minus,
-        sum_value=total,
-        bound=bound,
-        witnessed=bool(total < bound),
-        gain=gain,
-        raw={key: r.to_dict() for key, r in readings.items()},
-        mc_sum=mc_sum,
-        mc_stderr=mc_stderr,
-        frequency_mhz=s.frequency_mhz,
-    )
+    """Evaluate one scenario (a stack of one); deterministic for a fixed seed."""
+    return _evaluate([s])[0]
 
 
 def with_param(s: Scenario, param: str, value: float) -> Scenario:
     """Return a copy of the scenario with one sweepable parameter set."""
-    if param in ("theta", "phi", "entangle_ratio"):
-        return replace(s, **{param: value})
-    if param == "gain":
-        return replace(s, gain=float(value))
-    if param == "squeezing_db":
-        # Minimum-uncertainty sweep: antisqueezing tracks the squeezing.
-        return replace(
-            s,
-            input_a=replace(s.input_a, squeezing_db=value, antisqueezing_db=value),
-            input_b=replace(s.input_b, squeezing_db=value, antisqueezing_db=value),
-        )
-    if param == "excess_phase_db":
-        return replace(
-            s,
-            input_a=replace(s.input_a, excess_phase_db=value),
-            input_b=replace(s.input_b, excess_phase_db=value),
-        )
-    if param == "eta":
-        return replace(
-            s,
-            budget_a=replace(s.budget_a, propagation=value),
-            budget_b=replace(s.budget_b, propagation=value),
-        )
+    try:
+        if param in ("theta", "phi", "entangle_ratio"):
+            return replace(s, **{param: value})
+        if param == "gain":
+            return replace(s, gain=float(value))
+        if param == "squeezing_db":
+            # Minimum-uncertainty sweep: antisqueezing tracks the squeezing.
+            return replace(
+                s,
+                input_a=replace(s.input_a, squeezing_db=value, antisqueezing_db=value),
+                input_b=replace(s.input_b, squeezing_db=value, antisqueezing_db=value),
+            )
+        if param == "excess_phase_db":
+            return replace(
+                s,
+                input_a=replace(s.input_a, excess_phase_db=value),
+                input_b=replace(s.input_b, excess_phase_db=value),
+            )
+        if param == "eta":
+            return replace(
+                s,
+                budget_a=replace(s.budget_a, propagation=value),
+                budget_b=replace(s.budget_b, propagation=value),
+            )
+    except DomainError as exc:
+        raise ScenarioError(f"cannot sweep {param} to {value!r}: {exc}") from exc
     raise ScenarioError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
 
 
 def sweep(s: Scenario, param: str, start: float, stop: float,
           steps: int) -> list[tuple[float, ReportRow]]:
+    """Evaluate the scenario at each of ``steps`` evenly spaced values of one
+    parameter, as one stack."""
     if steps < 2:
         raise ScenarioError(f"sweep needs at least 2 steps, got {steps}")
-    grid = np.linspace(start, stop, steps)
-    return [(float(v), run_scenario(with_param(s, param, float(v)))) for v in grid]
+    grid = np.linspace(start, stop, steps).tolist()
+    try:
+        rows = _evaluate([with_param(s, param, v) for v in grid])
+    except BrightBeamError:
+        # A stack fails at its first failing stage, not its first failing
+        # point; point by point, the error is the first failing point's.
+        rows = [run_scenario(with_param(s, param, v)) for v in grid]
+    return list(zip(grid, rows))
 
 
 def _fmt(x) -> str:

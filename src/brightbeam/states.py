@@ -7,7 +7,14 @@ n-mode fluctuation statistics live in a 2n x 2n covariance matrix with the
 interleaved ordering [dX1, dY1, dX2, dY2, ...] in shot-noise units
 (vacuum diagonal = 1).
 
-All operations are pure: they validate their inputs and return new states.
+States and maps work on stacks: amplitudes shaped (..., n) and
+covariances shaped (..., 2n, 2n), with map parameters that broadcast
+against the leading stack axes.  A single state is the unstacked case of
+the same code.  A list of input records, one per stack element,
+stands for a stacked record.  All operations are pure and return new
+states.  Each map checks its parameters once per stack, and each new
+state checks every covariance of its stack (symmetry, then positive
+semi-definiteness with one batched eigvalsh) once.
 """
 
 from __future__ import annotations
@@ -26,10 +33,33 @@ PSD_TOL = 1e-9
 DARK_PORT_FACTOR = 1e-6
 
 
-def rotation2(phi: float) -> np.ndarray:
-    """Quadrature-plane rotation for a phase shift by phi."""
+def float_if_scalar(x):
+    """An unstacked (0-d) result as a Python float; a stacked one as is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def stacked(records, value):
+    """value(record) of one record, or the array of value(r) over a list
+    or tuple of records, one per stack element."""
+    if isinstance(records, (list, tuple)):
+        return np.array([value(r) for r in records])
+    return value(records)
+
+
+def check_unit_range(name: str, value):
+    """Raise DomainError naming the first entry of value outside [0, 1]."""
+    value = np.asarray(value)
+    bad = ~((0.0 <= value) & (value <= 1.0))
+    if np.any(bad):
+        raise DomainError(f"{name} must be in [0, 1], got {value[bad].flat[0]}")
+
+
+def rotation2(phi) -> np.ndarray:
+    """Quadrature-plane rotation for a phase shift by phi (stacked for an array)."""
     c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
+    rot = np.empty(np.shape(c) + (2, 2))
+    rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = c, -s, s, c
+    return rot
 
 
 @dataclass(frozen=True)
@@ -84,8 +114,10 @@ class SqueezedInputSpec:
 class BrightGaussianState:
     """n-mode bright Gaussian state: real carriers + quadrature covariance.
 
-    noise_tags records, per mode, an optional (group, classical_variance)
-    pair used by ``compose`` to insert common-mode phase-noise cross terms.
+    amplitudes has shape (..., n) and cov (..., 2n, 2n); leading axes
+    index a stack of states.  noise_tags records, per mode, an optional
+    (group, classical_variance) pair used by ``compose`` to insert
+    common-mode phase-noise cross terms; the variance may be stacked.
     The tags are inert after composition.
     """
 
@@ -96,17 +128,19 @@ class BrightGaussianState:
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=float)
         cov = np.array(self.cov, dtype=float)
-        if amps.ndim != 1:
-            raise DomainError("amplitudes must be a 1-D vector")
-        n = amps.size
-        if cov.shape != (2 * n, 2 * n):
+        if amps.ndim < 1:
+            raise DomainError("amplitudes must be a 1-D vector or a stack of them")
+        n = amps.shape[-1]
+        if cov.shape != amps.shape[:-1] + (2 * n, 2 * n):
             raise DomainError(f"cov must be {2 * n}x{2 * n} for {n} modes, got {cov.shape}")
-        if np.any(amps < 0):
+        if (amps < 0).any():
             raise DomainError("amplitudes must be non-negative")
-        if np.max(np.abs(cov - cov.T)) > SYM_TOL * max(1.0, np.max(np.abs(cov))):
+        cov_t = np.swapaxes(cov, -1, -2)
+        scale = np.abs(cov).max(axis=(-2, -1), keepdims=True, initial=1.0)
+        if (np.abs(cov - cov_t) > SYM_TOL * scale).any():
             raise DomainError("covariance matrix is not symmetric")
-        cov = 0.5 * (cov + cov.T)
-        if np.linalg.eigvalsh(cov).min() < -PSD_TOL:
+        cov = 0.5 * (cov + cov_t)
+        if (np.linalg.eigvalsh(cov) < -PSD_TOL).any():
             raise DomainError("covariance matrix is not positive semi-definite")
         tags = tuple(self.noise_tags) if self.noise_tags else tuple([None] * n)
         if len(tags) != n:
@@ -117,23 +151,32 @@ class BrightGaussianState:
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "noise_tags", tags)
 
+    def __getitem__(self, k) -> "BrightGaussianState":
+        """State k of a stack."""
+        tags = tuple(t if t is None or np.ndim(t[1]) == 0 else (t[0], t[1][k])
+                     for t in self.noise_tags)
+        return BrightGaussianState(self.amplitudes[k], self.cov[k], tags)
+
     @property
     def n_modes(self) -> int:
-        return self.amplitudes.size
+        return self.amplitudes.shape[-1]
 
     def quad_index(self, mode: int, quadrature: str) -> int:
         if quadrature not in ("X", "Y"):
             raise DomainError(f"quadrature must be 'X' or 'Y', got {quadrature!r}")
         return 2 * mode + (0 if quadrature == "X" else 1)
 
-    def variance(self, mode: int, quadrature: str) -> float:
+    def variance(self, mode: int, quadrature: str):
         i = self.quad_index(mode, quadrature)
-        return float(self.cov[i, i])
+        return float_if_scalar(self.cov[..., i, i])
 
-    def combination_variance(self, weights: np.ndarray) -> float:
-        """Variance of a linear combination of quadrature fluctuations."""
+    def combination_variance(self, weights: np.ndarray):
+        """Variance of a linear combination of quadrature fluctuations.
+
+        weights has shape (..., 2n) and broadcasts against the stack.
+        """
         w = np.asarray(weights, dtype=float)
-        return float(w @ self.cov @ w)
+        return float_if_scalar((w[..., None, :] @ self.cov @ w[..., :, None])[..., 0, 0])
 
     def to_dict(self) -> dict:
         return {"amplitudes": self.amplitudes.tolist(), "cov": self.cov.tolist()}
@@ -150,17 +193,28 @@ def make_coherent(amplitude: float) -> BrightGaussianState:
     return BrightGaussianState(np.array([amplitude]), np.eye(2))
 
 
-def make_squeezed(spec: SqueezedInputSpec) -> BrightGaussianState:
-    """Single-mode amplitude-squeezed state from its input parameterization."""
-    cov = np.diag([spec.x_variance, spec.y_variance])
+def make_squeezed(spec) -> BrightGaussianState:
+    """Single-mode amplitude-squeezed state from its input parameterization.
+
+    A list of specs gives a stack; they must share one correlated_group.
+    """
+    groups = set(np.ravel(stacked(spec, lambda sp: sp.correlated_group)).tolist())
+    if len(groups) != 1:
+        raise DomainError(f"stacked inputs must share one correlated_group, got {groups}")
+    group = groups.pop()
+    amplitude, x, y, classical = np.array(stacked(spec, lambda sp: (
+        sp.amplitude, sp.x_variance, sp.y_variance, sp.y_variance_classical))).T
+    cov = np.zeros(x.shape + (2, 2))
+    cov[..., 0, 0] = x
+    cov[..., 1, 1] = y
     tag = None
-    if spec.correlated_group is not None and spec.y_variance_classical > 0:
-        tag = (spec.correlated_group, spec.y_variance_classical)
-    return BrightGaussianState(np.array([spec.amplitude]), cov, (tag,))
+    if group is not None and np.any(classical > 0):
+        tag = (group, float_if_scalar(classical))
+    return BrightGaussianState(amplitude[..., None], cov, (tag,))
 
 
 def compose(states: list[BrightGaussianState],
-            excess_correlation: float = 1.0) -> BrightGaussianState:
+            excess_correlation=1.0) -> BrightGaussianState:
     """Join states into one multimode state.
 
     The covariance is block-diagonal except for Y-Y cross terms between
@@ -168,16 +222,18 @@ def compose(states: list[BrightGaussianState],
     excess_correlation * sqrt(V_cls_i * V_cls_j), i.e. a common classical
     phase-noise realization (perfectly common-mode by default).
     """
-    if not 0.0 <= excess_correlation <= 1.0:
-        raise DomainError(f"excess_correlation must be in [0, 1], got {excess_correlation}")
-    amps = np.concatenate([s.amplitudes for s in states]) if states else np.zeros(0)
-    n = amps.size
-    cov = np.zeros((2 * n, 2 * n))
+    check_unit_range("excess_correlation", excess_correlation)
+    batch = np.broadcast_shapes(*(s.amplitudes.shape[:-1] for s in states),
+                                np.shape(excess_correlation))
+    n = sum(s.n_modes for s in states)
+    amps = np.empty(batch + (n,))
+    cov = np.zeros(batch + (2 * n, 2 * n))
     tags: list = []
     off = 0
     for s in states:
         k = s.n_modes
-        cov[2 * off:2 * (off + k), 2 * off:2 * (off + k)] = s.cov
+        amps[..., off:off + k] = s.amplitudes
+        cov[..., 2 * off:2 * (off + k), 2 * off:2 * (off + k)] = s.cov
         tags.extend(s.noise_tags)
         off += k
     for i in range(n):
@@ -185,23 +241,37 @@ def compose(states: list[BrightGaussianState],
             ti, tj = tags[i], tags[j]
             if ti is not None and tj is not None and ti[0] == tj[0]:
                 c = excess_correlation * np.sqrt(ti[1] * tj[1])
-                cov[2 * i + 1, 2 * j + 1] = c
-                cov[2 * j + 1, 2 * i + 1] = c
+                cov[..., 2 * i + 1, 2 * j + 1] = c
+                cov[..., 2 * j + 1, 2 * i + 1] = c
     return BrightGaussianState(amps, cov, tuple(tags))
 
 
 def _embed(n: int, modes: tuple[int, ...], block: np.ndarray) -> np.ndarray:
-    """Embed a symplectic block acting on the given modes into 2n x 2n."""
-    s = np.eye(2 * n)
-    idx = []
-    for m in modes:
-        idx.extend([2 * m, 2 * m + 1])
-    s[np.ix_(idx, idx)] = block
+    """Embed a (stacked) symplectic block acting on the given modes into 2n x 2n."""
+    if list(modes) == list(range(n)):
+        return block
+    s = np.array(np.broadcast_to(np.eye(2 * n), block.shape[:-2] + (2 * n, 2 * n)))
+    idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
+    s[(..., *np.ix_(idx, idx))] = block
     return s
 
 
+def _blocks(a, b, c, d) -> np.ndarray:
+    """The 4x4 matrices [[a, b], [c, d]] of (stacked) 2x2 blocks."""
+    out = np.empty(np.broadcast_shapes(*(x.shape[:-2] for x in (a, b, c, d))) + (4, 4))
+    out[..., :2, :2], out[..., :2, 2:], out[..., 2:, :2], out[..., 2:, 2:] = a, b, c, d
+    return out
+
+
+def _congruence(state: BrightGaussianState, S: np.ndarray, amps) -> BrightGaussianState:
+    """State with covariance S cov S^T and the given carriers."""
+    cov = S @ state.cov @ np.swapaxes(S, -1, -2)
+    amps = np.broadcast_to(amps, cov.shape[:-2] + (state.n_modes,))
+    return BrightGaussianState(amps, cov, state.noise_tags)
+
+
 def apply_beamsplitter(state: BrightGaussianState, i: int, j: int,
-                       r: float, theta: float) -> BrightGaussianState:
+                       r, theta) -> BrightGaussianState:
     """Interfere modes i and j on a beam splitter.
 
     r is the intensity splitting ratio (0.5 = balanced) and theta the
@@ -210,70 +280,74 @@ def apply_beamsplitter(state: BrightGaussianState, i: int, j: int,
     re-aligned along its new carrier.  Dark outputs keep an arbitrary
     (identity) frame; detection on them raises later.
     """
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"splitting ratio must be in [0, 1], got {r}")
+    check_unit_range("splitting ratio", r)
     if i == j:
         raise DomainError("beam splitter modes must be distinct")
+    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
     t, s = np.sqrt(1.0 - r), np.sqrt(r)
-    a = state.amplitudes[i]
-    b = state.amplitudes[j] * np.exp(1j * theta)
+    a = state.amplitudes[..., i]
+    b = state.amplitudes[..., j] * np.exp(1j * theta)
     g0 = t * a + s * b
     g1 = s * a - t * b
-    scale = np.hypot(state.amplitudes[i], state.amplitudes[j])
-    phi0 = float(np.angle(g0)) if abs(g0) > DARK_PORT_FACTOR * scale else 0.0
-    phi1 = float(np.angle(g1)) if abs(g1) > DARK_PORT_FACTOR * scale else 0.0
-    mix = np.block([[t * np.eye(2), s * np.eye(2)],
-                    [s * np.eye(2), -t * np.eye(2)]])
-    realign = np.zeros((4, 4))
-    realign[:2, :2] = rotation2(-phi0)
-    realign[2:, 2:] = rotation2(-phi1)
-    pre = np.eye(4)
-    pre[2:, 2:] = rotation2(theta)
-    block = realign @ mix @ pre
-    S = _embed(state.n_modes, (i, j), block)
-    amps = np.array(state.amplitudes)
-    amps[i], amps[j] = abs(g0), abs(g1)
-    return BrightGaussianState(amps, S @ state.cov @ S.T, state.noise_tags)
+    scale = np.hypot(state.amplitudes[..., i], state.amplitudes[..., j])
+    # hypot of the parts is abs() of a complex scalar to the last bit;
+    # abs() of a complex array is not.
+    m0, m1 = np.hypot(g0.real, g0.imag), np.hypot(g1.real, g1.imag)
+    phi0 = np.where(m0 > DARK_PORT_FACTOR * scale, np.angle(g0), 0.0)
+    phi1 = np.where(m1 > DARK_PORT_FACTOR * scale, np.angle(g1), 0.0)
+    eye = np.eye(2)
+    t, s = t[..., None, None], s[..., None, None]
+    mix = _blocks(t * eye, s * eye, s * eye, -t * eye)
+    zero = np.zeros((2, 2))
+    realign = _blocks(rotation2(-phi0), zero, zero, rotation2(-phi1))
+    pre = _blocks(eye, zero, zero, rotation2(theta))
+    S = _embed(state.n_modes, (i, j), realign @ mix @ pre)
+    amps = np.empty(m0.shape + (state.n_modes,))
+    amps[...] = state.amplitudes
+    amps[..., i], amps[..., j] = m0, m1
+    return _congruence(state, S, amps)
 
 
-def apply_phase(state: BrightGaussianState, mode: int, phi: float) -> BrightGaussianState:
+def apply_phase(state: BrightGaussianState, mode: int, phi) -> BrightGaussianState:
     """Rotate the fluctuation frame of one mode by phi relative to its carrier."""
     S = _embed(state.n_modes, (mode,), rotation2(phi))
-    return BrightGaussianState(state.amplitudes, S @ state.cov @ S.T, state.noise_tags)
+    return _congruence(state, S, state.amplitudes)
 
 
-def apply_loss(state: BrightGaussianState, mode: int, eta: float) -> BrightGaussianState:
+def apply_loss(state: BrightGaussianState, mode: int, eta) -> BrightGaussianState:
     """Attenuate one mode with efficiency eta, admixing vacuum."""
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"efficiency must be in [0, 1], got {eta}")
+    check_unit_range("efficiency", eta)
+    eta = np.asarray(eta, dtype=float)
     n = state.n_modes
-    scaling = np.ones(2 * n)
-    scaling[2 * mode:2 * mode + 2] = np.sqrt(eta)
-    cov = state.cov * np.outer(scaling, scaling)
-    cov = np.array(cov)
+    batch = np.broadcast_shapes(state.amplitudes.shape[:-1], eta.shape)
+    scaling = np.ones(batch + (2 * n,))
+    scaling[..., 2 * mode:2 * mode + 2] = np.sqrt(eta)[..., None]
+    cov = state.cov * (scaling[..., :, None] * scaling[..., None, :])
     for k in range(2):
         q = 2 * mode + k
-        cov[q, q] += 1.0 - eta
-    amps = np.array(state.amplitudes)
-    amps[mode] *= np.sqrt(eta)
+        cov[..., q, q] += 1.0 - eta
+    amps = np.empty(batch + (n,))
+    amps[...] = state.amplitudes
+    amps[..., mode] *= np.sqrt(eta)
     return BrightGaussianState(amps, cov, state.noise_tags)
 
 
-def direct_detect_variance(state: BrightGaussianState, mode: int) -> float:
+def direct_detect_variance(state: BrightGaussianState, mode: int):
     """Photocurrent variance in photon-number units: alpha^2 * V(dX)."""
-    alpha = state.amplitudes[mode]
-    if alpha <= 0:
+    alpha = state.amplitudes[..., mode]
+    if np.any(alpha <= 0):
         raise DegenerateModeError(
             f"mode {mode} has no carrier; direct detection linearization is invalid"
         )
-    return float(alpha ** 2 * state.variance(mode, "X"))
+    return float_if_scalar(alpha ** 2 * state.cov[..., 2 * mode, 2 * mode])
 
 
 def sample_fluctuations(state: BrightGaussianState, count: int, seed: int) -> np.ndarray:
-    """Draw zero-mean Gaussian fluctuation samples (count x 2n).
+    """Draw zero-mean Gaussian fluctuation samples (count x 2n) of one state.
 
     Deterministic for a fixed (state, count, seed).  This is the sampling
-    oracle backing every analytic covariance claim in the test suite.
+    oracle backing every analytic covariance claim in the test suite; for
+    a stack, sample ``state[k]``.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")

@@ -158,6 +158,38 @@ def test_bad_scalar_fields_exit_2(tmp_path, capsys, flat):
     assert any(key.partition(".")[0] in err for key in flat)
 
 
+FIXTURE_B = str(fixtures_dir() / "method_b.json")
+
+
+@pytest.mark.parametrize("param, start, stop, value", [
+    ("eta", "0.5", "1.5", "1.5"),
+    ("squeezing_db", "-1", "1", "-1.0"),
+    ("squeezing_db", "nan", "1", "nan"),
+    ("excess_phase_db", "-3", "3", "-3.0"),
+])
+def test_out_of_range_sweep_values_exit_2(capsys, param, start, stop, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", FIXTURE_B, "--param", param,
+              "--from", start, "--to", stop, "--steps", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot sweep {param} to {value}: ")
+
+
+def test_sweep_through_a_dark_port_exits_3(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"method": "C"}\n')
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", str(path), "--param", "phi",
+              "--from", "-0.5", "--to", "0.5", "--steps", "3"])
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("degenerate configuration: interferometer output port is dark; "
+                   "shot-noise normalization degenerate\n")
+
+
 def _run_then_list_scipy(tmp_path, *argv) -> tuple[str, list[str]]:
     """Import the CLI in a fresh interpreter and run it on argv, if given;
     return its stdout and the scipy modules loaded by the end."""

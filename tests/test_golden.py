@@ -19,7 +19,6 @@ from brightbeam.scenario import scenario_from_dict
 REFS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "refs.json")
                   .read_text(encoding="utf-8"))
 CLI_SWEEP = ("method_b", "theta", "0.1", "3.0", "30")
-MAX_SWEEP_STEPS = 30
 
 
 def _scenario_dicts() -> dict[str, dict]:
@@ -66,9 +65,9 @@ def test_cli_sweep_bytes(scenario_files):
     assert out == REFS["cli"]["sweep"]
 
 
-def test_short_sweep_digests():
-    variants = [v for v in REFS["sweeps"] if v["steps"] <= MAX_SWEEP_STEPS]
-    assert len(variants) == 36
+def test_sweep_digests():
+    variants = REFS["sweeps"]
+    assert len(variants) == 150
     mismatched = []
     for v in variants:
         text = sweep_csv(scenario_from_dict(SCENARIOS[v["scenario"]]),

@@ -292,3 +292,104 @@ class TestMonteCarloDrawPlan:
         monkeypatch.setattr(harness, "sample_fluctuations", recording)
         run_scenario(make(method, mc_samples=1000, seed=11, **BUDGETS))
         assert calls == [(1000, seed) for seed in seeds]
+
+
+def _random_scenario(rng, method, **extra):
+    """A scenario with random inputs, asymmetric budgets and a nonzero imbalance."""
+    flat = {"method": method, "theta": rng.uniform(0.3, 2.8), "phi": rng.uniform(0.4, 2.7),
+            "entangle_ratio": rng.uniform(0.3, 0.7),
+            "excess_correlation": rng.uniform(0.8, 1.0),
+            "imbalance": rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.1)}
+    for arm in ("a", "b"):
+        sq = rng.uniform(0.0, 6.0)
+        flat.update({f"input_{arm}.squeezing_db": sq,
+                     f"input_{arm}.antisqueezing_db": sq + rng.uniform(0.0, 3.0),
+                     f"input_{arm}.excess_phase_db": rng.uniform(0.0, 25.0),
+                     f"input_{arm}.correlated_group": 1,
+                     f"budget_{arm}.prop_loss": rng.uniform(0.0, 0.4),
+                     f"budget_{arm}.visibility": rng.uniform(0.85, 1.0),
+                     f"budget_{arm}.quantum_efficiency": rng.uniform(0.8, 1.0)})
+    return scenario_from_dict({**flat, **extra})
+
+
+# Variants of the random scenarios, and a range in which every point evaluates.
+GRID_VARIANTS = {
+    "A": {"method": "A"},
+    "A_opt": {"method": "A", "gain": "optimize"},
+    "B": {"method": "B"},
+    "C_c": {"method": "C", "port": "c"},
+    "C_d": {"method": "C", "port": "d"},
+}
+GRID_RANGES = {
+    "theta": (0.05, 3.09), "phi": (0.2, 2.9), "gain": (0.2, 5.0),
+    "squeezing_db": (0.0, 8.0), "eta": (0.3, 1.0), "excess_phase_db": (0.0, 30.0),
+    "entangle_ratio": (0.05, 0.95),
+}
+
+
+def _assert_rows_match(row, expected):
+    for field in ("v_sq_plus", "v_sq_minus", "sum_value", "bound", "gain"):
+        assert getattr(row, field) == pytest.approx(getattr(expected, field), rel=1e-12), field
+    assert row.witnessed == expected.witnessed
+    assert set(row.raw) == set(expected.raw)
+    for key, fields in expected.raw.items():
+        for name, value in fields.items():
+            assert row.raw[key][name] == pytest.approx(value, rel=1e-12), (key, name)
+
+
+class TestGridEqualsPoint:
+    """Every row of a sweep is what run_scenario gives for that point alone."""
+
+    @pytest.mark.parametrize("param", SWEEP_PARAMS)
+    @pytest.mark.parametrize("variant", sorted(GRID_VARIANTS))
+    def test_random_scenarios(self, variant, param):
+        rng = np.random.default_rng([sorted(GRID_VARIANTS).index(variant),
+                                     SWEEP_PARAMS.index(param)])
+        for _ in range(2):
+            s = _random_scenario(rng, **GRID_VARIANTS[variant])
+            lo, hi = GRID_RANGES[param]
+            start, stop = sorted(rng.uniform(lo, hi, 2))
+            steps = int(rng.integers(2, 9))
+            rows = sweep(s, param, start, stop, steps)
+            assert [v for v, _ in rows] == np.linspace(start, stop, steps).tolist()
+            for value, row in rows:
+                _assert_rows_match(row, run_scenario(with_param(s, param, value)))
+
+    def test_port_dark_at_one_point_is_left_out_there(self):
+        rows = sweep(make("C", port="d"), "phi", -0.5, 0.5, 3)
+        assert [set(row.raw) for _, row in rows] == [
+            {"port_c", "port_d"}, {"port_d"}, {"port_c", "port_d"}]
+        for value, row in rows:
+            _assert_rows_match(row, run_scenario(with_param(make("C", port="d"), "phi", value)))
+
+    @pytest.mark.parametrize("method", ["A", "B", "C"])
+    def test_monte_carlo_rows(self, method):
+        s = make(method, mc_samples=500, seed=3, **BUDGETS)
+        for value, row in sweep(s, "theta", 0.5, 2.5, 4):
+            point = run_scenario(with_param(s, "theta", value))
+            assert (row.mc_sum, row.mc_stderr) == (point.mc_sum, point.mc_stderr)
+
+
+def _first_point_error(s, param, start, stop, steps):
+    for value in np.linspace(start, stop, steps).tolist():
+        try:
+            run_scenario(with_param(s, param, value))
+        except (ScenarioError, DegenerateModeError) as exc:
+            return exc
+    raise AssertionError("no point fails")
+
+
+@pytest.mark.parametrize("s, param, start, stop, steps", [
+    (make("C"), "phi", -0.5, 0.5, 3),
+    (make("B"), "eta", 0.0, 2.0, 3),
+    (make("B"), "eta", 2.0, 0.0, 3),
+    (make("A", gain="optimize"), "eta", 0.0, 1.0, 3),
+    (make("A"), "squeezing_db", 1.0, -1.0, 3),
+    (make("B"), "phi", 1.0, -1.0, 5),
+    (make("A"), "entangle_ratio", 0.5, 1.5, 3),
+])
+def test_grid_raises_what_its_first_failing_point_raises(s, param, start, stop, steps):
+    expected = _first_point_error(s, param, start, stop, steps)
+    with pytest.raises(type(expected)) as exc:
+        sweep(s, param, start, stop, steps)
+    assert str(exc.value) == str(expected)

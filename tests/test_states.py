@@ -289,3 +289,117 @@ def test_invalid_covariances_rejected():
         BrightGaussianState(np.array([1.0]), np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(DomainError):
         BrightGaussianState(np.array([1.0]), np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+OMEGA = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def plane_rotation(phi):
+    return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+
+
+def random_physical_pair(rng):
+    """A two-mode state V = S diag(nu) S^T with nu >= 1 and S symplectic."""
+    cov = np.diag(np.repeat(rng.uniform(1.0, 3.0, 2), 2))
+    for _ in range(3):
+        r = rng.uniform(-1.0, 1.0, 2)
+        squeeze = np.diag(np.exp([-r[0], r[0], -r[1], r[1]]))
+        angle = rng.uniform(0, np.pi)
+        c, s = np.cos(angle), np.sin(angle)
+        mix = np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
+        S = mix @ np.kron(np.eye(2), plane_rotation(rng.uniform(0, 2 * np.pi))) @ squeeze
+        cov = S @ cov @ S.T
+    return rng.uniform(1.0, 100.0, 2), cov
+
+
+def assert_physical(state):
+    """PSD and the uncertainty relation: every symplectic eigenvalue >= 1."""
+    for cov in state.cov.reshape(-1, 4, 4):
+        assert np.linalg.eigvalsh(cov).min() >= -1e-9
+        nu = np.abs(np.linalg.eigvals(1j * OMEGA @ cov))
+        assert nu.min() >= 1.0 - 1e-9
+
+
+def assert_slices_equal(stack, slices):
+    for k, expected in enumerate(slices):
+        np.testing.assert_allclose(stack.amplitudes[k], expected.amplitudes, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stack.cov[k], expected.cov, rtol=1e-12, atol=1e-12)
+
+
+class TestStackedMaps:
+    """Each element map on a stack equals the map applied state by state and
+    keeps every state physical."""
+
+    N = 12
+
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(2024)
+
+    @pytest.fixture
+    def stack(self, rng):
+        pairs = [random_physical_pair(rng) for _ in range(self.N)]
+        st = BrightGaussianState(np.array([a for a, _ in pairs]), np.array([c for _, c in pairs]))
+        assert_physical(st)
+        return st
+
+    def test_beamsplitter(self, rng, stack):
+        r, theta = rng.uniform(0, 1, self.N), rng.uniform(0, 2 * np.pi, self.N)
+        out = apply_beamsplitter(stack, 0, 1, r, theta)
+        assert_slices_equal(out, [apply_beamsplitter(stack[k], 0, 1, r[k], theta[k])
+                                  for k in range(self.N)])
+        assert_physical(out)
+
+    def test_beamsplitter_to_a_dark_port(self):
+        st = compose([make_coherent(10), make_coherent(10)])
+        out = apply_beamsplitter(st, 0, 1, 0.5, np.array([0.0, 1.0]))
+        assert_slices_equal(out, [apply_beamsplitter(st, 0, 1, 0.5, t) for t in (0.0, 1.0)])
+        assert out.amplitudes[0] == pytest.approx([10 * math.sqrt(2), 0.0], abs=1e-9)
+
+    def test_loss(self, rng, stack):
+        eta = rng.uniform(0, 1, self.N)
+        for mode in (0, 1):
+            out = apply_loss(stack, mode, eta)
+            assert_slices_equal(out, [apply_loss(stack[k], mode, eta[k]) for k in range(self.N)])
+            assert_physical(out)
+
+    def test_phase(self, rng, stack):
+        phi = rng.uniform(0, 2 * np.pi, self.N)
+        for mode in (0, 1):
+            out = apply_phase(stack, mode, phi)
+            assert_slices_equal(out, [apply_phase(stack[k], mode, phi[k]) for k in range(self.N)])
+            assert_physical(out)
+
+    def test_scalar_parameters_broadcast(self, stack):
+        out = apply_loss(apply_beamsplitter(stack, 1, 0, 0.3, 1.2), 1, 0.6)
+        assert_slices_equal(out, [apply_loss(apply_beamsplitter(stack[k], 1, 0, 0.3, 1.2), 1, 0.6)
+                                  for k in range(self.N)])
+
+    def test_squeezed_inputs_and_compose(self, rng):
+        specs = [SqueezedInputSpec(rng.uniform(1, 100), sq, sq + rng.uniform(0, 2),
+                                   rng.uniform(0, 20), correlated_group=1)
+                 for sq in rng.uniform(0, 5, self.N)]
+        excess = rng.uniform(0, 1, self.N)
+        out = compose([make_squeezed(specs), make_squeezed(specs[::-1])], excess)
+        assert_slices_equal(out, [compose([make_squeezed(a), make_squeezed(b)], x)
+                                  for a, b, x in zip(specs, specs[::-1], excess)])
+        assert_physical(out)
+
+    def test_stacked_inputs_share_one_group(self):
+        with pytest.raises(DomainError, match="correlated_group"):
+            make_squeezed([SqueezedInputSpec(10, correlated_group=1), SqueezedInputSpec(10)])
+
+    def test_out_of_range_entry_named(self, stack):
+        with pytest.raises(DomainError, match=r"efficiency must be in \[0, 1\], got 1.5"):
+            apply_loss(stack, 0, np.array([0.5] * (self.N - 1) + [1.5]))
+
+    def test_one_unphysical_state_rejects_the_stack(self, stack):
+        cov = np.array(stack.cov)
+        cov[3] = -cov[3]
+        with pytest.raises(DomainError, match="positive semi-definite"):
+            BrightGaussianState(stack.amplitudes, cov)
+
+    def test_physicality_check_is_not_vacuous(self):
+        # PSD, so the constructor accepts it, but below the vacuum level.
+        with pytest.raises(AssertionError):
+            assert_physical(BrightGaussianState(np.full(2, 100.0), 0.1 * np.eye(4)))
