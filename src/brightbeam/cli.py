@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Verbs: simulate, sweep, table1, validate.  Exit codes: 0 success,
-2 validation error, 3 degenerate configuration.
+2 validation error (including a reading that overflows), 3 degenerate
+configuration.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import replace
 
 import click
 
-from .errors import DegenerateModeError, ScenarioError
+from .errors import DegenerateModeError, DomainError, ScenarioError
 from .harness import SWEEP_PARAMS, run_fixture_table, run_scenario, sweep_csv
 from .scenario import load_scenario
 
@@ -112,7 +113,7 @@ def main(argv=None):
         sys.exit(EXIT_VALIDATION)
     except click.Abort:
         sys.exit(1)
-    except ScenarioError as exc:
+    except (ScenarioError, DomainError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     except DegenerateModeError as exc:

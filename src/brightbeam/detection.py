@@ -8,6 +8,12 @@ once.  Method C: a single output port of the same interferometer is
 detected; at verification phase pi/2 its normalized variance is half the
 witness sum.
 
+Every readout is one photocurrent w . dQ, a weighted sum of quadrature
+fluctuations, read by ``DetectionResult.read``: its variance is w^T V w
+and its shot noise the coherent-state variance of the same photocurrent,
+sum(w^2) (``shot_noise_reference``).  The weights carry the carriers,
+electronic gains and signs, so each method only chooses its weights.
+
 All physics stays in shot-noise-normalized units; absolute dBm powers
 appear only in the electronic-noise subtraction utility.  Every readout
 broadcasts over a stack of states (see ``states``): gains, phases and
@@ -25,18 +31,15 @@ import numpy as np
 from .entangle import witness_gains
 from .errors import DegenerateModeError, DomainError
 from .states import (
-    DARK_PORT_FACTOR,
     BrightGaussianState,
     apply_beamsplitter,
     apply_loss,
+    bright_carriers,
+    dark_modes,
     float_if_scalar,
     stacked,
 )
-from .units import var_to_db
-
-# var_to_db entry by entry: math.log10 on each, and the first entry that is
-# not positive raises.
-_var_to_db = np.vectorize(var_to_db, otypes=[float])
+from .units import is_finite_real, var_to_db
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -45,7 +48,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 class DetectionResult:
     """A photocurrent variance with its shot-noise reference.
 
-    A result read off a state keeps that state and the photocurrent's
+    A result keeps the state it was read off and the photocurrent's
     quadrature weights, so the sampling oracle can redraw the same channel.
     Read off a stack, the numbers are arrays over the stack.
     """
@@ -54,26 +57,22 @@ class DetectionResult:
     shot_noise: float
     normalized: float
     rel_db: float
-    state: BrightGaussianState | None = field(default=None, repr=False, compare=False)
-    weights: np.ndarray | None = field(default=None, repr=False, compare=False)
+    state: BrightGaussianState = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
-    def from_variance(cls, variance: float, shot_noise: float,
-                      state: BrightGaussianState | None = None,
-                      weights: np.ndarray | None = None) -> "DetectionResult":
-        if np.any(shot_noise <= 0):
-            raise DegenerateModeError("shot-noise reference must be positive")
-        normalized = variance / shot_noise
-        return cls(float_if_scalar(variance), float_if_scalar(shot_noise),
-                   float_if_scalar(normalized), float_if_scalar(_var_to_db(normalized)),
-                   state, weights)
-
-    @classmethod
-    def read(cls, state: BrightGaussianState, weights: np.ndarray,
-             shot_noise: float) -> "DetectionResult":
-        """Photocurrent with the given quadrature weights, read off a state."""
-        return cls.from_variance(state.combination_variance(weights), shot_noise,
-                                 state, weights)
+    def read(cls, state: BrightGaussianState, weights: np.ndarray) -> "DetectionResult":
+        """Photocurrent with the given quadrature weights, read off a state
+        and normalized to sum(w^2).  NaN weights read NaN (a port of a stack
+        dark there); a reading that overflows raises DomainError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            shot_noise = shot_noise_reference(weights)
+            variance = state.combination_variance(weights)
+            normalized = variance / shot_noise
+        if not np.all(np.isnan(shot_noise) | (np.isfinite(shot_noise) & np.isfinite(normalized))):
+            raise DomainError("photocurrent variance overflows: carrier amplitude, "
+                              "gain or noise level too large")
+        return cls(variance, shot_noise, normalized, var_to_db(normalized), state, weights)
 
     def to_dict(self) -> dict:
         return {
@@ -95,8 +94,8 @@ class LossBudget:
     def __post_init__(self):
         for name in ("propagation", "visibility", "quantum_efficiency"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must be in [0, 1], got {v}")
+            if not is_finite_real(v) or not 0.0 <= v <= 1.0:
+                raise DomainError(f"{name} must be a number in [0, 1], got {v!r}")
 
     def effective(self, include_visibility: bool = True) -> float:
         eta = self.propagation * self.quantum_efficiency
@@ -142,19 +141,11 @@ def _apply_budgets(state: BrightGaussianState, budgets: tuple[LossBudget, LossBu
     return state
 
 
-def _square(x):
-    """x ** 2 rounded as Python's float power (libm pow), for arrays too.
-
-    ndarray ``**`` multiplies instead, which differs in the last bit for
-    about 0.1% of inputs; this keeps shot-noise references bit-identical
-    to Python float arithmetic.
-    """
-    return np.float_power(x, 2)
-
-
-def _weights(*entries) -> np.ndarray:
-    """Quadrature weights [dX1, dY1, dX2, dY2] set from (index, value) pairs."""
-    w = np.zeros(np.broadcast_shapes(*(np.shape(v) for _, v in entries)) + (4,))
+def _weights(state: BrightGaussianState, *entries) -> np.ndarray:
+    """Quadrature weights [dX1, dY1, dX2, dY2, ...] on the state's modes,
+    set from (index, value) pairs and zero elsewhere."""
+    w = np.zeros(np.broadcast_shapes(*(np.shape(v) for _, v in entries))
+                 + (2 * state.n_modes,))
     for index, value in entries:
         w[..., index] = value
     return w
@@ -169,11 +160,8 @@ def method_a_measure(state: BrightGaussianState, mode: int, quadrature: str,
     """
     eta = stacked(budget, lambda b: b.effective(include_visibility=(quadrature == "Y")))
     lossy = apply_loss(state, mode, eta)
-    alpha = lossy.amplitudes[..., mode]
-    if np.any(alpha <= 0):
-        raise DegenerateModeError("phase measurement needs a bright carrier")
-    variance = _square(alpha) * lossy.variance(mode, quadrature)
-    return DetectionResult.from_variance(variance, _square(alpha))
+    alpha = bright_carriers(lossy, mode, "phase measurement needs a bright carrier")
+    return DetectionResult.read(lossy, _weights(lossy, (lossy.quad_index(mode, quadrature), alpha)))
 
 
 def method_a_joint(state: BrightGaussianState, quadrature: str,
@@ -191,16 +179,12 @@ def method_a_joint(state: BrightGaussianState, quadrature: str,
     if state.n_modes != 2:
         raise DomainError("method A joint measurement needs a two-mode state")
     lossy = _apply_budgets(state, budgets, include_visibility=(quadrature == "Y"))
-    a1, a2 = lossy.amplitudes[..., 0], lossy.amplitudes[..., 1]
-    if np.any(a1 <= 0) or np.any(a2 <= 0):
-        raise DegenerateModeError("joint measurement needs two bright carriers")
+    a1 = bright_carriers(lossy, [0, 1], "joint measurement needs two bright carriers")[..., 0]
     q = 0 if quadrature == "X" else 1
     sign = 1.0 if quadrature == "X" else -1.0
-    g_eff = g * (1.0 + imbalance)
-    shot = _square(a1) * (1.0 + _square(g_eff))
-    second = sign * g_eff * a1
-    return (DetectionResult.read(lossy, _weights((q, a1), (2 + q, second)), shot),
-            DetectionResult.read(lossy, _weights((q, a1), (2 + q, -second)), shot))
+    second = sign * g * (1.0 + imbalance) * a1
+    return (DetectionResult.read(lossy, _weights(lossy, (q, a1), (2 + q, second))),
+            DetectionResult.read(lossy, _weights(lossy, (q, a1), (2 + q, -second))))
 
 
 def method_a_gain(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
@@ -231,21 +215,7 @@ def _verification_interference(state: BrightGaussianState, phi: float,
 
 
 _PORT_INDEX = {"d": 0, "c": 1}
-
-
-def _dark_port(out: BrightGaussianState, index: int):
-    """Where the port's carrier is too weak for a shot-noise reference."""
-    alpha = out.amplitudes[..., index]
-    total = np.sqrt(np.sum(out.amplitudes ** 2, axis=-1))
-    return (alpha ** 2 < (DARK_PORT_FACTOR ** 2) * total ** 2) | (alpha <= 0)
-
-
-def _port_amplitude(out: BrightGaussianState, index: int):
-    if np.any(_dark_port(out, index)):
-        raise DegenerateModeError(
-            "interferometer output port is dark; shot-noise normalization degenerate"
-        )
-    return float_if_scalar(out.amplitudes[..., index])
+_DARK_PORT = "interferometer output port is dark; shot-noise normalization degenerate"
 
 
 def method_b_channels(state: BrightGaussianState, phi: float,
@@ -259,13 +229,10 @@ def method_b_channels(state: BrightGaussianState, phi: float,
     value of the identical combination.
     """
     out = _verification_interference(state, phi, budgets)
-    a_d = _port_amplitude(out, 0)
-    a_c = _port_amplitude(out, 1)
-    gain_c = 1.0 + imbalance
-    shot = _square(a_d) + _square(gain_c * a_c)
-    w_sum = _weights((0, a_d), (2, gain_c * a_c))
-    w_diff = _weights((0, -a_d), (2, gain_c * a_c))
-    return DetectionResult.read(out, w_sum, shot), DetectionResult.read(out, w_diff, shot)
+    carriers = bright_carriers(out, [0, 1], _DARK_PORT)
+    a_d, a_c = carriers[..., 0], (1.0 + imbalance) * carriers[..., 1]
+    return (DetectionResult.read(out, _weights(out, (0, a_d), (2, a_c))),
+            DetectionResult.read(out, _weights(out, (0, -a_d), (2, a_c))))
 
 
 def method_c_single_port(state: BrightGaussianState, phi: float, port: str = "c",
@@ -280,12 +247,8 @@ def method_c_single_port(state: BrightGaussianState, phi: float, port: str = "c"
     if port not in _PORT_INDEX:
         raise DomainError(f"port must be 'c' or 'd', got {port!r}")
     out = _verification_interference(state, phi, budgets)
-    index = _PORT_INDEX[port]
-    return _port_reading(out, index, _port_amplitude(out, index))
-
-
-def _port_reading(out: BrightGaussianState, index: int, alpha) -> DetectionResult:
-    return DetectionResult.read(out, _weights((2 * index, alpha)), _square(alpha))
+    alpha = bright_carriers(out, _PORT_INDEX[port], _DARK_PORT)
+    return DetectionResult.read(out, _weights(out, (2 * _PORT_INDEX[port], alpha)))
 
 
 def bright_port_readings(out: BrightGaussianState) -> dict[str, DetectionResult]:
@@ -294,25 +257,23 @@ def bright_port_readings(out: BrightGaussianState) -> dict[str, DetectionResult]
     Keys are ``port_d`` and ``port_c``; a dark port is left out.  In a
     stack, a port that is dark at some states only reads NaN there.
     """
+    dark = dark_modes(out.amplitudes)
     readings = {}
     for port, index in _PORT_INDEX.items():
-        dark = _dark_port(out, index)
-        if not np.all(dark):
-            alpha = np.where(dark, np.nan, out.amplitudes[..., index])
-            with np.errstate(invalid="ignore"):  # the NaN entries' positivity check
-                readings[f"port_{port}"] = _port_reading(out, index, float_if_scalar(alpha))
+        if not np.all(dark[..., index]):
+            alpha = np.where(dark[..., index], np.nan, out.amplitudes[..., index])
+            readings[f"port_{port}"] = DetectionResult.read(out, _weights(out, (2 * index, alpha)))
     return readings
 
 
-def shot_noise_reference(amplitudes) -> float:
-    """Coherent-state variance of a multi-detector photocurrent combination."""
-    amps = np.asarray(amplitudes, dtype=float)
-    if np.any(amps < 0):
-        raise DomainError("amplitudes must be non-negative")
-    total = float(np.sum(amps ** 2))
-    if total <= 0:
-        raise DegenerateModeError("all-zero amplitudes give no shot-noise reference")
-    return total
+def shot_noise_reference(weights):
+    """Coherent-state variance sum(w^2) of the photocurrent sum(w_i dQ_i),
+    one per stack element for weights shaped (..., k)."""
+    w = np.asarray(weights, dtype=float)
+    total = np.sum(w * w, axis=-1)
+    if np.any(total <= 0):
+        raise DegenerateModeError("all-zero weights give no shot-noise reference")
+    return float_if_scalar(total)
 
 
 def correct_electronic_noise(signal_dbm: float, electronic_dbm: float) -> float:

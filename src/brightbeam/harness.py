@@ -211,6 +211,10 @@ def sweep(s: Scenario, param: str, start: float, stop: float,
     parameter, as one stack."""
     if steps < 2:
         raise ScenarioError(f"sweep needs at least 2 steps, got {steps}")
+    for name, bound in (("start", start), ("stop", stop)):
+        if not math.isfinite(bound):
+            raise ScenarioError(
+                f"cannot sweep {param} to {bound!r}: the {name} bound must be finite")
     grid = np.linspace(start, stop, steps).tolist()
     try:
         rows = _evaluate([with_param(s, param, v) for v in grid])

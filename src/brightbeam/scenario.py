@@ -119,6 +119,9 @@ def scenario_from_dict(flat: dict) -> Scenario:
     def build_budget(prefix):
         kwargs = subdict(prefix, _BUDGET_KEYS)
         prop_loss = kwargs.pop("prop_loss", 0.0)
+        if not is_finite_real(prop_loss):
+            raise ScenarioError(
+                f"{prefix}: prop_loss must be a number in [0, 1], got {prop_loss!r}")
         try:
             return LossBudget(propagation=1.0 - prop_loss, **kwargs)
         except (ValueError, TypeError) as exc:

@@ -28,14 +28,30 @@ from .units import db_to_var, is_finite_real
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
-# Output ports with carrier amplitude below this fraction of the input scale
-# have no well-defined carrier-aligned frame.
+# Carriers up to this fraction of the total carrier are dark (see dark_modes).
 DARK_PORT_FACTOR = 1e-6
 
 
 def float_if_scalar(x):
     """An unstacked (0-d) result as a Python float; a stacked one as is."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+def dark_modes(amplitudes) -> np.ndarray:
+    """Where a carrier is dark: NaN or at most DARK_PORT_FACTOR times the
+    total carrier sqrt(sum alpha^2) of the last axis, compared unsquared so
+    huge carriers do not overflow.  A dark mode has no carrier-aligned
+    frame and no shot-noise reference."""
+    total = np.hypot.reduce(amplitudes, axis=-1, keepdims=True)
+    return ~(amplitudes > DARK_PORT_FACTOR * total)
+
+
+def bright_carriers(state: BrightGaussianState, modes, message: str):
+    """Carrier amplitudes of the given modes; DegenerateModeError(message)
+    where any of them is dark."""
+    if np.any(dark_modes(state.amplitudes)[..., modes]):
+        raise DegenerateModeError(message)
+    return state.amplitudes[..., modes]
 
 
 def stacked(records, value):
@@ -84,6 +100,9 @@ class SqueezedInputSpec:
             value = getattr(self, name)
             if not is_finite_real(value) or value < 0:
                 raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
+        group = self.correlated_group
+        if group is not None and (not isinstance(group, int) or isinstance(group, bool)):
+            raise DomainError(f"correlated_group must be an integer or null, got {group!r}")
         if db_to_var(-self.squeezing_db) * db_to_var(self.antisqueezing_db) < 1.0 - PSD_TOL:
             raise DomainError(
                 "Heisenberg violation: squeezing %.3f dB needs antisqueezing >= %.3f dB"
@@ -277,8 +296,8 @@ def apply_beamsplitter(state: BrightGaussianState, i: int, j: int,
     r is the intensity splitting ratio (0.5 = balanced) and theta the
     relative optical phase between the two input carriers.  Carriers
     interfere by the two-beam law; each output's fluctuation frame is
-    re-aligned along its new carrier.  Dark outputs keep an arbitrary
-    (identity) frame; detection on them raises later.
+    re-aligned along its new carrier.  Outputs that ``dark_modes`` calls
+    dark keep an arbitrary (identity) frame; detection on them raises.
     """
     check_unit_range("splitting ratio", r)
     if i == j:
@@ -287,24 +306,21 @@ def apply_beamsplitter(state: BrightGaussianState, i: int, j: int,
     t, s = np.sqrt(1.0 - r), np.sqrt(r)
     a = state.amplitudes[..., i]
     b = state.amplitudes[..., j] * np.exp(1j * theta)
-    g0 = t * a + s * b
-    g1 = s * a - t * b
-    scale = np.hypot(state.amplitudes[..., i], state.amplitudes[..., j])
+    g = np.stack((t * a + s * b, s * a - t * b), axis=-1)
     # hypot of the parts is abs() of a complex scalar to the last bit;
     # abs() of a complex array is not.
-    m0, m1 = np.hypot(g0.real, g0.imag), np.hypot(g1.real, g1.imag)
-    phi0 = np.where(m0 > DARK_PORT_FACTOR * scale, np.angle(g0), 0.0)
-    phi1 = np.where(m1 > DARK_PORT_FACTOR * scale, np.angle(g1), 0.0)
+    m = np.hypot(g.real, g.imag)
+    phi = np.where(dark_modes(m), 0.0, np.angle(g))
     eye = np.eye(2)
     t, s = t[..., None, None], s[..., None, None]
     mix = _blocks(t * eye, s * eye, s * eye, -t * eye)
     zero = np.zeros((2, 2))
-    realign = _blocks(rotation2(-phi0), zero, zero, rotation2(-phi1))
+    realign = _blocks(rotation2(-phi[..., 0]), zero, zero, rotation2(-phi[..., 1]))
     pre = _blocks(eye, zero, zero, rotation2(theta))
     S = _embed(state.n_modes, (i, j), realign @ mix @ pre)
-    amps = np.empty(m0.shape + (state.n_modes,))
+    amps = np.empty(m.shape[:-1] + (state.n_modes,))
     amps[...] = state.amplitudes
-    amps[..., i], amps[..., j] = m0, m1
+    amps[..., i], amps[..., j] = m[..., 0], m[..., 1]
     return _congruence(state, S, amps)
 
 
@@ -334,11 +350,8 @@ def apply_loss(state: BrightGaussianState, mode: int, eta) -> BrightGaussianStat
 
 def direct_detect_variance(state: BrightGaussianState, mode: int):
     """Photocurrent variance in photon-number units: alpha^2 * V(dX)."""
-    alpha = state.amplitudes[..., mode]
-    if np.any(alpha <= 0):
-        raise DegenerateModeError(
-            f"mode {mode} has no carrier; direct detection linearization is invalid"
-        )
+    alpha = bright_carriers(
+        state, mode, f"mode {mode} has no carrier; direct detection linearization is invalid")
     return float_if_scalar(alpha ** 2 * state.cov[..., 2 * mode, 2 * mode])
 
 

@@ -8,6 +8,8 @@ squeezing level of "x dB below shot noise" corresponds to a variance of
 import math
 import numbers
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -30,8 +32,12 @@ def db_to_var(db: float) -> float:
         raise DomainError(f"{db} dB is out of the representable variance range") from None
 
 
-def var_to_db(v: float) -> float:
-    """Convert a linear variance ratio to dB relative to shot noise."""
-    if v <= 0.0:
-        raise DomainError(f"variance must be positive, got {v}")
-    return 10.0 * math.log10(v)
+def var_to_db(v):
+    """Convert a linear variance ratio, or an array of them, to dB relative
+    to shot noise.  NaN entries stay NaN."""
+    v = np.asarray(v, dtype=float)
+    bad = v <= 0.0
+    if bad.any():
+        raise DomainError(f"variance must be positive, got {v[bad].flat[0]}")
+    db = 10.0 * np.log10(v)
+    return float(db) if db.ndim == 0 else db

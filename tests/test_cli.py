@@ -145,6 +145,12 @@ def test_bad_mc_flags_exit_2(scenario_file, capsys, flags):
     {"input_a.squeezing_db": 1e6, "input_a.antisqueezing_db": 1e6},
     {"input_b.antisqueezing_db": 1e6}, {"input_a.squeezing_db": float("nan")},
     {"input_a.amplitude": float("inf")}, {"input_b.excess_phase_db": float("inf")},
+    {"input_a.correlated_group": [1, 2]}, {"input_a.correlated_group": {"a": 1}},
+    {"input_a.correlated_group": [1]}, {"input_b.correlated_group": "x"},
+    {"input_a.correlated_group": 1.5}, {"input_b.correlated_group": True},
+    {"budget_a.visibility": True}, {"budget_a.visibility": "0.5"},
+    {"budget_a.prop_loss": True}, {"budget_b.prop_loss": "0.5"},
+    {"budget_b.quantum_efficiency": float("nan")},
 ], ids=lambda flat: ",".join(f"{k}={v!r}"[:40] for k, v in flat.items()))
 def test_bad_scalar_fields_exit_2(tmp_path, capsys, flat):
     bad = tmp_path / "bad.json"
@@ -158,6 +164,22 @@ def test_bad_scalar_fields_exit_2(tmp_path, capsys, flat):
     assert any(key.partition(".")[0] in err for key in flat)
 
 
+@pytest.mark.parametrize("flat", [
+    {"gain": 1e200}, {"method": "B", "imbalance": 1e200},
+    {"method": "C", "input_a.amplitude": 1e200, "input_b.amplitude": 1e200},
+], ids=lambda flat: ",".join(f"{k}={v!r}" for k, v in flat.items()))
+def test_overflowing_reading_exits_2(tmp_path, capsys, flat):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(flat))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(bad)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: photocurrent variance overflows: carrier amplitude, "
+                   "gain or noise level too large\n")
+
+
 FIXTURE_B = str(fixtures_dir() / "method_b.json")
 
 
@@ -166,6 +188,8 @@ FIXTURE_B = str(fixtures_dir() / "method_b.json")
     ("squeezing_db", "-1", "1", "-1.0"),
     ("squeezing_db", "nan", "1", "nan"),
     ("excess_phase_db", "-3", "3", "-3.0"),
+    ("theta", "inf", "3", "inf"),
+    ("phi", "0", "-inf", "-inf"),
 ])
 def test_out_of_range_sweep_values_exit_2(capsys, param, start, stop, value):
     with pytest.raises(SystemExit) as exc:

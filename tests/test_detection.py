@@ -6,6 +6,7 @@ import pytest
 from brightbeam import (
     LossBudget,
     SqueezedInputSpec,
+    apply_beamsplitter,
     compose,
     generate_entangled,
     make_coherent,
@@ -18,7 +19,9 @@ from brightbeam import (
     shot_noise_reference,
     squeezing_variances,
 )
+from brightbeam.detection import bright_port_readings
 from brightbeam.errors import DegenerateModeError, DomainError
+from brightbeam.states import DARK_PORT_FACTOR, dark_modes
 
 IDEAL = LossBudget()
 PAPER_BUDGET = LossBudget(propagation=0.9, visibility=0.95, quantum_efficiency=0.9)
@@ -65,6 +68,12 @@ class TestLossBudget:
     def test_bounds(self):
         with pytest.raises(DomainError):
             LossBudget(visibility=1.1)
+
+    @pytest.mark.parametrize("field", ["propagation", "visibility", "quantum_efficiency"])
+    @pytest.mark.parametrize("value", [True, "0.5", float("nan"), None])
+    def test_fields_are_numbers(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            LossBudget(**{field: value})
 
 
 class TestMethodA:
@@ -230,6 +239,96 @@ class TestShotNoiseReference:
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateModeError):
             shot_noise_reference([0.0, 0.0])
+
+    def test_stack_of_signed_weights(self):
+        assert shot_noise_reference([[3.0, -4.0], [-1.0, 0.0]]).tolist() == [25.0, 1.0]
+        with pytest.raises(DegenerateModeError):
+            shot_noise_reference([[3.0, -4.0], [0.0, 0.0]])
+
+
+def all_readings(state, phi):
+    """Every DetectionResult of methods A, B and C on an entangled pair."""
+    budgets = (PAPER_BUDGET, LossBudget(propagation=0.8))
+    return [method_a_measure(state, 1, "Y", PAPER_BUDGET),
+            *method_a_joint(state, "X", budgets, 0.7, 0.1),
+            *method_a_joint(state, "Y", budgets, 0.7, 0.1),
+            *method_b_channels(state, phi, budgets, -0.2),
+            method_c_single_port(state, phi, "c", budgets),
+            method_c_single_port(state, phi, "d", budgets)]
+
+
+@pytest.mark.parametrize("phi", [1.1, np.array([0.4, 1.1, 2.5])])
+def test_every_reading_is_normalized_to_the_sum_of_squared_weights(phi):
+    st = entangled(sq=3.7, theta=1.2)
+    for res in all_readings(st, phi):
+        w = res.weights
+        assert np.all(res.shot_noise == np.sum(w * w, axis=-1))
+        assert np.all(res.variance == res.state.combination_variance(w))
+        assert np.all(res.normalized == res.variance / res.shot_noise)
+
+
+class TestOneDarkTest:
+    """One dark-carrier test sets the beam splitter's frame and gates every readout.
+
+    A pair of equal carriers through a 50/50 splitter at relative phase
+    phi puts |sin(phi/2)| of the total carrier into output 1 (port c).
+    """
+
+    SPEC = SqueezedInputSpec(100.0, 3.0, 6.0)
+
+    @staticmethod
+    def phase(fraction):
+        return 2 * math.asin(fraction * DARK_PORT_FACTOR)
+
+    def pair(self):
+        return compose([make_squeezed(self.SPEC), make_squeezed(self.SPEC)])
+
+    @staticmethod
+    def expected_cov(cov, phi, frame_c):
+        """cov after the 50/50 splitter, with port c turned to frame_c."""
+        def rot(x):
+            return np.array([[math.cos(x), -math.sin(x)], [math.sin(x), math.cos(x)]])
+        eye, zero, t = np.eye(2), np.zeros((2, 2)), math.sqrt(0.5)
+        frame_d = np.angle(1 + np.exp(1j * phi))
+        S = (np.block([[rot(-frame_d), zero], [zero, rot(-frame_c)]])
+             @ np.block([[t * eye, t * eye], [t * eye, -t * eye]])
+             @ np.block([[eye, zero], [zero, rot(phi)]]))
+        return S @ cov @ S.T
+
+    @pytest.mark.parametrize("fraction, dark", [(1 - 1e-3, True), (1 + 1e-3, False)])
+    def test_frame_and_readouts_agree(self, fraction, dark):
+        st, phi = self.pair(), self.phase(fraction)
+        out = apply_beamsplitter(st, 0, 1, 0.5, phi)
+        assert dark_modes(out.amplitudes).tolist() == [False, dark]
+        # a bright port c is turned along its carrier, about -pi/2 here; the
+        # carrier's tiny real part is a difference of near-equal numbers, so
+        # its angle is known to about 1e-7 only
+        frame_c = 0.0 if dark else float(np.angle(1 - np.exp(1j * phi)))
+        assert np.allclose(out.cov, self.expected_cov(st.cov, phi, frame_c), rtol=0, atol=1e-8)
+        assert not np.allclose(out.cov, self.expected_cov(st.cov, phi, -math.pi / 2 - frame_c),
+                               rtol=0, atol=1e-3)
+        assert set(bright_port_readings(out)) == ({"port_d"} if dark else {"port_d", "port_c"})
+        readouts = [lambda: method_b_channels(st, phi), lambda: method_c_single_port(st, phi, "c"),
+                    lambda: method_a_joint(out, "X", (IDEAL, IDEAL)),
+                    lambda: method_a_measure(out, 1, "X")]
+        for readout in readouts:
+            if dark:
+                with pytest.raises(DegenerateModeError):
+                    readout()
+            else:
+                readout()
+        method_c_single_port(st, phi, "d")
+
+    def test_stack_across_the_threshold(self):
+        st = self.pair()
+        phi = np.array([self.phase(1 - 1e-3), self.phase(1 + 1e-3)])
+        out = apply_beamsplitter(st, 0, 1, 0.5, phi)
+        for k in range(2):
+            assert np.array_equal(out.cov[k], apply_beamsplitter(st, 0, 1, 0.5, phi[k]).cov)
+        port_c = bright_port_readings(out)["port_c"].normalized
+        assert math.isnan(port_c[0]) and math.isfinite(port_c[1])
+        with pytest.raises(DegenerateModeError):
+            method_c_single_port(st, phi, "c")
 
 
 def test_detection_result_consistency():

@@ -385,6 +385,11 @@ class TestStackedMaps:
                                   for a, b, x in zip(specs, specs[::-1], excess)])
         assert_physical(out)
 
+    @pytest.mark.parametrize("group", [True, 1.5, "x", [1], [1, 2], {"a": 1}])
+    def test_correlated_group_is_an_int_or_none(self, group):
+        with pytest.raises(DomainError, match="correlated_group"):
+            SqueezedInputSpec(10, correlated_group=group)
+
     def test_stacked_inputs_share_one_group(self):
         with pytest.raises(DomainError, match="correlated_group"):
             make_squeezed([SqueezedInputSpec(10, correlated_group=1), SqueezedInputSpec(10)])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from brightbeam import db_to_var, var_to_db
@@ -36,6 +37,16 @@ def test_var_to_db_rejects_nonpositive():
         var_to_db(0.0)
     with pytest.raises(DomainError):
         var_to_db(-1.0)
+
+
+def test_var_to_db_on_arrays():
+    db = var_to_db(np.array([[0.5, 1.0], [np.nan, 100.0]]))
+    assert db.shape == (2, 2)
+    assert db[0, 1] == 0.0 and db[1, 1] == 20.0 and math.isnan(db[1, 0])
+    assert db[0, 0] == pytest.approx(10 * math.log10(0.5), abs=1e-15)
+    assert type(var_to_db(2.0)) is float
+    with pytest.raises(DomainError, match="got -2.0"):
+        var_to_db(np.array([1.0, -2.0, 0.0]))
 
 
 class TestElectronicNoiseCorrection:
