@@ -43,6 +43,7 @@ from .states import (
     make_coherent,
     make_squeezed,
     sample_fluctuations,
+    squeezed_inputs,
 )
 from .units import db_to_var, var_to_db
 

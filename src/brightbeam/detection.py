@@ -61,17 +61,28 @@ class DetectionResult:
     weights: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
-    def read(cls, state: BrightGaussianState, weights: np.ndarray) -> "DetectionResult":
-        """Photocurrent with the given quadrature weights, read off a state
-        and normalized to sum(w^2).  NaN weights read NaN (a port of a stack
-        dark there); a reading that overflows raises DomainError."""
+    def read(cls, state: BrightGaussianState, *terms) -> "DetectionResult":
+        """Photocurrent sum(w_i dQ_i) on dQ = [dX1, dY1, dX2, dY2, ...],
+        read off a state and normalized to sum(w^2).
+
+        Each term (i, *factors) sets w_i to the product of its factors;
+        the other weights are zero.  NaN weights read NaN (a port of a
+        stack dark there); a reading that overflows, or that rounding
+        leaves at or below zero, raises DomainError."""
         with np.errstate(over="ignore", invalid="ignore"):
+            values = [math.prod(factors) for _, *factors in terms]
+            weights = np.zeros(np.broadcast_shapes(*map(np.shape, values)) + (2 * state.n_modes,))
+            for (index, *_), value in zip(terms, values):
+                weights[..., index] = value
             shot_noise = shot_noise_reference(weights)
             variance = state.combination_variance(weights)
             normalized = variance / shot_noise
         if not np.all(np.isnan(shot_noise) | (np.isfinite(shot_noise) & np.isfinite(normalized))):
             raise DomainError("photocurrent variance overflows: carrier amplitude, "
                               "gain or noise level too large")
+        if np.any(normalized <= 0):
+            raise DomainError("photocurrent variance is lost to rounding: covariance "
+                              "entries are too large for double precision")
         return cls(variance, shot_noise, normalized, var_to_db(normalized), state, weights)
 
     def to_dict(self) -> dict:
@@ -141,16 +152,6 @@ def _apply_budgets(state: BrightGaussianState, budgets: tuple[LossBudget, LossBu
     return state
 
 
-def _weights(state: BrightGaussianState, *entries) -> np.ndarray:
-    """Quadrature weights [dX1, dY1, dX2, dY2, ...] on the state's modes,
-    set from (index, value) pairs and zero elsewhere."""
-    w = np.zeros(np.broadcast_shapes(*(np.shape(v) for _, v in entries))
-                 + (2 * state.n_modes,))
-    for index, value in entries:
-        w[..., index] = value
-    return w
-
-
 def method_a_measure(state: BrightGaussianState, mode: int, quadrature: str,
                      budget: LossBudget = LossBudget()) -> DetectionResult:
     """Single-beam quadrature measurement with the unbalanced Mach-Zehnder.
@@ -161,7 +162,7 @@ def method_a_measure(state: BrightGaussianState, mode: int, quadrature: str,
     eta = stacked(budget, lambda b: b.effective(include_visibility=(quadrature == "Y")))
     lossy = apply_loss(state, mode, eta)
     alpha = bright_carriers(lossy, mode, "phase measurement needs a bright carrier")
-    return DetectionResult.read(lossy, _weights(lossy, (lossy.quad_index(mode, quadrature), alpha)))
+    return DetectionResult.read(lossy, (lossy.quad_index(mode, quadrature), alpha))
 
 
 def method_a_joint(state: BrightGaussianState, quadrature: str,
@@ -182,9 +183,8 @@ def method_a_joint(state: BrightGaussianState, quadrature: str,
     a1 = bright_carriers(lossy, [0, 1], "joint measurement needs two bright carriers")[..., 0]
     q = 0 if quadrature == "X" else 1
     sign = 1.0 if quadrature == "X" else -1.0
-    second = sign * g * (1.0 + imbalance) * a1
-    return (DetectionResult.read(lossy, _weights(lossy, (q, a1), (2 + q, second))),
-            DetectionResult.read(lossy, _weights(lossy, (q, a1), (2 + q, -second))))
+    return (DetectionResult.read(lossy, (q, a1), (2 + q, sign, g, 1.0 + imbalance, a1)),
+            DetectionResult.read(lossy, (q, a1), (2 + q, -sign, g, 1.0 + imbalance, a1)))
 
 
 def method_a_gain(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
@@ -230,9 +230,9 @@ def method_b_channels(state: BrightGaussianState, phi: float,
     """
     out = _verification_interference(state, phi, budgets)
     carriers = bright_carriers(out, [0, 1], _DARK_PORT)
-    a_d, a_c = carriers[..., 0], (1.0 + imbalance) * carriers[..., 1]
-    return (DetectionResult.read(out, _weights(out, (0, a_d), (2, a_c))),
-            DetectionResult.read(out, _weights(out, (0, -a_d), (2, a_c))))
+    a_d, a_c = carriers[..., 0], carriers[..., 1]
+    return (DetectionResult.read(out, (0, a_d), (2, 1.0 + imbalance, a_c)),
+            DetectionResult.read(out, (0, -a_d), (2, 1.0 + imbalance, a_c)))
 
 
 def method_c_single_port(state: BrightGaussianState, phi: float, port: str = "c",
@@ -248,7 +248,7 @@ def method_c_single_port(state: BrightGaussianState, phi: float, port: str = "c"
         raise DomainError(f"port must be 'c' or 'd', got {port!r}")
     out = _verification_interference(state, phi, budgets)
     alpha = bright_carriers(out, _PORT_INDEX[port], _DARK_PORT)
-    return DetectionResult.read(out, _weights(out, (2 * _PORT_INDEX[port], alpha)))
+    return DetectionResult.read(out, (2 * _PORT_INDEX[port], alpha))
 
 
 def bright_port_readings(out: BrightGaussianState) -> dict[str, DetectionResult]:
@@ -262,7 +262,7 @@ def bright_port_readings(out: BrightGaussianState) -> dict[str, DetectionResult]
     for port, index in _PORT_INDEX.items():
         if not np.all(dark[..., index]):
             alpha = np.where(dark[..., index], np.nan, out.amplitudes[..., index])
-            readings[f"port_{port}"] = DetectionResult.read(out, _weights(out, (2 * index, alpha)))
+            readings[f"port_{port}"] = DetectionResult.read(out, (2 * index, alpha))
     return readings
 
 

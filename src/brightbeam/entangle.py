@@ -6,7 +6,8 @@ combinations drop below the coherent-state reference.  This module
 evaluates the sum/product witnesses, the gain-weighted generalized
 witness with its theta-adapted bound, and optional gain optimization.
 Generation and witnesses broadcast over stacked states (see ``states``);
-the gain is optimized state by state.
+the gain is optimized state by state.  Generation joins the two input
+specs with ``states.squeezed_inputs``, which sets their shared phase noise.
 
 scipy is imported only when a gain is optimized (``minimize_gain``, i.e.
 a scenario with ``gain: "optimize"``), so importing this module and
@@ -24,9 +25,9 @@ from .states import (
     BrightGaussianState,
     SqueezedInputSpec,
     apply_beamsplitter,
-    compose,
+    dark_modes,
     float_if_scalar,
-    make_squeezed,
+    squeezed_inputs,
 )
 
 SUM_BOUND = 2.0
@@ -78,16 +79,16 @@ def generate_entangled(a: SqueezedInputSpec, b: SqueezedInputSpec,
                        excess_correlation: float = 1.0) -> BrightGaussianState:
     """Interfere two squeezed inputs into a (potentially) entangled pair.
 
-    Lists of specs and arrays of numbers give a stack of pairs.
+    ``squeezed_inputs`` sets the phase noise the inputs share.  Lists of
+    specs and arrays of numbers give a stack of pairs.
     """
-    joint = compose([make_squeezed(a), make_squeezed(b)], excess_correlation)
-    return apply_beamsplitter(joint, 0, 1, ratio, theta)
+    return apply_beamsplitter(squeezed_inputs([a, b], excess_correlation), 0, 1, ratio, theta)
 
 
 def _require_bright_pair(state: BrightGaussianState):
     if state.n_modes != 2:
         raise DomainError(f"expected a two-mode state, got {state.n_modes} modes")
-    if np.any(state.amplitudes[..., :2] <= 0):
+    if np.any(dark_modes(state.amplitudes)):
         raise DegenerateModeError("both modes need a carrier for witness evaluation")
 
 

@@ -15,11 +15,15 @@ stands for a stacked record.  All operations are pure and return new
 states.  Each map checks its parameters once per stack, and each new
 state checks every covariance of its stack (symmetry, then positive
 semi-definiteness with one batched eigvalsh) once.
+
+A state is its carriers and covariance only: ``squeezed_inputs`` sets
+the classical phase noise that inputs of one correlated_group share
+where it joins their specs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +90,8 @@ class SqueezedInputSpec:
     noise; antisqueezing_db the quantum part of the phase-quadrature noise
     above shot noise; excess_phase_db an additional classical phase-noise
     pedestal (thermal fiber noise).  Inputs sharing a correlated_group
-    label carry the identical classical phase-noise realization.
+    label share one classical phase-noise realization, correlated by the
+    excess_correlation of ``squeezed_inputs``.
     """
 
     amplitude: float
@@ -134,15 +139,11 @@ class BrightGaussianState:
     """n-mode bright Gaussian state: real carriers + quadrature covariance.
 
     amplitudes has shape (..., n) and cov (..., 2n, 2n); leading axes
-    index a stack of states.  noise_tags records, per mode, an optional
-    (group, classical_variance) pair used by ``compose`` to insert
-    common-mode phase-noise cross terms; the variance may be stacked.
-    The tags are inert after composition.
+    index a stack of states.
     """
 
     amplitudes: np.ndarray
     cov: np.ndarray
-    noise_tags: tuple = field(default=())
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=float)
@@ -161,20 +162,14 @@ class BrightGaussianState:
         cov = 0.5 * (cov + cov_t)
         if (np.linalg.eigvalsh(cov) < -PSD_TOL).any():
             raise DomainError("covariance matrix is not positive semi-definite")
-        tags = tuple(self.noise_tags) if self.noise_tags else tuple([None] * n)
-        if len(tags) != n:
-            raise DomainError("noise_tags length must match mode count")
         amps.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "noise_tags", tags)
 
     def __getitem__(self, k) -> "BrightGaussianState":
         """State k of a stack."""
-        tags = tuple(t if t is None or np.ndim(t[1]) == 0 else (t[0], t[1][k])
-                     for t in self.noise_tags)
-        return BrightGaussianState(self.amplitudes[k], self.cov[k], tags)
+        return BrightGaussianState(self.amplitudes[k], self.cov[k])
 
     @property
     def n_modes(self) -> int:
@@ -212,57 +207,59 @@ def make_coherent(amplitude: float) -> BrightGaussianState:
     return BrightGaussianState(np.array([amplitude]), np.eye(2))
 
 
-def make_squeezed(spec) -> BrightGaussianState:
-    """Single-mode amplitude-squeezed state from its input parameterization.
+def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
+    """Joined state of squeezed inputs: mode k from specs[k], which is one
+    spec or a list of specs, one per stack element.
 
-    A list of specs gives a stack; they must share one correlated_group.
-    """
-    groups = set(np.ravel(stacked(spec, lambda sp: sp.correlated_group)).tolist())
-    if len(groups) != 1:
-        raise DomainError(f"stacked inputs must share one correlated_group, got {groups}")
-    group = groups.pop()
-    amplitude, x, y, classical = np.array(stacked(spec, lambda sp: (
-        sp.amplitude, sp.x_variance, sp.y_variance, sp.y_variance_classical))).T
-    cov = np.zeros(x.shape + (2, 2))
-    cov[..., 0, 0] = x
-    cov[..., 1, 1] = y
-    tag = None
-    if group is not None and np.any(classical > 0):
-        tag = (group, float_if_scalar(classical))
-    return BrightGaussianState(amplitude[..., None], cov, (tag,))
-
-
-def compose(states: list[BrightGaussianState],
-            excess_correlation=1.0) -> BrightGaussianState:
-    """Join states into one multimode state.
-
-    The covariance is block-diagonal except for Y-Y cross terms between
-    modes sharing a correlated_group tag: those get
+    The covariance is diagonal except for Y-Y cross terms between inputs
+    that share a correlated_group (not None): those get
     excess_correlation * sqrt(V_cls_i * V_cls_j), i.e. a common classical
-    phase-noise realization (perfectly common-mode by default).
+    phase-noise realization (perfectly common-mode by default).  Groups
+    are compared element by element over a stack.
     """
     check_unit_range("excess_correlation", excess_correlation)
-    batch = np.broadcast_shapes(*(s.amplitudes.shape[:-1] for s in states),
-                                np.shape(excess_correlation))
+
+    def column(value, dtype=float):
+        """value(spec) of every input, with the input index last."""
+        return np.stack(np.broadcast_arrays(*(np.array(stacked(s, value), dtype)
+                                              for s in specs)), -1)
+
+    amplitude, x, y, classical = np.moveaxis(column(lambda sp: (
+        sp.amplitude, sp.x_variance, sp.y_variance, sp.y_variance_classical)), -2, 0)
+    groups = column(lambda sp: sp.correlated_group, object)
+    n = amplitude.shape[-1]
+    batch = np.broadcast_shapes(amplitude.shape[:-1], np.shape(excess_correlation))
+    shared = ((groups[..., :, None] == groups[..., None, :]) & ~np.eye(n, dtype=bool)
+              & np.not_equal(groups, None)[..., None])
+    # Only shared pairs are multiplied; the others add nothing and may overflow.
+    classical_sq = np.multiply(classical[..., :, None], classical[..., None, :],
+                               out=np.zeros(batch + (n, n)), where=shared)
+    cov = np.zeros(batch + (2 * n, 2 * n))
+    cov[..., 1::2, 1::2] = np.asarray(excess_correlation)[..., None, None] * np.sqrt(classical_sq)
+    k = np.arange(n)
+    cov[..., 2 * k, 2 * k] = x
+    cov[..., 2 * k + 1, 2 * k + 1] = y
+    return BrightGaussianState(np.broadcast_to(amplitude, batch + (n,)), cov)
+
+
+def make_squeezed(spec) -> BrightGaussianState:
+    """Single-mode squeezed state of one spec (a stack for a list of specs)."""
+    return squeezed_inputs([spec])
+
+
+def compose(states: list[BrightGaussianState]) -> BrightGaussianState:
+    """Join independent states: carriers side by side, block-diagonal covariance."""
+    batch = np.broadcast_shapes(*(s.amplitudes.shape[:-1] for s in states))
     n = sum(s.n_modes for s in states)
     amps = np.empty(batch + (n,))
     cov = np.zeros(batch + (2 * n, 2 * n))
-    tags: list = []
     off = 0
     for s in states:
         k = s.n_modes
         amps[..., off:off + k] = s.amplitudes
         cov[..., 2 * off:2 * (off + k), 2 * off:2 * (off + k)] = s.cov
-        tags.extend(s.noise_tags)
         off += k
-    for i in range(n):
-        for j in range(i + 1, n):
-            ti, tj = tags[i], tags[j]
-            if ti is not None and tj is not None and ti[0] == tj[0]:
-                c = excess_correlation * np.sqrt(ti[1] * tj[1])
-                cov[..., 2 * i + 1, 2 * j + 1] = c
-                cov[..., 2 * j + 1, 2 * i + 1] = c
-    return BrightGaussianState(amps, cov, tuple(tags))
+    return BrightGaussianState(amps, cov)
 
 
 def _embed(n: int, modes: tuple[int, ...], block: np.ndarray) -> np.ndarray:
@@ -286,7 +283,7 @@ def _congruence(state: BrightGaussianState, S: np.ndarray, amps) -> BrightGaussi
     """State with covariance S cov S^T and the given carriers."""
     cov = S @ state.cov @ np.swapaxes(S, -1, -2)
     amps = np.broadcast_to(amps, cov.shape[:-2] + (state.n_modes,))
-    return BrightGaussianState(amps, cov, state.noise_tags)
+    return BrightGaussianState(amps, cov)
 
 
 def apply_beamsplitter(state: BrightGaussianState, i: int, j: int,
@@ -345,7 +342,7 @@ def apply_loss(state: BrightGaussianState, mode: int, eta) -> BrightGaussianStat
     amps = np.empty(batch + (n,))
     amps[...] = state.amplitudes
     amps[..., mode] *= np.sqrt(eta)
-    return BrightGaussianState(amps, cov, state.noise_tags)
+    return BrightGaussianState(amps, cov)
 
 
 def direct_detect_variance(state: BrightGaussianState, mode: int):

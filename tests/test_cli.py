@@ -167,6 +167,8 @@ def test_bad_scalar_fields_exit_2(tmp_path, capsys, flat):
 @pytest.mark.parametrize("flat", [
     {"gain": 1e200}, {"method": "B", "imbalance": 1e200},
     {"method": "C", "input_a.amplitude": 1e200, "input_b.amplitude": 1e200},
+    {"gain": 1e200, "input_a.amplitude": 1e200},
+    {"method": "B", "imbalance": 1e200, "input_a.amplitude": 1e200},
 ], ids=lambda flat: ",".join(f"{k}={v!r}" for k, v in flat.items()))
 def test_overflowing_reading_exits_2(tmp_path, capsys, flat):
     bad = tmp_path / "bad.json"
@@ -178,6 +180,19 @@ def test_overflowing_reading_exits_2(tmp_path, capsys, flat):
     assert out == ""
     assert err == ("error: photocurrent variance overflows: carrier amplitude, "
                    "gain or noise level too large\n")
+
+
+def test_reading_lost_to_rounding_exits_2(tmp_path, capsys):
+    # 1e300-sized covariance entries cancel to exactly 0.0 in the joint reading.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"input_a.antisqueezing_db": 3000, "input_b.antisqueezing_db": 3000}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(bad)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: photocurrent variance is lost to rounding: covariance "
+                   "entries are too large for double precision\n")
 
 
 FIXTURE_B = str(fixtures_dir() / "method_b.json")
@@ -216,11 +231,15 @@ def test_sweep_through_a_dark_port_exits_3(tmp_path, capsys):
 
 def _run_then_list_scipy(tmp_path, *argv) -> tuple[str, list[str]]:
     """Import the CLI in a fresh interpreter and run it on argv, if given;
-    return its stdout and the scipy modules loaded by the end."""
+    return its stdout, ending in "exit <code>" if it exits, and the scipy
+    modules loaded by the end."""
     code = ("import json, sys\n"
             "from brightbeam.cli import main\n"
             "if sys.argv[1:]:\n"
-            "    main(sys.argv[1:])\n"
+            "    try:\n"
+            "        main(sys.argv[1:])\n"
+            "    except SystemExit as exc:\n"
+            "        print(f'exit {exc.code}')\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(brightbeam.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
@@ -243,3 +262,12 @@ def test_optimised_gain_still_runs(tmp_path):
     out, loaded = _run_then_list_scipy(tmp_path, "simulate", "--scenario", str(path))
     assert json.loads(out)["gain"] == 0.960531
     assert "scipy.optimize" in loaded
+
+
+def test_dark_pair_exits_3_before_the_gain_search(tmp_path):
+    # At theta = 1e-9 mode 2's carrier is 5e-10 of the total: dark.
+    path = tmp_path / "dark.json"
+    path.write_text(json.dumps({"gain": "optimize", "theta": 1e-9}))
+    out, loaded = _run_then_list_scipy(tmp_path, "simulate", "--scenario", str(path))
+    assert out == "exit 3"
+    assert loaded == []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from brightbeam import (
     BrightGaussianState,
@@ -15,7 +17,9 @@ from brightbeam import (
     make_coherent,
     make_squeezed,
     sample_fluctuations,
+    squeezed_inputs,
 )
+from brightbeam.entangle import generate_entangled
 from brightbeam.errors import DegenerateModeError, DomainError
 
 
@@ -97,7 +101,7 @@ class TestCompose:
 
     def test_correlated_group_cross_term(self):
         spec = SqueezedInputSpec(10, 3, 3, excess_phase_db=20.0, correlated_group=1)
-        st = compose([make_squeezed(spec), make_squeezed(spec)])
+        st = squeezed_inputs([spec, spec])
         assert st.cov[1, 3] == pytest.approx(99.0, rel=1e-12)
 
     def test_correlated_group_matches_sampling_construction(self):
@@ -115,7 +119,7 @@ class TestCompose:
 
     def test_partial_correlation_scales_cross_term(self):
         spec = SqueezedInputSpec(10, 3, 3, excess_phase_db=20.0, correlated_group=1)
-        st = compose([make_squeezed(spec), make_squeezed(spec)], excess_correlation=0.5)
+        st = squeezed_inputs([spec, spec], excess_correlation=0.5)
         assert st.cov[1, 3] == pytest.approx(49.5, rel=1e-12)
 
 
@@ -275,6 +279,17 @@ class TestDirectDetection:
             direct_detect_variance(make_coherent(0), 0)
 
 
+def test_correlated_inputs_survive_serialization():
+    spec = SqueezedInputSpec(10, 3, 3, excess_phase_db=20.0, correlated_group=1)
+    st = squeezed_inputs([spec, spec])
+    back = BrightGaussianState.from_dict(st.to_dict())
+    assert back.cov[1, 3] == pytest.approx(99.0, rel=1e-12)
+    assert np.array_equal(back.cov, st.cov)
+    one = make_squeezed(spec)
+    assert np.array_equal(compose([BrightGaussianState.from_dict(one.to_dict())] * 2).cov,
+                          compose([one, one]).cov)
+
+
 def test_serialization_roundtrip():
     st = make_squeezed(SqueezedInputSpec(10, 3, 5, excess_phase_db=10, correlated_group=2))
     d = st.to_dict()
@@ -380,19 +395,27 @@ class TestStackedMaps:
                                    rng.uniform(0, 20), correlated_group=1)
                  for sq in rng.uniform(0, 5, self.N)]
         excess = rng.uniform(0, 1, self.N)
-        out = compose([make_squeezed(specs), make_squeezed(specs[::-1])], excess)
-        assert_slices_equal(out, [compose([make_squeezed(a), make_squeezed(b)], x)
+        out = squeezed_inputs([specs, specs[::-1]], excess)
+        assert_slices_equal(out, [squeezed_inputs([a, b], x)
                                   for a, b, x in zip(specs, specs[::-1], excess)])
         assert_physical(out)
+        out = compose([make_squeezed(specs), make_squeezed(specs[::-1])])
+        assert_slices_equal(out, [compose([make_squeezed(a), make_squeezed(b)])
+                                  for a, b in zip(specs, specs[::-1])])
 
     @pytest.mark.parametrize("group", [True, 1.5, "x", [1], [1, 2], {"a": 1}])
     def test_correlated_group_is_an_int_or_none(self, group):
         with pytest.raises(DomainError, match="correlated_group"):
             SqueezedInputSpec(10, correlated_group=group)
 
-    def test_stacked_inputs_share_one_group(self):
-        with pytest.raises(DomainError, match="correlated_group"):
-            make_squeezed([SqueezedInputSpec(10, correlated_group=1), SqueezedInputSpec(10)])
+    def test_stacked_inputs_of_mixed_groups(self):
+        groups = [(g, h) for g in (1, 2, None) for h in (1, 2, None)]
+        specs = [[SqueezedInputSpec(10, 1, 2, excess_phase_db=20.0, correlated_group=g[k])
+                  for g in groups] for k in (0, 1)]
+        out = squeezed_inputs(specs, 0.5)
+        assert_slices_equal(out, [squeezed_inputs([a, b], 0.5) for a, b in zip(*specs)])
+        shared = [g == h and g is not None for g, h in groups]
+        assert (out.cov[:, 1, 3] == 49.5).tolist() == shared
 
     def test_out_of_range_entry_named(self, stack):
         with pytest.raises(DomainError, match=r"efficiency must be in \[0, 1\], got 1.5"):
@@ -408,3 +431,36 @@ class TestStackedMaps:
         # PSD, so the constructor accepts it, but below the vacuum level.
         with pytest.raises(AssertionError):
             assert_physical(BrightGaussianState(np.full(2, 100.0), 0.1 * np.eye(4)))
+
+
+input_specs = hs.builds(
+    lambda amplitude, sq, anti, excess, group: SqueezedInputSpec(
+        amplitude, sq, sq + anti, excess, correlated_group=group),
+    hs.floats(0.1, 1e3), hs.floats(0, 10), hs.floats(0, 5), hs.floats(0, 30),
+    hs.sampled_from([1, 2, None]))
+
+
+def stack_columns(n):
+    """n specs per input, then n values each of excess_correlation, theta and ratio."""
+    def column(elements):
+        return hs.lists(elements, min_size=n, max_size=n)
+    return hs.tuples(column(input_specs), column(input_specs), column(hs.floats(0, 1)),
+                     column(hs.floats(0.05, 3.1)), column(hs.floats(0, 1)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hs.integers(1, 5).flatmap(stack_columns))
+def test_joined_inputs_are_plain_physical_states(drawn):
+    """Stacked inputs equal per-point inputs and are physical, and the
+    entangled pair needs nothing from them but amplitudes and covariance."""
+    a, b, excess, theta, ratio = drawn
+    excess, theta, ratio = map(np.array, (excess, theta, ratio))
+    inputs = squeezed_inputs([a, b], excess)
+    assert_slices_equal(inputs, [squeezed_inputs([sa, sb], x)
+                                 for sa, sb, x in zip(a, b, excess)])
+    assert_physical(inputs)
+    pair = generate_entangled(a, b, theta, ratio, excess)
+    assert_physical(pair)
+    again = apply_beamsplitter(BrightGaussianState.from_dict(inputs.to_dict()), 0, 1, ratio, theta)
+    assert np.array_equal(again.amplitudes, pair.amplitudes)
+    assert np.array_equal(again.cov, pair.cov)
