@@ -8,6 +8,7 @@ priors pulling them toward their nominal values, then written to
 src/brightbeam/fixtures/*.json.
 
 Run from the repository root:  python3 scripts/fit_fixtures.py
+It needs scipy, which the package itself does not: pip install -e .[fit]
 """
 
 import json

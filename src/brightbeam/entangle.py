@@ -5,13 +5,14 @@ phase theta yield a pair of bright beams whose joint quadrature
 combinations drop below the coherent-state reference.  This module
 evaluates the sum/product witnesses, the gain-weighted generalized
 witness with its theta-adapted bound, and optional gain optimization.
-Generation and witnesses broadcast over stacked states (see ``states``);
-the gain is optimized state by state.  Generation joins the two input
-specs with ``states.squeezed_inputs``, which sets their shared phase noise.
+Generation, witnesses and the gain search broadcast over stacked states
+(see ``states``).  Generation joins the two input specs with
+``states.squeezed_inputs``, which sets their shared phase noise.
 
-scipy is imported only when a gain is optimized (``minimize_gain``, i.e.
-a scenario with ``gain: "optimize"``), so importing this module and
-evaluating fixed-gain witnesses never load it.
+``minimize_gain`` runs a bounded Brent search (Brent, *Algorithms for
+Minimization Without Derivatives*, 1973) on all pairs of a stack in
+lockstep.  Each pair takes the steps of the standard scalar search and
+gets its result bit for bit; tests/test_entangle.py compares the two.
 """
 
 from __future__ import annotations
@@ -172,28 +173,131 @@ def optimal_gains_for_theta(alpha: float, theta: float) -> GeneralizedCombinatio
     return GeneralizedCombination(h_a=a_ent, h_b=b_ent, g_a=b_ent, g_b=-a_ent)
 
 
-def minimize_gain(objective) -> tuple[float, bool]:
-    """Minimize objective(g) over a gain g in [1e-3, 1e3].
+# Bounded Brent search on log g: it stops at an absolute tolerance of 1e-12
+# on log g or after 500 evaluations.  Its constants are those of the scalar
+# reference search, 2.2e-16 for machine epsilon included, so that the steps
+# agree bit for bit.
+GAIN_BOUNDS = (1e-3, 1e3)
+_LOG_LO, _LOG_HI = np.log(GAIN_BOUNDS[0]), np.log(GAIN_BOUNDS[1])
+_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+_SQRT_EPS = np.sqrt(2.2e-16)
+_XATOL = 1e-12
+_MAXFUN = 500
 
-    1-D bounded minimization on log g.  Brent's search settles in one
-    local minimum; when the objective has an interior maximum, the lowest
-    value may sit at the other end of the range, so both ends and unit
-    gain compete with its result.  Returns (g, fallback): g = 1 when the
-    optimum is not finite (fallback is then True) or is worse than unit
-    gain.
+
+def _pick(condition, if_true, if_false):
+    """np.where for numpy scalars."""
+    return if_true if condition else if_false
+
+
+def _bounded_brent(f, params):
+    """Brent's bounded minimization of f(x, params) over x in [_LOG_LO, _LOG_HI]
+    for every column of params at once; returns (x, f(x)) per column.
+
+    This is the standard scalar loop with each branch turned into a
+    select: every column takes its own parabolic or golden step and
+    leaves the arrays when its stopping test holds.  Every operation is
+    the elementwise IEEE operation of the scalar loop, so each column
+    gets the scalar (xf, fx) bit for bit.  A single column runs on numpy
+    scalars, which cost a fraction of arrays of one element.
     """
-    from scipy.optimize import minimize_scalar  # ~0.5 s import, paid only here
+    n = params.shape[-1]
+    x_out, f_out = np.empty(n), np.empty(n)
+    idx = np.arange(n)
+    if n == 1:
+        where, params = _pick, params[:, 0]
+        a, b, rat = np.float64(_LOG_LO), np.float64(_LOG_HI), np.float64(0.0)
+    else:
+        where = np.where
+        a, b, rat = np.full(n, _LOG_LO), np.full(n, _LOG_HI), np.zeros(n)
+    xf = a + _GOLDEN * (b - a)
+    fx = f(xf, params)
+    nfc, fnfc, fulc, ffulc, e = xf, fx, xf, fx, rat
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        live = (abs(xf - xm) > (tol2 - 0.5 * (b - a))) & (num < _MAXFUN)
+        alive = np.count_nonzero(live)
+        if alive < idx.size:
+            if not alive:
+                x_out[idx], f_out[idx] = xf, fx
+                return x_out, f_out
+            x_out[idx[~live]], f_out[idx[~live]] = xf[~live], fx[~live]
+            idx, params, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xm, tol1, tol2 = (
+                v[..., live] for v in (idx, params, a, b, xf, fx, nfc, fnfc, fulc, ffulc,
+                                       e, rat, xm, tol1, tol2))
+        # A parabola through the three best points, taken where |e| > tol1
+        # and it falls well inside [a, b] ...
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = where(q > 0.0, -p, p)
+        q = abs(q)
+        parabolic = ((abs(e) > tol1) & (abs(p) < abs(0.5 * q * e))
+                     & (p > q * (a - xf)) & (p < q * (b - xf)))
+        rat_p = (p + 0.0) / q
+        x = xf + rat_p
+        si = np.sign(xm - xf) + ((xm - xf) == 0)
+        rat_p = where(((x - a) < tol2) | ((b - x) < tol2), tol1 * si, rat_p)
+        # ... otherwise a golden-section step into the larger part of [a, b].
+        e_golden = where(xf >= xm, a - xf, b - xf)
+        e = where(parabolic, rat, e_golden)
+        rat = where(parabolic, rat_p, _GOLDEN * e_golden)
 
-    lo, hi = 1e-3, 1e3
-    res = minimize_scalar(lambda log_g: objective(float(np.exp(log_g))),
-                          bounds=(np.log(lo), np.log(hi)),
-                          method="bounded", options={"xatol": 1e-12})
-    g = float(np.exp(res.x))
-    fallback = not (np.isfinite(g) and np.isfinite(res.fun))
-    if fallback:
-        return 1.0, True
-    # min keeps the first of equal values: Brent's g, then the ends, then 1.
-    return min((g, lo, hi, 1.0), key=objective), False
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(abs(rat), tol1)
+        fu = f(x, params)
+        num += 1
+
+        # Narrow [a, b] around the best point, and keep the best three points
+        # seen: xf, then nfc, then fulc.
+        better = fu <= fx
+        a = where(better, where(x >= xf, xf, a), where(x < xf, x, a))
+        b = where(better, where(x >= xf, b, xf), where(x < xf, b, x))
+        second = better | (fu <= fnfc) | (nfc == xf)
+        third = second | (fu <= ffulc) | (fulc == xf) | (fulc == nfc)
+        fulc, ffulc = (where(second, nfc, where(third, x, fulc)),
+                       where(second, fnfc, where(third, fu, ffulc)))
+        nfc, fnfc = (where(better, xf, where(second, x, nfc)),
+                     where(better, fx, where(second, fu, fnfc)))
+        xf, fx = where(better, x, xf), where(better, fu, fx)
+
+
+def minimize_gain(objective, params) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize objective(g, params) over a gain g in GAIN_BOUNDS, for every
+    column of the 2-D array params at once.
+
+    A bounded Brent search on log g runs over all columns in lockstep.
+    Brent's search settles in one local minimum; when the objective has
+    an interior maximum, the lowest value may sit at the other end of the
+    range, so both ends and unit gain compete with its result (the
+    earlier candidate wins a tie).  Floating-point warnings inside the
+    search are silenced, as a scalar search on Python floats never warns:
+    an overflow gives inf, and parabolic steps that are computed and then
+    discarded may divide 0 by 0.
+    Returns (g, fallback) per column: g = 1 where the optimum is not
+    finite (fallback is then True) or is worse than unit gain.
+    """
+    with np.errstate(all="ignore"):
+        x, best = _bounded_brent(lambda log_g, p: objective(np.exp(log_g), p), params)
+        g = np.exp(x)
+        fallback = ~(np.isfinite(g) & np.isfinite(best))
+        candidates = (*GAIN_BOUNDS, 1.0)
+        values = objective(np.array(candidates)[:, None], params)
+    for candidate, value in zip(candidates, values):
+        wins = value < best
+        g, best = np.where(wins, candidate, g), np.where(wins, value, best)
+    return np.where(fallback, 1.0, g), fallback
+
+
+def _witness_sum(g, params):
+    """V(dX1 + g' dX2) + V(dY1 - g' dY2) over 1 + g'^2 at g' = g * params[6],
+    with X entries params[0:3] and Y entries params[3:6]."""
+    v_plus, v_minus = _joint_variances(params[0:3], params[3:6], g * params[6])
+    return v_plus + v_minus
 
 
 def witness_gains(state_x: BrightGaussianState, state_y: BrightGaussianState,
@@ -202,22 +306,17 @@ def witness_gains(state_x: BrightGaussianState, state_y: BrightGaussianState,
     V(dX1 + g' dX2) of state_x plus V(dY1 - g' dY2) of state_y, at
     g' = g (1 + imbalance).
 
-    ``minimize_gain`` runs once per pair, on the covariance entries read
-    as floats.  Returns (gains, fallbacks), scalars for unstacked states.
+    ``minimize_gain`` searches all pairs of the stack together.  Returns
+    (gains, fallbacks), scalars for unstacked states.
     """
     _require_bright_pair(state_x)
     _require_bright_pair(state_y)
-    xs = np.stack(_pair_entries(state_x.cov)[0], -1)
-    ys = np.stack(_pair_entries(state_y.cov)[1], -1)
-    batch = xs.shape[:-1]
-    results = []
-    for x, y, imb in zip(xs.reshape(-1, 3).tolist(), ys.reshape(-1, 3).tolist(),
-                         np.broadcast_to(imbalance, batch).ravel().tolist()):
-        def witness_sum(g, x=x, y=y, imb=imb):
-            v_plus, v_minus = _joint_variances(x, y, g * (1.0 + imb))
-            return v_plus + v_minus
-        results.append(minimize_gain(witness_sum))
-    gains, fallbacks = (np.reshape(column, batch) for column in zip(*results))
+    batch = np.broadcast_shapes(state_x.cov.shape[:-2], state_y.cov.shape[:-2],
+                                np.shape(imbalance))
+    rows = (*_pair_entries(state_x.cov)[0], *_pair_entries(state_y.cov)[1],
+            1.0 + np.asarray(imbalance, dtype=float))
+    params = np.stack([np.broadcast_to(row, batch).ravel() for row in rows])
+    gains, fallbacks = (v.reshape(batch) for v in minimize_gain(_witness_sum, params))
     return float_if_scalar(gains), (fallbacks if batch else bool(fallbacks))
 
 

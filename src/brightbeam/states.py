@@ -157,10 +157,21 @@ class BrightGaussianState:
             raise DomainError("amplitudes must be non-negative")
         cov_t = np.swapaxes(cov, -1, -2)
         scale = np.abs(cov).max(axis=(-2, -1), keepdims=True, initial=1.0)
+        if not np.isfinite(scale).all():
+            raise DomainError("covariance entries are not finite: noise levels overflow "
+                              "double precision")
         if (np.abs(cov - cov_t) > SYM_TOL * scale).any():
             raise DomainError("covariance matrix is not symmetric")
         cov = 0.5 * (cov + cov_t)
-        if (np.linalg.eigvalsh(cov) < -PSD_TOL).any():
+        lowest = np.linalg.eigvalsh(cov)[..., 0]
+        negative = lowest < -PSD_TOL
+        if negative.any():
+            # eigvalsh errs by a few ulps of the largest entry, so a negative
+            # eigenvalue no larger than that may be rounding alone.
+            rounding = -lowest <= cov.shape[-1] * np.finfo(float).eps * scale[..., 0, 0]
+            if not (negative & ~rounding).any():
+                raise DomainError("covariance entries are too large for double precision: "
+                                  "rounding breaks positive semi-definiteness")
             raise DomainError("covariance matrix is not positive semi-definite")
         amps.setflags(write=False)
         cov.setflags(write=False)
@@ -232,10 +243,13 @@ def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
     shared = ((groups[..., :, None] == groups[..., None, :]) & ~np.eye(n, dtype=bool)
               & np.not_equal(groups, None)[..., None])
     # Only shared pairs are multiplied; the others add nothing and may overflow.
-    classical_sq = np.multiply(classical[..., :, None], classical[..., None, :],
-                               out=np.zeros(batch + (n, n)), where=shared)
+    # An overflowing shared pair leaves inf or nan, which the state rejects.
     cov = np.zeros(batch + (2 * n, 2 * n))
-    cov[..., 1::2, 1::2] = np.asarray(excess_correlation)[..., None, None] * np.sqrt(classical_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        classical_sq = np.multiply(classical[..., :, None], classical[..., None, :],
+                                   out=np.zeros(batch + (n, n)), where=shared)
+        cov[..., 1::2, 1::2] = (np.asarray(excess_correlation)[..., None, None]
+                                * np.sqrt(classical_sq))
     k = np.arange(n)
     cov[..., 2 * k, 2 * k] = x
     cov[..., 2 * k + 1, 2 * k + 1] = y

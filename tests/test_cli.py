@@ -261,7 +261,73 @@ def test_optimised_gain_still_runs(tmp_path):
     path.write_text(json.dumps(dict(flat, gain="optimize")))
     out, loaded = _run_then_list_scipy(tmp_path, "simulate", "--scenario", str(path))
     assert json.loads(out)["gain"] == 0.960531
-    assert "scipy.optimize" in loaded
+    assert loaded == []
+
+
+def test_every_verb_runs_with_scipy_blocked(tmp_path):
+    flat = json.loads((fixtures_dir() / "method_a.json").read_text(encoding="utf-8"))
+    path = tmp_path / "opt.json"
+    path.write_text(json.dumps(dict(flat, gain="optimize")))
+    verbs = [["table1"], ["simulate", "--scenario", str(path)],
+             ["sweep", "--scenario", str(path), "--param", "theta",
+              "--from", "0.5", "--to", "2.5", "--steps", "4"],
+             ["validate", "--scenario", str(path), "--mc-samples", "2000"]]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None  # every import of scipy now fails\n"
+            "from brightbeam.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    main(argv)\n"
+            "    print('verb done')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(brightbeam.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(verbs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.count("verb done") == len(verbs)
+    assert '"gain": 0.960531' in done.stdout
+
+
+def test_gain_search_on_huge_noise_is_silent(tmp_path, capsys):
+    # The array search computes parabolic steps it then discards, some of
+    # them 0/0; like scipy's search on Python floats, it must not warn.
+    path = tmp_path / "anti.json"
+    path.write_text(json.dumps({"gain": "optimize", "input_a.antisqueezing_db": 150,
+                                "input_b.antisqueezing_db": 150}))
+    main(["simulate", "--scenario", str(path)])
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert (report["gain"], report["sum"]) == (1.0, 2.01206)
+
+
+def test_shared_phase_noise_overflow_exits_2(tmp_path, capsys):
+    # Both inputs share group 1; the product of their 1e160 classical
+    # variances overflows.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"input_a.excess_phase_db": 1600,
+                                "input_b.excess_phase_db": 1600}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: covariance entries are not finite: noise levels overflow "
+                   "double precision\n")
+
+
+@pytest.mark.parametrize("method", ["B", "C"])
+def test_state_lost_to_rounding_exits_2(tmp_path, capsys, method):
+    # The interfered 1e300-sized entries miss positive semi-definiteness
+    # by rounding alone.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"method": method, "input_a.antisqueezing_db": 3000,
+                                "input_b.antisqueezing_db": 3000}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: covariance entries are too large for double precision: "
+                   "rounding breaks positive semi-definiteness\n")
 
 
 def test_dark_pair_exits_3_before_the_gain_search(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from brightbeam import (
     GeneralizedCombination,
@@ -23,6 +25,13 @@ from brightbeam import (
     theta_adapted_bound,
 )
 from brightbeam.detection import method_a_gain
+from brightbeam.entangle import (
+    GAIN_BOUNDS,
+    _joint_variances,
+    _pair_entries,
+    minimize_gain,
+    witness_gains,
+)
 from brightbeam.errors import DegenerateModeError, DomainError
 from brightbeam.states import BrightGaussianState
 
@@ -288,6 +297,76 @@ class TestGainAgainstDenseGrid:
                 if not no_worse_than_grid(total, best):
                     worse.append((seed, imbalance, g, total, best))
         assert worse == []
+
+
+def stack_of(states) -> BrightGaussianState:
+    return BrightGaussianState(np.stack([s.amplitudes for s in states]),
+                               np.stack([s.cov for s in states]))
+
+
+def scipy_gain(minimize_scalar, state_x, state_y, imbalance):
+    """The gain rule on one pair through scipy's scalar bounded Brent search."""
+    x = [float(v) for v in _pair_entries(state_x.cov)[0]]
+    y = [float(v) for v in _pair_entries(state_y.cov)[1]]
+
+    def witness_sum(g):
+        v_plus, v_minus = _joint_variances(x, y, g * (1.0 + imbalance))
+        return v_plus + v_minus
+
+    lo, hi = GAIN_BOUNDS
+    res = minimize_scalar(lambda log_g: witness_sum(float(np.exp(log_g))),
+                          bounds=(np.log(lo), np.log(hi)),
+                          method="bounded", options={"xatol": 1e-12})
+    g = float(np.exp(res.x))
+    if not (np.isfinite(g) and np.isfinite(res.fun)):
+        return 1.0, True
+    return min((g, lo, hi, 1.0), key=witness_sum), False
+
+
+class TestGainAgainstScipy:
+    """The lockstep search over a stack gives, pair by pair, exactly what
+    scipy's scalar search and the candidate rule give."""
+
+    def test_stacked_gains_equal_scipy_per_pair(self):
+        minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+        rng = np.random.default_rng(2000)
+        xs = [random_lossy_pair(rng) for _ in range(400)]
+        # Method A's phase channel pays the visibility too.
+        ys = [apply_loss(apply_loss(st, 0, rng.uniform(0.7, 1.0)), 1, rng.uniform(0.7, 1.0))
+              for st in xs]
+        # A coherent pair's sum is 2 at almost every gain: candidates tie.
+        xs, ys = xs + [coherent_pair()] * 4, ys + [coherent_pair()] * 4
+        imbalance = np.where(np.arange(404) % 2, 0.0, rng.uniform(-0.5, 0.5, 404))
+        gains, fallbacks = witness_gains(stack_of(xs), stack_of(ys), imbalance)
+        expected = [scipy_gain(minimize_scalar, sx, sy, float(imb))
+                    for sx, sy, imb in zip(xs, ys, imbalance)]
+        assert list(zip(gains.tolist(), fallbacks.tolist())) == expected
+        # An end of the range beats Brent's local minimum only past an
+        # interior maximum; both kinds of pair are in the stack.
+        at_end = np.isin(gains, GAIN_BOUNDS)
+        assert 0 < at_end.sum() < 400
+
+    def test_non_finite_minimum_falls_back_to_unit_gain(self):
+        params = np.array([[2.0, np.nan, -0.5]])
+        g, fallback = minimize_gain(lambda g, p: (np.log(g) - p[0]) ** 2, params)
+        assert fallback.tolist() == [False, True, False]
+        assert g[1] == 1.0
+        assert g[[0, 2]] == pytest.approx(np.exp([2.0, -0.5]), rel=1e-9)
+        g, fallback = minimize_gain(lambda g, p: (np.log(g) - p[0]) ** 2, params[:, 1:2])
+        assert (g.tolist(), fallback.tolist()) == ([1.0], [True])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(hs.lists(hs.tuples(hs.integers(0, 2 ** 32 - 1),
+                          hs.sampled_from([0.0]) | hs.floats(-0.5, 0.5)),
+                min_size=1, max_size=8))
+def test_each_stacked_gain_is_the_gain_of_its_pair_alone(drawn):
+    """Pairs that stop early leave the search without touching the others."""
+    seeds, imbalance = zip(*drawn)
+    pairs = [random_lossy_pair(np.random.default_rng(seed)) for seed in seeds]
+    gains, fallbacks = witness_gains(stack_of(pairs), stack_of(pairs), np.array(imbalance))
+    for k, (pair, imb) in enumerate(zip(pairs, imbalance)):
+        assert witness_gains(pair, pair, imb) == (gains[k], fallbacks[k])
 
 
 class TestInvariants:
