@@ -185,11 +185,6 @@ _XATOL = 1e-12
 _MAXFUN = 500
 
 
-def _pick(condition, if_true, if_false):
-    """np.where for numpy scalars."""
-    return if_true if condition else if_false
-
-
 def _bounded_brent(f, params):
     """Brent's bounded minimization of f(x, params) over x in [_LOG_LO, _LOG_HI]
     for every column of params at once; returns (x, f(x)) per column.
@@ -198,18 +193,13 @@ def _bounded_brent(f, params):
     select: every column takes its own parabolic or golden step and
     leaves the arrays when its stopping test holds.  Every operation is
     the elementwise IEEE operation of the scalar loop, so each column
-    gets the scalar (xf, fx) bit for bit.  A single column runs on numpy
-    scalars, which cost a fraction of arrays of one element.
+    gets the scalar (xf, fx) bit for bit.
     """
     n = params.shape[-1]
     x_out, f_out = np.empty(n), np.empty(n)
     idx = np.arange(n)
-    if n == 1:
-        where, params = _pick, params[:, 0]
-        a, b, rat = np.float64(_LOG_LO), np.float64(_LOG_HI), np.float64(0.0)
-    else:
-        where = np.where
-        a, b, rat = np.full(n, _LOG_LO), np.full(n, _LOG_HI), np.zeros(n)
+    where = np.where
+    a, b, rat = np.full(n, _LOG_LO), np.full(n, _LOG_HI), np.zeros(n)
     xf = a + _GOLDEN * (b - a)
     fx = f(xf, params)
     nfc, fnfc, fulc, ffulc, e = xf, fx, xf, fx, rat
@@ -273,21 +263,22 @@ def minimize_gain(objective, params) -> tuple[np.ndarray, np.ndarray]:
     A bounded Brent search on log g runs over all columns in lockstep.
     Brent's search settles in one local minimum; when the objective has
     an interior maximum, the lowest value may sit at the other end of the
-    range, so both ends and unit gain compete with its result (the
-    earlier candidate wins a tie).  Floating-point warnings inside the
-    search are silenced, as a scalar search on Python floats never warns:
-    an overflow gives inf, and parabolic steps that are computed and then
-    discarded may divide 0 by 0.
+    range, so its result and both ends compete with unit gain.  Unit gain
+    wins any tie with the minimum, so a flat objective (a coherent pair)
+    keeps g = 1; the others win only when strictly lower.  Floating-point
+    warnings inside the search are silenced, as a scalar search on Python
+    floats never warns: an overflow gives inf, and parabolic steps that
+    are computed and then discarded may divide 0 by 0.
     Returns (g, fallback) per column: g = 1 where the optimum is not
-    finite (fallback is then True) or is worse than unit gain.
+    finite (fallback is then True) or is no better than unit gain.
     """
     with np.errstate(all="ignore"):
-        x, best = _bounded_brent(lambda log_g, p: objective(np.exp(log_g), p), params)
-        g = np.exp(x)
-        fallback = ~(np.isfinite(g) & np.isfinite(best))
-        candidates = (*GAIN_BOUNDS, 1.0)
-        values = objective(np.array(candidates)[:, None], params)
-    for candidate, value in zip(candidates, values):
+        x, brent = _bounded_brent(lambda log_g, p: objective(np.exp(log_g), p), params)
+        brent_g = np.exp(x)
+        fallback = ~(np.isfinite(brent_g) & np.isfinite(brent))
+        unit, lo, hi = objective(np.array([1.0, *GAIN_BOUNDS])[:, None], params)
+    g, best = np.ones(x.shape), unit
+    for candidate, value in ((brent_g, brent), (GAIN_BOUNDS[0], lo), (GAIN_BOUNDS[1], hi)):
         wins = value < best
         g, best = np.where(wins, candidate, g), np.where(wins, value, best)
     return np.where(fallback, 1.0, g), fallback

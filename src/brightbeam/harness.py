@@ -121,7 +121,11 @@ def _mc_estimate(channels: list[tuple[DetectionResult, float]], k: int, count: i
     for result, mult in channels:
         if result.state is not state:
             state = result.state
-            samples = sample_fluctuations(state[k], count, seed + draws)
+            try:
+                samples = sample_fluctuations(state[k], count, seed + draws)
+            except (ValueError, MemoryError) as exc:
+                # numpy refuses a count it cannot size or allocate.
+                raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
             draws += 1
         v = float(np.var(samples @ result.weights[k], ddof=1)) / float(result.shot_noise[k])
         total += mult * v
@@ -215,7 +219,14 @@ def sweep(s: Scenario, param: str, start: float, stop: float,
         if not math.isfinite(bound):
             raise ScenarioError(
                 f"cannot sweep {param} to {bound!r}: the {name} bound must be finite")
-    grid = np.linspace(start, stop, steps).tolist()
+    if not math.isfinite(stop - start):
+        raise ScenarioError(
+            f"cannot sweep {param} to {stop!r}: the span from {start!r} overflows")
+    try:
+        grid = np.linspace(start, stop, steps).tolist()
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses a count it cannot size or allocate.
+        raise ScenarioError(f"cannot sweep {param} in steps = {steps}: {exc}") from exc
     try:
         rows = _evaluate([with_param(s, param, v) for v in grid])
     except BrightBeamError:

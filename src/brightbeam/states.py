@@ -278,8 +278,6 @@ def compose(states: list[BrightGaussianState]) -> BrightGaussianState:
 
 def _embed(n: int, modes: tuple[int, ...], block: np.ndarray) -> np.ndarray:
     """Embed a (stacked) symplectic block acting on the given modes into 2n x 2n."""
-    if list(modes) == list(range(n)):
-        return block
     s = np.array(np.broadcast_to(np.eye(2 * n), block.shape[:-2] + (2 * n, 2 * n)))
     idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
     s[(..., *np.ix_(idx, idx))] = block

@@ -1,17 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import brightbeam
 from brightbeam import SqueezedInputSpec
 from brightbeam.cli import cli, main
 from brightbeam.harness import fixtures_dir
-from brightbeam.scenario import Scenario, save_scenario
+from brightbeam.scenario import Scenario, known_keys, save_scenario
 
 
 @pytest.fixture
@@ -205,6 +210,7 @@ FIXTURE_B = str(fixtures_dir() / "method_b.json")
     ("excess_phase_db", "-3", "3", "-3.0"),
     ("theta", "inf", "3", "inf"),
     ("phi", "0", "-inf", "-inf"),
+    ("theta", "-1e308", "1e308", "1e+308"),
 ])
 def test_out_of_range_sweep_values_exit_2(capsys, param, start, stop, value):
     with pytest.raises(SystemExit) as exc:
@@ -214,6 +220,33 @@ def test_out_of_range_sweep_values_exit_2(capsys, param, start, stop, value):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: cannot sweep {param} to {value}: ")
+    assert "Warning" not in err
+
+
+# Counts of 10**20 and more fail at once; smaller huge counts may allocate
+# gigabytes before they fail, so they are not tried.
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--scenario", FIXTURE_B, "--param", "theta", "--from", "0.1", "--to", "1",
+      "--steps", str(10 ** 30)], f"error: cannot sweep theta in steps = {10 ** 30}: "),
+    (["validate", "--scenario", FIXTURE_B, "--mc-samples", str(10 ** 20)],
+     f"error: cannot draw mc_samples = {10 ** 20}: "),
+])
+def test_counts_numpy_cannot_size_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message)
+
+
+def test_mc_samples_numpy_cannot_size_in_a_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"method": "B", "mc_samples": 10 ** 20}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot draw mc_samples = {10 ** 20}: ")
 
 
 def test_sweep_through_a_dark_port_exits_3(tmp_path, capsys):
@@ -286,6 +319,15 @@ def test_every_verb_runs_with_scipy_blocked(tmp_path):
     assert '"gain": 0.960531' in done.stdout
 
 
+def test_flat_witness_sum_keeps_unit_gain(tmp_path, capsys):
+    # Coherent inputs: every gain gives the sum 2, and unit gain wins the tie.
+    path = tmp_path / "coherent.json"
+    path.write_text(json.dumps({"method": "A", "gain": "optimize"}))
+    main(["simulate", "--scenario", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert (report["gain"], report["sum"]) == (1.0, 2.0)
+
+
 def test_gain_search_on_huge_noise_is_silent(tmp_path, capsys):
     # The array search computes parabolic steps it then discards, some of
     # them 0/0; like scipy's search on Python floats, it must not warn.
@@ -337,3 +379,40 @@ def test_dark_pair_exits_3_before_the_gain_search(tmp_path):
     out, loaded = _run_then_list_scipy(tmp_path, "simulate", "--scenario", str(path))
     assert out == "exit 3"
     assert loaded == []
+
+
+HOSTILE = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 10 ** 400, -10 ** 400,
+           10 ** 20, "x", "", True, False, None, [], [1.0], {"a": 1}]
+PLAIN = [0, 0.0, 0.5, 1, 2.5, 100.0, -1.0, "A", "B", "C", "c", "d", "optimize"]
+# Counts that cannot allocate: small ones, ones numpy cannot size, non-integers.
+COUNTS = [0, 2, 3, 1000, 10 ** 20, 10 ** 30, 1.5, float("nan"), "x", True, None, [2]]
+
+
+@hs.composite
+def hostile_scenarios(draw):
+    # A few keys at a time, so that one hostile value often meets valid defaults.
+    keys = draw(hs.lists(hs.sampled_from(sorted(known_keys())), unique=True,
+                         min_size=1, max_size=3))
+    values = (hs.sampled_from(PLAIN) | hs.floats(0, 10) | hs.sampled_from(HOSTILE)
+              | hs.floats())
+    return {k: draw(hs.sampled_from(COUNTS) if k in ("mc_samples", "seed") else values)
+            for k in keys}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(flat=hostile_scenarios())
+def test_any_scenario_file_exits_0_2_or_3(tmp_path_factory, flat):
+    """No scenario file ends in a traceback or a warning."""
+    path = tmp_path_factory.mktemp("hostile") / "s.json"
+    path.write_text(json.dumps(flat))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            main(["simulate", "--scenario", str(path)])
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Warning" not in err.getvalue()

@@ -320,7 +320,7 @@ def scipy_gain(minimize_scalar, state_x, state_y, imbalance):
     g = float(np.exp(res.x))
     if not (np.isfinite(g) and np.isfinite(res.fun)):
         return 1.0, True
-    return min((g, lo, hi, 1.0), key=witness_sum), False
+    return min((1.0, g, lo, hi), key=witness_sum), False
 
 
 class TestGainAgainstScipy:

@@ -161,6 +161,34 @@ class TestBeamsplitter:
             out = apply_beamsplitter(st, 0, 1, r, theta)
             assert np.sum(out.amplitudes ** 2) == pytest.approx(2500.0, rel=1e-9)
 
+    @pytest.mark.parametrize("i, j", [(0, 2), (2, 0)])
+    def test_three_mode_state_equals_its_6x6_congruence(self, i, j):
+        # Modes 0 and 2 share phase noise; mode 1 stays outside the splitter.
+        st = squeezed_inputs([SqueezedInputSpec(30.0, 3.0, 4.0, 2.0, correlated_group=1),
+                              SqueezedInputSpec(20.0, 1.0, 1.5),
+                              SqueezedInputSpec(40.0, 2.0, 5.0, 3.0, correlated_group=1)])
+        r, theta = 0.3, 1.1
+
+        def rot(phi):
+            return np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+
+        t, s, eye, zero = math.sqrt(1 - r), math.sqrt(r), np.eye(2), np.zeros((2, 2))
+        a, b = st.amplitudes[i], st.amplitudes[j] * np.exp(1j * theta)
+        out_i, out_j = t * a + s * b, s * a - t * b
+        pre = np.block([[eye, zero], [zero, rot(theta)]])
+        mix = np.block([[t * eye, s * eye], [s * eye, -t * eye]])
+        realign = np.block([[rot(-np.angle(out_i)), zero], [zero, rot(-np.angle(out_j))]])
+        S = np.eye(6)
+        idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+        S[np.ix_(idx, idx)] = realign @ mix @ pre
+        amps = st.amplitudes.copy()
+        amps[i], amps[j] = abs(out_i), abs(out_j)
+
+        out = apply_beamsplitter(st, i, j, r, theta)
+        assert np.allclose(out.cov, S @ st.cov @ S.T, rtol=0, atol=1e-12)
+        assert out.amplitudes == pytest.approx(amps, rel=1e-12)
+        assert np.array_equal(out.cov[2:4, 2:4], st.cov[2:4, 2:4])
+
     def test_invalid_ratio_rejected(self):
         st = compose([make_coherent(1), make_coherent(1)])
         with pytest.raises(DomainError):
