@@ -68,8 +68,11 @@ def sweep_cmd(scenario_path, param, start, stop, steps, out_path):
     """Sweep one parameter and emit the fixed-schema CSV."""
     text = sweep_csv(load_scenario(scenario_path), param, start, stop, steps)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScenarioError(f"cannot write {out_path}: {exc}") from exc
     else:
         click.echo(text, nl=False)
 

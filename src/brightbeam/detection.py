@@ -17,8 +17,8 @@ electronic gains and signs, so each method only chooses its weights.
 All physics stays in shot-noise-normalized units; absolute dBm powers
 appear only in the electronic-noise subtraction utility.  Every readout
 broadcasts over a stack of states (see ``states``): gains, phases and
-imbalances may be arrays, and a pair of budgets may be a pair of
-lists of LossBudget, one per stack element.
+imbalances may be arrays, and so may the fields of a budget: a budget
+is a LossBudget or any record with its three fields.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .states import (
     bright_carriers,
     dark_modes,
     float_if_scalar,
-    stacked,
 )
 from .units import is_finite_real, var_to_db
 
@@ -109,10 +108,13 @@ class LossBudget:
                 raise DomainError(f"{name} must be a number in [0, 1], got {v!r}")
 
     def effective(self, include_visibility: bool = True) -> float:
-        eta = self.propagation * self.quantum_efficiency
-        if include_visibility:
-            eta *= self.visibility ** 2
-        return eta
+        return _efficiency(self, include_visibility)
+
+
+def _efficiency(budget, include_visibility: bool = True):
+    """LossBudget.effective of a budget whose fields may be arrays over a stack."""
+    eta = budget.propagation * budget.quantum_efficiency
+    return eta * budget.visibility ** 2 if include_visibility else eta
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,7 @@ def _apply_budgets(state: BrightGaussianState, budgets: tuple[LossBudget, LossBu
                    include_visibility: bool = True) -> BrightGaussianState:
     """Apply each arm's pre-detection loss budget to its mode."""
     for mode, budget in enumerate(budgets):
-        eta = stacked(budget, lambda b: b.effective(include_visibility))
-        state = apply_loss(state, mode, eta)
+        state = apply_loss(state, mode, _efficiency(budget, include_visibility))
     return state
 
 
@@ -159,8 +160,7 @@ def method_a_measure(state: BrightGaussianState, mode: int, quadrature: str,
     Phase (Y) measurements pay the full budget including visibility;
     amplitude (X) measurements need no interference and skip it.
     """
-    eta = stacked(budget, lambda b: b.effective(include_visibility=(quadrature == "Y")))
-    lossy = apply_loss(state, mode, eta)
+    lossy = apply_loss(state, mode, _efficiency(budget, include_visibility=(quadrature == "Y")))
     alpha = bright_carriers(lossy, mode, "phase measurement needs a bright carrier")
     return DetectionResult.read(lossy, (lossy.quad_index(mode, quadrature), alpha))
 

@@ -80,8 +80,8 @@ def generate_entangled(a: SqueezedInputSpec, b: SqueezedInputSpec,
                        excess_correlation: float = 1.0) -> BrightGaussianState:
     """Interfere two squeezed inputs into a (potentially) entangled pair.
 
-    ``squeezed_inputs`` sets the phase noise the inputs share.  Lists of
-    specs and arrays of numbers give a stack of pairs.
+    ``squeezed_inputs`` sets the phase noise the inputs share.  Stacked
+    specs (see there) and arrays of numbers give a stack of pairs.
     """
     return apply_beamsplitter(squeezed_inputs([a, b], excess_correlation), 0, 1, ratio, theta)
 

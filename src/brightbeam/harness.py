@@ -6,7 +6,9 @@ import math
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,8 +26,19 @@ from .scenario import Scenario, load_scenario
 from .states import BrightGaussianState, sample_fluctuations
 
 CSV_HEADER = "method,param,value,v_sq_plus,v_sq_minus,sum,bound,witnessed,mc_sum,mc_stderr"
-SWEEP_PARAMS = ("theta", "phi", "gain", "squeezing_db", "eta",
-                "excess_phase_db", "entangle_ratio")
+# The scenario fields each sweep parameter sets, as dotted paths.
+_SWEPT_FIELDS = {
+    "theta": ("theta",),
+    "phi": ("phi",),
+    "gain": ("gain",),
+    # Minimum-uncertainty sweep: antisqueezing tracks the squeezing.
+    "squeezing_db": ("input_a.squeezing_db", "input_a.antisqueezing_db",
+                     "input_b.squeezing_db", "input_b.antisqueezing_db"),
+    "eta": ("budget_a.propagation", "budget_b.propagation"),
+    "excess_phase_db": ("input_a.excess_phase_db", "input_b.excess_phase_db"),
+    "entangle_ratio": ("entangle_ratio",),
+}
+SWEEP_PARAMS = tuple(_SWEPT_FIELDS)
 FIXTURES_ENV = "BRIGHTBEAM_FIXTURES"
 
 
@@ -66,45 +79,56 @@ class ReportRow:
         return d
 
 
-# Each evaluator takes scenarios that differ only in numbers, their stacked
+# Each evaluator takes the scenario, its columns (see ``_column``), their
 # entangled pair and budgets, and returns (v_plus, v_minus, bound, gain,
 # readings, channels) over the stack: readings name the DetectionResults
 # reported under "raw", and a channel is (DetectionResult, multiplier of its
 # normalized variance) for the MC oracle.
 
-def _column(ss: list[Scenario], name: str) -> np.ndarray:
-    return np.array([getattr(s, name) for s in ss], dtype=float)
+def _column(s: Scenario, columns: dict, path: str) -> np.ndarray:
+    """The field at a dotted path: its column, or the scenario's value as a
+    stack of one."""
+    if path in columns:
+        return columns[path]
+    return np.array([attrgetter(path)(s)], dtype=float)
 
 
-def _eval_a(ss: list[Scenario], state: BrightGaussianState, budgets):
-    imbalance = _column(ss, "imbalance")
-    if ss[0].gain == "optimize":
+def _eval_a(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
+    imbalance = _column(s, columns, "imbalance")
+    if s.gain == "optimize":
         g = method_a_gain(state, budgets, imbalance)
     else:
-        g = _column(ss, "gain")
+        g = _column(s, columns, "gain")
     plus, plus_anti = method_a_joint(state, "X", budgets, g, imbalance)
     minus, minus_anti = method_a_joint(state, "Y", budgets, g, imbalance)
     readings = {"plus": plus, "plus_anti": plus_anti, "minus": minus, "minus_anti": minus_anti}
     return plus.normalized, minus.normalized, 2.0, g, readings, [(plus, 1.0), (minus, 1.0)]
 
 
-def _eval_b(ss: list[Scenario], state: BrightGaussianState, budgets):
-    total, diff = method_b_channels(state, _column(ss, "phi"), budgets, _column(ss, "imbalance"))
+def _eval_b(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
+    total, diff = method_b_channels(state, _column(s, columns, "phi"), budgets,
+                                    _column(s, columns, "imbalance"))
     readings = {"sum_channel": total, "diff_channel": diff}
-    return (total.normalized, diff.normalized, theta_adapted_bound(_column(ss, "theta")), 1.0,
+    return (total.normalized, diff.normalized,
+            theta_adapted_bound(_column(s, columns, "theta")), 1.0,
             readings, [(total, 1.0), (diff, 1.0)])
 
 
-def _eval_c(ss: list[Scenario], state: BrightGaussianState, budgets):
+def _eval_c(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
     # Only the blend (v_plus + v_minus)/2 is observable in the selected
     # port; both report fields carry the port value.  The other port of
     # the same output is reported where it is bright.
-    port = method_c_single_port(state, _column(ss, "phi"), ss[0].port, budgets)
+    port = method_c_single_port(state, _column(s, columns, "phi"), s.port, budgets)
     v = port.normalized
     return v, v, 2.0, 1.0, bright_port_readings(port.state), [(port, 2.0)]
 
 
 _EVALUATORS = {"A": _eval_a, "B": _eval_b, "C": _eval_c}
+
+
+def _at(x, k: int):
+    """Element k of a stack, or its only element where it holds one for all points."""
+    return x[min(k, len(x) - 1)]
 
 
 def _mc_estimate(channels: list[tuple[DetectionResult, float]], k: int, count: int, seed: int):
@@ -122,34 +146,56 @@ def _mc_estimate(channels: list[tuple[DetectionResult, float]], k: int, count: i
         if result.state is not state:
             state = result.state
             try:
-                samples = sample_fluctuations(state[k], count, seed + draws)
+                samples = sample_fluctuations(state[min(k, len(state.amplitudes) - 1)],
+                                              count, seed + draws)
             except (ValueError, MemoryError) as exc:
                 # numpy refuses a count it cannot size or allocate.
                 raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
             draws += 1
-        v = float(np.var(samples @ result.weights[k], ddof=1)) / float(result.shot_noise[k])
+        v = (float(np.var(samples @ _at(result.weights, k), ddof=1))
+             / float(_at(result.shot_noise, k)))
         total += mult * v
         err_sq += (mult * v) ** 2 * 2.0 / (count - 1)
     return total, math.sqrt(err_sq)
 
 
-def _evaluate(ss: list[Scenario]) -> list[ReportRow]:
-    """Evaluate scenarios that share method, port and gain mode as one stack."""
-    state = generate_entangled([s.input_a for s in ss], [s.input_b for s in ss],
-                               _column(ss, "theta"), _column(ss, "entangle_ratio"),
-                               excess_correlation=_column(ss, "excess_correlation"))
-    budgets = ([s.budget_a for s in ss], [s.budget_b for s in ss])
-    v_plus, v_minus, bound, gain, readings, channels = _EVALUATORS[ss[0].method](
-        ss, state, budgets)
+_INPUT_FIELDS = ("amplitude", "squeezing_db", "antisqueezing_db", "excess_phase_db")
+_BUDGET_FIELDS = ("propagation", "visibility", "quantum_efficiency")
+
+
+def _evaluate(s: Scenario, columns: dict | None = None) -> list[ReportRow]:
+    """Evaluate a scenario as one stack, one row per element.
+
+    ``columns`` maps dotted field paths (``"theta"``, ``"input_a.squeezing_db"``)
+    to float64 arrays of one length that replace the scenario's values;
+    without columns the stack holds the scenario alone.
+    """
+    columns = columns or {}
+    n = len(next(iter(columns.values()))) if columns else 1
+
+    def record(name: str, fields: tuple, **extra) -> SimpleNamespace:
+        """The input or budget record ``name`` with its numbers as columns."""
+        return SimpleNamespace(**{f: _column(s, columns, f"{name}.{f}") for f in fields},
+                               **extra)
+
+    state = generate_entangled(
+        record("input_a", _INPUT_FIELDS, correlated_group=s.input_a.correlated_group),
+        record("input_b", _INPUT_FIELDS, correlated_group=s.input_b.correlated_group),
+        _column(s, columns, "theta"), _column(s, columns, "entangle_ratio"),
+        excess_correlation=_column(s, columns, "excess_correlation"))
+    budgets = (record("budget_a", _BUDGET_FIELDS), record("budget_b", _BUDGET_FIELDS))
+    v_plus, v_minus, bound, gain, readings, channels = _EVALUATORS[s.method](
+        s, columns, state, budgets)
 
     def per_point(x) -> list:
-        return x.tolist() if np.ndim(x) else [x] * len(ss)
+        """x at each point, from a number, a stack of one or a stack of n."""
+        return [x] * n if np.ndim(x) == 0 else x.tolist() * (n // len(x))
 
     v_plus, v_minus, bound, gain = map(per_point, (v_plus, v_minus, bound, gain))
     raw = {key: {name: per_point(value) for name, value in r.to_dict().items()}
            for key, r in readings.items()}
     rows = []
-    for k, s in enumerate(ss):
+    for k in range(n):
         mc_sum = mc_stderr = None
         if s.mc_samples > 0:
             mc_sum, mc_stderr = _mc_estimate(channels, k, s.mc_samples, s.seed)
@@ -175,44 +221,35 @@ def _evaluate(ss: list[Scenario]) -> list[ReportRow]:
 
 def run_scenario(s: Scenario) -> ReportRow:
     """Evaluate one scenario (a stack of one); deterministic for a fixed seed."""
-    return _evaluate([s])[0]
+    return _evaluate(s)[0]
 
 
 def with_param(s: Scenario, param: str, value: float) -> Scenario:
     """Return a copy of the scenario with one sweepable parameter set."""
+    if param not in _SWEPT_FIELDS:
+        raise ScenarioError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
+    top: dict = {}
+    records: dict = {}
+    for path in _SWEPT_FIELDS[param]:
+        record, _, name = path.rpartition(".")
+        (records.setdefault(record, {}) if record else top)[name] = value
     try:
-        if param in ("theta", "phi", "entangle_ratio"):
-            return replace(s, **{param: value})
-        if param == "gain":
-            return replace(s, gain=float(value))
-        if param == "squeezing_db":
-            # Minimum-uncertainty sweep: antisqueezing tracks the squeezing.
-            return replace(
-                s,
-                input_a=replace(s.input_a, squeezing_db=value, antisqueezing_db=value),
-                input_b=replace(s.input_b, squeezing_db=value, antisqueezing_db=value),
-            )
-        if param == "excess_phase_db":
-            return replace(
-                s,
-                input_a=replace(s.input_a, excess_phase_db=value),
-                input_b=replace(s.input_b, excess_phase_db=value),
-            )
-        if param == "eta":
-            return replace(
-                s,
-                budget_a=replace(s.budget_a, propagation=value),
-                budget_b=replace(s.budget_b, propagation=value),
-            )
+        return replace(s, **top, **{r: replace(getattr(s, r), **fields)
+                                    for r, fields in records.items()})
     except DomainError as exc:
         raise ScenarioError(f"cannot sweep {param} to {value!r}: {exc}") from exc
-    raise ScenarioError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
 
 
 def sweep(s: Scenario, param: str, start: float, stop: float,
           steps: int) -> list[tuple[float, ReportRow]]:
     """Evaluate the scenario at each of ``steps`` evenly spaced values of one
-    parameter, as one stack."""
+    parameter, as one stack.
+
+    Every constraint on a swept value is an interval, and the dB
+    conversions are monotone, so the grid is valid when its smallest and
+    largest values are: ``with_param`` checks those two, and the grid
+    becomes one column of the scenario at the smallest.
+    """
     if steps < 2:
         raise ScenarioError(f"sweep needs at least 2 steps, got {steps}")
     for name, bound in (("start", start), ("stop", stop)):
@@ -223,17 +260,20 @@ def sweep(s: Scenario, param: str, start: float, stop: float,
         raise ScenarioError(
             f"cannot sweep {param} to {stop!r}: the span from {start!r} overflows")
     try:
-        grid = np.linspace(start, stop, steps).tolist()
+        grid = np.linspace(start, stop, steps)
     except (ValueError, MemoryError) as exc:
         # numpy refuses a count it cannot size or allocate.
         raise ScenarioError(f"cannot sweep {param} in steps = {steps}: {exc}") from exc
+    values = grid.tolist()
     try:
-        rows = _evaluate([with_param(s, param, v) for v in grid])
+        base = with_param(s, param, float(grid.min()))
+        with_param(s, param, float(grid.max()))
+        rows = _evaluate(base, dict.fromkeys(_SWEPT_FIELDS[param], grid))
     except BrightBeamError:
         # A stack fails at its first failing stage, not its first failing
         # point; point by point, the error is the first failing point's.
-        rows = [run_scenario(with_param(s, param, v)) for v in grid]
-    return list(zip(grid, rows))
+        rows = [run_scenario(with_param(s, param, v)) for v in values]
+    return list(zip(values, rows))
 
 
 def _fmt(x) -> str:

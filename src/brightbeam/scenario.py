@@ -77,6 +77,8 @@ class Scenario:
             raise ScenarioError(f"mc_samples must be 0 or an integer >= 2, got {self.mc_samples!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ScenarioError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.label, str):
+            raise ScenarioError(f"label must be a string, got {self.label!r}")
 
 
 def _is_int(x) -> bool:

@@ -10,11 +10,12 @@ interleaved ordering [dX1, dY1, dX2, dY2, ...] in shot-noise units
 States and maps work on stacks: amplitudes shaped (..., n) and
 covariances shaped (..., 2n, 2n), with map parameters that broadcast
 against the leading stack axes.  A single state is the unstacked case of
-the same code.  A list of input records, one per stack element,
-stands for a stacked record.  All operations are pure and return new
-states.  Each map checks its parameters once per stack, and each new
-state checks every covariance of its stack (symmetry, then positive
-semi-definiteness with one batched eigvalsh) once.
+the same code.  A stacked input record is a list of records, one per
+stack element, or one record whose numbers are arrays over the stack.
+All operations are pure and return new states.  Each map checks its
+parameters once per stack, and each new state checks every covariance
+of its stack (symmetry, then positive semi-definiteness with one batched
+eigvalsh) once.
 
 A state is its carriers and covariance only: ``squeezed_inputs`` sets
 the classical phase noise that inputs of one correlated_group share
@@ -56,14 +57,6 @@ def bright_carriers(state: BrightGaussianState, modes, message: str):
     if np.any(dark_modes(state.amplitudes)[..., modes]):
         raise DegenerateModeError(message)
     return state.amplitudes[..., modes]
-
-
-def stacked(records, value):
-    """value(record) of one record, or the array of value(r) over a list
-    or tuple of records, one per stack element."""
-    if isinstance(records, (list, tuple)):
-        return np.array([value(r) for r in records])
-    return value(records)
 
 
 def check_unit_range(name: str, value):
@@ -125,8 +118,6 @@ class SqueezedInputSpec:
     @property
     def y_variance_classical(self) -> float:
         """Classical phase-noise pedestal on top of the quantum part."""
-        if self.excess_phase_db <= 0:
-            return 0.0
         return db_to_var(self.excess_phase_db) - 1.0
 
     @property
@@ -153,6 +144,8 @@ class BrightGaussianState:
         n = amps.shape[-1]
         if cov.shape != amps.shape[:-1] + (2 * n, 2 * n):
             raise DomainError(f"cov must be {2 * n}x{2 * n} for {n} modes, got {cov.shape}")
+        if not np.isfinite(amps).all():
+            raise DomainError(f"amplitudes must be finite, got {amps[~np.isfinite(amps)][0]}")
         if (amps < 0).any():
             raise DomainError("amplitudes must be non-negative")
         cov_t = np.swapaxes(cov, -1, -2)
@@ -220,7 +213,8 @@ def make_coherent(amplitude: float) -> BrightGaussianState:
 
 def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
     """Joined state of squeezed inputs: mode k from specs[k], which is one
-    spec or a list of specs, one per stack element.
+    spec, a list of specs (one per stack element) or one record with a
+    spec's fields whose numbers are arrays over the stack.
 
     The covariance is diagonal except for Y-Y cross terms between inputs
     that share a correlated_group (not None): those get
@@ -230,14 +224,21 @@ def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
     """
     check_unit_range("excess_correlation", excess_correlation)
 
-    def column(value, dtype=float):
-        """value(spec) of every input, with the input index last."""
-        return np.stack(np.broadcast_arrays(*(np.array(stacked(s, value), dtype)
-                                              for s in specs)), -1)
+    def column(name, dtype=float):
+        """Field `name` of every input, with the input index last."""
+        return np.stack(np.broadcast_arrays(*(
+            np.array([getattr(r, name) for r in s], dtype) if isinstance(s, (list, tuple))
+            else np.asarray(getattr(s, name), dtype) for s in specs)), -1)
 
-    amplitude, x, y, classical = np.moveaxis(column(lambda sp: (
-        sp.amplitude, sp.x_variance, sp.y_variance, sp.y_variance_classical)), -2, 0)
-    groups = column(lambda sp: sp.correlated_group, object)
+    amplitude, squeezing, antisqueezing, excess = np.broadcast_arrays(*(
+        column(name) for name in ("amplitude", "squeezing_db", "antisqueezing_db",
+                                  "excess_phase_db")))
+    groups = column("correlated_group", object)
+    # The variances of SqueezedInputSpec, elementwise.  An overflowing sum
+    # leaves inf, which the state rejects.
+    x, classical = db_to_var(-squeezing), db_to_var(excess) - 1.0
+    with np.errstate(over="ignore"):
+        y = db_to_var(antisqueezing) + classical
     n = amplitude.shape[-1]
     batch = np.broadcast_shapes(amplitude.shape[:-1], np.shape(excess_correlation))
     shared = ((groups[..., :, None] == groups[..., None, :]) & ~np.eye(n, dtype=bool)

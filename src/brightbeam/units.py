@@ -24,12 +24,19 @@ def is_finite_real(x) -> bool:
         return False
 
 
-def db_to_var(db: float) -> float:
-    """Convert a relative noise level in dB to a linear variance ratio."""
+def db_to_var(db):
+    """Convert a relative noise level in dB, or an array of them, to a linear
+    variance ratio."""
     try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        raise DomainError(f"{db} dB is out of the representable variance range") from None
+        with np.errstate(over="ignore"):
+            v = 10.0 ** (db / 10.0)
+    except OverflowError:  # a Python float
+        v = math.inf
+    overflow = np.isinf(v)
+    if np.any(overflow):
+        bad = db if np.ndim(db) == 0 else float(db[overflow].flat[0])
+        raise DomainError(f"{bad} dB is out of the representable variance range")
+    return v
 
 
 def var_to_db(v):

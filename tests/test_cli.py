@@ -69,6 +69,34 @@ def test_sweep_to_stdout_and_file(runner, scenario_file, tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("out", ["missing/sweep.csv", "."])
+def test_sweep_out_not_writable_exits_2(scenario_file, tmp_path, capsys, out):
+    # A missing directory and a directory itself: the OSError exits 2, not a traceback.
+    out_path = tmp_path / out
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", str(scenario_file), "--param", "theta",
+              "--from", "0.2", "--to", "3.0", "--steps", "5", "--out", str(out_path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
+def test_non_string_label_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"label": 5}\n')
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(bad)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: label must be a string, got 5\n"
+    # In a fixtures directory the label used to reach the table's width sum.
+    (tmp_path / "a.json").write_text('{"method": "B", "label": "fine"}\n')
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--fixtures", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: label must be a string, got 5\n"
+
+
 def test_sweep_rejects_unknown_param(runner, scenario_file):
     result = runner.invoke(cli, [
         "sweep", "--scenario", str(scenario_file), "--param", "amplitude",
@@ -399,7 +427,7 @@ def hostile_scenarios(draw):
             for k in keys}
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(flat=hostile_scenarios())
 def test_any_scenario_file_exits_0_2_or_3(tmp_path_factory, flat):
     """No scenario file ends in a traceback or a warning."""

@@ -356,7 +356,7 @@ class TestGainAgainstScipy:
         assert (g.tolist(), fallback.tolist()) == ([1.0], [True])
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(hs.lists(hs.tuples(hs.integers(0, 2 ** 32 - 1),
                           hs.sampled_from([0.0]) | hs.floats(-0.5, 0.5)),
                 min_size=1, max_size=8))

@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from brightbeam import harness
-from brightbeam.detection import method_a_joint, method_b_channels, method_c_single_port
+from brightbeam.detection import (
+    method_a_gain,
+    method_a_joint,
+    method_b_channels,
+    method_c_single_port,
+)
 from brightbeam.entangle import generate_entangled, optimize_gain
-from brightbeam.errors import DegenerateModeError, ScenarioError
+from brightbeam.errors import BrightBeamError, DegenerateModeError, DomainError, ScenarioError
 from brightbeam.harness import (
     CSV_HEADER,
     SWEEP_PARAMS,
@@ -211,51 +218,57 @@ def _assert_raw(raw, expected):
             assert raw[key][field] == pytest.approx(value, rel=1e-12), (key, field)
 
 
-class TestHarnessEqualsDetection:
-    """run_scenario reports exactly what the public detection functions give."""
-
-    @pytest.mark.parametrize("extra", PIN_CASES)
-    def test_method_a(self, extra):
-        s = make("A", **extra)
-        row = run_scenario(s)
-        budgets = (s.budget_a, s.budget_b)
-        plus, plus_anti = method_a_joint(_entangled(s), "X", budgets, row.gain, s.imbalance)
-        minus, minus_anti = method_a_joint(_entangled(s), "Y", budgets, row.gain, s.imbalance)
-        assert row.v_sq_plus == pytest.approx(plus.normalized, rel=1e-12)
-        assert row.v_sq_minus == pytest.approx(minus.normalized, rel=1e-12)
-        _assert_raw(row.raw, {"plus": plus, "plus_anti": plus_anti,
-                              "minus": minus, "minus_anti": minus_anti})
-
-    @pytest.mark.parametrize("extra", PIN_CASES)
-    def test_method_b(self, extra):
-        s = make("B", **extra)
-        row = run_scenario(s)
-        total, diff = method_b_channels(_entangled(s), s.phi, (s.budget_a, s.budget_b),
-                                        s.imbalance)
-        assert row.v_sq_plus == pytest.approx(total.normalized, rel=1e-12)
-        assert row.v_sq_minus == pytest.approx(diff.normalized, rel=1e-12)
-        _assert_raw(row.raw, {"sum_channel": total, "diff_channel": diff})
-
-    @pytest.mark.parametrize("port", ["c", "d"])
-    @pytest.mark.parametrize("extra", PIN_CASES + [{"phi": 0.0}])
-    def test_method_c(self, extra, port):
-        s = make("C", port=port, **extra)
-        budgets = (s.budget_a, s.budget_b)
+def _assert_equals_detection(s):
+    """run_scenario(s) reports what the public detection functions read."""
+    budgets = (s.budget_a, s.budget_b)
+    if s.method == "C":
         expected = {}
         for p in ("c", "d"):
             try:
                 expected[f"port_{p}"] = method_c_single_port(_entangled(s), s.phi, p, budgets)
             except DegenerateModeError:
                 pass
-        if f"port_{port}" not in expected:
+        if f"port_{s.port}" not in expected:
             with pytest.raises(DegenerateModeError):
                 run_scenario(s)
             return
         row = run_scenario(s)
-        v = expected[f"port_{port}"].normalized
-        assert row.v_sq_plus == pytest.approx(v, rel=1e-12)
-        assert row.v_sq_minus == pytest.approx(v, rel=1e-12)
-        _assert_raw(row.raw, expected)
+        v_plus = v_minus = expected[f"port_{s.port}"].normalized
+    elif s.method == "B":
+        row = run_scenario(s)
+        total, diff = method_b_channels(_entangled(s), s.phi, budgets, s.imbalance)
+        v_plus, v_minus = total.normalized, diff.normalized
+        expected = {"sum_channel": total, "diff_channel": diff}
+    else:
+        row = run_scenario(s)
+        if s.gain == "optimize":
+            assert row.gain == pytest.approx(
+                method_a_gain(_entangled(s), budgets, s.imbalance), rel=1e-12)
+        plus, plus_anti = method_a_joint(_entangled(s), "X", budgets, row.gain, s.imbalance)
+        minus, minus_anti = method_a_joint(_entangled(s), "Y", budgets, row.gain, s.imbalance)
+        v_plus, v_minus = plus.normalized, minus.normalized
+        expected = {"plus": plus, "plus_anti": plus_anti,
+                    "minus": minus, "minus_anti": minus_anti}
+    assert row.v_sq_plus == pytest.approx(v_plus, rel=1e-12)
+    assert row.v_sq_minus == pytest.approx(v_minus, rel=1e-12)
+    _assert_raw(row.raw, expected)
+
+
+class TestHarnessEqualsDetection:
+    """run_scenario reports exactly what the public detection functions give."""
+
+    @pytest.mark.parametrize("extra", PIN_CASES)
+    def test_method_a(self, extra):
+        _assert_equals_detection(make("A", **extra))
+
+    @pytest.mark.parametrize("extra", PIN_CASES)
+    def test_method_b(self, extra):
+        _assert_equals_detection(make("B", **extra))
+
+    @pytest.mark.parametrize("port", ["c", "d"])
+    @pytest.mark.parametrize("extra", PIN_CASES + [{"phi": 0.0}])
+    def test_method_c(self, extra, port):
+        _assert_equals_detection(make("C", port=port, **extra))
 
     def test_phi_zero_leaves_port_c_dark(self):
         row = run_scenario(make("C", port="d", phi=0.0))
@@ -393,3 +406,90 @@ def test_grid_raises_what_its_first_failing_point_raises(s, param, start, stop, 
     with pytest.raises(type(expected)) as exc:
         sweep(s, param, start, stop, steps)
     assert str(exc.value) == str(expected)
+
+
+@hs.composite
+def scenarios(draw):
+    """Scenarios of every variant of GRID_VARIANTS, with random inputs, budgets,
+    phases and imbalance, some with a few Monte-Carlo samples."""
+    flat = {**GRID_VARIANTS[draw(hs.sampled_from(sorted(GRID_VARIANTS)))],
+            "theta": draw(hs.floats(0.05, 3.09)), "phi": draw(hs.floats(0.2, 2.9)),
+            "entangle_ratio": draw(hs.floats(0.05, 0.95)),
+            "excess_correlation": draw(hs.floats(0.0, 1.0)),
+            "imbalance": draw(hs.floats(-0.1, 0.1)),
+            "mc_samples": draw(hs.sampled_from([0, 50])), "seed": draw(hs.integers(0, 9))}
+    if flat["method"] == "A" and "gain" not in flat:
+        flat["gain"] = draw(hs.floats(0.2, 5.0))
+    for arm in ("a", "b"):
+        sq = draw(hs.floats(0.0, 6.0))
+        flat.update({f"input_{arm}.squeezing_db": sq,
+                     f"input_{arm}.antisqueezing_db": sq + draw(hs.floats(0.0, 3.0)),
+                     f"input_{arm}.excess_phase_db": draw(hs.floats(0.0, 25.0)),
+                     f"input_{arm}.correlated_group": draw(hs.sampled_from([1, 2, None])),
+                     f"budget_{arm}.prop_loss": draw(hs.floats(0.0, 0.4)),
+                     f"budget_{arm}.visibility": draw(hs.floats(0.85, 1.0)),
+                     f"budget_{arm}.quantum_efficiency": draw(hs.floats(0.8, 1.0))})
+    return scenario_from_dict(flat)
+
+
+@settings(max_examples=80)
+@given(s=scenarios())
+def test_any_scenario_equals_detection(s):
+    _assert_equals_detection(s)
+
+
+# Sweep bounds: the edges of the unit ranges, negative values and random ones.
+SWEEP_BOUNDS = hs.sampled_from([0.0, 1.0, -1.0, 0.5, 1.5]) | hs.floats(-2.0, 35.0)
+
+
+@settings(max_examples=80)
+@given(s=scenarios(), param=hs.sampled_from(SWEEP_PARAMS), start=SWEEP_BOUNDS,
+       stop=SWEEP_BOUNDS, steps=hs.integers(2, 8))
+# Propagation 1.5 at quantum efficiency 0.5 leaves an efficiency of 0.75,
+# which the loss map accepts: only the check of the largest value rejects it.
+@example(s=make("B", **{"budget_a.quantum_efficiency": 0.5,
+                        "budget_b.quantum_efficiency": 0.5}),
+         param="eta", start=0.5, stop=1.5, steps=3)
+def test_sweep_is_its_points_or_its_first_failing_point(s, param, start, stop, steps):
+    """A grid gives run_scenario of each point exactly, or raises the error of
+    its first failing point."""
+    points = []
+    for value in np.linspace(start, stop, steps).tolist():
+        try:
+            points.append((value, run_scenario(with_param(s, param, value))))
+        except BrightBeamError as exc:
+            with pytest.raises(type(exc)) as raised:
+                sweep(s, param, start, stop, steps)
+            assert str(raised.value) == str(exc)
+            return
+    assert sweep(s, param, start, stop, steps) == points
+
+
+@pytest.mark.parametrize("param", SWEEP_PARAMS)
+def test_valid_grid_builds_no_scenario_per_point(monkeypatch, param):
+    # with_param validates the two extremes only; a fall-back to the
+    # point-by-point path would call it 1000 more times.
+    calls = []
+    real = harness.with_param
+
+    def counting(s, name, value):
+        calls.append(value)
+        return real(s, name, value)
+
+    monkeypatch.setattr(harness, "with_param", counting)
+    lo, hi = GRID_RANGES[param]
+    rows = sweep(make("A", **BUDGETS), param, hi, lo, 1000)
+    assert len(rows) == 1000
+    assert sorted(calls) == [lo, hi]
+
+
+def test_overflowing_excess_column_raises_the_point_error():
+    # 4000 dB of excess phase noise overflows in the column's dB conversion;
+    # the sweep raises what the first point beyond the range raises.
+    s = make("B")
+    message = "4000.0 dB is out of the representable variance range"
+    with pytest.raises(DomainError, match=message):
+        run_scenario(with_param(s, "excess_phase_db", 4000.0))
+    with pytest.raises(DomainError) as exc:
+        sweep(s, "excess_phase_db", 0.0, 4000.0, 2)
+    assert str(exc.value) == message

@@ -146,3 +146,9 @@ def test_mc_settings_accepted_and_revalidated_on_replace():
         replace(s, mc_samples=1)
     with pytest.raises(ScenarioError, match="seed"):
         replace(s, seed=-1)
+
+
+@pytest.mark.parametrize("value", [5, None, True, ["x"]])
+def test_non_string_label_rejected(value):
+    with pytest.raises(ScenarioError, match="label must be a string"):
+        scenario_from_dict({"label": value})

@@ -32,6 +32,19 @@ def test_db_to_var_overflow_is_a_domain_error():
     assert db_to_var(-1e6) == 0.0
 
 
+def test_db_to_var_on_arrays():
+    v = db_to_var(np.array([[0.0, 10.0], [-10.0, -1e6]]))
+    assert v.tolist() == [[1.0, 10.0], [0.1, 0.0]]
+    # The overflow names the first value that overflows, as the scalar path
+    # does, and warns nothing (the suite turns a RuntimeWarning into an error).
+    with pytest.raises(DomainError) as array_error:
+        db_to_var(np.array([3.0, 4000.0, 5000.0]))
+    with pytest.raises(DomainError) as scalar_error:
+        db_to_var(4000.0)
+    assert str(array_error.value) == str(scalar_error.value) == (
+        "4000.0 dB is out of the representable variance range")
+
+
 def test_var_to_db_rejects_nonpositive():
     with pytest.raises(DomainError):
         var_to_db(0.0)
