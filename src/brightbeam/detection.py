@@ -165,6 +165,24 @@ def method_a_measure(state: BrightGaussianState, mode: int, quadrature: str,
     return DetectionResult.read(lossy, (lossy.quad_index(mode, quadrature), alpha))
 
 
+def _method_a_paths(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget]
+                    ) -> tuple[BrightGaussianState, BrightGaussianState]:
+    """Method A's amplitude (X) and phase (Y) path states after the budgets:
+    the amplitude channel needs no interference and skips the visibility."""
+    return (_apply_budgets(state, budgets, include_visibility=False),
+            _apply_budgets(state, budgets))
+
+
+def _joint_readings(lossy: BrightGaussianState, quadrature: str, g,
+                    imbalance) -> tuple[DetectionResult, DetectionResult]:
+    """The combination and anti-combination photocurrents of one lossy path."""
+    a1 = bright_carriers(lossy, [0, 1], "joint measurement needs two bright carriers")[..., 0]
+    q = 0 if quadrature == "X" else 1
+    sign = 1.0 if quadrature == "X" else -1.0
+    return (DetectionResult.read(lossy, (q, a1), (2 + q, sign, g, 1.0 + imbalance, a1)),
+            DetectionResult.read(lossy, (q, a1), (2 + q, -sign, g, 1.0 + imbalance, a1)))
+
+
 def method_a_joint(state: BrightGaussianState, quadrature: str,
                    budgets: tuple[LossBudget, LossBudget],
                    g: float = 1.0,
@@ -180,11 +198,7 @@ def method_a_joint(state: BrightGaussianState, quadrature: str,
     if state.n_modes != 2:
         raise DomainError("method A joint measurement needs a two-mode state")
     lossy = _apply_budgets(state, budgets, include_visibility=(quadrature == "Y"))
-    a1 = bright_carriers(lossy, [0, 1], "joint measurement needs two bright carriers")[..., 0]
-    q = 0 if quadrature == "X" else 1
-    sign = 1.0 if quadrature == "X" else -1.0
-    return (DetectionResult.read(lossy, (q, a1), (2 + q, sign, g, 1.0 + imbalance, a1)),
-            DetectionResult.read(lossy, (q, a1), (2 + q, -sign, g, 1.0 + imbalance, a1)))
+    return _joint_readings(lossy, quadrature, g, imbalance)
 
 
 def method_a_gain(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
@@ -195,9 +209,25 @@ def method_a_gain(state: BrightGaussianState, budgets: tuple[LossBudget, LossBud
     with the amplitude channel skipping the visibility loss as in
     ``method_a_joint``.
     """
-    state_x = _apply_budgets(state, budgets, include_visibility=False)
-    state_y = _apply_budgets(state, budgets)
-    return witness_gains(state_x, state_y, imbalance)[0]
+    return witness_gains(*_method_a_paths(state, budgets), imbalance)[0]
+
+
+def method_a_readings(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
+                      g=None, imbalance: float = 0.0) -> tuple[float, dict]:
+    """Method A in full, each path's lossy state built once.
+
+    Returns the gain, ``method_a_gain``'s where ``g`` is None, and the
+    ``method_a_joint`` readings ``plus`` and ``plus_anti`` (X) and
+    ``minus`` and ``minus_anti`` (Y) at that gain.
+    """
+    if state.n_modes != 2:
+        raise DomainError("method A joint measurement needs a two-mode state")
+    state_x, state_y = _method_a_paths(state, budgets)
+    if g is None:
+        g = witness_gains(state_x, state_y, imbalance)[0]
+    plus, plus_anti = _joint_readings(state_x, "X", g, imbalance)
+    minus, minus_anti = _joint_readings(state_y, "Y", g, imbalance)
+    return g, {"plus": plus, "plus_anti": plus_anti, "minus": minus, "minus_anti": minus_anti}
 
 
 def _verification_interference(state: BrightGaussianState, phi: float,

@@ -15,8 +15,7 @@ import numpy as np
 from .detection import (
     DetectionResult,
     bright_port_readings,
-    method_a_gain,
-    method_a_joint,
+    method_a_readings,
     method_b_channels,
     method_c_single_port,
 )
@@ -94,14 +93,10 @@ def _column(s: Scenario, columns: dict, path: str) -> np.ndarray:
 
 
 def _eval_a(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
-    imbalance = _column(s, columns, "imbalance")
-    if s.gain == "optimize":
-        g = method_a_gain(state, budgets, imbalance)
-    else:
-        g = _column(s, columns, "gain")
-    plus, plus_anti = method_a_joint(state, "X", budgets, g, imbalance)
-    minus, minus_anti = method_a_joint(state, "Y", budgets, g, imbalance)
-    readings = {"plus": plus, "plus_anti": plus_anti, "minus": minus, "minus_anti": minus_anti}
+    g, readings = method_a_readings(
+        state, budgets, None if s.gain == "optimize" else _column(s, columns, "gain"),
+        _column(s, columns, "imbalance"))
+    plus, minus = readings["plus"], readings["minus"]
     return plus.normalized, minus.normalized, 2.0, g, readings, [(plus, 1.0), (minus, 1.0)]
 
 
@@ -131,40 +126,73 @@ def _at(x, k: int):
     return x[min(k, len(x) - 1)]
 
 
-def _mc_estimate(channels: list[tuple[DetectionResult, float]], k: int, count: int, seed: int):
-    """Empirical witness sum of stack element k from the sampling oracle,
-    with a standard error.
+def _per_point(x, n: int) -> list:
+    """x at each of n points, from a number, a stack of one or a stack of n."""
+    return [x] * n if np.ndim(x) == 0 else x.tolist() * (n // len(x))
+
+
+def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: int,
+                seed: int) -> tuple[list, list]:
+    """Empirical witness sum of each of n stack elements from the sampling
+    oracle, with its standard error.
 
     Channels read off the same state share one draw; each new state gets
-    the next seed.
+    the next seed.  Along the stack a state's draw is reused while the
+    covariance of its element does not change: a state that the swept
+    parameter does not reach is drawn once.
     """
-    total = 0.0
-    err_sq = 0.0
-    state = samples = None
-    draws = 0
+    groups: list[tuple[BrightGaussianState, int, list]] = []
     for result, mult in channels:
-        if result.state is not state:
-            state = result.state
-            try:
-                samples = sample_fluctuations(state[min(k, len(state.amplitudes) - 1)],
-                                              count, seed + draws)
-            except (ValueError, MemoryError) as exc:
-                # numpy refuses a count it cannot size or allocate.
-                raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
-            draws += 1
-        v = (float(np.var(samples @ _at(result.weights, k), ddof=1))
-             / float(_at(result.shot_noise, k)))
-        total += mult * v
-        err_sq += (mult * v) ** 2 * 2.0 / (count - 1)
-    return total, math.sqrt(err_sq)
+        if not groups or result.state is not groups[-1][0]:
+            groups.append((result.state, seed + len(groups), []))
+        groups[-1][2].append((result, mult))
+    drawn: list = [None] * len(groups)
+    sums, errors = [], []
+    for k in range(n):
+        total = 0.0
+        err_sq = 0.0
+        for j, (state, group_seed, members) in enumerate(groups):
+            cov = _at(state.cov, k)
+            if drawn[j] is None or not np.array_equal(cov, drawn[j][0]):
+                try:
+                    drawn[j] = (cov, sample_fluctuations(
+                        state[min(k, len(state.amplitudes) - 1)], count, group_seed))
+                except (ValueError, MemoryError) as exc:
+                    # numpy refuses a count it cannot size or allocate.
+                    raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
+            samples = drawn[j][1]
+            for result, mult in members:
+                v = (float(np.var(samples @ _at(result.weights, k), ddof=1))
+                     / float(_at(result.shot_noise, k)))
+                total += mult * v
+                err_sq += (mult * v) ** 2 * 2.0 / (count - 1)
+        sums.append(total)
+        errors.append(math.sqrt(err_sq))
+    return sums, errors
 
 
 _INPUT_FIELDS = ("amplitude", "squeezing_db", "antisqueezing_db", "excess_phase_db")
 _BUDGET_FIELDS = ("propagation", "visibility", "quantum_efficiency")
 
 
-def _evaluate(s: Scenario, columns: dict | None = None) -> list[ReportRow]:
-    """Evaluate a scenario as one stack, one row per element.
+@dataclass(frozen=True)
+class _Stack:
+    """A scenario evaluated as one stack: its report columns as lists, one
+    entry per element, and the readings reported under "raw"."""
+
+    v_plus: list
+    v_minus: list
+    sums: list
+    bound: list
+    witnessed: list
+    gain: list
+    readings: dict
+    mc_sum: list | None
+    mc_stderr: list | None
+
+
+def _evaluate(s: Scenario, columns: dict | None = None) -> _Stack:
+    """Evaluate a scenario as one stack.
 
     ``columns`` maps dotted field paths (``"theta"``, ``"input_a.squeezing_db"``)
     to float64 arrays of one length that replace the scenario's values;
@@ -186,42 +214,41 @@ def _evaluate(s: Scenario, columns: dict | None = None) -> list[ReportRow]:
     budgets = (record("budget_a", _BUDGET_FIELDS), record("budget_b", _BUDGET_FIELDS))
     v_plus, v_minus, bound, gain, readings, channels = _EVALUATORS[s.method](
         s, columns, state, budgets)
+    v_plus, v_minus, bound, gain = (_per_point(x, n) for x in (v_plus, v_minus, bound, gain))
+    sums = [p + m for p, m in zip(v_plus, v_minus)]
+    mc_sum = mc_stderr = None
+    if s.mc_samples > 0:
+        mc_sum, mc_stderr = _mc_columns(channels, n, s.mc_samples, s.seed)
+    return _Stack(v_plus, v_minus, sums, bound, [t < b for t, b in zip(sums, bound)], gain,
+                  readings, mc_sum, mc_stderr)
 
-    def per_point(x) -> list:
-        """x at each point, from a number, a stack of one or a stack of n."""
-        return [x] * n if np.ndim(x) == 0 else x.tolist() * (n // len(x))
 
-    v_plus, v_minus, bound, gain = map(per_point, (v_plus, v_minus, bound, gain))
-    raw = {key: {name: per_point(value) for name, value in r.to_dict().items()}
-           for key, r in readings.items()}
-    rows = []
-    for k in range(n):
-        mc_sum = mc_stderr = None
-        if s.mc_samples > 0:
-            mc_sum, mc_stderr = _mc_estimate(channels, k, s.mc_samples, s.seed)
-        total = v_plus[k] + v_minus[k]
-        rows.append(ReportRow(
-            method=s.method,
-            label=s.label,
-            v_sq_plus=v_plus[k],
-            v_sq_minus=v_minus[k],
-            sum_value=total,
-            bound=bound[k],
-            witnessed=bool(total < bound[k]),
-            gain=gain[k],
-            # A port that is dark at this point reads NaN and is left out.
-            raw={key: {name: values[k] for name, values in fields.items()}
-                 for key, fields in raw.items() if not math.isnan(fields["normalized"][k])},
-            mc_sum=mc_sum,
-            mc_stderr=mc_stderr,
-            frequency_mhz=s.frequency_mhz,
-        ))
-    return rows
+def _rows(s: Scenario, stack: _Stack) -> list[ReportRow]:
+    """One report row per element of an evaluated stack."""
+    n = len(stack.sums)
+    raw = {key: {name: _per_point(value, n) for name, value in r.to_dict().items()}
+           for key, r in stack.readings.items()}
+    return [ReportRow(
+        method=s.method,
+        label=s.label,
+        v_sq_plus=stack.v_plus[k],
+        v_sq_minus=stack.v_minus[k],
+        sum_value=stack.sums[k],
+        bound=stack.bound[k],
+        witnessed=stack.witnessed[k],
+        gain=stack.gain[k],
+        # A port that is dark at this point reads NaN and is left out.
+        raw={key: {name: values[k] for name, values in fields.items()}
+             for key, fields in raw.items() if not math.isnan(fields["normalized"][k])},
+        mc_sum=None if stack.mc_sum is None else stack.mc_sum[k],
+        mc_stderr=None if stack.mc_stderr is None else stack.mc_stderr[k],
+        frequency_mhz=s.frequency_mhz,
+    ) for k in range(n)]
 
 
 def run_scenario(s: Scenario) -> ReportRow:
     """Evaluate one scenario (a stack of one); deterministic for a fixed seed."""
-    return _evaluate(s)[0]
+    return _rows(s, _evaluate(s))[0]
 
 
 def with_param(s: Scenario, param: str, value: float) -> Scenario:
@@ -240,15 +267,15 @@ def with_param(s: Scenario, param: str, value: float) -> Scenario:
         raise ScenarioError(f"cannot sweep {param} to {value!r}: {exc}") from exc
 
 
-def sweep(s: Scenario, param: str, start: float, stop: float,
-          steps: int) -> list[tuple[float, ReportRow]]:
+def _grid(s: Scenario, param: str, start: float, stop: float,
+          steps: int) -> list[tuple[Scenario, list[float], _Stack]]:
     """Evaluate the scenario at each of ``steps`` evenly spaced values of one
-    parameter, as one stack.
+    parameter, as (scenario, values, stack) triples in grid order.
 
     Every constraint on a swept value is an interval, and the dB
     conversions are monotone, so the grid is valid when its smallest and
     largest values are: ``with_param`` checks those two, and the grid
-    becomes one column of the scenario at the smallest.
+    becomes one column of the scenario at the smallest, one stack.
     """
     if steps < 2:
         raise ScenarioError(f"sweep needs at least 2 steps, got {steps}")
@@ -268,12 +295,23 @@ def sweep(s: Scenario, param: str, start: float, stop: float,
     try:
         base = with_param(s, param, float(grid.min()))
         with_param(s, param, float(grid.max()))
-        rows = _evaluate(base, dict.fromkeys(_SWEPT_FIELDS[param], grid))
+        return [(base, values, _evaluate(base, dict.fromkeys(_SWEPT_FIELDS[param], grid)))]
     except BrightBeamError:
         # A stack fails at its first failing stage, not its first failing
-        # point; point by point, the error is the first failing point's.
-        rows = [run_scenario(with_param(s, param, v)) for v in values]
-    return list(zip(values, rows))
+        # point; as stacks of one, the error is the first failing point's.
+        stacks = []
+        for v in values:
+            point = with_param(s, param, v)
+            stacks.append((point, [v], _evaluate(point)))
+        return stacks
+
+
+def sweep(s: Scenario, param: str, start: float, stop: float,
+          steps: int) -> list[tuple[float, ReportRow]]:
+    """Evaluate the scenario at each of ``steps`` evenly spaced values of one
+    parameter, as one stack (see ``_grid``)."""
+    return [pair for point, values, stack in _grid(s, param, start, stop, steps)
+            for pair in zip(values, _rows(point, stack))]
 
 
 def _fmt(x) -> str:
@@ -285,15 +323,18 @@ def _fmt(x) -> str:
 
 
 def sweep_csv(s: Scenario, param: str, start: float, stop: float, steps: int) -> str:
-    """Run a sweep and render the fixed-schema CSV (deterministic)."""
+    """Run a sweep and render the fixed-schema CSV (deterministic) straight
+    from its columns, one format template per stack."""
     lines = [CSV_HEADER]
-    for value, row in sweep(s, param, start, stop, steps):
-        lines.append(",".join([
-            row.method, param, _fmt(value),
-            _fmt(row.v_sq_plus), _fmt(row.v_sq_minus),
-            _fmt(row.sum_value), _fmt(row.bound), _fmt(row.witnessed),
-            _fmt(row.mc_sum), _fmt(row.mc_stderr),
-        ]))
+    for point, values, stack in _grid(s, param, start, stop, steps):
+        mc = [] if stack.mc_sum is None else [stack.mc_sum, stack.mc_stderr]
+        # "%.6g" % x is format(x, ".6g") for a float; without MC samples
+        # the last two fields are empty.
+        template = ",".join([point.method, param, *["%.6g"] * 5, "%s",
+                             *(["%.6g"] * 2 if mc else ["", ""])])
+        witnessed = ["true" if w else "false" for w in stack.witnessed]
+        lines += [template % fields for fields in zip(
+            values, stack.v_plus, stack.v_minus, stack.sums, stack.bound, witnessed, *mc)]
     return "\n".join(lines) + "\n"
 
 

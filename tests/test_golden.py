@@ -1,4 +1,5 @@
-"""Golden outputs: the CLI bytes and sweep digests recorded in perfbench/refs.json.
+"""Golden outputs: the CLI bytes and sweep digests recorded in perfbench/refs.json,
+and the digests of Monte-Carlo sweeps pinned here.
 
 The references are read, never written.  Any change to the physics, the
 number formatting or the evaluation order that moves a printed digit
@@ -19,6 +20,15 @@ from brightbeam.scenario import scenario_from_dict
 REFS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "refs.json")
                   .read_text(encoding="utf-8"))
 CLI_SWEEP = ("method_b", "theta", "0.1", "3.0", "30")
+# SHA-256 of the 12-step theta sweep_csv from 0.3 to 2.8 with mc_samples 2000
+# and seed 5; perfbench/refs.json pins sweeps without Monte-Carlo columns only.
+MC_SWEEP = ("theta", 0.3, 2.8, 12)
+MC_SWEEP_DIGESTS = {
+    "method_a": "1247b2f64108b5ba1f0006a8528cf6755efca77ea94984a506f8468c612d80dd",
+    "method_a_opt": "296a7c3b39bd1f0d33d3fbbaed655be4fb10b71ebcc211dd161bf2e5080ff7f1",
+    "method_b": "4665b77597d1346bbfb35ab9c75db49d711c5f68f5fb000d3700567fe7bbfc6e",
+    "method_c_port_c": "79ff3d96a6a2af780f5511104b9af15ed14b48ec697e7d5b7ec195ae3bf37340",
+}
 
 
 def _scenario_dicts() -> dict[str, dict]:
@@ -75,3 +85,10 @@ def test_sweep_digests():
         if hashlib.sha256(text.encode("utf-8")).hexdigest() != v["sha256"]:
             mismatched.append(v)
     assert mismatched == []
+
+
+@pytest.mark.parametrize("name", sorted(MC_SWEEP_DIGESTS))
+def test_monte_carlo_sweep_digests(name):
+    s = scenario_from_dict(dict(SCENARIOS[name], mc_samples=2000, seed=5))
+    text = sweep_csv(s, *MC_SWEEP)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MC_SWEEP_DIGESTS[name]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from brightbeam import harness
+from brightbeam import detection, harness
 from brightbeam.detection import (
     method_a_gain,
     method_a_joint,
@@ -382,6 +382,38 @@ class TestGridEqualsPoint:
             point = run_scenario(with_param(s, "theta", value))
             assert (row.mc_sum, row.mc_stderr) == (point.mc_sum, point.mc_stderr)
 
+    @pytest.mark.parametrize("method, seeds", [("A", [3, 4]), ("B", [3]), ("C", [3])])
+    def test_gain_sweep_draws_once_per_measured_state(self, monkeypatch, method, seeds):
+        # The gain weighs the photocurrents but leaves every state alone.
+        calls = []
+        real = harness.sample_fluctuations
+
+        def recording(state, count, seed):
+            calls.append(seed)
+            return real(state, count, seed)
+
+        monkeypatch.setattr(harness, "sample_fluctuations", recording)
+        s = make(method, mc_samples=1000, seed=3, **BUDGETS)
+        rows = sweep(s, "gain", 0.5, 2.0, 10)
+        assert calls == seeds
+        for value, row in rows:
+            assert row == run_scenario(with_param(s, "gain", value))
+
+
+@pytest.mark.parametrize("gain", [1.3, "optimize"])
+def test_method_a_applies_each_loss_budget_once(monkeypatch, gain):
+    # Two paths (amplitude, phase) by two arms: four lossy maps.
+    calls = []
+    real = detection.apply_loss
+
+    def counting(state, mode, eta):
+        calls.append(mode)
+        return real(state, mode, eta)
+
+    monkeypatch.setattr(detection, "apply_loss", counting)
+    run_scenario(make("A", gain=gain, **BUDGETS))
+    assert len(calls) == 4
+
 
 def _first_point_error(s, param, start, stop, steps):
     for value in np.linspace(start, stop, steps).tolist():
@@ -493,3 +525,69 @@ def test_overflowing_excess_column_raises_the_point_error():
     with pytest.raises(DomainError) as exc:
         sweep(s, "excess_phase_db", 0.0, 4000.0, 2)
     assert str(exc.value) == message
+
+
+def _csv_of_rows(param, pairs) -> str:
+    """The sweep CSV rendered row by row, each field by the rules it has
+    always had: format(x, ".6g"), "true"/"false", and "" for no MC value."""
+    def fmt(x):
+        if x is None:
+            return ""
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        return format(x, ".6g")
+
+    lines = [CSV_HEADER] + [",".join([
+        row.method, param, fmt(value), fmt(row.v_sq_plus), fmt(row.v_sq_minus),
+        fmt(row.sum_value), fmt(row.bound), fmt(row.witnessed),
+        fmt(row.mc_sum), fmt(row.mc_stderr)]) for value, row in pairs]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60)
+@given(s=scenarios(), param=hs.sampled_from(SWEEP_PARAMS), data=hs.data(),
+       steps=hs.integers(2, 8))
+def test_csv_is_its_rows(s, param, data, steps):
+    """sweep_csv renders what sweep returns, or raises what it raises."""
+    bounds = hs.floats(*GRID_RANGES[param]) | SWEEP_BOUNDS
+    start, stop = data.draw(bounds), data.draw(bounds)
+    try:
+        pairs = sweep(s, param, start, stop, steps)
+    except BrightBeamError as exc:
+        with pytest.raises(type(exc)) as raised:
+            sweep_csv(s, param, start, stop, steps)
+        assert str(raised.value) == str(exc)
+        return
+    assert sweep_csv(s, param, start, stop, steps) == _csv_of_rows(param, pairs)
+
+
+@pytest.mark.parametrize("method", ["A", "B", "C"])
+def test_csv_of_stacks_of_one_is_the_grid_csv(monkeypatch, method):
+    # A grid that only evaluates point by point renders the same bytes.
+    s = make(method, mc_samples=50, seed=2, **BUDGETS)
+    grid = sweep_csv(s, "theta", 0.4, 2.6, 6)
+    real = harness._evaluate
+
+    def points_only(scenario, columns=None):
+        if columns:
+            raise DomainError("the grid fails as one stack")
+        return real(scenario)
+
+    monkeypatch.setattr(harness, "_evaluate", points_only)
+    assert sweep_csv(s, "theta", 0.4, 2.6, 6) == grid
+
+
+def test_sweep_csv_builds_no_report_row(monkeypatch):
+    built = []
+    real = harness.ReportRow
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ReportRow", counting)
+    text = sweep_csv(make("A", **BUDGETS), "theta", 0.2, 3.0, 1000)
+    assert text.count("\n") == 1001
+    assert built == []
+    run_scenario(make("A"))
+    assert built == [1]
