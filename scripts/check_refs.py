@@ -17,18 +17,18 @@ everything matches, 1 otherwise.
 from __future__ import annotations
 
 import difflib
+import io
 import json
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from click.testing import CliRunner  # noqa: E402
-
 import workloads  # noqa: E402
-from brightbeam.cli import cli  # noqa: E402
+from brightbeam.cli import main as cli_main  # noqa: E402
 from brightbeam.harness import run_scenario, sweep_csv  # noqa: E402
 from brightbeam.scenario import scenario_from_dict  # noqa: E402
 
@@ -36,10 +36,13 @@ SUM_TOL = 1e-9
 
 
 def cli_stdout(args: list[str]) -> str:
-    result = CliRunner().invoke(cli, args)
-    if result.exit_code != 0:
-        return f"<exit {result.exit_code}>\n{result.output}"
-    return result.stdout
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            cli_main(args)
+    except SystemExit as exc:
+        return f"<exit {exc.code}>\n{out.getvalue()}{err.getvalue()}"
+    return out.getvalue()
 
 
 def text_mismatch(what: str, ref: str, got: str) -> list[str]:

@@ -1,17 +1,18 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's argparse.
 
 Verbs: simulate, sweep, table1, validate.  Exit codes: 0 success,
-2 validation error (including a reading that overflows), 3 degenerate
-configuration.
+1 stdout closed early, 2 usage or validation error (including a reading
+that overflows), 3 degenerate configuration.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import re
 import sys
 from dataclasses import replace
-
-import click
 
 from .errors import DegenerateModeError, DomainError, ScenarioError
 from .harness import SWEEP_PARAMS, run_fixture_table, run_scenario, sweep_csv
@@ -32,70 +33,41 @@ def _round6(obj):
     return obj
 
 
-@click.group()
-def cli():
-    """Simulate bright-beam entanglement scenarios and their verification."""
+def _load(path, **flags):
+    """Load a scenario file; the flags given override its fields."""
+    return replace(load_scenario(path), **{k: v for k, v in flags.items() if v is not None})
 
 
-def _load(path, mc_samples, seed):
-    s = load_scenario(path)
-    if mc_samples is not None:
-        s = replace(s, mc_samples=mc_samples)
-    if seed is not None:
-        s = replace(s, seed=seed)
-    return s
-
-
-@cli.command()
-@click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--mc-samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-def simulate(scenario_path, mc_samples, seed):
+def simulate(args):
     """Run one scenario and print its witness report as JSON."""
-    row = run_scenario(_load(scenario_path, mc_samples, seed))
-    click.echo(json.dumps(_round6(row.to_dict()), indent=2, sort_keys=True))
+    row = run_scenario(_load(args.scenario, mc_samples=args.mc_samples, seed=args.seed))
+    print(json.dumps(_round6(row.to_dict()), indent=2, sort_keys=True))
 
 
-@cli.command("sweep")
-@click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--param", required=True, type=click.Choice(SWEEP_PARAMS))
-@click.option("--from", "start", required=True, type=float)
-@click.option("--to", "stop", required=True, type=float)
-@click.option("--steps", required=True, type=int)
-@click.option("--out", "out_path", type=click.Path(), default=None,
-              help="CSV output file (stdout if omitted)")
-def sweep_cmd(scenario_path, param, start, stop, steps, out_path):
+def sweep(args):
     """Sweep one parameter and emit the fixed-schema CSV."""
-    text = sweep_csv(load_scenario(scenario_path), param, start, stop, steps)
-    if out_path:
+    text = sweep_csv(load_scenario(args.scenario), args.param, args.start, args.stop, args.steps)
+    if args.out:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ScenarioError(f"cannot write {out_path}: {exc}") from exc
+            raise ScenarioError(f"cannot write {args.out}: {exc}") from exc
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-@cli.command()
-@click.option("--fixtures", "fixtures_path", type=click.Path(exists=True), default=None)
-def table1(fixtures_path):
+def table1(args):
     """Reproduce the method-comparison table from the fitted fixtures."""
-    _, table = run_fixture_table(fixtures_path)
-    click.echo(table)
+    print(run_fixture_table(args.fixtures)[1])
 
 
-@cli.command()
-@click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--mc-samples", type=int, default=1_000_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def validate(scenario_path, mc_samples, seed):
+def validate(args):
     """Check the analytic witness sum against the sampling oracle."""
-    if mc_samples < 2:
+    if args.mc_samples < 2:
         raise ScenarioError("validate needs --mc-samples >= 2")
-    row = run_scenario(_load(scenario_path, mc_samples, seed))
-    deviation = abs(row.mc_sum - row.sum_value)
-    n_sigma = deviation / row.mc_stderr if row.mc_stderr > 0 else float("inf")
+    row = run_scenario(_load(args.scenario, mc_samples=args.mc_samples, seed=args.seed))
+    n_sigma = abs(row.mc_sum - row.sum_value) / row.mc_stderr if row.mc_stderr > 0 else float("inf")
     report = {
         "analytic_sum": row.sum_value,
         "mc_sum": row.mc_sum,
@@ -103,24 +75,52 @@ def validate(scenario_path, mc_samples, seed):
         "n_sigma": n_sigma,
         "consistent_3_sigma": bool(n_sigma <= 3.0),
     }
-    click.echo(json.dumps(_round6(report), indent=2, sort_keys=True))
+    print(json.dumps(_round6(report), indent=2, sort_keys=True))
+
+
+def _parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: "--scen" is an unknown flag, not "--scenario".
+    parser = argparse.ArgumentParser(prog="brightbeam", allow_abbrev=False)
+    verbs = parser.add_subparsers(metavar="VERB", required=True)
+
+    def verb(run):
+        sub = verbs.add_parser(run.__name__, help=run.__doc__, description=run.__doc__,
+                               allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    for sub, mc_samples, seed in ((verb(simulate), None, None), (verb(validate), 1_000_000, 0)):
+        sub.add_argument("--scenario", required=True)
+        sub.add_argument("--mc-samples", type=int, default=mc_samples)
+        sub.add_argument("--seed", type=int, default=seed)
+    sub = verb(sweep)
+    sub.add_argument("--scenario", required=True)
+    sub.add_argument("--param", required=True, choices=SWEEP_PARAMS)
+    sub.add_argument("--from", dest="start", required=True, type=float)
+    sub.add_argument("--to", dest="stop", required=True, type=float)
+    sub.add_argument("--steps", required=True, type=int)
+    sub.add_argument("--out", help="CSV output file (stdout if omitted)")
+    # "-inf", "-.5" and "-1e308" are values of --from and --to, not unknown flags.
+    sub._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+    verb(table1).add_argument("--fixtures")
+    return parser
 
 
 def main(argv=None):
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_VALIDATION)
-    except click.Abort:
+        args = _parser().parse_args(argv)
+        args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: exit 1 without a traceback, and send what
+        # is still buffered to devnull so that the flush at exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
     except (ScenarioError, DomainError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_VALIDATION)
     except DegenerateModeError as exc:
-        click.echo(f"degenerate configuration: {exc}", err=True)
+        print(f"degenerate configuration: {exc}", file=sys.stderr)
         sys.exit(EXIT_DEGENERATE)
 
 

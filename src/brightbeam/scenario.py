@@ -166,7 +166,8 @@ def load_scenario(path) -> Scenario:
             flat = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or bytes that are not UTF-8; RecursionError: nesting too deep.
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     if not isinstance(flat, dict):
         raise ScenarioError(f"scenario file {path} must contain a JSON object")

@@ -8,20 +8,17 @@ import warnings
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import brightbeam
 from brightbeam import SqueezedInputSpec
-from brightbeam.cli import cli, main
-from brightbeam.harness import fixtures_dir
-from brightbeam.scenario import Scenario, known_keys, save_scenario
+from brightbeam.cli import main
+from brightbeam.harness import SWEEP_PARAMS, fixtures_dir, sweep_csv
+from brightbeam.scenario import Scenario, known_keys, load_scenario, save_scenario
 
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+# The source tree, for CLI runs in a fresh interpreter.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(brightbeam.__file__).resolve().parents[1]))
 
 
 @pytest.fixture
@@ -34,10 +31,9 @@ def scenario_file(tmp_path):
     return path
 
 
-def test_simulate_emits_rounded_json(runner, scenario_file):
-    result = runner.invoke(cli, ["simulate", "--scenario", str(scenario_file)])
-    assert result.exit_code == 0
-    report = json.loads(result.output)
+def test_simulate_emits_rounded_json(scenario_file, capsys):
+    main(["simulate", "--scenario", str(scenario_file)])
+    report = json.loads(capsys.readouterr().out)
     assert report["method"] == "B"
     assert report["witnessed"] is True
     assert report["sum"] == pytest.approx(2 * 10 ** -0.37, rel=1e-5)
@@ -45,26 +41,23 @@ def test_simulate_emits_rounded_json(runner, scenario_file):
     assert len(str(report["sum"]).replace(".", "").lstrip("0")) <= 6
 
 
-def test_simulate_with_mc(runner, scenario_file):
-    result = runner.invoke(cli, [
-        "simulate", "--scenario", str(scenario_file),
-        "--mc-samples", "20000", "--seed", "5"])
-    assert result.exit_code == 0
-    report = json.loads(result.output)
+def test_simulate_with_mc(scenario_file, capsys):
+    main(["simulate", "--scenario", str(scenario_file), "--mc-samples", "20000", "--seed", "5"])
+    report = json.loads(capsys.readouterr().out)
     assert report["mc_stderr"] > 0
     assert abs(report["mc_sum"] - report["sum"]) < 5 * report["mc_stderr"]
 
 
-def test_sweep_to_stdout_and_file(runner, scenario_file, tmp_path):
+def test_sweep_to_stdout_and_file(scenario_file, tmp_path, capsys):
     args = ["sweep", "--scenario", str(scenario_file), "--param", "theta",
             "--from", "0.2", "--to", "3.0", "--steps", "5"]
-    result = runner.invoke(cli, args)
-    assert result.exit_code == 0
+    main(args)
+    output = capsys.readouterr().out
     out_path = tmp_path / "sweep.csv"
-    result2 = runner.invoke(cli, args + ["--out", str(out_path)])
-    assert result2.exit_code == 0
-    assert out_path.read_text() == result.output
-    lines = result.output.rstrip("\n").split("\n")
+    main(args + ["--out", str(out_path)])
+    assert capsys.readouterr().out == ""
+    assert out_path.read_text() == output
+    lines = output.rstrip("\n").split("\n")
     assert lines[0].startswith("method,param,value,")
     assert len(lines) == 6
 
@@ -97,26 +90,45 @@ def test_non_string_label_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: label must be a string, got 5\n"
 
 
-def test_sweep_rejects_unknown_param(runner, scenario_file):
-    result = runner.invoke(cli, [
-        "sweep", "--scenario", str(scenario_file), "--param", "amplitude",
-        "--from", "1", "--to", "2", "--steps", "3"])
-    assert result.exit_code != 0
+FIXTURE_B = str(fixtures_dir() / "method_b.json")
+SWEEP_B = ["sweep", "--scenario", FIXTURE_B, "--param", "theta"]
+RANGE = ["--from", "1", "--to", "2", "--steps", "3"]
 
 
-def test_table1_bundled_fixtures(runner):
-    result = runner.invoke(cli, ["table1"])
-    assert result.exit_code == 0
+@pytest.mark.parametrize("argv", [
+    pytest.param([], id="no-verb"),
+    pytest.param(["bogus"], id="unknown-verb"),
+    pytest.param(["sweep", "--param", "theta", *RANGE], id="no-scenario"),
+    pytest.param([*SWEEP_B, *RANGE[:4]], id="no-steps"),
+    pytest.param(["sweep", "--scenario", FIXTURE_B, "--param", "amplitude", *RANGE],
+                 id="param-amplitude"),
+    pytest.param(["simulate", "--scenario", FIXTURE_B, "--mc-samples", "x"], id="mc-samples-x"),
+    pytest.param([*SWEEP_B, *RANGE[:4], "--steps", "1e3"], id="steps-1e3"),
+    pytest.param(["sweep", "--scen", FIXTURE_B, "--param", "theta", *RANGE], id="abbreviation"),
+    pytest.param([*SWEEP_B, *RANGE, "--bogus"], id="unknown-flag"),
+])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_negative_sweep_bounds_run(capsys):
+    main([*SWEEP_B, "--from", "-3e0", "--to", "-1e-1", "--steps", "3"])
+    assert capsys.readouterr().out == sweep_csv(load_scenario(FIXTURE_B), "theta", -3.0, -0.1, 3)
+
+
+def test_table1_bundled_fixtures(capsys):
+    main(["table1"])
+    output = capsys.readouterr().out
     for label in ("method", "A", "B", "C"):
-        assert label in result.output
+        assert label in output
 
 
-def test_validate(runner, scenario_file):
-    result = runner.invoke(cli, [
-        "validate", "--scenario", str(scenario_file),
-        "--mc-samples", "50000", "--seed", "1"])
-    assert result.exit_code == 0
-    report = json.loads(result.output)
+def test_validate(scenario_file, capsys):
+    main(["validate", "--scenario", str(scenario_file), "--mc-samples", "50000", "--seed", "1"])
+    report = json.loads(capsys.readouterr().out)
     assert report["consistent_3_sigma"] is True
 
 
@@ -142,6 +154,17 @@ def test_exit_code_missing_file(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", "/nonexistent/path.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf-8", "nested-too-deep"])
+def test_unreadable_scenario_file_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(bad)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: scenario file {bad} is not valid JSON: ")
 
 
 @pytest.mark.parametrize("flat", [
@@ -228,9 +251,6 @@ def test_reading_lost_to_rounding_exits_2(tmp_path, capsys):
                    "entries are too large for double precision\n")
 
 
-FIXTURE_B = str(fixtures_dir() / "method_b.json")
-
-
 @pytest.mark.parametrize("param, start, stop, value", [
     ("eta", "0.5", "1.5", "1.5"),
     ("squeezing_db", "-1", "1", "-1.0"),
@@ -290,10 +310,15 @@ def test_sweep_through_a_dark_port_exits_3(tmp_path, capsys):
                    "shot-noise normalization degenerate\n")
 
 
-def _run_then_list_scipy(tmp_path, *argv) -> tuple[str, list[str]]:
+# Prints the scipy and click modules loaded (a blocked one is None, not loaded).
+PRINT_LOADED = ("print(json.dumps(sorted(m for m, module in sys.modules.items()\n"
+                "    if module is not None and m.split('.')[0] in ('scipy', 'click'))))\n")
+
+
+def _run_then_list_loaded(tmp_path, *argv) -> tuple[str, list[str]]:
     """Import the CLI in a fresh interpreter and run it on argv, if given;
     return its stdout, ending in "exit <code>" if it exits, and the scipy
-    modules loaded by the end."""
+    and click modules loaded by the end."""
     code = ("import json, sys\n"
             "from brightbeam.cli import main\n"
             "if sys.argv[1:]:\n"
@@ -301,17 +326,16 @@ def _run_then_list_scipy(tmp_path, *argv) -> tuple[str, list[str]]:
             "        main(sys.argv[1:])\n"
             "    except SystemExit as exc:\n"
             "        print(f'exit {exc.code}')\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(brightbeam.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+            + PRINT_LOADED)
+    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=CHILD_ENV,
                           capture_output=True, text=True, timeout=120, check=True)
     out, _, loaded = done.stdout.rstrip("\n").rpartition("\n")
     return out, json.loads(loaded)
 
 
 def test_no_scipy_at_start_up(tmp_path):
-    assert _run_then_list_scipy(tmp_path)[1] == []
-    out, loaded = _run_then_list_scipy(tmp_path, "table1")
+    assert _run_then_list_loaded(tmp_path)[1] == []
+    out, loaded = _run_then_list_loaded(tmp_path, "table1")
     assert "method" in out
     assert loaded == []
 
@@ -320,7 +344,7 @@ def test_optimised_gain_still_runs(tmp_path):
     flat = json.loads((fixtures_dir() / "method_a.json").read_text(encoding="utf-8"))
     path = tmp_path / "opt.json"
     path.write_text(json.dumps(dict(flat, gain="optimize")))
-    out, loaded = _run_then_list_scipy(tmp_path, "simulate", "--scenario", str(path))
+    out, loaded = _run_then_list_loaded(tmp_path, "simulate", "--scenario", str(path))
     assert json.loads(out)["gain"] == 0.960531
     assert loaded == []
 
@@ -335,16 +359,31 @@ def test_every_verb_runs_with_scipy_blocked(tmp_path):
              ["validate", "--scenario", str(path), "--mc-samples", "2000"]]
     code = ("import json, sys\n"
             "sys.modules['scipy'] = None  # every import of scipy now fails\n"
+            "sys.modules['click'] = None  # and every import of click\n"
             "from brightbeam.cli import main\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    main(argv)\n"
-            "    print('verb done')\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(brightbeam.__file__).resolve().parents[1]))
+            "    print('verb done')\n"
+            + PRINT_LOADED)
     done = subprocess.run([sys.executable, "-c", code, json.dumps(verbs)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.count("verb done") == len(verbs)
     assert '"gain": 0.960531' in done.stdout
+    assert done.stdout.endswith("verb done\n[]\n")
+
+
+@pytest.mark.parametrize("argv", [["table1"], ["simulate", "--scenario", FIXTURE_B],
+                                  [*SWEEP_B, *RANGE]], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_1_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the child's first write to stdout fails with EPIPE
+    try:
+        done = subprocess.run([sys.executable, "-m", "brightbeam.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=CHILD_ENV, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 def test_flat_witness_sum_keeps_unit_gain(tmp_path, capsys):
@@ -404,7 +443,7 @@ def test_dark_pair_exits_3_before_the_gain_search(tmp_path):
     # At theta = 1e-9 mode 2's carrier is 5e-10 of the total: dark.
     path = tmp_path / "dark.json"
     path.write_text(json.dumps({"gain": "optimize", "theta": 1e-9}))
-    out, loaded = _run_then_list_scipy(tmp_path, "simulate", "--scenario", str(path))
+    out, loaded = _run_then_list_loaded(tmp_path, "simulate", "--scenario", str(path))
     assert out == "exit 3"
     assert loaded == []
 
@@ -427,20 +466,60 @@ def hostile_scenarios(draw):
             for k in keys}
 
 
+def _exit_code_and_stderr(argv) -> tuple[int, str]:
+    """Run main(argv) with warnings raised as errors; return its exit code
+    and stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            main(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
 @settings(max_examples=300)
 @given(flat=hostile_scenarios())
 def test_any_scenario_file_exits_0_2_or_3(tmp_path_factory, flat):
     """No scenario file ends in a traceback or a warning."""
     path = tmp_path_factory.mktemp("hostile") / "s.json"
     path.write_text(json.dumps(flat))
-    err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        try:
-            main(["simulate", "--scenario", str(path)])
-            code = 0
-        except SystemExit as exc:
-            code = exc.code
+    code, err = _exit_code_and_stderr(["simulate", "--scenario", str(path)])
     assert code in (0, 2, 3)
-    assert "Warning" not in err.getvalue()
+    assert "Warning" not in err
+
+
+# Flag values that read as negative or non-finite numbers, as flags or as
+# nothing, and counts from COUNTS that numpy cannot size.
+FLAG_VALUES = ["-inf", "nan", "1e400", "-1e308", "", "-", "--", " -1", "0x10", "1_000",
+               str(10 ** 20), str(10 ** 30)]
+# Each verb's flags, with values that run; validate always gets a small --mc-samples.
+VERB_FLAGS = {
+    "simulate": {"--mc-samples": ["0", "2000"], "--seed": ["0", "7"]},
+    "validate": {"--mc-samples": ["2000"], "--seed": ["0", "7"]},
+    "sweep": {"--param": list(SWEEP_PARAMS), "--from": ["-1", "0.5"], "--to": ["-1", "2"],
+              "--steps": ["3"]},
+}
+FIXTURE_PATHS = sorted(str(path) for path in fixtures_dir().glob("*.json"))
+
+
+@hs.composite
+def hostile_argv(draw):
+    verb = draw(hs.sampled_from(sorted(VERB_FLAGS)))
+    # Half the values run, so that hostile ones also meet parsed flags.
+    argv = [verb, "--scenario", draw(hs.sampled_from(FIXTURE_PATHS) | hs.sampled_from(FLAG_VALUES))]
+    for flag, values in VERB_FLAGS[verb].items():
+        argv += [flag, draw(hs.sampled_from(values) | hs.sampled_from(FLAG_VALUES))]
+    return argv
+
+
+@settings(max_examples=300)
+@given(argv=hostile_argv())
+def test_any_flags_exit_0_2_or_3(argv):
+    """No flag value ends in a traceback or a warning."""
+    code, err = _exit_code_and_stderr(argv)
+    assert code in (0, 2, 3)
+    assert "Warning" not in err

@@ -11,9 +11,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from brightbeam.cli import cli
+from brightbeam.cli import main
 from brightbeam.harness import fixtures_dir, sweep_csv
 from brightbeam.scenario import scenario_from_dict
 
@@ -52,26 +51,31 @@ def scenario_files(tmp_path_factory):
     return paths
 
 
-def _stdout(args) -> str:
-    result = CliRunner().invoke(cli, args)
-    assert result.exit_code == 0, result.output
-    return result.stdout
+def _stdout(capsys, args) -> str:
+    try:
+        main(args)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return out
 
 
-def test_table1_bytes():
-    assert _stdout(["table1"]) == REFS["cli"]["table1"]
+def test_table1_bytes(capsys):
+    assert _stdout(capsys, ["table1"]) == REFS["cli"]["table1"]
 
 
 @pytest.mark.parametrize("name", sorted(REFS["cli"]["simulate"]))
-def test_simulate_bytes(name, scenario_files):
-    out = _stdout(["simulate", "--scenario", str(scenario_files[name])])
+def test_simulate_bytes(name, scenario_files, capsys):
+    out = _stdout(capsys, ["simulate", "--scenario", str(scenario_files[name])])
     assert out == REFS["cli"]["simulate"][name]
 
 
-def test_cli_sweep_bytes(scenario_files):
+def test_cli_sweep_bytes(scenario_files, capsys):
     name, param, start, stop, steps = CLI_SWEEP
-    out = _stdout(["sweep", "--scenario", str(scenario_files[name]), "--param", param,
-                   "--from", start, "--to", stop, "--steps", steps])
+    out = _stdout(capsys, ["sweep", "--scenario", str(scenario_files[name]), "--param", param,
+                           "--from", start, "--to", stop, "--steps", steps])
     assert out == REFS["cli"]["sweep"]
 
 
