@@ -173,14 +173,13 @@ def _method_a_paths(state: BrightGaussianState, budgets: tuple[LossBudget, LossB
             _apply_budgets(state, budgets))
 
 
-def _joint_readings(lossy: BrightGaussianState, quadrature: str, g,
-                    imbalance) -> tuple[DetectionResult, DetectionResult]:
-    """The combination and anti-combination photocurrents of one lossy path."""
+def _joint_reading(lossy: BrightGaussianState, quadrature: str, sign: float, g,
+                   imbalance) -> DetectionResult:
+    """Photocurrent a1 (dQ1 + sign g (1 + imbalance) dQ2) of one lossy path,
+    with Q the given quadrature and a1 mode 1's carrier."""
     a1 = bright_carriers(lossy, [0, 1], "joint measurement needs two bright carriers")[..., 0]
     q = 0 if quadrature == "X" else 1
-    sign = 1.0 if quadrature == "X" else -1.0
-    return (DetectionResult.read(lossy, (q, a1), (2 + q, sign, g, 1.0 + imbalance, a1)),
-            DetectionResult.read(lossy, (q, a1), (2 + q, -sign, g, 1.0 + imbalance, a1)))
+    return DetectionResult.read(lossy, (q, a1), (2 + q, sign, g, 1.0 + imbalance, a1))
 
 
 def method_a_joint(state: BrightGaussianState, quadrature: str,
@@ -198,7 +197,9 @@ def method_a_joint(state: BrightGaussianState, quadrature: str,
     if state.n_modes != 2:
         raise DomainError("method A joint measurement needs a two-mode state")
     lossy = _apply_budgets(state, budgets, include_visibility=(quadrature == "Y"))
-    return _joint_readings(lossy, quadrature, g, imbalance)
+    sign = 1.0 if quadrature == "X" else -1.0
+    return (_joint_reading(lossy, quadrature, sign, g, imbalance),
+            _joint_reading(lossy, quadrature, -sign, g, imbalance))
 
 
 def method_a_gain(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
@@ -213,21 +214,30 @@ def method_a_gain(state: BrightGaussianState, budgets: tuple[LossBudget, LossBud
 
 
 def method_a_readings(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
-                      g=None, imbalance: float = 0.0) -> tuple[float, dict]:
-    """Method A in full, each path's lossy state built once.
+                      g=None, imbalance: float = 0.0
+                      ) -> tuple[float, DetectionResult, DetectionResult]:
+    """Method A's witness readings, each path's lossy state built once.
 
     Returns the gain, ``method_a_gain``'s where ``g`` is None, and the
-    ``method_a_joint`` readings ``plus`` and ``plus_anti`` (X) and
-    ``minus`` and ``minus_anti`` (Y) at that gain.
+    ``method_a_joint`` combinations ``plus`` (X) and ``minus`` (Y) at that
+    gain; ``method_a_anti_readings`` gives their anti-combinations.
     """
     if state.n_modes != 2:
         raise DomainError("method A joint measurement needs a two-mode state")
     state_x, state_y = _method_a_paths(state, budgets)
     if g is None:
         g = witness_gains(state_x, state_y, imbalance)[0]
-    plus, plus_anti = _joint_readings(state_x, "X", g, imbalance)
-    minus, minus_anti = _joint_readings(state_y, "Y", g, imbalance)
-    return g, {"plus": plus, "plus_anti": plus_anti, "minus": minus, "minus_anti": minus_anti}
+    return g, _joint_reading(state_x, "X", 1.0, g, imbalance), _joint_reading(
+        state_y, "Y", -1.0, g, imbalance)
+
+
+def method_a_anti_readings(plus: DetectionResult, minus: DetectionResult, g,
+                           imbalance: float = 0.0) -> tuple[DetectionResult, DetectionResult]:
+    """The ``method_a_joint`` anti-combinations that go with the ``plus`` and
+    ``minus`` of ``method_a_readings`` at gain g: the same lossy paths read
+    with the relative sign flipped."""
+    return (_joint_reading(plus.state, "X", -1.0, g, imbalance),
+            _joint_reading(minus.state, "Y", 1.0, g, imbalance))
 
 
 def _verification_interference(state: BrightGaussianState, phi: float,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from importlib import resources
 from operator import attrgetter
@@ -15,6 +16,7 @@ import numpy as np
 from .detection import (
     DetectionResult,
     bright_port_readings,
+    method_a_anti_readings,
     method_a_readings,
     method_b_channels,
     method_c_single_port,
@@ -80,9 +82,9 @@ class ReportRow:
 
 # Each evaluator takes the scenario, its columns (see ``_column``), their
 # entangled pair and budgets, and returns (v_plus, v_minus, bound, gain,
-# readings, channels) over the stack: readings name the DetectionResults
-# reported under "raw", and a channel is (DetectionResult, multiplier of its
-# normalized variance) for the MC oracle.
+# channels, raw) over the stack: a channel is (DetectionResult, multiplier of
+# its normalized variance) for the MC oracle, and raw() reads the
+# DetectionResults reported under "raw", which the sweep CSV never prints.
 
 def _column(s: Scenario, columns: dict, path: str) -> np.ndarray:
     """The field at a dotted path: its column, or the scenario's value as a
@@ -93,29 +95,32 @@ def _column(s: Scenario, columns: dict, path: str) -> np.ndarray:
 
 
 def _eval_a(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
-    g, readings = method_a_readings(
-        state, budgets, None if s.gain == "optimize" else _column(s, columns, "gain"),
-        _column(s, columns, "imbalance"))
-    plus, minus = readings["plus"], readings["minus"]
-    return plus.normalized, minus.normalized, 2.0, g, readings, [(plus, 1.0), (minus, 1.0)]
+    imbalance = _column(s, columns, "imbalance")
+    g, plus, minus = method_a_readings(
+        state, budgets, None if s.gain == "optimize" else _column(s, columns, "gain"), imbalance)
+
+    def raw():
+        plus_anti, minus_anti = method_a_anti_readings(plus, minus, g, imbalance)
+        return {"plus": plus, "plus_anti": plus_anti, "minus": minus, "minus_anti": minus_anti}
+
+    return plus.normalized, minus.normalized, 2.0, g, [(plus, 1.0), (minus, 1.0)], raw
 
 
 def _eval_b(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
     total, diff = method_b_channels(state, _column(s, columns, "phi"), budgets,
                                     _column(s, columns, "imbalance"))
-    readings = {"sum_channel": total, "diff_channel": diff}
     return (total.normalized, diff.normalized,
             theta_adapted_bound(_column(s, columns, "theta")), 1.0,
-            readings, [(total, 1.0), (diff, 1.0)])
+            [(total, 1.0), (diff, 1.0)], lambda: {"sum_channel": total, "diff_channel": diff})
 
 
 def _eval_c(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
     # Only the blend (v_plus + v_minus)/2 is observable in the selected
-    # port; both report fields carry the port value.  The other port of
-    # the same output is reported where it is bright.
+    # port; both report fields carry the port value.  Every bright port of
+    # the same output is reported.
     port = method_c_single_port(state, _column(s, columns, "phi"), s.port, budgets)
     v = port.normalized
-    return v, v, 2.0, 1.0, bright_port_readings(port.state), [(port, 2.0)]
+    return v, v, 2.0, 1.0, [(port, 2.0)], lambda: bright_port_readings(port.state)
 
 
 _EVALUATORS = {"A": _eval_a, "B": _eval_b, "C": _eval_c}
@@ -178,7 +183,8 @@ _BUDGET_FIELDS = ("propagation", "visibility", "quantum_efficiency")
 @dataclass(frozen=True)
 class _Stack:
     """A scenario evaluated as one stack: its report columns as lists, one
-    entry per element, and the readings reported under "raw"."""
+    entry per element, and its evaluator's raw(), which reads the
+    DetectionResults reported under "raw"."""
 
     v_plus: list
     v_minus: list
@@ -186,7 +192,7 @@ class _Stack:
     bound: list
     witnessed: list
     gain: list
-    readings: dict
+    raw: Callable[[], dict]
     mc_sum: list | None
     mc_stderr: list | None
 
@@ -212,7 +218,7 @@ def _evaluate(s: Scenario, columns: dict | None = None) -> _Stack:
         _column(s, columns, "theta"), _column(s, columns, "entangle_ratio"),
         excess_correlation=_column(s, columns, "excess_correlation"))
     budgets = (record("budget_a", _BUDGET_FIELDS), record("budget_b", _BUDGET_FIELDS))
-    v_plus, v_minus, bound, gain, readings, channels = _EVALUATORS[s.method](
+    v_plus, v_minus, bound, gain, channels, raw = _EVALUATORS[s.method](
         s, columns, state, budgets)
     v_plus, v_minus, bound, gain = (_per_point(x, n) for x in (v_plus, v_minus, bound, gain))
     sums = [p + m for p, m in zip(v_plus, v_minus)]
@@ -220,14 +226,14 @@ def _evaluate(s: Scenario, columns: dict | None = None) -> _Stack:
     if s.mc_samples > 0:
         mc_sum, mc_stderr = _mc_columns(channels, n, s.mc_samples, s.seed)
     return _Stack(v_plus, v_minus, sums, bound, [t < b for t, b in zip(sums, bound)], gain,
-                  readings, mc_sum, mc_stderr)
+                  raw, mc_sum, mc_stderr)
 
 
 def _rows(s: Scenario, stack: _Stack) -> list[ReportRow]:
     """One report row per element of an evaluated stack."""
     n = len(stack.sums)
     raw = {key: {name: _per_point(value, n) for name, value in r.to_dict().items()}
-           for key, r in stack.readings.items()}
+           for key, r in stack.raw().items()}
     return [ReportRow(
         method=s.method,
         label=s.label,
@@ -267,10 +273,11 @@ def with_param(s: Scenario, param: str, value: float) -> Scenario:
         raise ScenarioError(f"cannot sweep {param} to {value!r}: {exc}") from exc
 
 
-def _grid(s: Scenario, param: str, start: float, stop: float,
-          steps: int) -> list[tuple[Scenario, list[float], _Stack]]:
+def _grid(s: Scenario, param: str, start: float, stop: float, steps: int,
+          finish: Callable[[Scenario, list[float], _Stack], list]) -> list:
     """Evaluate the scenario at each of ``steps`` evenly spaced values of one
-    parameter, as (scenario, values, stack) triples in grid order.
+    parameter and join finish(scenario, values, stack) of each evaluated
+    stack, in grid order.
 
     Every constraint on a swept value is an interval, and the dB
     conversions are monotone, so the grid is valid when its smallest and
@@ -295,23 +302,23 @@ def _grid(s: Scenario, param: str, start: float, stop: float,
     try:
         base = with_param(s, param, float(grid.min()))
         with_param(s, param, float(grid.max()))
-        return [(base, values, _evaluate(base, dict.fromkeys(_SWEPT_FIELDS[param], grid)))]
+        return finish(base, values, _evaluate(base, dict.fromkeys(_SWEPT_FIELDS[param], grid)))
     except BrightBeamError:
         # A stack fails at its first failing stage, not its first failing
         # point; as stacks of one, the error is the first failing point's.
-        stacks = []
+        done = []
         for v in values:
             point = with_param(s, param, v)
-            stacks.append((point, [v], _evaluate(point)))
-        return stacks
+            done += finish(point, [v], _evaluate(point))
+        return done
 
 
 def sweep(s: Scenario, param: str, start: float, stop: float,
           steps: int) -> list[tuple[float, ReportRow]]:
     """Evaluate the scenario at each of ``steps`` evenly spaced values of one
     parameter, as one stack (see ``_grid``)."""
-    return [pair for point, values, stack in _grid(s, param, start, stop, steps)
-            for pair in zip(values, _rows(point, stack))]
+    return _grid(s, param, start, stop, steps,
+                 lambda point, values, stack: list(zip(values, _rows(point, stack))))
 
 
 def _fmt(x) -> str:
@@ -325,17 +332,16 @@ def _fmt(x) -> str:
 def sweep_csv(s: Scenario, param: str, start: float, stop: float, steps: int) -> str:
     """Run a sweep and render the fixed-schema CSV (deterministic) straight
     from its columns, one format template per stack."""
-    lines = [CSV_HEADER]
-    for point, values, stack in _grid(s, param, start, stop, steps):
+    def render(point: Scenario, values: list[float], stack: _Stack) -> list[str]:
         mc = [] if stack.mc_sum is None else [stack.mc_sum, stack.mc_stderr]
         # "%.6g" % x is format(x, ".6g") for a float; without MC samples
         # the last two fields are empty.
         template = ",".join([point.method, param, *["%.6g"] * 5, "%s",
                              *(["%.6g"] * 2 if mc else ["", ""])])
         witnessed = ["true" if w else "false" for w in stack.witnessed]
-        lines += [template % fields for fields in zip(
+        return [template % fields for fields in zip(
             values, stack.v_plus, stack.v_minus, stack.sums, stack.bound, witnessed, *mc)]
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *_grid(s, param, start, stop, steps, render)]) + "\n"
 
 
 def compare_methods(rows: list[ReportRow]) -> str:

@@ -13,9 +13,18 @@ against the leading stack axes.  A single state is the unstacked case of
 the same code.  A stacked input record is a list of records, one per
 stack element, or one record whose numbers are arrays over the stack.
 All operations are pure and return new states.  Each map checks its
-parameters once per stack, and each new state checks every covariance
-of its stack (symmetry, then positive semi-definiteness with one batched
-eigvalsh) once.
+parameters once per stack.
+
+A state is checked once where it enters: the public constructor (and
+so ``from_dict``, ``squeezed_inputs``, ``compose`` and ``make_coherent``)
+tests every covariance of its stack for finiteness and symmetry, then
+for the uncertainty relation V + i*Omega >= 0 (Simon, PRL 84, 2726
+(2000)) with one batched complex eigvalsh; the vacuum is V = I.
+Beam splitters, phases and loss are physical maps, which keep a checked
+state bona fide, so their outputs and the elements of a stack get the
+same finiteness and symmetry tests but no eigendecomposition unless
+their entries are large enough for rounding to matter (see
+``mapped_unchecked_scale``).
 
 A state is its carriers and covariance only: ``squeezed_inputs`` sets
 the classical phase noise that inputs of one correlated_group share
@@ -125,6 +134,42 @@ class SqueezedInputSpec:
         return self.y_variance_quantum + self.y_variance_classical
 
 
+def mapped_unchecked_scale(dim: int) -> float:
+    """Largest covariance entry up to which a map output of dimension dim
+    skips the eigendecomposition of the uncertainty relation.
+
+    A map of a bona fide state is bona fide in exact arithmetic: beam
+    splitters and phases are orthogonal symplectic congruences S V S^T, and
+    loss with eta in [0, 1] is a Gaussian channel.  In floating point an
+    entry of S V S^T sums dim^2 products, so rounding moves it by about
+    dim^2 * eps times the input's largest entry, which is at most dim times
+    the output's; an eigenvalue of V + i*Omega moves by at most dim times
+    the largest entry error.  While that total, dim^4 * eps * scale, stays
+    below PSD_TOL, rounding cannot break the relation.  For two modes the
+    bound is about 1.76e4.
+    """
+    return PSD_TOL / (dim ** 4 * np.finfo(float).eps)
+
+
+def _check_bona_fide(cov: np.ndarray, scale: np.ndarray):
+    """Raise DomainError unless V + i*Omega >= 0 for every covariance V of
+    the stack, to PSD_TOL: the uncertainty relation, which also makes V
+    positive definite.  Omega is one [[0, 1], [-1, 0]] block per mode in
+    the (x1, y1, x2, y2, ...) order; ``scale`` is each V's largest entry."""
+    omega = np.kron(np.eye(cov.shape[-1] // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    lowest = np.linalg.eigvalsh(cov + 1j * omega)[..., 0]
+    negative = lowest < -PSD_TOL
+    if negative.any():
+        # eigvalsh errs by a few ulps of the largest entry, so a negative
+        # eigenvalue no larger than that may be rounding alone.
+        rounding = -lowest <= cov.shape[-1] * np.finfo(float).eps * scale[..., 0, 0]
+        if not (negative & ~rounding).any():
+            raise DomainError("covariance entries are too large for double precision: "
+                              "rounding breaks positive semi-definiteness")
+        raise DomainError("covariance matrix breaks the uncertainty relation: "
+                          "V + i*Omega is not positive semi-definite")
+
+
 @dataclass(frozen=True)
 class BrightGaussianState:
     """n-mode bright Gaussian state: real carriers + quadrature covariance.
@@ -137,8 +182,20 @@ class BrightGaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=float)
-        cov = np.array(self.cov, dtype=float)
+        self._store(self.amplitudes, self.cov, mapped=False)
+
+    @classmethod
+    def _mapped(cls, amplitudes, cov) -> "BrightGaussianState":
+        """A state that a physical map (or stack indexing) made from checked
+        states: the constructor's checks, except that the uncertainty
+        relation is tested only where rounding could break it."""
+        state = object.__new__(cls)
+        state._store(amplitudes, cov, mapped=True)
+        return state
+
+    def _store(self, amplitudes, cov, mapped: bool):
+        amps = np.array(amplitudes, dtype=float)
+        cov = np.array(cov, dtype=float)
         if amps.ndim < 1:
             raise DomainError("amplitudes must be a 1-D vector or a stack of them")
         n = amps.shape[-1]
@@ -156,16 +213,8 @@ class BrightGaussianState:
         if (np.abs(cov - cov_t) > SYM_TOL * scale).any():
             raise DomainError("covariance matrix is not symmetric")
         cov = 0.5 * (cov + cov_t)
-        lowest = np.linalg.eigvalsh(cov)[..., 0]
-        negative = lowest < -PSD_TOL
-        if negative.any():
-            # eigvalsh errs by a few ulps of the largest entry, so a negative
-            # eigenvalue no larger than that may be rounding alone.
-            rounding = -lowest <= cov.shape[-1] * np.finfo(float).eps * scale[..., 0, 0]
-            if not (negative & ~rounding).any():
-                raise DomainError("covariance entries are too large for double precision: "
-                                  "rounding breaks positive semi-definiteness")
-            raise DomainError("covariance matrix is not positive semi-definite")
+        if not mapped or scale.max(initial=0.0) > mapped_unchecked_scale(2 * n):
+            _check_bona_fide(cov, scale)
         amps.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -173,7 +222,7 @@ class BrightGaussianState:
 
     def __getitem__(self, k) -> "BrightGaussianState":
         """State k of a stack."""
-        return BrightGaussianState(self.amplitudes[k], self.cov[k])
+        return BrightGaussianState._mapped(self.amplitudes[k], self.cov[k])
 
     @property
     def n_modes(self) -> int:
@@ -296,7 +345,7 @@ def _congruence(state: BrightGaussianState, S: np.ndarray, amps) -> BrightGaussi
     """State with covariance S cov S^T and the given carriers."""
     cov = S @ state.cov @ np.swapaxes(S, -1, -2)
     amps = np.broadcast_to(amps, cov.shape[:-2] + (state.n_modes,))
-    return BrightGaussianState(amps, cov)
+    return BrightGaussianState._mapped(amps, cov)
 
 
 def apply_beamsplitter(state: BrightGaussianState, i: int, j: int,
@@ -355,7 +404,7 @@ def apply_loss(state: BrightGaussianState, mode: int, eta) -> BrightGaussianStat
     amps = np.empty(batch + (n,))
     amps[...] = state.amplitudes
     amps[..., mode] *= np.sqrt(eta)
-    return BrightGaussianState(amps, cov)
+    return BrightGaussianState._mapped(amps, cov)
 
 
 def direct_detect_variance(state: BrightGaussianState, mode: int):

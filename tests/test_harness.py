@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +19,14 @@ from brightbeam.harness import (
     CSV_HEADER,
     SWEEP_PARAMS,
     compare_methods,
+    fixtures_dir,
     run_fixture_table,
     run_scenario,
     sweep,
     sweep_csv,
     with_param,
 )
-from brightbeam.scenario import Scenario, scenario_from_dict
+from brightbeam.scenario import Scenario, load_scenario, scenario_from_dict
 from brightbeam.states import apply_loss
 
 SQ37 = {
@@ -591,3 +593,26 @@ def test_sweep_csv_builds_no_report_row(monkeypatch):
     assert built == []
     run_scenario(make("A"))
     assert built == [1]
+
+
+@pytest.mark.parametrize("fixture, extra, param, start, stop, inputs", [
+    # The swept squeezing makes the inputs a stack of 50; the swept
+    # efficiency reaches only the loss maps.
+    ("method_b", {}, "squeezing_db", 0.0, 8.0, 50),
+    ("method_a", {"gain": "optimize"}, "eta", 0.3, 1.0, 1),
+])
+def test_sweep_checks_the_uncertainty_relation_once(monkeypatch, fixture, extra, param,
+                                                    start, stop, inputs):
+    # The inputs are checked where they enter, as one stack; the entangling
+    # and verification beam splitters and every loss map keep them bona fide.
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    s = replace(load_scenario(fixtures_dir() / f"{fixture}.json"), **extra)
+    assert sweep_csv(s, param, start, stop, 50).count("\n") == 51
+    assert calls == [(inputs, 4, 4)]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from brightbeam import (
 )
 from brightbeam.entangle import generate_entangled
 from brightbeam.errors import DegenerateModeError, DomainError
+from brightbeam.states import mapped_unchecked_scale
 
 
 def paper_bs_matrix(theta):
@@ -39,8 +41,9 @@ def paper_bs_matrix(theta):
 
 
 def random_two_mode_state(rng, amplitude=50.0):
+    # m m^T + I is bona fide: the vacuum plus classical noise.
     m = rng.normal(size=(4, 4))
-    cov = m @ m.T + 0.5 * np.eye(4)
+    cov = m @ m.T + np.eye(4)
     return BrightGaussianState(np.full(2, amplitude), cov)
 
 
@@ -378,9 +381,44 @@ def assert_slices_equal(stack, slices):
         np.testing.assert_allclose(stack.cov[k], expected.cov, rtol=1e-12, atol=1e-12)
 
 
+def assert_map_output_physical(state):
+    """A map output is physical, and the public constructor, which runs the
+    full check, accepts it as it is."""
+    assert_physical(state)
+    again = BrightGaussianState(state.amplitudes, state.cov)
+    assert np.array_equal(again.cov, state.cov)
+
+
+@hs.composite
+def bona_fide_stacks(draw):
+    """A stack of random physical pairs, each scaled by a factor >= 1 (which
+    keeps V + i*Omega >= 0) so that its largest covariance entry is drawn
+    log-uniformly up to the scale below which map outputs skip the
+    eigendecomposition."""
+    size = draw(hs.integers(1, 6))
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    pairs = [random_physical_pair(rng) for _ in range(size)]
+    cov = np.array([c for _, c in pairs])
+    top = np.array(draw(hs.lists(hs.floats(0.0, math.log10(mapped_unchecked_scale(4))),
+                                 min_size=size, max_size=size)))
+    factor = np.maximum(1.0, 10.0 ** top / np.abs(cov).max(axis=(1, 2)))
+    return BrightGaussianState(np.array([a for a, _ in pairs]), cov * factor[:, None, None])
+
+
+def columns(stack, elements):
+    """A strategy for one map parameter per element of the stack."""
+    n = len(stack.amplitudes)
+    return hs.lists(elements, min_size=n, max_size=n).map(np.array)
+
+
+UNIT = hs.floats(0.0, 1.0)
+ANGLE = hs.floats(0.0, 2 * math.pi)
+
+
 class TestStackedMaps:
     """Each element map on a stack equals the map applied state by state and
-    keeps every state physical."""
+    keeps every state bona fide: the property that lets map outputs skip the
+    eigendecomposition of the uncertainty relation."""
 
     N = 12
 
@@ -395,12 +433,14 @@ class TestStackedMaps:
         assert_physical(st)
         return st
 
-    def test_beamsplitter(self, rng, stack):
-        r, theta = rng.uniform(0, 1, self.N), rng.uniform(0, 2 * np.pi, self.N)
+    @settings(max_examples=40)
+    @given(stack=bona_fide_stacks(), data=hs.data())
+    def test_beamsplitter(self, stack, data):
+        r, theta = data.draw(columns(stack, UNIT)), data.draw(columns(stack, ANGLE))
         out = apply_beamsplitter(stack, 0, 1, r, theta)
         assert_slices_equal(out, [apply_beamsplitter(stack[k], 0, 1, r[k], theta[k])
-                                  for k in range(self.N)])
-        assert_physical(out)
+                                  for k in range(len(r))])
+        assert_map_output_physical(out)
 
     def test_beamsplitter_to_a_dark_port(self):
         st = compose([make_coherent(10), make_coherent(10)])
@@ -408,19 +448,49 @@ class TestStackedMaps:
         assert_slices_equal(out, [apply_beamsplitter(st, 0, 1, 0.5, t) for t in (0.0, 1.0)])
         assert out.amplitudes[0] == pytest.approx([10 * math.sqrt(2), 0.0], abs=1e-9)
 
-    def test_loss(self, rng, stack):
-        eta = rng.uniform(0, 1, self.N)
+    @settings(max_examples=40)
+    @given(stack=bona_fide_stacks(), data=hs.data())
+    def test_loss(self, stack, data):
+        eta = data.draw(columns(stack, UNIT))
         for mode in (0, 1):
             out = apply_loss(stack, mode, eta)
-            assert_slices_equal(out, [apply_loss(stack[k], mode, eta[k]) for k in range(self.N)])
-            assert_physical(out)
+            assert_slices_equal(out, [apply_loss(stack[k], mode, eta[k])
+                                      for k in range(len(eta))])
+            assert_map_output_physical(out)
 
-    def test_phase(self, rng, stack):
-        phi = rng.uniform(0, 2 * np.pi, self.N)
+    @settings(max_examples=40)
+    @given(stack=bona_fide_stacks(), data=hs.data())
+    def test_phase(self, stack, data):
+        phi = data.draw(columns(stack, ANGLE))
         for mode in (0, 1):
             out = apply_phase(stack, mode, phi)
-            assert_slices_equal(out, [apply_phase(stack[k], mode, phi[k]) for k in range(self.N)])
-            assert_physical(out)
+            assert_slices_equal(out, [apply_phase(stack[k], mode, phi[k])
+                                      for k in range(len(phi))])
+            assert_map_output_physical(out)
+
+    @settings(max_examples=60)
+    @given(stack=bona_fide_stacks(), data=hs.data())
+    def test_map_chains_stay_bona_fide(self, stack, data):
+        # Every output of a chain of maps is physical, however many maps it
+        # passed, each element equal to its own chain.
+        states = [stack[k] for k in range(len(stack.amplitudes))]
+        for _ in range(data.draw(hs.integers(1, 6))):
+            op, mode = data.draw(hs.sampled_from("BLP")), data.draw(hs.integers(0, 1))
+            if op == "B":
+                r, theta = data.draw(columns(stack, UNIT)), data.draw(columns(stack, ANGLE))
+                stack = apply_beamsplitter(stack, mode, 1 - mode, r, theta)
+                states = [apply_beamsplitter(st, mode, 1 - mode, r[k], theta[k])
+                          for k, st in enumerate(states)]
+            elif op == "L":
+                eta = data.draw(columns(stack, UNIT))
+                stack = apply_loss(stack, mode, eta)
+                states = [apply_loss(st, mode, eta[k]) for k, st in enumerate(states)]
+            else:
+                phi = data.draw(columns(stack, ANGLE))
+                stack = apply_phase(stack, mode, phi)
+                states = [apply_phase(st, mode, phi[k]) for k, st in enumerate(states)]
+            assert_map_output_physical(stack)
+        assert_slices_equal(stack, states)
 
     def test_scalar_parameters_broadcast(self, stack):
         out = apply_loss(apply_beamsplitter(stack, 1, 0, 0.3, 1.2), 1, 0.6)
@@ -465,9 +535,17 @@ class TestStackedMaps:
             BrightGaussianState(stack.amplitudes, cov)
 
     def test_physicality_check_is_not_vacuous(self):
-        # PSD, so the constructor accepts it, but below the vacuum level.
+        # PSD, but below the vacuum level in both quadratures of both modes.
         with pytest.raises(AssertionError):
-            assert_physical(BrightGaussianState(np.full(2, 100.0), 0.1 * np.eye(4)))
+            assert_physical(SimpleNamespace(cov=0.1 * np.eye(4)))
+        with pytest.raises(DomainError, match="uncertainty relation"):
+            BrightGaussianState(np.full(2, 100.0), 0.1 * np.eye(4))
+        with pytest.raises(DomainError, match="uncertainty relation"):
+            BrightGaussianState.from_dict({"amplitudes": [100.0, 100.0],
+                                           "cov": (0.1 * np.eye(4)).tolist()})
+        # Squeezed below the vacuum in X, with the uncertainty relation kept in Y.
+        squeezed = BrightGaussianState(np.full(2, 100.0), np.diag([0.1, 10.0, 0.1, 10.0]))
+        assert_physical(squeezed)
 
 
 input_specs = hs.builds(
