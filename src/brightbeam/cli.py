@@ -28,8 +28,6 @@ def _round6(obj):
         return float(format(obj, ".6g"))
     if isinstance(obj, dict):
         return {k: _round6(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round6(v) for v in obj]
     return obj
 
 

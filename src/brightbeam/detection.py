@@ -55,7 +55,6 @@ class DetectionResult:
     variance: float
     shot_noise: float
     normalized: float
-    rel_db: float
     state: BrightGaussianState = field(repr=False, compare=False)
     weights: np.ndarray = field(repr=False, compare=False)
 
@@ -82,7 +81,12 @@ class DetectionResult:
         if np.any(normalized <= 0):
             raise DomainError("photocurrent variance is lost to rounding: covariance "
                               "entries are too large for double precision")
-        return cls(variance, shot_noise, normalized, var_to_db(normalized), state, weights)
+        return cls(variance, shot_noise, normalized, state, weights)
+
+    @property
+    def rel_db(self) -> float:
+        """The normalized variance in dB relative to shot noise."""
+        return var_to_db(self.normalized)
 
     def to_dict(self) -> dict:
         return {
@@ -91,6 +95,10 @@ class DetectionResult:
             "normalized": self.normalized,
             "rel_db": self.rel_db,
         }
+
+
+# The fields of a LossBudget.
+BUDGET_FIELDS = ("propagation", "visibility", "quantum_efficiency")
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,7 @@ class LossBudget:
     quantum_efficiency: float = 1.0
 
     def __post_init__(self):
-        for name in ("propagation", "visibility", "quantum_efficiency"):
+        for name in BUDGET_FIELDS:
             v = getattr(self, name)
             if not is_finite_real(v) or not 0.0 <= v <= 1.0:
                 raise DomainError(f"{name} must be a number in [0, 1], got {v!r}")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -14,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .detection import (
+    BUDGET_FIELDS,
     DetectionResult,
     bright_port_readings,
     method_a_anti_readings,
@@ -24,7 +24,7 @@ from .detection import (
 from .entangle import generate_entangled, theta_adapted_bound
 from .errors import BrightBeamError, DomainError, ScenarioError
 from .scenario import Scenario, load_scenario
-from .states import BrightGaussianState, sample_fluctuations
+from .states import INPUT_FIELDS, BrightGaussianState, sample_fluctuations
 
 CSV_HEADER = "method,param,value,v_sq_plus,v_sq_minus,sum,bound,witnessed,mc_sum,mc_stderr"
 # The scenario fields each sweep parameter sets, as dotted paths.
@@ -40,7 +40,6 @@ _SWEPT_FIELDS = {
     "entangle_ratio": ("entangle_ratio",),
 }
 SWEEP_PARAMS = tuple(_SWEPT_FIELDS)
-FIXTURES_ENV = "BRIGHTBEAM_FIXTURES"
 
 
 @dataclass(frozen=True)
@@ -142,42 +141,34 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
     oracle, with its standard error.
 
     Channels read off the same state share one draw; each new state gets
-    the next seed.  Along the stack a state's draw is reused while the
-    covariance of its element does not change: a state that the swept
-    parameter does not reach is drawn once.
+    the next seed.  A state is drawn once per element of its stack, or
+    once in all where it holds one element for every point, and each
+    draw is read at its points and dropped before the next is made.
     """
-    groups: list[tuple[BrightGaussianState, int, list]] = []
+    groups: list[tuple[BrightGaussianState, list]] = []
     for result, mult in channels:
         if not groups or result.state is not groups[-1][0]:
-            groups.append((result.state, seed + len(groups), []))
-        groups[-1][2].append((result, mult))
-    drawn: list = [None] * len(groups)
-    sums, errors = [], []
-    for k in range(n):
-        total = 0.0
-        err_sq = 0.0
-        for j, (state, group_seed, members) in enumerate(groups):
-            cov = _at(state.cov, k)
-            if drawn[j] is None or not np.array_equal(cov, drawn[j][0]):
-                try:
-                    drawn[j] = (cov, sample_fluctuations(
-                        state[min(k, len(state.amplitudes) - 1)], count, group_seed))
-                except (ValueError, MemoryError) as exc:
-                    # numpy refuses a count it cannot size or allocate.
-                    raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
-            samples = drawn[j][1]
-            for result, mult in members:
-                v = (float(np.var(samples @ _at(result.weights, k), ddof=1))
-                     / float(_at(result.shot_noise, k)))
-                total += mult * v
-                err_sq += (mult * v) ** 2 * 2.0 / (count - 1)
-        sums.append(total)
-        errors.append(math.sqrt(err_sq))
-    return sums, errors
-
-
-_INPUT_FIELDS = ("amplitude", "squeezing_db", "antisqueezing_db", "excess_phase_db")
-_BUDGET_FIELDS = ("propagation", "visibility", "quantum_efficiency")
+            groups.append((result.state, []))
+        groups[-1][1].append((result, mult))
+    sums, err_sq = [0.0] * n, [0.0] * n
+    for j, (state, members) in enumerate(groups):
+        stack = len(state.amplitudes)
+        for i in range(stack):
+            try:
+                samples = sample_fluctuations(state[i], count, seed + j)
+            except DomainError:
+                raise
+            except (ValueError, MemoryError) as exc:
+                # numpy refuses a count it cannot size or allocate.
+                raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
+            for k in range(n) if stack == 1 else (i,):
+                for result, mult in members:
+                    v = (float(np.var(samples @ _at(result.weights, k), ddof=1))
+                         / float(_at(result.shot_noise, k)))
+                    sums[k] += mult * v
+                    err_sq[k] += (mult * v) ** 2 * 2.0 / (count - 1)
+            del samples
+    return sums, [math.sqrt(e) for e in err_sq]
 
 
 @dataclass(frozen=True)
@@ -213,11 +204,11 @@ def _evaluate(s: Scenario, columns: dict | None = None) -> _Stack:
                                **extra)
 
     state = generate_entangled(
-        record("input_a", _INPUT_FIELDS, correlated_group=s.input_a.correlated_group),
-        record("input_b", _INPUT_FIELDS, correlated_group=s.input_b.correlated_group),
+        record("input_a", INPUT_FIELDS, correlated_group=s.input_a.correlated_group),
+        record("input_b", INPUT_FIELDS, correlated_group=s.input_b.correlated_group),
         _column(s, columns, "theta"), _column(s, columns, "entangle_ratio"),
         excess_correlation=_column(s, columns, "excess_correlation"))
-    budgets = (record("budget_a", _BUDGET_FIELDS), record("budget_b", _BUDGET_FIELDS))
+    budgets = (record("budget_a", BUDGET_FIELDS), record("budget_b", BUDGET_FIELDS))
     v_plus, v_minus, bound, gain, channels, raw = _EVALUATORS[s.method](
         s, columns, state, budgets)
     v_plus, v_minus, bound, gain = (_per_point(x, n) for x in (v_plus, v_minus, bound, gain))
@@ -322,8 +313,6 @@ def sweep(s: Scenario, param: str, start: float, stop: float,
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     if isinstance(x, bool):
         return "true" if x else "false"
     return format(x, ".6g")
@@ -365,10 +354,7 @@ def compare_methods(rows: list[ReportRow]) -> str:
 
 
 def fixtures_dir() -> Path:
-    """Bundled fixture directory, overridable via BRIGHTBEAM_FIXTURES."""
-    override = os.environ.get(FIXTURES_ENV)
-    if override:
-        return Path(override)
+    """Bundled fixture directory."""
     return Path(resources.files("brightbeam") / "fixtures")
 
 

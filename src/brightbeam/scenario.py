@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from .detection import LossBudget
 from .errors import ScenarioError
-from .states import SqueezedInputSpec
+from .states import INPUT_FIELDS, SqueezedInputSpec
 from .units import is_finite_real
 
 METHODS = ("A", "B", "C")
@@ -85,8 +85,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-_INPUT_KEYS = ("amplitude", "squeezing_db", "antisqueezing_db",
-               "excess_phase_db", "correlated_group")
+_INPUT_KEYS = (*INPUT_FIELDS, "correlated_group")
 _BUDGET_KEYS = ("prop_loss", "visibility", "quantum_efficiency")
 _SCALAR_KEYS = ("method", "theta", "entangle_ratio", "phi", "gain",
                 "excess_correlation", "imbalance", "port", "seed",

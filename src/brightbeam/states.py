@@ -84,6 +84,10 @@ def rotation2(phi) -> np.ndarray:
     return rot
 
 
+# The numeric fields of a SqueezedInputSpec.
+INPUT_FIELDS = ("amplitude", "squeezing_db", "antisqueezing_db", "excess_phase_db")
+
+
 @dataclass(frozen=True)
 class SqueezedInputSpec:
     """Parameterization of a fiber-squeezed input beam.
@@ -103,7 +107,7 @@ class SqueezedInputSpec:
     correlated_group: int | None = None
 
     def __post_init__(self):
-        for name in ("amplitude", "squeezing_db", "antisqueezing_db", "excess_phase_db"):
+        for name in INPUT_FIELDS:
             value = getattr(self, name)
             if not is_finite_real(value) or value < 0:
                 raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
@@ -151,6 +155,10 @@ def mapped_unchecked_scale(dim: int) -> float:
     return PSD_TOL / (dim ** 4 * np.finfo(float).eps)
 
 
+_LOST_TO_ROUNDING = ("covariance entries are too large for double precision: "
+                     "rounding breaks positive semi-definiteness")
+
+
 def _check_bona_fide(cov: np.ndarray, scale: np.ndarray):
     """Raise DomainError unless V + i*Omega >= 0 for every covariance V of
     the stack, to PSD_TOL: the uncertainty relation, which also makes V
@@ -164,8 +172,7 @@ def _check_bona_fide(cov: np.ndarray, scale: np.ndarray):
         # eigenvalue no larger than that may be rounding alone.
         rounding = -lowest <= cov.shape[-1] * np.finfo(float).eps * scale[..., 0, 0]
         if not (negative & ~rounding).any():
-            raise DomainError("covariance entries are too large for double precision: "
-                              "rounding breaks positive semi-definiteness")
+            raise DomainError(_LOST_TO_ROUNDING)
         raise DomainError("covariance matrix breaks the uncertainty relation: "
                           "V + i*Omega is not positive semi-definite")
 
@@ -279,9 +286,7 @@ def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
             np.array([getattr(r, name) for r in s], dtype) if isinstance(s, (list, tuple))
             else np.asarray(getattr(s, name), dtype) for s in specs)), -1)
 
-    amplitude, squeezing, antisqueezing, excess = np.broadcast_arrays(*(
-        column(name) for name in ("amplitude", "squeezing_db", "antisqueezing_db",
-                                  "excess_phase_db")))
+    amplitude, squeezing, antisqueezing, excess = np.broadcast_arrays(*map(column, INPUT_FIELDS))
     groups = column("correlated_group", object)
     # The variances of SqueezedInputSpec, elementwise.  An overflowing sum
     # leaves inf, which the state rejects.
@@ -425,7 +430,8 @@ def sample_fluctuations(state: BrightGaussianState, count: int, seed: int) -> np
         raise DomainError(f"count must be >= 1, got {count}")
     w, v = np.linalg.eigh(state.cov)
     if w.min() < -PSD_TOL:
-        raise DomainError("covariance matrix is not positive semi-definite")
+        # A state is bona fide when it is made, so this is rounding alone.
+        raise DomainError(_LOST_TO_ROUNDING)
     sqrt_cov = v * np.sqrt(np.clip(w, 0.0, None))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, 2 * state.n_modes))

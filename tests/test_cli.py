@@ -297,6 +297,21 @@ def test_mc_samples_numpy_cannot_size_in_a_file_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot draw mc_samples = {10 ** 20}: ")
 
 
+def test_sampler_lost_to_rounding_exits_2(tmp_path, capsys):
+    # The state passes the uncertainty check, but the sampler's eigenvalues
+    # of its 1e20-sized entries dip below zero by rounding alone.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"method": "B", "input_a.antisqueezing_db": 200,
+                                "input_b.antisqueezing_db": 200, "mc_samples": 100}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: covariance entries are too large for double precision: "
+                   "rounding breaks positive semi-definiteness\n")
+
+
 def test_sweep_through_a_dark_port_exits_3(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text('{"method": "C"}\n')

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from brightbeam import (
+    BrightGaussianState,
     LossBudget,
     SqueezedInputSpec,
     apply_beamsplitter,
@@ -16,10 +17,11 @@ from brightbeam import (
     method_b_channels,
     method_c_single_port,
     mz_geometry,
+    optimal_gains_for_theta,
     shot_noise_reference,
     squeezing_variances,
 )
-from brightbeam.detection import bright_port_readings
+from brightbeam.detection import bright_port_readings, method_a_readings
 from brightbeam.errors import DegenerateModeError, DomainError
 from brightbeam.states import DARK_PORT_FACTOR, dark_modes
 
@@ -337,3 +339,27 @@ def test_detection_result_consistency():
     assert res.normalized == pytest.approx(res.variance / res.shot_noise, abs=1e-12)
     assert res.rel_db == pytest.approx(10 * math.log10(res.normalized), abs=1e-9)
     assert set(res.to_dict()) == {"variance", "shot_noise", "normalized", "rel_db"}
+
+
+# A single-mode state where a pair is needed, and inputs the checks must refuse.
+@pytest.mark.parametrize("call, message", [
+    (lambda: method_a_joint(make_coherent(10.0), "X", (IDEAL, IDEAL)),
+     "method A joint measurement needs a two-mode state"),
+    (lambda: method_a_readings(make_coherent(10.0), (IDEAL, IDEAL)),
+     "method A joint measurement needs a two-mode state"),
+    (lambda: method_b_channels(make_coherent(10.0), math.pi / 2),
+     "verification interference needs a two-mode state"),
+    (lambda: optimal_gains_for_theta(0.0, 1.0), "alpha must be positive, got 0.0"),
+    (lambda: BrightGaussianState(np.array(10.0), np.eye(2)),
+     "amplitudes must be a 1-D vector or a stack of them"),
+    (lambda: BrightGaussianState(np.full(2, 10.0), np.eye(2)),
+     r"cov must be 4x4 for 2 modes, got \(2, 2\)"),
+    (lambda: BrightGaussianState(np.array([10.0, -1.0]), np.eye(4)),
+     "amplitudes must be non-negative"),
+    (lambda: make_coherent(10.0).quad_index(0, "Z"), "quadrature must be 'X' or 'Y', got 'Z'"),
+    (lambda: apply_beamsplitter(entangled(), 0, 0, 0.5, 0.0),
+     "beam splitter modes must be distinct"),
+])
+def test_input_guards_raise_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -187,10 +188,9 @@ class TestCompare:
         with pytest.raises(ScenarioError):
             compare_methods([run_scenario(Scenario())])
 
-    def test_fixtures_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BRIGHTBEAM_FIXTURES", str(tmp_path))
+    def test_empty_fixture_directory_rejected(self, tmp_path):
         with pytest.raises(ScenarioError, match="no fixture scenarios"):
-            run_fixture_table()
+            run_fixture_table(tmp_path)
 
 
 BUDGETS = {
@@ -400,6 +400,24 @@ class TestGridEqualsPoint:
         assert calls == seeds
         for value, row in rows:
             assert row == run_scenario(with_param(s, "gain", value))
+
+
+def test_each_monte_carlo_draw_is_dropped_before_the_next(monkeypatch):
+    # Method A draws two states; along a theta sweep each is drawn per point.
+    refs, alive = [], []
+    real = harness.sample_fluctuations
+
+    def tracking(state, count, seed):
+        alive.append(sum(ref() is not None for ref in refs))
+        samples = real(state, count, seed)
+        refs.append(weakref.ref(samples))
+        return samples
+
+    monkeypatch.setattr(harness, "sample_fluctuations", tracking)
+    s = make("A", mc_samples=1000, seed=3, **BUDGETS)
+    run_scenario(s)
+    sweep_csv(s, "theta", 0.5, 2.5, 4)
+    assert alive == [0] * (2 + 2 * 4)
 
 
 @pytest.mark.parametrize("gain", [1.3, "optimize"])
