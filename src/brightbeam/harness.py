@@ -125,9 +125,14 @@ def _eval_c(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
 _EVALUATORS = {"A": _eval_a, "B": _eval_b, "C": _eval_c}
 
 
+def _row(x, k: int) -> int:
+    """Index of point k's element in a stack that holds one per point or one for all."""
+    return min(k, len(x) - 1)
+
+
 def _at(x, k: int):
     """Element k of a stack, or its only element where it holds one for all points."""
-    return x[min(k, len(x) - 1)]
+    return x[_row(x, k)]
 
 
 def _per_point(x, n: int) -> list:
@@ -144,6 +149,13 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
     the next seed.  A state is drawn once per element of its stack, or
     once in all where it holds one element for every point, and each
     draw is read at its points and dropped before the next is made.
+
+    A draw is read once at each distinct weight vector of its members; a
+    member whose weights hold one element for all points has one.  Each
+    vector's variance is added to every point it serves, in the order of
+    a point-by-point pass.  A draw read at no more vectors than it has
+    sample columns keeps only their projections; otherwise (a method-A
+    gain sweep) it keeps its samples, projected one vector at a time.
     """
     groups: list[tuple[BrightGaussianState, list]] = []
     for result, mult in channels:
@@ -154,20 +166,27 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
     for j, (state, members) in enumerate(groups):
         stack = len(state.amplitudes)
         for i in range(stack):
+            points = range(n) if stack == 1 else (i,)
+            # Each distinct weight vector, keyed (member, row), in first-read order.
+            vectors = {(m, _row(result.weights, k)): _at(result.weights, k)
+                       for k in points for m, (result, _) in enumerate(members)}
+            keep = (np.array(list(vectors.values()))
+                    if len(vectors) <= 2 * state.n_modes else None)
             try:
-                samples = sample_fluctuations(state[i], count, seed + j)
+                drawn = sample_fluctuations(state[i], count, seed + j, weights=keep)
             except DomainError:
                 raise
             except (ValueError, MemoryError) as exc:
                 # numpy refuses a count it cannot size or allocate.
                 raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
-            for k in range(n) if stack == 1 else (i,):
-                for result, mult in members:
-                    v = (float(np.var(samples @ _at(result.weights, k), ddof=1))
-                         / float(_at(result.shot_noise, k)))
+            projections = drawn if keep is not None else (drawn @ w for w in vectors.values())
+            variance = {key: float(np.var(p, ddof=1)) for key, p in zip(vectors, projections)}
+            del drawn, projections
+            for k in points:
+                for m, (result, mult) in enumerate(members):
+                    v = variance[m, _row(result.weights, k)] / float(_at(result.shot_noise, k))
                     sums[k] += mult * v
                     err_sq[k] += (mult * v) ** 2 * 2.0 / (count - 1)
-            del samples
     return sums, [math.sqrt(e) for e in err_sq]
 
 

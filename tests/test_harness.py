@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -300,9 +301,9 @@ class TestMonteCarloDrawPlan:
         calls = []
         real = harness.sample_fluctuations
 
-        def recording(state, count, seed):
+        def recording(state, count, seed, weights=None):
             calls.append((count, seed))
-            return real(state, count, seed)
+            return real(state, count, seed, weights)
 
         monkeypatch.setattr(harness, "sample_fluctuations", recording)
         run_scenario(make(method, mc_samples=1000, seed=11, **BUDGETS))
@@ -390,9 +391,9 @@ class TestGridEqualsPoint:
         calls = []
         real = harness.sample_fluctuations
 
-        def recording(state, count, seed):
+        def recording(state, count, seed, weights=None):
             calls.append(seed)
-            return real(state, count, seed)
+            return real(state, count, seed, weights)
 
         monkeypatch.setattr(harness, "sample_fluctuations", recording)
         s = make(method, mc_samples=1000, seed=3, **BUDGETS)
@@ -407,9 +408,9 @@ def test_each_monte_carlo_draw_is_dropped_before_the_next(monkeypatch):
     refs, alive = [], []
     real = harness.sample_fluctuations
 
-    def tracking(state, count, seed):
+    def tracking(state, count, seed, weights=None):
         alive.append(sum(ref() is not None for ref in refs))
-        samples = real(state, count, seed)
+        samples = real(state, count, seed, weights)
         refs.append(weakref.ref(samples))
         return samples
 
@@ -418,6 +419,37 @@ def test_each_monte_carlo_draw_is_dropped_before_the_next(monkeypatch):
     run_scenario(s)
     sweep_csv(s, "theta", 0.5, 2.5, 4)
     assert alive == [0] * (2 + 2 * 4)
+
+
+@pytest.mark.parametrize("method, kept", [("B", [2]), ("C", [1]), ("A", [None, None])])
+def test_gain_sweep_reads_each_shared_weight_vector_once(monkeypatch, method, kept):
+    # B and C weigh every point of a gain sweep alike, so their one draw is
+    # projected once per channel; method A's weights move with the gain, and
+    # its 50 vectors per draw outnumber the 4 sample columns it keeps instead.
+    calls = []
+    real = harness.sample_fluctuations
+
+    def recording(state, count, seed, weights=None):
+        calls.append(None if weights is None else len(weights))
+        return real(state, count, seed, weights)
+
+    monkeypatch.setattr(harness, "sample_fluctuations", recording)
+    sweep_csv(make(method, mc_samples=1000, seed=3, **BUDGETS), "gain", 0.5, 2.0, 50)
+    assert calls == kept
+
+
+def test_monte_carlo_peak_memory_is_below_one_sample_array():
+    # A draw keeps its channel projections, never a whole count x 4 array.
+    count = 2 ** 20
+    s = make("A", mc_samples=count, seed=3, **BUDGETS)
+    run_scenario(replace(s, mc_samples=2))
+    tracemalloc.start()
+    try:
+        run_scenario(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < count * 4 * 8
 
 
 @pytest.mark.parametrize("gain", [1.3, "optimize"])

@@ -22,7 +22,7 @@ from brightbeam import (
 )
 from brightbeam.entangle import generate_entangled
 from brightbeam.errors import DegenerateModeError, DomainError
-from brightbeam.states import mapped_unchecked_scale
+from brightbeam.states import _CHUNK_ROWS, mapped_unchecked_scale
 
 
 def paper_bs_matrix(theta):
@@ -279,6 +279,27 @@ class TestSampling:
     def test_count_must_be_positive(self):
         with pytest.raises(DomainError):
             sample_fluctuations(make_coherent(1), 0, 0)
+
+    @settings(max_examples=30)
+    @given(state_seed=hs.integers(0, 2 ** 32 - 1), seed=hs.integers(0, 2 ** 32 - 1),
+           vectors=hs.integers(1, 5),
+           count=hs.sampled_from([2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                  2 * _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 17]))
+    def test_chunked_draw_is_the_whole_draw(self, state_seed, seed, vectors, count):
+        # Streaming the draw in chunks changes no bit of the samples or of
+        # their projections, whatever the size of the last chunk.
+        rng = np.random.default_rng(state_seed)
+        state = BrightGaussianState(*random_physical_pair(rng))
+        weights = rng.normal(size=(vectors, 4))
+        w, v = np.linalg.eigh(state.cov)
+        whole = (np.random.default_rng(seed).standard_normal((count, 4))
+                 @ (v * np.sqrt(np.clip(w, 0.0, None))).T)
+        samples = sample_fluctuations(state, count, seed)
+        assert np.array_equal(samples, whole)
+        projections = sample_fluctuations(state, count, seed, weights)
+        assert projections.shape == (vectors, count)
+        for q, vector in enumerate(weights):
+            assert np.array_equal(projections[q], samples @ vector)
 
 
 class TestOracleEquivalence:
