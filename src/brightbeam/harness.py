@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import os
+import threading
+from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from importlib import resources
 from operator import attrgetter
@@ -140,6 +143,131 @@ def _per_point(x, n: int) -> list:
     return [x] * n if np.ndim(x) == 0 else x.tolist() * (n // len(x))
 
 
+def _variance(p: np.ndarray) -> float:
+    """``np.var(p, ddof=1)`` of a 1-D float64 array, bit for bit, computed
+    in place: numpy's own steps (sum, divide by n, subtract, square, sum,
+    divide by n - 1) without its count-sized temporary.  Overwrites p."""
+    n = p.size
+    mean = np.add.reduce(p, axis=None, keepdims=True)
+    np.true_divide(mean, n, out=mean)
+    np.subtract(p, mean, out=p)
+    np.square(p, out=p)
+    return float(np.add.reduce(p, axis=None) / (n - 1))
+
+
+def _draw_job(state: BrightGaussianState, count: int, seed: int,
+              vectors: list) -> Callable[[], list]:
+    """A job giving the variance of a draw's projection on each weight
+    vector, with its buffers allocated here, on the calling thread: the
+    projections themselves where there are at most as many vectors as
+    sample columns, else the samples and one projection, reused.  An
+    allocation that fails is the job's failure.
+
+    Measured on mixed 1e6-sample runs of the five benchmark scenarios
+    (Linux, glibc malloc): buffers made on the worker threads, in their
+    own malloc arenas, which keep what they free, raised the peak RSS by
+    about 15 MB.  Each projection is its own array of count, so that
+    nearly every large buffer has that one size and reuses the memory a
+    freed one leaves; one (m, count) array per draw raised the peak by
+    4-7 MB on some scenario orders."""
+    dim = 2 * state.n_modes
+    try:
+        if len(vectors) <= dim:
+            keep, out = np.array(vectors), [np.empty(count) for _ in vectors]
+            return lambda: [_variance(p) for p in
+                            sample_fluctuations(state, count, seed, weights=keep, out=out)]
+        samples, projection = np.empty((count, dim)), np.empty(count)
+    except (ValueError, MemoryError) as exc:
+        error = exc
+
+        def fail():
+            raise error
+        return fail
+
+    def project_each():
+        drawn = sample_fluctuations(state, count, seed, out=samples)
+        return [_variance(np.matmul(drawn, w, out=projection)) for w in vectors]
+    return project_each
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _run_in_order(jobs: Iterable[Callable], width: int) -> list:
+    """The result of each job in order, up to ``width`` of them running at
+    once on worker threads.
+
+    A job is taken from ``jobs`` on the calling thread, and only while
+    fewer than width taken jobs are unfinished, so a job that allocates
+    where it is made holds its buffers alongside at most width - 1 others.
+    The first job in order that fails raises its error, after the running
+    jobs have finished; no later job starts.
+    """
+    results: list = []
+    if width < 2:
+        for job in jobs:
+            results.append(job())
+            del job  # before the next job allocates
+        return results
+    ready = threading.Condition()
+    queued: deque = deque()
+
+    def work():
+        while True:
+            with ready:
+                while not queued:
+                    ready.wait()
+                task = queued.popleft()
+            if task is None:
+                return
+            try:
+                task.result = task.job()
+            except BaseException as exc:
+                task.error = exc
+            with ready:
+                task.job, task.done = None, True  # drops the job's buffers
+                ready.notify_all()
+
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(width)]
+    for worker in workers:
+        worker.start()
+    running: deque = deque()
+
+    def finish_oldest():
+        task = running.popleft()
+        with ready:
+            while not task.done:
+                ready.wait()
+        if task.error is not None:
+            raise task.error
+        results.append(task.result)
+
+    try:
+        for job in jobs:
+            task = SimpleNamespace(job=job, done=False, result=None, error=None)
+            running.append(task)
+            with ready:
+                queued.append(task)
+                ready.notify_all()
+            if len(running) == width:
+                finish_oldest()
+        while running:
+            finish_oldest()
+        return results
+    finally:
+        with ready:
+            queued.clear()
+            queued.extend([None] * width)
+            ready.notify_all()
+        for worker in workers:
+            worker.join()
+
+
 def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: int,
                 seed: int) -> tuple[list, list]:
     """Empirical witness sum of each of n stack elements from the sampling
@@ -147,8 +275,7 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
 
     Channels read off the same state share one draw; each new state gets
     the next seed.  A state is drawn once per element of its stack, or
-    once in all where it holds one element for every point, and each
-    draw is read at its points and dropped before the next is made.
+    once in all where it holds one element for every point.
 
     A draw is read once at each distinct weight vector of its members; a
     member whose weights hold one element for all points has one.  Each
@@ -156,37 +283,46 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
     a point-by-point pass.  A draw read at no more vectors than it has
     sample columns keeps only their projections; otherwise (a method-A
     gain sweep) it keeps its samples, projected one vector at a time.
+
+    The draws are independent, each with its own seeded generator, so up
+    to one per usable CPU run at once on threads (numpy's generator and
+    BLAS release the GIL), planned in the order above; their variances
+    are added here in that order, so every sum is the same, bit for bit,
+    on any number of CPUs.  At most that many draws' buffers exist at a
+    time.
     """
     groups: list[tuple[BrightGaussianState, list]] = []
     for result, mult in channels:
         if not groups or result.state is not groups[-1][0]:
             groups.append((result.state, []))
         groups[-1][1].append((result, mult))
-    sums, err_sq = [0.0] * n, [0.0] * n
+    # Per draw: its state element, seed, points and members, and each
+    # distinct weight vector, keyed (member, row), in first-read order.
+    plan = []
     for j, (state, members) in enumerate(groups):
         stack = len(state.amplitudes)
         for i in range(stack):
             points = range(n) if stack == 1 else (i,)
-            # Each distinct weight vector, keyed (member, row), in first-read order.
             vectors = {(m, _row(result.weights, k)): _at(result.weights, k)
                        for k in points for m, (result, _) in enumerate(members)}
-            keep = (np.array(list(vectors.values()))
-                    if len(vectors) <= 2 * state.n_modes else None)
-            try:
-                drawn = sample_fluctuations(state[i], count, seed + j, weights=keep)
-            except DomainError:
-                raise
-            except (ValueError, MemoryError) as exc:
-                # numpy refuses a count it cannot size or allocate.
-                raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
-            projections = drawn if keep is not None else (drawn @ w for w in vectors.values())
-            variance = {key: float(np.var(p, ddof=1)) for key, p in zip(vectors, projections)}
-            del drawn, projections
-            for k in points:
-                for m, (result, mult) in enumerate(members):
-                    v = variance[m, _row(result.weights, k)] / float(_at(result.shot_noise, k))
-                    sums[k] += mult * v
-                    err_sq[k] += (mult * v) ** 2 * 2.0 / (count - 1)
+            plan.append((state[i], seed + j, points, members, vectors))
+    jobs = (_draw_job(element, count, draw_seed, list(vectors.values()))
+            for element, draw_seed, _, _, vectors in plan)
+    try:
+        drawn = _run_in_order(jobs, min(len(plan), _usable_cpus()))
+    except DomainError:
+        raise
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses a count it cannot size or allocate.
+        raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
+    sums, err_sq = [0.0] * n, [0.0] * n
+    for (_, _, points, members, vectors), variances in zip(plan, drawn):
+        variance = dict(zip(vectors, variances))
+        for k in points:
+            for m, (result, mult) in enumerate(members):
+                v = variance[m, _row(result.weights, k)] / float(_at(result.shot_noise, k))
+                sums[k] += mult * v
+                err_sq[k] += (mult * v) ** 2 * 2.0 / (count - 1)
     return sums, [math.sqrt(e) for e in err_sq]
 
 

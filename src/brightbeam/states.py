@@ -33,6 +33,7 @@ where it joins their specs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,13 +160,20 @@ _LOST_TO_ROUNDING = ("covariance entries are too large for double precision: "
                      "rounding breaks positive semi-definiteness")
 
 
+@functools.cache
+def _i_omega(dim: int) -> np.ndarray:
+    """i*Omega for dim quadratures, built once per dimension (read-only)."""
+    i_omega = 1j * np.kron(np.eye(dim // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    i_omega.setflags(write=False)
+    return i_omega
+
+
 def _check_bona_fide(cov: np.ndarray, scale: np.ndarray):
     """Raise DomainError unless V + i*Omega >= 0 for every covariance V of
     the stack, to PSD_TOL: the uncertainty relation, which also makes V
     positive definite.  Omega is one [[0, 1], [-1, 0]] block per mode in
     the (x1, y1, x2, y2, ...) order; ``scale`` is each V's largest entry."""
-    omega = np.kron(np.eye(cov.shape[-1] // 2), [[0.0, 1.0], [-1.0, 0.0]])
-    lowest = np.linalg.eigvalsh(cov + 1j * omega)[..., 0]
+    lowest = np.linalg.eigvalsh(cov + _i_omega(cov.shape[-1]))[..., 0]
     negative = lowest < -PSD_TOL
     if negative.any():
         # eigvalsh errs by a few ulps of the largest entry, so a negative
@@ -419,15 +427,19 @@ def direct_detect_variance(state: BrightGaussianState, mode: int):
     return float_if_scalar(alpha ** 2 * state.cov[..., 2 * mode, 2 * mode])
 
 
-# Rows of standard normals drawn and mapped at a time by sample_fluctuations.
-_CHUNK_ROWS = 65536
+# Rows of standard normals drawn and mapped at a time by sample_fluctuations
+# (see there for the size).
+_CHUNK_ROWS = 16384
 
 
 def sample_fluctuations(state: BrightGaussianState, count: int, seed: int,
-                        weights=None) -> np.ndarray:
+                        weights=None, out=None) -> np.ndarray | list:
     """Draw zero-mean Gaussian fluctuation samples (count x 2n) of one state,
     or with ``weights`` (m x 2n) only their projections (m x count), row q
-    being ``samples @ weights[q]``.
+    being ``samples @ weights[q]``.  ``out``, if given, is filled and
+    returned instead of a new array: a float64 array of the result's shape
+    or, with weights, a list of m float64 arrays of count, one per
+    projection.
 
     Deterministic for a fixed (state, count, seed).  This is the sampling
     oracle backing every analytic covariance claim in the test suite; for
@@ -440,6 +452,13 @@ def sample_fluctuations(state: BrightGaussianState, count: int, seed: int,
     whole draw bit for bit, and with weights no count x 2n array exists.
     A chunk never has one row unless the draw does: numpy multiplies a
     single row on its vector path, which can round differently.
+
+    Chunks are 16 384 rows so that a two-mode chunk's (rows x 4) @ (4 x 4)
+    product stays at OpenBLAS's single-thread cutoff (M*N*K <= 2**18).
+    ``harness._mc_columns`` runs independent draws side by side on
+    threads; at 65 536 rows and two BLAS threads, each chunk's product
+    started a BLAS thread that competed with the other draw, and two draws
+    side by side took longer than one after the other.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -449,13 +468,12 @@ def sample_fluctuations(state: BrightGaussianState, count: int, seed: int,
         raise DomainError(_LOST_TO_ROUNDING)
     sqrt_cov_t = (v * np.sqrt(np.clip(w, 0.0, None))).T
     dim = 2 * state.n_modes
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
     # The result is allocated before the chunk buffers: at 1e6 samples the
     # other order peaked 2 MB higher in RSS (Linux, glibc malloc).
-    if weights is None:
-        out = np.empty((count, dim))
-    else:
-        weights = np.asarray(weights, dtype=float)
-        out = np.empty((len(weights), count))
+    if out is None:
+        out = np.empty((count, dim) if weights is None else (len(weights), count))
     z = np.empty((min(count, _CHUNK_ROWS + 1), dim))
     mapped = None if weights is None else np.empty_like(z)
     rng = np.random.default_rng(seed)
@@ -470,6 +488,6 @@ def sample_fluctuations(state: BrightGaussianState, count: int, seed: int,
         else:
             np.matmul(z[:rows], sqrt_cov_t, out=mapped[:rows])
             for q, vector in enumerate(weights):
-                np.matmul(mapped[:rows], vector, out=out[q, lo:hi])
+                np.matmul(mapped[:rows], vector, out=out[q][lo:hi])
         lo = hi
     return out

@@ -355,6 +355,24 @@ def test_no_scipy_at_start_up(tmp_path):
     assert loaded == []
 
 
+def test_monte_carlo_threads_load_no_executor(tmp_path):
+    # concurrent.futures (with logging) adds about 10 ms to a cold process;
+    # the draws run on plain threads, so neither start-up nor a method-A
+    # validate, whose two draws run side by side, loads it.
+    code = ("import sys\n"
+            "from brightbeam.cli import main\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "main(sys.argv[1:])\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "validate", "--scenario",
+         str(fixtures_dir() / "method_a.json"), "--mc-samples", "2000"],
+        cwd=tmp_path, env=CHILD_ENV, capture_output=True, text=True, timeout=120, check=True)
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "False")
+    assert "mc_sum" in done.stdout
+
+
 def test_optimised_gain_still_runs(tmp_path):
     flat = json.loads((fixtures_dir() / "method_a.json").read_text(encoding="utf-8"))
     path = tmp_path / "opt.json"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -29,7 +31,7 @@ from brightbeam.harness import (
     with_param,
 )
 from brightbeam.scenario import Scenario, load_scenario, scenario_from_dict
-from brightbeam.states import apply_loss
+from brightbeam.states import apply_loss, sample_fluctuations
 
 SQ37 = {
     "input_a.squeezing_db": 3.7, "input_a.antisqueezing_db": 3.7,
@@ -301,9 +303,9 @@ class TestMonteCarloDrawPlan:
         calls = []
         real = harness.sample_fluctuations
 
-        def recording(state, count, seed, weights=None):
+        def recording(state, count, seed, weights=None, out=None):
             calls.append((count, seed))
-            return real(state, count, seed, weights)
+            return real(state, count, seed, weights, out=out)
 
         monkeypatch.setattr(harness, "sample_fluctuations", recording)
         run_scenario(make(method, mc_samples=1000, seed=11, **BUDGETS))
@@ -391,9 +393,9 @@ class TestGridEqualsPoint:
         calls = []
         real = harness.sample_fluctuations
 
-        def recording(state, count, seed, weights=None):
+        def recording(state, count, seed, weights=None, out=None):
             calls.append(seed)
-            return real(state, count, seed, weights)
+            return real(state, count, seed, weights, out=out)
 
         monkeypatch.setattr(harness, "sample_fluctuations", recording)
         s = make(method, mc_samples=1000, seed=3, **BUDGETS)
@@ -405,20 +407,25 @@ class TestGridEqualsPoint:
 
 def test_each_monte_carlo_draw_is_dropped_before_the_next(monkeypatch):
     # Method A draws two states; along a theta sweep each is drawn per point.
+    # Up to W = 2 draws run at once, so at most W - 1 others are alive
+    # when a draw starts.
+    width = 2
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: width)
     refs, alive = [], []
     real = harness.sample_fluctuations
 
-    def tracking(state, count, seed, weights=None):
-        alive.append(sum(ref() is not None for ref in refs))
-        samples = real(state, count, seed, weights)
-        refs.append(weakref.ref(samples))
-        return samples
+    def tracking(state, count, seed, weights=None, out=None):
+        alive.append(sum(any(ref() is not None for ref in draw) for draw in refs))
+        projections = real(state, count, seed, weights, out=out)
+        refs.append([weakref.ref(p) for p in projections])
+        return projections
 
     monkeypatch.setattr(harness, "sample_fluctuations", tracking)
     s = make("A", mc_samples=1000, seed=3, **BUDGETS)
     run_scenario(s)
     sweep_csv(s, "theta", 0.5, 2.5, 4)
-    assert alive == [0] * (2 + 2 * 4)
+    assert len(alive) == 2 + 2 * 4
+    assert max(alive) <= width - 1
 
 
 @pytest.mark.parametrize("method, kept", [("B", [2]), ("C", [1]), ("A", [None, None])])
@@ -429,9 +436,9 @@ def test_gain_sweep_reads_each_shared_weight_vector_once(monkeypatch, method, ke
     calls = []
     real = harness.sample_fluctuations
 
-    def recording(state, count, seed, weights=None):
+    def recording(state, count, seed, weights=None, out=None):
         calls.append(None if weights is None else len(weights))
-        return real(state, count, seed, weights)
+        return real(state, count, seed, weights, out=out)
 
     monkeypatch.setattr(harness, "sample_fluctuations", recording)
     sweep_csv(make(method, mc_samples=1000, seed=3, **BUDGETS), "gain", 0.5, 2.0, 50)
@@ -450,6 +457,148 @@ def test_monte_carlo_peak_memory_is_below_one_sample_array():
     finally:
         tracemalloc.stop()
     assert peak < count * 4 * 8
+
+
+@settings(max_examples=40)
+@given(seed=hs.integers(0, 2 ** 32 - 1), length=hs.sampled_from([2, 1025, 65537, 2 ** 20 + 3]),
+       layout=hs.sampled_from(["whole", "row", "column"]))
+def test_in_place_variance_is_numpys(seed, length, layout):
+    # The in-place steps are np.var's own, so they round alike, also on a
+    # row or a strided column of a 2-D buffer.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-6.0, 6.0), length)
+    expected = float(np.var(x, ddof=1))
+    if layout == "whole":
+        p = x.copy()
+    elif layout == "row":
+        p = np.zeros((3, length))[1]
+        p[:] = x
+    else:
+        p = np.zeros((length, 3))[:, 1]
+        p[:] = x
+    assert harness._variance(p) == expected
+
+
+@pytest.mark.parametrize("late, expected, message", [
+    (DomainError("seed 3 failed"), DomainError, "seed 3 failed"),
+    (ValueError("seed 3 failed"), ScenarioError, "cannot draw mc_samples = 1000: seed 3 failed"),
+    (MemoryError("seed 3 failed"), ScenarioError, "cannot draw mc_samples = 1000: seed 3 failed"),
+])
+def test_first_failing_draw_in_plan_order_raises(monkeypatch, late, expected, message):
+    # Method A's draws (seeds 3 and 4) run side by side; seed 4 fails first,
+    # but seed 3 comes first in the plan, so its error is the one raised.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    early_failed = threading.Event()
+
+    def failing(state, count, seed, weights=None, out=None):
+        if seed == 4:
+            early_failed.set()
+            raise MemoryError("seed 4 failed")
+        assert early_failed.wait(timeout=60)
+        raise late
+
+    monkeypatch.setattr(harness, "sample_fluctuations", failing)
+    with pytest.raises(expected) as exc:
+        run_scenario(make("A", mc_samples=1000, seed=3))
+    assert str(exc.value) == message
+
+
+def test_no_job_starts_after_the_first_failure():
+    taken = []
+    second_done = threading.Event()
+
+    def jobs():
+        for index in range(6):
+            taken.append(index)
+            if index == 0:
+                def job():
+                    assert second_done.wait(timeout=60)
+                    raise ValueError("job 0")
+            else:
+                def job(index=index):
+                    if index == 1:
+                        second_done.set()
+                    return index
+            yield job
+
+    with pytest.raises(ValueError, match="job 0"):
+        harness._run_in_order(jobs(), 2)
+    assert taken == [0, 1]
+
+
+def test_run_in_order_under_thread_switches():
+    # More workers than cores, a thread switch every microsecond, and jobs
+    # of uneven length: every result arrives once and in order, and no
+    # more than width taken jobs are ever unfinished.
+    width, lock = 8, threading.Lock()
+    outstanding, most, results = [0], [0], []
+
+    def jobs():
+        for index in range(300):
+            with lock:
+                outstanding[0] += 1
+                most[0] = max(most[0], outstanding[0])
+
+            def job(index=index):
+                np.sort(np.random.default_rng(index).random(50 * (index % 7)))
+                with lock:
+                    outstanding[0] -= 1
+                return index
+            yield job
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(
+            target=lambda: results.extend(harness._run_in_order(jobs(), width)))
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert results == list(range(300))
+    assert 2 <= most[0] <= width
+
+
+def _sequential_monte_carlo(channels, n, count, seed):
+    """mc_sum and mc_stderr of method A's channels (one state each, seeds
+    seed and seed + 1), drawn one after the other and read with np.var."""
+    def at(x, k):
+        return x[k] if len(x) > 1 else x[0]
+
+    sums, err_sq = [0.0] * n, [0.0] * n
+    for j, (result, mult) in enumerate(channels):
+        stack = len(result.state.amplitudes)
+        for k in range(n):
+            samples = sample_fluctuations(result.state[k if stack > 1 else 0], count, seed + j)
+            v = float(np.var(samples @ at(result.weights, k), ddof=1)) / float(
+                at(result.shot_noise, k))
+            sums[k] += mult * v
+            err_sq[k] += (mult * v) ** 2 * 2.0 / (count - 1)
+    return sums, [math.sqrt(e) for e in err_sq]
+
+
+def test_parallel_draws_are_the_sequential_draws(monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    seen = []
+    real = harness._mc_columns
+
+    def recording(channels, n, count, seed):
+        columns = real(channels, n, count, seed)
+        seen.append((_sequential_monte_carlo(channels, n, count, seed), columns))
+        return columns
+
+    monkeypatch.setattr(harness, "_mc_columns", recording)
+    s = make("A", mc_samples=65537, seed=3, **BUDGETS)
+    for _ in range(5):
+        row = run_scenario(s)
+        csv = sweep_csv(s, "theta", 0.5, 2.5, 4)
+        (expected_row, _), (expected_sweep, columns) = seen[-2], seen[-1]
+        assert (row.mc_sum, row.mc_stderr) == (expected_row[0][0], expected_row[1][0])
+        assert columns == expected_sweep
+        assert [line.split(",")[-2:] for line in csv.splitlines()[1:]] == [
+            ["%.6g" % m, "%.6g" % e] for m, e in zip(*expected_sweep)]
+    assert len(seen) == 10
 
 
 @pytest.mark.parametrize("gain", [1.3, "optimize"])
