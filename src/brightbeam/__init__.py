@@ -1,7 +1,6 @@
 """brightbeam: Gaussian simulation and entanglement verification for bright beams."""
 
 from .detection import (
-    DetectionResult,
     LossBudget,
     MzGeometry,
     correct_electronic_noise,
@@ -10,7 +9,6 @@ from .detection import (
     method_b_channels,
     method_c_single_port,
     mz_geometry,
-    shot_noise_reference,
 )
 from .entangle import (
     GeneralizedCombination,
@@ -34,6 +32,7 @@ from .harness import ReportRow, compare_methods, run_scenario, sweep, sweep_csv
 from .scenario import Scenario, load_scenario, save_scenario, scenario_from_dict, scenario_to_dict
 from .states import (
     BrightGaussianState,
+    DetectionResult,
     SqueezedInputSpec,
     apply_beamsplitter,
     apply_loss,
@@ -43,6 +42,7 @@ from .states import (
     make_coherent,
     make_squeezed,
     sample_fluctuations,
+    shot_noise_reference,
     squeezed_inputs,
 )
 from .units import db_to_var, var_to_db

@@ -13,6 +13,7 @@ fluctuations, read by ``DetectionResult.read``: its variance is w^T V w
 and its shot noise the coherent-state variance of the same photocurrent,
 sum(w^2) (``shot_noise_reference``).  The weights carry the carriers,
 electronic gains and signs, so each method only chooses its weights.
+The reading lives in ``states`` so that ``entangle`` reads through it too.
 
 All physics stays in shot-noise-normalized units; absolute dBm powers
 appear only in the electronic-noise subtraction utility.  Every readout
@@ -24,77 +25,24 @@ is a LossBudget or any record with its three fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .entangle import witness_gains
-from .errors import DegenerateModeError, DomainError
+from .errors import DomainError
 from .states import (
     BrightGaussianState,
+    DetectionResult,
     apply_beamsplitter,
     apply_loss,
     bright_carriers,
     dark_modes,
-    float_if_scalar,
+    shot_noise_reference,  # noqa: F401  (re-exported with DetectionResult)
 )
-from .units import is_finite_real, var_to_db
+from .units import is_finite_real
 
 SPEED_OF_LIGHT = 299_792_458.0
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """A photocurrent variance with its shot-noise reference.
-
-    A result keeps the state it was read off and the photocurrent's
-    quadrature weights, so the sampling oracle can redraw the same channel.
-    Read off a stack, the numbers are arrays over the stack.
-    """
-
-    variance: float
-    shot_noise: float
-    normalized: float
-    state: BrightGaussianState = field(repr=False, compare=False)
-    weights: np.ndarray = field(repr=False, compare=False)
-
-    @classmethod
-    def read(cls, state: BrightGaussianState, *terms) -> "DetectionResult":
-        """Photocurrent sum(w_i dQ_i) on dQ = [dX1, dY1, dX2, dY2, ...],
-        read off a state and normalized to sum(w^2).
-
-        Each term (i, *factors) sets w_i to the product of its factors;
-        the other weights are zero.  NaN weights read NaN (a port of a
-        stack dark there); a reading that overflows, or that rounding
-        leaves at or below zero, raises DomainError."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = [math.prod(factors) for _, *factors in terms]
-            weights = np.zeros(np.broadcast_shapes(*map(np.shape, values)) + (2 * state.n_modes,))
-            for (index, *_), value in zip(terms, values):
-                weights[..., index] = value
-            shot_noise = shot_noise_reference(weights)
-            variance = state.combination_variance(weights)
-            normalized = variance / shot_noise
-        if not np.all(np.isnan(shot_noise) | (np.isfinite(shot_noise) & np.isfinite(normalized))):
-            raise DomainError("photocurrent variance overflows: carrier amplitude, "
-                              "gain or noise level too large")
-        if np.any(normalized <= 0):
-            raise DomainError("photocurrent variance is lost to rounding: covariance "
-                              "entries are too large for double precision")
-        return cls(variance, shot_noise, normalized, state, weights)
-
-    @property
-    def rel_db(self) -> float:
-        """The normalized variance in dB relative to shot noise."""
-        return var_to_db(self.normalized)
-
-    def to_dict(self) -> dict:
-        return {
-            "variance": self.variance,
-            "shot_noise": self.shot_noise,
-            "normalized": self.normalized,
-            "rel_db": self.rel_db,
-        }
 
 
 # The fields of a LossBudget.
@@ -210,25 +158,15 @@ def method_a_joint(state: BrightGaussianState, quadrature: str,
             _joint_reading(lossy, quadrature, -sign, g, imbalance))
 
 
-def method_a_gain(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
-                  imbalance: float = 0.0) -> float:
-    """Shared gain g minimizing the method-A witness sum (per pair of a stack).
-
-    The sum is V(dX1 + g' dX2) + V(dY1 - g' dY2) at g' = g (1 + imbalance),
-    with the amplitude channel skipping the visibility loss as in
-    ``method_a_joint``.
-    """
-    return witness_gains(*_method_a_paths(state, budgets), imbalance)[0]
-
-
 def method_a_readings(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
                       g=None, imbalance: float = 0.0
                       ) -> tuple[float, DetectionResult, DetectionResult]:
     """Method A's witness readings, each path's lossy state built once.
 
-    Returns the gain, ``method_a_gain``'s where ``g`` is None, and the
-    ``method_a_joint`` combinations ``plus`` (X) and ``minus`` (Y) at that
-    gain; ``method_a_anti_readings`` gives their anti-combinations.
+    Returns the gain, where ``g`` is None the one ``witness_gains`` picks
+    for the two paths, and the ``method_a_joint`` combinations ``plus`` (X)
+    and ``minus`` (Y) at that gain; ``method_a_anti_readings`` gives their
+    anti-combinations.
     """
     if state.n_modes != 2:
         raise DomainError("method A joint measurement needs a two-mode state")
@@ -308,20 +246,10 @@ def bright_port_readings(out: BrightGaussianState) -> dict[str, DetectionResult]
     dark = dark_modes(out.amplitudes)
     readings = {}
     for port, index in _PORT_INDEX.items():
-        if not np.all(dark[..., index]):
+        if not dark[..., index].all():
             alpha = np.where(dark[..., index], np.nan, out.amplitudes[..., index])
             readings[f"port_{port}"] = DetectionResult.read(out, (2 * index, alpha))
     return readings
-
-
-def shot_noise_reference(weights):
-    """Coherent-state variance sum(w^2) of the photocurrent sum(w_i dQ_i),
-    one per stack element for weights shaped (..., k)."""
-    w = np.asarray(weights, dtype=float)
-    total = np.sum(w * w, axis=-1)
-    if np.any(total <= 0):
-        raise DegenerateModeError("all-zero weights give no shot-noise reference")
-    return float_if_scalar(total)
 
 
 def correct_electronic_noise(signal_dbm: float, electronic_dbm: float) -> float:

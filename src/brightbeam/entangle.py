@@ -21,12 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateModeError, DomainError
+from .errors import DomainError
 from .states import (
     BrightGaussianState,
+    DetectionResult,
     SqueezedInputSpec,
     apply_beamsplitter,
-    dark_modes,
+    bright_carriers,
     float_if_scalar,
     squeezed_inputs,
 )
@@ -89,21 +90,7 @@ def generate_entangled(a: SqueezedInputSpec, b: SqueezedInputSpec,
 def _require_bright_pair(state: BrightGaussianState):
     if state.n_modes != 2:
         raise DomainError(f"expected a two-mode state, got {state.n_modes} modes")
-    if np.any(dark_modes(state.amplitudes)):
-        raise DegenerateModeError("both modes need a carrier for witness evaluation")
-
-
-def _pair_entries(cov: np.ndarray) -> tuple[tuple, tuple]:
-    """X entries (c00, c02, c22) and Y entries (c11, c13, c33) of a pair's covariance."""
-    return ((cov[..., 0, 0], cov[..., 0, 2], cov[..., 2, 2]),
-            (cov[..., 1, 1], cov[..., 1, 3], cov[..., 3, 3]))
-
-
-def _joint_variances(x, y, g):
-    """(V(dX1 + g dX2), V(dY1 - g dY2)) / (1 + g^2) from X entries x and Y entries y."""
-    norm = 1.0 + g * g
-    return ((x[0] + 2 * g * x[1] + g * g * x[2]) / norm,
-            (y[0] - 2 * g * y[1] + g * g * y[2]) / norm)
+    bright_carriers(state, [0, 1], "both modes need a carrier for witness evaluation")
 
 
 def squeezing_variances(state: BrightGaussianState, g: float = 1.0) -> tuple[float, float]:
@@ -113,8 +100,8 @@ def squeezing_variances(state: BrightGaussianState, g: float = 1.0) -> tuple[flo
     combination, so a coherent pair gives (1, 1) for every gain.
     """
     _require_bright_pair(state)
-    v_plus, v_minus = _joint_variances(*_pair_entries(state.cov), g)
-    return float_if_scalar(v_plus), float_if_scalar(v_minus)
+    return (DetectionResult.read(state, (0,), (2, g)).normalized,
+            DetectionResult.read(state, (1,), (3, -1.0, g)).normalized)
 
 
 def duan_simon(state: BrightGaussianState, g: float = 1.0) -> WitnessReport:
@@ -147,11 +134,8 @@ def normalized_combination_variances(state: BrightGaussianState,
                                      c: GeneralizedCombination) -> tuple[float, float]:
     """Each combination variance divided by its coherent-state value."""
     _require_bright_pair(state)
-    u = np.array([c.h_a, 0.0, c.h_b, 0.0])
-    v = np.array([0.0, c.g_a, 0.0, c.g_b])
-    vu = state.combination_variance(u) / (c.h_a ** 2 + c.h_b ** 2)
-    vv = state.combination_variance(v) / (c.g_a ** 2 + c.g_b ** 2)
-    return float_if_scalar(vu), float_if_scalar(vv)
+    return (DetectionResult.read(state, (0, c.h_a), (2, c.h_b)).normalized,
+            DetectionResult.read(state, (1, c.g_a), (3, c.g_b)).normalized)
 
 
 def theta_adapted_bound(theta: float) -> float:
@@ -285,10 +269,14 @@ def minimize_gain(objective, params) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _witness_sum(g, params):
-    """V(dX1 + g' dX2) + V(dY1 - g' dY2) over 1 + g'^2 at g' = g * params[6],
-    with X entries params[0:3] and Y entries params[3:6]."""
-    v_plus, v_minus = _joint_variances(params[0:3], params[3:6], g * params[6])
-    return v_plus + v_minus
+    """The sum of the two ``squeezing_variances`` readings at g' = g * params[6],
+    from X entries (c00, c02, c22) params[0:3] and Y entries (c11, c13, c33)
+    params[3:6].  This closed form keeps the gains the scalar reference
+    search's bit for bit; the readings differ by ulps, which moves some."""
+    g = g * params[6]
+    norm = 1.0 + g * g
+    return ((params[0] + 2 * g * params[1] + g * g * params[2]) / norm
+            + (params[3] - 2 * g * params[4] + g * g * params[5]) / norm)
 
 
 def witness_gains(state_x: BrightGaussianState, state_y: BrightGaussianState,
@@ -304,8 +292,9 @@ def witness_gains(state_x: BrightGaussianState, state_y: BrightGaussianState,
     _require_bright_pair(state_y)
     batch = np.broadcast_shapes(state_x.cov.shape[:-2], state_y.cov.shape[:-2],
                                 np.shape(imbalance))
-    rows = (*_pair_entries(state_x.cov)[0], *_pair_entries(state_y.cov)[1],
-            1.0 + np.asarray(imbalance, dtype=float))
+    cx, cy = state_x.cov, state_y.cov
+    rows = (cx[..., 0, 0], cx[..., 0, 2], cx[..., 2, 2], cy[..., 1, 1], cy[..., 1, 3],
+            cy[..., 3, 3], 1.0 + np.asarray(imbalance, dtype=float))
     params = np.stack([np.broadcast_to(row, batch).ravel() for row in rows])
     gains, fallbacks = (v.reshape(batch) for v in minimize_gain(_witness_sum, params))
     return float_if_scalar(gains), (fallbacks if batch else bool(fallbacks))

@@ -17,7 +17,6 @@ import numpy as np
 
 from .detection import (
     BUDGET_FIELDS,
-    DetectionResult,
     bright_port_readings,
     method_a_anti_readings,
     method_a_readings,
@@ -27,7 +26,7 @@ from .detection import (
 from .entangle import generate_entangled, theta_adapted_bound
 from .errors import BrightBeamError, DomainError, ScenarioError
 from .scenario import Scenario, load_scenario
-from .states import INPUT_FIELDS, BrightGaussianState, sample_fluctuations
+from .states import INPUT_FIELDS, BrightGaussianState, DetectionResult, sample_fluctuations
 
 CSV_HEADER = "method,param,value,v_sq_plus,v_sq_minus,sum,bound,witnessed,mc_sum,mc_stderr"
 # The scenario fields each sweep parameter sets, as dotted paths.

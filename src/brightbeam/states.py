@@ -16,15 +16,15 @@ All operations are pure and return new states.  Each map checks its
 parameters once per stack.
 
 A state is checked once where it enters: the public constructor (and
-so ``from_dict``, ``squeezed_inputs``, ``compose`` and ``make_coherent``)
-tests every covariance of its stack for finiteness and symmetry, then
-for the uncertainty relation V + i*Omega >= 0 (Simon, PRL 84, 2726
-(2000)) with one batched complex eigvalsh; the vacuum is V = I.
-Beam splitters, phases and loss are physical maps, which keep a checked
-state bona fide, so their outputs and the elements of a stack get the
-same finiteness and symmetry tests but no eigendecomposition unless
-their entries are large enough for rounding to matter (see
-``mapped_unchecked_scale``).
+so ``from_dict``, ``compose`` and ``make_coherent``) tests every
+covariance of its stack for finiteness and symmetry, then for the
+uncertainty relation V + i*Omega >= 0 (Simon, PRL 84, 2726 (2000)) with
+one batched complex eigvalsh; the vacuum is V = I.  Physical maps (beam
+splitters, phases, loss) keep a state bona fide, and inputs that meet
+their own uncertainty relation join into one, so map outputs, stack
+elements and such ``squeezed_inputs`` get the finiteness and symmetry
+tests but no eigendecomposition unless their entries are large enough
+for rounding to matter (see ``mapped_unchecked_scale``).
 
 A state is its carriers and covariance only: ``squeezed_inputs`` sets
 the classical phase noise that inputs of one correlated_group share
@@ -34,12 +34,13 @@ where it joins their specs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateModeError, DomainError
-from .units import db_to_var, is_finite_real
+from .units import db_to_var, is_finite_real, var_to_db
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -64,7 +65,7 @@ def dark_modes(amplitudes) -> np.ndarray:
 def bright_carriers(state: BrightGaussianState, modes, message: str):
     """Carrier amplitudes of the given modes; DegenerateModeError(message)
     where any of them is dark."""
-    if np.any(dark_modes(state.amplitudes)[..., modes]):
+    if dark_modes(state.amplitudes)[..., modes].any():
         raise DegenerateModeError(message)
     return state.amplitudes[..., modes]
 
@@ -73,7 +74,7 @@ def check_unit_range(name: str, value):
     """Raise DomainError naming the first entry of value outside [0, 1]."""
     value = np.asarray(value)
     bad = ~((0.0 <= value) & (value <= 1.0))
-    if np.any(bad):
+    if bad.any():
         raise DomainError(f"{name} must be in [0, 1], got {value[bad].flat[0]}")
 
 
@@ -87,6 +88,11 @@ def rotation2(phi) -> np.ndarray:
 
 # The numeric fields of a SqueezedInputSpec.
 INPUT_FIELDS = ("amplitude", "squeezing_db", "antisqueezing_db", "excess_phase_db")
+
+
+def _input_uncertainty_holds(x, y_quantum):
+    """Where an input's own uncertainty relation x * y_quantum >= 1 holds, to PSD_TOL."""
+    return x * y_quantum >= 1.0 - PSD_TOL
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,7 @@ class SqueezedInputSpec:
         group = self.correlated_group
         if group is not None and (not isinstance(group, int) or isinstance(group, bool)):
             raise DomainError(f"correlated_group must be an integer or null, got {group!r}")
-        if db_to_var(-self.squeezing_db) * db_to_var(self.antisqueezing_db) < 1.0 - PSD_TOL:
+        if not _input_uncertainty_holds(self.x_variance, self.y_variance_quantum):
             raise DomainError(
                 "Heisenberg violation: squeezing %.3f dB needs antisqueezing >= %.3f dB"
                 % (self.squeezing_db, self.squeezing_db)
@@ -201,9 +207,11 @@ class BrightGaussianState:
 
     @classmethod
     def _mapped(cls, amplitudes, cov) -> "BrightGaussianState":
-        """A state that a physical map (or stack indexing) made from checked
-        states: the constructor's checks, except that the uncertainty
-        relation is tested only where rounding could break it."""
+        """A state known to be bona fide: made by a physical map (or stack
+        indexing) from checked states, or by ``squeezed_inputs`` from inputs
+        that pass their own uncertainty test.  The constructor's checks,
+        except that the uncertainty relation is tested only where rounding
+        could break it."""
         state = object.__new__(cls)
         state._store(amplitudes, cov, mapped=True)
         return state
@@ -268,6 +276,70 @@ class BrightGaussianState:
         return cls(np.array(d["amplitudes"], float), np.array(d["cov"], float))
 
 
+@dataclass(frozen=True)
+class DetectionResult:
+    """A photocurrent variance with its shot-noise reference.
+
+    A result keeps the state it was read off and the photocurrent's
+    quadrature weights, so the sampling oracle can redraw the same channel.
+    Read off a stack, the numbers are arrays over the stack.
+    """
+
+    variance: float
+    shot_noise: float
+    normalized: float
+    state: BrightGaussianState = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
+
+    @classmethod
+    def read(cls, state: BrightGaussianState, *terms) -> "DetectionResult":
+        """Photocurrent sum(w_i dQ_i) on dQ = [dX1, dY1, dX2, dY2, ...],
+        read off a state and normalized to sum(w^2).
+
+        Each term (i, *factors) sets w_i to the product of its factors;
+        the other weights are zero.  NaN weights read NaN (a port of a
+        stack dark there); a reading that overflows, or that rounding
+        leaves at or below zero, raises DomainError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = [math.prod(factors) for _, *factors in terms]
+            weights = np.zeros(np.broadcast_shapes(*map(np.shape, values)) + (2 * state.n_modes,))
+            for (index, *_), value in zip(terms, values):
+                weights[..., index] = value
+            shot_noise = shot_noise_reference(weights)
+            variance = state.combination_variance(weights)
+            normalized = variance / shot_noise
+        if not (np.isnan(shot_noise) | (np.isfinite(shot_noise) & np.isfinite(normalized))).all():
+            raise DomainError("photocurrent variance overflows: carrier amplitude, "
+                              "gain or noise level too large")
+        if (np.asarray(normalized) <= 0).any():
+            raise DomainError("photocurrent variance is lost to rounding: covariance "
+                              "entries are too large for double precision")
+        return cls(variance, shot_noise, normalized, state, weights)
+
+    @property
+    def rel_db(self) -> float:
+        """The normalized variance in dB relative to shot noise."""
+        return var_to_db(self.normalized)
+
+    def to_dict(self) -> dict:
+        return {
+            "variance": self.variance,
+            "shot_noise": self.shot_noise,
+            "normalized": self.normalized,
+            "rel_db": self.rel_db,
+        }
+
+
+def shot_noise_reference(weights):
+    """Coherent-state variance sum(w^2) of the photocurrent sum(w_i dQ_i),
+    one per stack element for weights shaped (..., k)."""
+    w = np.asarray(weights, dtype=float)
+    total = (w * w).sum(axis=-1)
+    if (total <= 0).any():
+        raise DegenerateModeError("all-zero weights give no shot-noise reference")
+    return float_if_scalar(total)
+
+
 def make_coherent(amplitude: float) -> BrightGaussianState:
     """Single-mode coherent (or vacuum) state: cov = identity."""
     if amplitude < 0:
@@ -298,9 +370,10 @@ def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
     groups = column("correlated_group", object)
     # The variances of SqueezedInputSpec, elementwise.  An overflowing sum
     # leaves inf, which the state rejects.
-    x, classical = db_to_var(-squeezing), db_to_var(excess) - 1.0
+    x, y_quantum = db_to_var(-squeezing), db_to_var(antisqueezing)
+    classical = db_to_var(excess) - 1.0
     with np.errstate(over="ignore"):
-        y = db_to_var(antisqueezing) + classical
+        y = y_quantum + classical
     n = amplitude.shape[-1]
     batch = np.broadcast_shapes(amplitude.shape[:-1], np.shape(excess_correlation))
     shared = ((groups[..., :, None] == groups[..., None, :]) & ~np.eye(n, dtype=bool)
@@ -316,7 +389,13 @@ def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
     k = np.arange(n)
     cov[..., 2 * k, 2 * k] = x
     cov[..., 2 * k + 1, 2 * k + 1] = y
-    return BrightGaussianState(np.broadcast_to(amplitude, batch + (n,)), cov)
+    amps = np.broadcast_to(amplitude, batch + (n,))
+    # Inputs that meet their own uncertainty relation make a bona fide state
+    # if each pedestal c >= 0: a group's shared noise adds eps s s^T +
+    # (1 - eps) diag(c) >= 0, s = sqrt(c).  Others get the full check.
+    if (_input_uncertainty_holds(x, y_quantum) & (classical >= 0)).all():
+        return BrightGaussianState._mapped(amps, cov)
+    return BrightGaussianState(amps, cov)
 
 
 def make_squeezed(spec) -> BrightGaussianState:
@@ -341,8 +420,10 @@ def compose(states: list[BrightGaussianState]) -> BrightGaussianState:
 
 def _embed(n: int, modes: tuple[int, ...], block: np.ndarray) -> np.ndarray:
     """Embed a (stacked) symplectic block acting on the given modes into 2n x 2n."""
-    s = np.array(np.broadcast_to(np.eye(2 * n), block.shape[:-2] + (2 * n, 2 * n)))
     idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
+    if idx == list(range(2 * n)):
+        return block  # it already acts on every mode, in order
+    s = np.array(np.broadcast_to(np.eye(2 * n), block.shape[:-2] + (2 * n, 2 * n)))
     s[(..., *np.ix_(idx, idx))] = block
     return s
 

@@ -33,7 +33,7 @@ def db_to_var(db):
     except OverflowError:  # a Python float
         v = math.inf
     overflow = np.isinf(v)
-    if np.any(overflow):
+    if overflow.any():
         bad = db if np.ndim(db) == 0 else float(db[overflow].flat[0])
         raise DomainError(f"{bad} dB is out of the representable variance range")
     return v

@@ -24,11 +24,10 @@ from brightbeam import (
     squeezing_variances,
     theta_adapted_bound,
 )
-from brightbeam.detection import method_a_gain
+from brightbeam.detection import method_a_readings
 from brightbeam.entangle import (
     GAIN_BOUNDS,
-    _joint_variances,
-    _pair_entries,
+    _witness_sum,
     minimize_gain,
     witness_gains,
 )
@@ -167,6 +166,14 @@ class TestGeneralizedWitness:
         with pytest.raises(DomainError):
             GeneralizedCombination(0, 0, 0, 0)
 
+    @pytest.mark.parametrize("coefficients", [(0, 0, 1, -1), (1, 1, 0, 0)])
+    def test_all_zero_combination_has_no_shot_noise_reference(self, coefficients):
+        # generalized_witness sums raw variances, so one all-zero combination
+        # is allowed there; its normalized variance has no reference.
+        st = generate_entangled(symmetric_spec(), symmetric_spec(), math.pi / 2)
+        with pytest.raises(DegenerateModeError, match="no shot-noise reference"):
+            normalized_combination_variances(st, GeneralizedCombination(*coefficients))
+
 
 class TestThetaAdaptedBound:
     def test_standard_limit(self):
@@ -287,7 +294,7 @@ class TestGainAgainstDenseGrid:
             budgets = tuple(LossBudget(rng.uniform(0.5, 1.0), rng.uniform(0.8, 1.0),
                                        rng.uniform(0.7, 1.0)) for _ in range(2))
             for imbalance in (0.0, rng.uniform(-0.5, 0.5)):
-                g = method_a_gain(st, budgets, imbalance)
+                g = method_a_readings(st, budgets, None, imbalance)[0]
                 x, _ = method_a_joint(st, "X", budgets, g, imbalance)
                 y, _ = method_a_joint(st, "Y", budgets, g, imbalance)
                 total = x.normalized + y.normalized
@@ -306,12 +313,12 @@ def stack_of(states) -> BrightGaussianState:
 
 def scipy_gain(minimize_scalar, state_x, state_y, imbalance):
     """The gain rule on one pair through scipy's scalar bounded Brent search."""
-    x = [float(v) for v in _pair_entries(state_x.cov)[0]]
-    y = [float(v) for v in _pair_entries(state_y.cov)[1]]
+    cx, cy = state_x.cov, state_y.cov
+    params = [float(v) for v in (cx[0, 0], cx[0, 2], cx[2, 2], cy[1, 1], cy[1, 3], cy[3, 3])]
+    params.append(1.0 + imbalance)
 
     def witness_sum(g):
-        v_plus, v_minus = _joint_variances(x, y, g * (1.0 + imbalance))
-        return v_plus + v_minus
+        return _witness_sum(g, params)
 
     lo, hi = GAIN_BOUNDS
     res = minimize_scalar(lambda log_g: witness_sum(float(np.exp(log_g))),
@@ -354,6 +361,23 @@ class TestGainAgainstScipy:
         assert g[[0, 2]] == pytest.approx(np.exp([2.0, -0.5]), rel=1e-9)
         g, fallback = minimize_gain(lambda g, p: (np.log(g) - p[0]) ** 2, params[:, 1:2])
         assert (g.tolist(), fallback.tolist()) == ([1.0], [True])
+
+
+@settings(max_examples=200)
+@given(hs.integers(0, 2 ** 32 - 1), hs.floats(*GAIN_BOUNDS),
+       hs.sampled_from([0.0]) | hs.floats(-0.5, 0.5))
+def test_gain_objective_is_the_sum_of_method_a_readings(seed, g, imbalance):
+    """The gain search's closed form equals the reading it stands for, to
+    within 8 eps of the largest covariance entry."""
+    rng = np.random.default_rng(seed)
+    budgets = tuple(LossBudget(rng.uniform(0.5, 1.0), rng.uniform(0.8, 1.0),
+                               rng.uniform(0.7, 1.0)) for _ in range(2))
+    _, plus, minus = method_a_readings(random_lossy_pair(rng), budgets, g, imbalance)
+    cx, cy = plus.state.cov, minus.state.cov
+    params = [cx[0, 0], cx[0, 2], cx[2, 2], cy[1, 1], cy[1, 3], cy[3, 3], 1.0 + imbalance]
+    scale = max(np.abs(cx).max(), np.abs(cy).max())
+    gap = _witness_sum(g, params) - (plus.normalized + minus.normalized)
+    assert abs(gap) <= 8 * np.finfo(float).eps * scale
 
 
 @settings(max_examples=40)

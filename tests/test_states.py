@@ -201,6 +201,17 @@ class TestBeamsplitter:
         assert out.amplitudes == pytest.approx(amps, rel=1e-12)
         assert np.array_equal(out.cov[2:4, 2:4], st.cov[2:4, 2:4])
 
+    def test_two_mode_splitter_in_either_mode_order(self):
+        # Splitting (1, 0) is splitting (0, 1) of the state with its modes swapped.
+        cov = random_two_mode_state(np.random.default_rng(5)).cov
+        st = BrightGaussianState(np.array([30.0, 40.0]), cov)
+        swap = np.ix_([2, 3, 0, 1], [2, 3, 0, 1])
+        ref = apply_beamsplitter(BrightGaussianState(st.amplitudes[::-1], cov[swap]),
+                                 0, 1, 0.3, 1.1)
+        out = apply_beamsplitter(st, 1, 0, 0.3, 1.1)
+        assert out.amplitudes == pytest.approx(ref.amplitudes[::-1], rel=1e-12)
+        assert np.allclose(out.cov, ref.cov[swap], rtol=0, atol=1e-12)
+
     def test_invalid_ratio_rejected(self):
         st = compose([make_coherent(1), make_coherent(1)])
         with pytest.raises(DomainError):
@@ -567,6 +578,21 @@ class TestStackedMaps:
         # Squeezed below the vacuum in X, with the uncertainty relation kept in Y.
         squeezed = BrightGaussianState(np.full(2, 100.0), np.diag([0.1, 10.0, 0.1, 10.0]))
         assert_physical(squeezed)
+
+
+@pytest.mark.parametrize("antisqueezing_db, excess_phase_db", [(1.0, 0.0), (3.0, -3.0)])
+def test_column_record_below_the_uncertainty_bound_raises(antisqueezing_db, excess_phase_db):
+    # A record of arrays is no SqueezedInputSpec, so nothing checked its
+    # elements; one below the bound (or with a negative pedestal) gets the
+    # constructor's full check, and its message.
+    record = SimpleNamespace(amplitude=np.full(3, 100.0), squeezing_db=np.full(3, 3.0),
+                             antisqueezing_db=np.array([3.0, antisqueezing_db, 3.0]),
+                             excess_phase_db=np.array([0.0, excess_phase_db, 0.0]),
+                             correlated_group=None)
+    with pytest.raises(DomainError, match=r"^covariance matrix breaks the uncertainty "
+                                          r"relation: V \+ i\*Omega is not positive "
+                                          r"semi-definite$"):
+        squeezed_inputs([record, record])
 
 
 input_specs = hs.builds(
