@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from importlib import resources
 from operator import attrgetter
@@ -154,117 +153,12 @@ def _variance(p: np.ndarray) -> float:
     return float(np.add.reduce(p, axis=None) / (n - 1))
 
 
-def _draw_job(state: BrightGaussianState, count: int, seed: int,
-              vectors: list) -> Callable[[], list]:
-    """A job giving the variance of a draw's projection on each weight
-    vector, with its buffers allocated here, on the calling thread: the
-    projections themselves where there are at most as many vectors as
-    sample columns, else the samples and one projection, reused.  An
-    allocation that fails is the job's failure.
-
-    Measured on mixed 1e6-sample runs of the five benchmark scenarios
-    (Linux, glibc malloc): buffers made on the worker threads, in their
-    own malloc arenas, which keep what they free, raised the peak RSS by
-    about 15 MB.  Each projection is its own array of count, so that
-    nearly every large buffer has that one size and reuses the memory a
-    freed one leaves; one (m, count) array per draw raised the peak by
-    4-7 MB on some scenario orders."""
-    dim = 2 * state.n_modes
-    try:
-        if len(vectors) <= dim:
-            keep, out = np.array(vectors), [np.empty(count) for _ in vectors]
-            return lambda: [_variance(p) for p in
-                            sample_fluctuations(state, count, seed, weights=keep, out=out)]
-        samples, projection = np.empty((count, dim)), np.empty(count)
-    except (ValueError, MemoryError) as exc:
-        error = exc
-
-        def fail():
-            raise error
-        return fail
-
-    def project_each():
-        drawn = sample_fluctuations(state, count, seed, out=samples)
-        return [_variance(np.matmul(drawn, w, out=projection)) for w in vectors]
-    return project_each
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
-
-
-def _run_in_order(jobs: Iterable[Callable], width: int) -> list:
-    """The result of each job in order, up to ``width`` of them running at
-    once on worker threads.
-
-    A job is taken from ``jobs`` on the calling thread, and only while
-    fewer than width taken jobs are unfinished, so a job that allocates
-    where it is made holds its buffers alongside at most width - 1 others.
-    The first job in order that fails raises its error, after the running
-    jobs have finished; no later job starts.
-    """
-    results: list = []
-    if width < 2:
-        for job in jobs:
-            results.append(job())
-            del job  # before the next job allocates
-        return results
-    ready = threading.Condition()
-    queued: deque = deque()
-
-    def work():
-        while True:
-            with ready:
-                while not queued:
-                    ready.wait()
-                task = queued.popleft()
-            if task is None:
-                return
-            try:
-                task.result = task.job()
-            except BaseException as exc:
-                task.error = exc
-            with ready:
-                task.job, task.done = None, True  # drops the job's buffers
-                ready.notify_all()
-
-    workers = [threading.Thread(target=work, daemon=True) for _ in range(width)]
-    for worker in workers:
-        worker.start()
-    running: deque = deque()
-
-    def finish_oldest():
-        task = running.popleft()
-        with ready:
-            while not task.done:
-                ready.wait()
-        if task.error is not None:
-            raise task.error
-        results.append(task.result)
-
-    try:
-        for job in jobs:
-            task = SimpleNamespace(job=job, done=False, result=None, error=None)
-            running.append(task)
-            with ready:
-                queued.append(task)
-                ready.notify_all()
-            if len(running) == width:
-                finish_oldest()
-        while running:
-            finish_oldest()
-        return results
-    finally:
-        with ready:
-            queued.clear()
-            queued.extend([None] * width)
-            ready.notify_all()
-        for worker in workers:
-            worker.join()
 
 
 def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: int,
@@ -283,12 +177,24 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
     sample columns keeps only their projections; otherwise (a method-A
     gain sweep) it keeps its samples, projected one vector at a time.
 
-    The draws are independent, each with its own seeded generator, so up
-    to one per usable CPU run at once on threads (numpy's generator and
-    BLAS release the GIL), planned in the order above; their variances
-    are added here in that order, so every sum is the same, bit for bit,
-    on any number of CPUs.  At most that many draws' buffers exist at a
-    time.
+    The draws are independent, each with its own seeded generator, so they
+    run on up to one lane per usable CPU (numpy's generator and BLAS
+    release the GIL): the calling thread and one thread more per further
+    lane, each taking the next draw of the plan above until none is left
+    or one has failed.  Their variances are added here in plan order, so
+    every sum is the same, bit for bit, on any number of CPUs.  Each lane
+    reuses one buffer set, allocated here before any lane starts: a count
+    array per projection of the plan's largest projected draw, and a
+    samples array only where a draw keeps its samples.  The first failing
+    draw in plan order raises, after every lane has stopped.
+
+    Measured on mixed 1e6-sample runs of the five benchmark scenarios
+    (Linux, glibc malloc): buffers made on the lane threads, in their own
+    malloc arenas, which keep what they free, raised the peak RSS by about
+    15 MB.  Each projection is its own array of count, so that nearly
+    every large buffer has that one size and reuses the memory a freed one
+    leaves; one (m, count) array per draw raised the peak by 4-7 MB on
+    some scenario orders.
     """
     groups: list[tuple[BrightGaussianState, list]] = []
     for result, mult in channels:
@@ -305,18 +211,55 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
             vectors = {(m, _row(result.weights, k)): _at(result.weights, k)
                        for k in points for m, (result, _) in enumerate(members)}
             plan.append((state[i], seed + j, points, members, vectors))
-    jobs = (_draw_job(element, count, draw_seed, list(vectors.values()))
-            for element, draw_seed, _, _, vectors in plan)
+    # The sample columns of each draw that keeps its samples, else 0.
+    sampled = [2 * element.n_modes if len(vectors) > 2 * element.n_modes else 0
+               for element, _, _, _, vectors in plan]
+    projected = max(1 if dim else len(vectors) for dim, (*_, vectors) in zip(sampled, plan))
+    variances: list = [None] * len(plan)
+    failures: dict = {}
+    order = iter(range(len(plan)))  # its next() is one step under the GIL
+
+    def lane(projections: list, samples: np.ndarray | None) -> None:
+        for index in order:
+            if failures:
+                return
+            element, draw_seed, _, _, vectors = plan[index]
+            dim = sampled[index]
+            try:
+                if dim:
+                    drawn = sample_fluctuations(element, count, draw_seed,
+                                                out=samples[:count * dim].reshape(count, dim))
+                    variances[index] = [_variance(np.matmul(drawn, w, out=projections[0]))
+                                        for w in vectors.values()]
+                else:
+                    drawn = sample_fluctuations(element, count, draw_seed,
+                                                weights=np.array(list(vectors.values())),
+                                                out=projections[:len(vectors)])
+                    variances[index] = [_variance(p) for p in drawn]
+            except BaseException as exc:
+                failures[index] = exc
+                return
+
     try:
-        drawn = _run_in_order(jobs, min(len(plan), _usable_cpus()))
+        buffers = [([np.empty(count) for _ in range(projected)],
+                    np.empty(count * max(sampled)) if max(sampled) else None)
+                   for _ in range(min(len(plan), _usable_cpus()))]
+        lanes = [threading.Thread(target=lane, args=b) for b in buffers[1:]]
+        for thread in lanes:
+            thread.start()
+        lane(*buffers[0])
+        for thread in lanes:
+            thread.join()
+        if failures:
+            raise failures[min(failures)]
     except DomainError:
         raise
     except (ValueError, MemoryError) as exc:
         # numpy refuses a count it cannot size or allocate.
         raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
     sums, err_sq = [0.0] * n, [0.0] * n
-    for (_, _, points, members, vectors), variances in zip(plan, drawn):
-        variance = dict(zip(vectors, variances))
+    for (_, _, points, members, vectors), drawn in zip(plan, variances):
+        variance = dict(zip(vectors, drawn))
         for k in points:
             for m, (result, mult) in enumerate(members):
                 v = variance[m, _row(result.weights, k)] / float(_at(result.shot_noise, k))

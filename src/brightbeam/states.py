@@ -505,7 +505,7 @@ def direct_detect_variance(state: BrightGaussianState, mode: int):
     """Photocurrent variance in photon-number units: alpha^2 * V(dX)."""
     alpha = bright_carriers(
         state, mode, f"mode {mode} has no carrier; direct detection linearization is invalid")
-    return float_if_scalar(alpha ** 2 * state.cov[..., 2 * mode, 2 * mode])
+    return DetectionResult.read(state, (2 * mode, alpha)).variance
 
 
 # Rows of standard normals drawn and mapped at a time by sample_fluctuations
@@ -536,10 +536,11 @@ def sample_fluctuations(state: BrightGaussianState, count: int, seed: int,
 
     Chunks are 16 384 rows so that a two-mode chunk's (rows x 4) @ (4 x 4)
     product stays at OpenBLAS's single-thread cutoff (M*N*K <= 2**18).
-    ``harness._mc_columns`` runs independent draws side by side on
-    threads; at 65 536 rows and two BLAS threads, each chunk's product
-    started a BLAS thread that competed with the other draw, and two draws
-    side by side took longer than one after the other.
+    ``harness._mc_columns`` runs independent draws side by side on lanes
+    (threads), each reusing its ``out`` from draw to draw; at 65 536 rows
+    and two BLAS threads, each chunk's product started a BLAS thread that
+    competed with the other draw, and two draws side by side took longer
+    than one after the other.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")

@@ -2,7 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
-import weakref
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -407,27 +407,32 @@ class TestGridEqualsPoint:
             assert row == run_scenario(with_param(s, "gain", value))
 
 
-def test_each_monte_carlo_draw_is_dropped_before_the_next(monkeypatch):
+def test_each_lane_reuses_one_buffer_set(monkeypatch):
     # Method A draws two states; along a theta sweep each is drawn per point.
-    # Up to W = 2 draws run at once, so at most W - 1 others are alive
-    # when a draw starts.
+    # Each of W = 2 lanes hands the sampler one buffer set, draw after draw,
+    # so no call keeps more than W sets, though 8 draws run in the sweep.
     width = 2
     monkeypatch.setattr(harness, "_usable_cpus", lambda: width)
-    refs, alive = [], []
-    real = harness.sample_fluctuations
+    handed, calls = [], []
+    real_columns, real_sampler = harness._mc_columns, harness.sample_fluctuations
 
-    def tracking(state, count, seed, weights=None, out=None):
-        alive.append(sum(any(ref() is not None for ref in draw) for draw in refs))
-        projections = real(state, count, seed, weights, out=out)
-        refs.append([weakref.ref(p) for p in projections])
-        return projections
+    def sampler(state, count, seed, weights=None, out=None):
+        handed.append(list(out))  # held, so no id is reused within a call
+        return real_sampler(state, count, seed, weights, out=out)
 
-    monkeypatch.setattr(harness, "sample_fluctuations", tracking)
+    def columns(*args):
+        result = real_columns(*args)
+        calls.append((len(handed), len({tuple(map(id, out)) for out in handed})))
+        handed.clear()
+        return result
+
+    monkeypatch.setattr(harness, "sample_fluctuations", sampler)
+    monkeypatch.setattr(harness, "_mc_columns", columns)
     s = make("A", mc_samples=1000, seed=3, **BUDGETS)
     run_scenario(s)
     sweep_csv(s, "theta", 0.5, 2.5, 4)
-    assert len(alive) == 2 + 2 * 4
-    assert max(alive) <= width - 1
+    assert [draws for draws, _ in calls] == [2, 2 * 4]
+    assert max(sets for _, sets in calls) <= width
 
 
 @pytest.mark.parametrize("method, kept", [("B", [2]), ("C", [1]), ("A", [None, None])])
@@ -505,61 +510,72 @@ def test_first_failing_draw_in_plan_order_raises(monkeypatch, late, expected, me
     assert str(exc.value) == message
 
 
-def test_no_job_starts_after_the_first_failure():
-    taken = []
-    second_done = threading.Event()
+def test_no_draw_starts_after_the_first_failure(monkeypatch):
+    # A method-A theta sweep plans 12 draws on W = 2 lanes.  The first two
+    # draws run side by side; one fails while the other is still running,
+    # and once that one is done, its lane takes no further draw.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    started, lock = [], threading.Lock()
+    real = harness.sample_fluctuations
+    both_running, failed = threading.Event(), threading.Event()
 
-    def jobs():
-        for index in range(6):
-            taken.append(index)
-            if index == 0:
-                def job():
-                    assert second_done.wait(timeout=60)
-                    raise ValueError("job 0")
-            else:
-                def job(index=index):
-                    if index == 1:
-                        second_done.set()
-                    return index
-            yield job
+    def failing(state, count, seed, weights=None, out=None):
+        with lock:
+            started.append(seed)
+            first = len(started) == 1
+        if first:
+            assert both_running.wait(timeout=60)
+            failed.set()
+            raise ValueError("draw failed")
+        both_running.set()
+        assert failed.wait(timeout=60)
+        return real(state, count, seed, weights, out=out)
 
-    with pytest.raises(ValueError, match="job 0"):
-        harness._run_in_order(jobs(), 2)
-    assert taken == [0, 1]
+    monkeypatch.setattr(harness, "sample_fluctuations", failing)
+    with pytest.raises(ScenarioError, match="cannot draw mc_samples = 500: draw failed"):
+        harness._evaluate(make("A", mc_samples=500, seed=3), {"theta": np.linspace(0.5, 2.5, 6)})
+    assert started == [3, 3]
 
 
-def test_run_in_order_under_thread_switches():
-    # More workers than cores, a thread switch every microsecond, and jobs
-    # of uneven length: every result arrives once and in order, and no
-    # more than width taken jobs are ever unfinished.
-    width, lock = 8, threading.Lock()
-    outstanding, most, results = [0], [0], []
+def test_lanes_keep_plan_order_under_thread_switches(monkeypatch):
+    # More lanes than cores and a thread switch every microsecond: every
+    # column is the one a single lane gives, bit for bit.
+    s = make("A", mc_samples=64, seed=3, **BUDGETS)
 
-    def jobs():
-        for index in range(300):
-            with lock:
-                outstanding[0] += 1
-                most[0] = max(most[0], outstanding[0])
+    def columns():
+        return [(row.mc_sum, row.mc_stderr) for _, row in sweep(s, "theta", 0.5, 2.5, 50)]
 
-            def job(index=index):
-                np.sort(np.random.default_rng(index).random(50 * (index % 7)))
-                with lock:
-                    outstanding[0] -= 1
-                return index
-            yield job
-
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    expected, results = columns(), []
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        caller = threading.Thread(
-            target=lambda: results.extend(harness._run_in_order(jobs(), width)))
+        caller = threading.Thread(target=lambda: results.append(columns()))
         caller.start()
         caller.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not caller.is_alive()
-    assert results == list(range(300))
-    assert 2 <= most[0] <= width
+    assert results == [expected]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_no_lane_outlives_the_draws(monkeypatch, fails):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    real = harness.sample_fluctuations
+
+    def sampler(state, count, seed, weights=None, out=None):
+        if fails:
+            raise DomainError("draw failed")
+        return real(state, count, seed, weights, out=out)
+
+    monkeypatch.setattr(harness, "sample_fluctuations", sampler)
+    s, columns = make("A", mc_samples=500, seed=3), {"theta": np.linspace(0.5, 2.5, 4)}
+    before = threading.active_count()
+    with pytest.raises(DomainError, match="draw failed") if fails else nullcontext():
+        harness._evaluate(s, columns)
+    assert threading.active_count() == before
 
 
 def _sequential_monte_carlo(channels, n, count, seed):
@@ -594,13 +610,17 @@ def test_parallel_draws_are_the_sequential_draws(monkeypatch):
     s = make("A", mc_samples=65537, seed=3, **BUDGETS)
     for _ in range(5):
         row = run_scenario(s)
-        csv = sweep_csv(s, "theta", 0.5, 2.5, 4)
-        (expected_row, _), (expected_sweep, columns) = seen[-2], seen[-1]
+        expected_row, _ = seen[-1]
         assert (row.mc_sum, row.mc_stderr) == (expected_row[0][0], expected_row[1][0])
-        assert columns == expected_sweep
-        assert [line.split(",")[-2:] for line in csv.splitlines()[1:]] == [
-            ["%.6g" % m, "%.6g" % e] for m, e in zip(*expected_sweep)]
-    assert len(seen) == 10
+        # A gain sweep's 6 weight vectors per draw outnumber its 4 sample
+        # columns, so each draw keeps its samples in its lane's buffer.
+        for param, start, stop, steps in (("theta", 0.5, 2.5, 4), ("gain", 0.5, 2.0, 6)):
+            csv = sweep_csv(s, param, start, stop, steps)
+            expected_sweep, columns = seen[-1]
+            assert columns == expected_sweep
+            assert [line.split(",")[-2:] for line in csv.splitlines()[1:]] == [
+                ["%.6g" % m, "%.6g" % e] for m, e in zip(*expected_sweep)]
+    assert len(seen) == 15
 
 
 @pytest.mark.parametrize("gain", [1.3, "optimize"])

@@ -350,6 +350,17 @@ class TestDirectDetection:
         with pytest.raises(DegenerateModeError):
             direct_detect_variance(make_coherent(0), 0)
 
+    def test_overflow_rejected(self):
+        # The carrier's square overflows, as in every other reading.
+        with pytest.raises(DomainError, match="photocurrent variance overflows"):
+            direct_detect_variance(make_coherent(1e200), 0)
+
+    def test_stack_reads_each_element(self):
+        st = make_coherent(3.7)
+        stacked = BrightGaussianState(np.array([[3.7], [100.0]]), np.stack([st.cov, st.cov]))
+        assert direct_detect_variance(stacked, 0).tolist() == [
+            direct_detect_variance(st, 0), direct_detect_variance(make_coherent(100.0), 0)]
+
 
 def test_correlated_inputs_survive_serialization():
     spec = SqueezedInputSpec(10, 3, 3, excess_phase_db=20.0, correlated_group=1)
