@@ -12,11 +12,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 
 from .errors import DegenerateModeError, DomainError, ScenarioError
 from .harness import SWEEP_PARAMS, run_fixture_table, run_scenario, sweep_csv
-from .scenario import load_scenario
+from .scenario import load_scenario, with_fields
 
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
@@ -33,7 +32,7 @@ def _round6(obj):
 
 def _load(path, **flags):
     """Load a scenario file; the flags given override its fields."""
-    return replace(load_scenario(path), **{k: v for k, v in flags.items() if v is not None})
+    return with_fields(load_scenario(path), {k: v for k, v in flags.items() if v is not None})
 
 
 def simulate(args):

@@ -25,6 +25,7 @@ is a LossBudget or any record with its three fields.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,10 +90,11 @@ def mz_geometry(repetition_rate: float, n: int) -> MzGeometry:
     Interference of a pulse train requires the delay to be a whole number
     of pulse separations: delta_l = c*n/f_rep, measured at f_rep/(2n).
     """
-    if repetition_rate <= 0:
-        raise DomainError("repetition_rate must be positive")
-    if n < 1:
-        raise DomainError("delay order n must be >= 1")
+    if not is_finite_real(repetition_rate) or repetition_rate <= 0:
+        raise DomainError(
+            f"repetition_rate must be a positive finite number, got {repetition_rate!r}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"delay order n must be an integer >= 1, got {n!r}")
     return MzGeometry(
         repetition_rate=repetition_rate,
         n=n,
@@ -253,9 +255,16 @@ def bright_port_readings(out: BrightGaussianState) -> dict[str, DetectionResult]
 
 
 def correct_electronic_noise(signal_dbm: float, electronic_dbm: float) -> float:
-    """Subtract the electronic noise floor in linear power, back to dBm."""
+    """Subtract the electronic noise floor in linear power, back to dBm.
+
+    Both powers must be finite; an electronic_dbm of -inf means no floor."""
+    if not is_finite_real(signal_dbm):
+        raise DomainError(f"signal power must be a finite number of dBm, got {signal_dbm!r}")
     if electronic_dbm == -math.inf:
         return signal_dbm
+    if not is_finite_real(electronic_dbm):
+        raise DomainError("electronic noise floor must be a finite number of dBm or -inf, "
+                          f"got {electronic_dbm!r}")
     if signal_dbm <= electronic_dbm:
         raise DomainError(
             "signal power must exceed the electronic noise floor for subtraction"

@@ -6,7 +6,7 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter
 from pathlib import Path
@@ -22,9 +22,9 @@ from .detection import (
     method_b_channels,
     method_c_single_port,
 )
-from .entangle import generate_entangled, theta_adapted_bound
+from .entangle import SUM_BOUND, generate_entangled, theta_adapted_bound
 from .errors import BrightBeamError, DomainError, ScenarioError
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, with_fields
 from .states import INPUT_FIELDS, BrightGaussianState, DetectionResult, sample_fluctuations
 
 CSV_HEADER = "method,param,value,v_sq_plus,v_sq_minus,sum,bound,witnessed,mc_sum,mc_stderr"
@@ -103,7 +103,7 @@ def _eval_a(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
         plus_anti, minus_anti = method_a_anti_readings(plus, minus, g, imbalance)
         return {"plus": plus, "plus_anti": plus_anti, "minus": minus, "minus_anti": minus_anti}
 
-    return plus.normalized, minus.normalized, 2.0, g, [(plus, 1.0), (minus, 1.0)], raw
+    return plus.normalized, minus.normalized, SUM_BOUND, g, [(plus, 1.0), (minus, 1.0)], raw
 
 
 def _eval_b(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
@@ -120,7 +120,7 @@ def _eval_c(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
     # the same output is reported.
     port = method_c_single_port(state, _column(s, columns, "phi"), s.port, budgets)
     v = port.normalized
-    return v, v, 2.0, 1.0, [(port, 2.0)], lambda: bright_port_readings(port.state)
+    return v, v, SUM_BOUND, 1.0, [(port, 2.0)], lambda: bright_port_readings(port.state)
 
 
 _EVALUATORS = {"A": _eval_a, "B": _eval_b, "C": _eval_c}
@@ -349,15 +349,9 @@ def with_param(s: Scenario, param: str, value: float) -> Scenario:
     """Return a copy of the scenario with one sweepable parameter set."""
     if param not in _SWEPT_FIELDS:
         raise ScenarioError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
-    top: dict = {}
-    records: dict = {}
-    for path in _SWEPT_FIELDS[param]:
-        record, _, name = path.rpartition(".")
-        (records.setdefault(record, {}) if record else top)[name] = value
     try:
-        return replace(s, **top, **{r: replace(getattr(s, r), **fields)
-                                    for r, fields in records.items()})
-    except DomainError as exc:
+        return with_fields(s, dict.fromkeys(_SWEPT_FIELDS[param], value))
+    except ScenarioError as exc:
         raise ScenarioError(f"cannot sweep {param} to {value!r}: {exc}") from exc
 
 

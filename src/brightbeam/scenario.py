@@ -4,18 +4,19 @@ The on-disk format is a flat JSON object whose keys are exactly the
 scenario field names, with dotted paths for the nested input and budget
 records (e.g. ``input_a.squeezing_db``, ``budget_a.visibility``).
 Budgets are configured with ``prop_loss`` (a loss), stored internally as
-a propagation efficiency.
+a propagation efficiency.  ``with_fields`` sets fields by dotted path for
+scenario files, sweeps and command-line flags alike.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .detection import LossBudget
 from .errors import ScenarioError
-from .states import INPUT_FIELDS, SqueezedInputSpec
+from .states import SqueezedInputSpec
 from .units import is_finite_real
 
 METHODS = ("A", "B", "C")
@@ -85,77 +86,67 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-_INPUT_KEYS = (*INPUT_FIELDS, "correlated_group")
-_BUDGET_KEYS = ("prop_loss", "visibility", "quantum_efficiency")
-_SCALAR_KEYS = ("method", "theta", "entangle_ratio", "phi", "gain",
-                "excess_correlation", "imbalance", "port", "seed",
-                "mc_samples", "label", "frequency_mhz")
-
-
-def known_keys() -> set[str]:
-    keys = set(_SCALAR_KEYS)
-    for prefix in ("input_a", "input_b"):
-        keys.update(f"{prefix}.{k}" for k in _INPUT_KEYS)
-    for prefix in ("budget_a", "budget_b"):
-        keys.update(f"{prefix}.{k}" for k in _BUDGET_KEYS)
-    return keys
-
-
-def scenario_from_dict(flat: dict) -> Scenario:
-    """Build a validated Scenario from a flat dotted-key mapping."""
-    unknown = set(flat) - known_keys()
-    if unknown:
-        raise ScenarioError(f"unknown scenario key: {sorted(unknown)[0]!r}")
-
-    def subdict(prefix, names):
-        return {k: flat[f"{prefix}.{k}"] for k in names if f"{prefix}.{k}" in flat}
-
-    def build_input(prefix):
-        kwargs = subdict(prefix, _INPUT_KEYS)
+def with_fields(s: Scenario, paths: dict) -> Scenario:
+    """A copy of the scenario with the field at each dotted path (``"theta"``,
+    ``"input_a.squeezing_db"``) set to its value.  Each record touched is
+    replaced once, in field order, then the scenario; a record's error
+    names the record."""
+    top, records = {}, {}
+    for path, value in paths.items():
+        record, _, name = path.rpartition(".")
+        (records.setdefault(record, {}) if record else top)[name] = value
+    for record in sorted(records, key=_FIELD_NAMES.index):
         try:
-            return replace(_default_input(), **kwargs)
+            top[record] = replace(getattr(s, record), **records[record])
         except (ValueError, TypeError) as exc:
-            raise ScenarioError(f"{prefix}: {exc}") from exc
-
-    def build_budget(prefix):
-        kwargs = subdict(prefix, _BUDGET_KEYS)
-        prop_loss = kwargs.pop("prop_loss", 0.0)
-        if not is_finite_real(prop_loss):
-            raise ScenarioError(
-                f"{prefix}: prop_loss must be a number in [0, 1], got {prop_loss!r}")
-        try:
-            return LossBudget(propagation=1.0 - prop_loss, **kwargs)
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError(f"{prefix}: {exc}") from exc
-
-    scalars = {k: flat[k] for k in _SCALAR_KEYS if k in flat}
+            raise ScenarioError(f"{record}: {exc}") from exc
     try:
-        return Scenario(
-            input_a=build_input("input_a"),
-            input_b=build_input("input_b"),
-            budget_a=build_budget("budget_a"),
-            budget_b=build_budget("budget_b"),
-            **scalars,
-        )
-    except (ScenarioError, ValueError, TypeError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
+        return replace(s, **top)
+    except (ValueError, TypeError) as exc:
         raise ScenarioError(str(exc)) from exc
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    """Flat dotted-key mapping; parse(serialize(s)) is semantically idempotent."""
-    flat: dict = {k: getattr(s, k) for k in _SCALAR_KEYS}
-    for prefix in ("input_a", "input_b"):
-        spec = getattr(s, prefix)
-        for k in _INPUT_KEYS:
-            flat[f"{prefix}.{k}"] = getattr(spec, k)
-    for prefix in ("budget_a", "budget_b"):
-        budget = getattr(s, prefix)
-        flat[f"{prefix}.prop_loss"] = 1.0 - budget.propagation
-        flat[f"{prefix}.visibility"] = budget.visibility
-        flat[f"{prefix}.quantum_efficiency"] = budget.quantum_efficiency
+    """Flat dotted-key mapping of every field, a budget's propagation
+    written as its loss ``prop_loss``; parse(serialize(s)) is semantically
+    idempotent."""
+    flat: dict = {}
+    for f in fields(s):
+        value = getattr(s, f.name)
+        if not is_dataclass(value):
+            flat[f.name] = value
+            continue
+        flat.update({f"{f.name}.{g.name}": getattr(value, g.name) for g in fields(value)})
+        if isinstance(value, LossBudget):
+            flat[f"{f.name}.prop_loss"] = 1.0 - flat.pop(f"{f.name}.propagation")
     return flat
+
+
+_DEFAULT = Scenario()
+_FIELD_NAMES = [f.name for f in fields(Scenario)]
+_KNOWN_KEYS = frozenset(scenario_to_dict(_DEFAULT))
+
+
+def known_keys() -> frozenset[str]:
+    """The keys of a scenario file."""
+    return _KNOWN_KEYS
+
+
+def scenario_from_dict(flat: dict) -> Scenario:
+    """Build a validated Scenario from a flat dotted-key mapping."""
+    unknown = set(flat) - _KNOWN_KEYS
+    if unknown:
+        raise ScenarioError(f"unknown scenario key: {sorted(unknown)[0]!r}")
+    paths = dict(flat)
+    for key in sorted(flat):
+        record, _, name = key.rpartition(".")
+        if name == "prop_loss":
+            prop_loss = paths.pop(key)
+            if not is_finite_real(prop_loss) or not 0.0 <= prop_loss <= 1.0:
+                raise ScenarioError(
+                    f"{record}: prop_loss must be a number in [0, 1], got {prop_loss!r}")
+            paths[f"{record}.propagation"] = 1.0 - prop_loss
+    return with_fields(_DEFAULT, paths)
 
 
 def load_scenario(path) -> Scenario:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,13 @@ def check_unit_range(name: str, value):
     bad = ~((0.0 <= value) & (value <= 1.0))
     if bad.any():
         raise DomainError(f"{name} must be in [0, 1], got {value[bad].flat[0]}")
+
+
+def check_mode(state: BrightGaussianState, mode) -> None:
+    """Raise DomainError unless mode is an integer in [0, n_modes)."""
+    if isinstance(mode, bool) or not isinstance(mode, numbers.Integral) \
+            or not 0 <= mode < state.n_modes:
+        raise DomainError(f"mode must be an integer in [0, {state.n_modes}), got {mode!r}")
 
 
 def rotation2(phi) -> np.ndarray:
@@ -254,6 +262,7 @@ class BrightGaussianState:
     def quad_index(self, mode: int, quadrature: str) -> int:
         if quadrature not in ("X", "Y"):
             raise DomainError(f"quadrature must be 'X' or 'Y', got {quadrature!r}")
+        check_mode(self, mode)
         return 2 * mode + (0 if quadrature == "X" else 1)
 
     def variance(self, mode: int, quadrature: str):
@@ -453,6 +462,8 @@ def apply_beamsplitter(state: BrightGaussianState, i: int, j: int,
     dark keep an arbitrary (identity) frame; detection on them raises.
     """
     check_unit_range("splitting ratio", r)
+    check_mode(state, i)
+    check_mode(state, j)
     if i == j:
         raise DomainError("beam splitter modes must be distinct")
     r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
@@ -479,6 +490,7 @@ def apply_beamsplitter(state: BrightGaussianState, i: int, j: int,
 
 def apply_phase(state: BrightGaussianState, mode: int, phi) -> BrightGaussianState:
     """Rotate the fluctuation frame of one mode by phi relative to its carrier."""
+    check_mode(state, mode)
     S = _embed(state.n_modes, (mode,), rotation2(phi))
     return _congruence(state, S, state.amplitudes)
 
@@ -486,6 +498,7 @@ def apply_phase(state: BrightGaussianState, mode: int, phi) -> BrightGaussianSta
 def apply_loss(state: BrightGaussianState, mode: int, eta) -> BrightGaussianState:
     """Attenuate one mode with efficiency eta, admixing vacuum."""
     check_unit_range("efficiency", eta)
+    check_mode(state, mode)
     eta = np.asarray(eta, dtype=float)
     n = state.n_modes
     batch = np.broadcast_shapes(state.amplitudes.shape[:-1], eta.shape)
@@ -503,9 +516,10 @@ def apply_loss(state: BrightGaussianState, mode: int, eta) -> BrightGaussianStat
 
 def direct_detect_variance(state: BrightGaussianState, mode: int):
     """Photocurrent variance in photon-number units: alpha^2 * V(dX)."""
+    x = state.quad_index(mode, "X")
     alpha = bright_carriers(
         state, mode, f"mode {mode} has no carrier; direct detection linearization is invalid")
-    return DetectionResult.read(state, (2 * mode, alpha)).variance
+    return DetectionResult.read(state, (x, alpha)).variance
 
 
 # Rows of standard normals drawn and mapped at a time by sample_fluctuations

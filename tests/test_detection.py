@@ -5,6 +5,7 @@ import pytest
 
 from brightbeam import (
     BrightGaussianState,
+    correct_electronic_noise,
     LossBudget,
     SqueezedInputSpec,
     apply_beamsplitter,
@@ -58,6 +59,14 @@ class TestMzGeometry:
             mz_geometry(0.0, 1)
         with pytest.raises(DomainError):
             mz_geometry(82e6, 0)
+
+    @pytest.mark.parametrize("rate, n", [
+        (math.nan, 1), (math.inf, 1), (-math.inf, 1), ("82e6", 1), (True, 1),
+        (82e6, 1.5), (82e6, True), (82e6, 2.0), (82e6, None),
+    ])
+    def test_non_finite_or_non_integer_arguments_rejected(self, rate, n):
+        with pytest.raises(DomainError, match="repetition_rate|delay order"):
+            mz_geometry(rate, n)
 
 
 class TestLossBudget:
@@ -363,3 +372,12 @@ def test_detection_result_consistency():
 def test_input_guards_raise_domain_error(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+@pytest.mark.parametrize("signal, electronic", [
+    (math.nan, -80.0), (math.inf, -80.0), (-math.inf, -80.0), (math.nan, -math.inf),
+    (math.inf, -math.inf), (-60.0, math.nan), ("-60", -80.0), (True, -math.inf),
+])
+def test_electronic_noise_correction_needs_finite_powers(signal, electronic):
+    with pytest.raises(DomainError, match="must be a finite number of dBm"):
+        correct_electronic_noise(signal, electronic)

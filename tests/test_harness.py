@@ -169,6 +169,11 @@ class TestSweep:
         with pytest.raises(ScenarioError, match="steps"):
             sweep(Scenario(), "theta", 0.0, 1.0, 1)
 
+    def test_out_of_range_scenario_field_names_the_sweep(self):
+        with pytest.raises(ScenarioError) as exc:
+            with_param(Scenario(), "entangle_ratio", 1.5)
+        assert str(exc.value).startswith("cannot sweep entangle_ratio to 1.5: ")
+
     def test_all_declared_params_accepted(self):
         for p in SWEEP_PARAMS:
             with_param(Scenario(), p, 0.4)

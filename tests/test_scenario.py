@@ -3,11 +3,16 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from brightbeam.errors import ScenarioError
 from brightbeam.harness import fixtures_dir
 from brightbeam.scenario import (
+    METHODS,
+    PORTS,
     Scenario,
+    known_keys,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -93,6 +98,48 @@ def test_dict_roundtrip():
         "frequency_mhz": 17.5,
     })
     assert scenario_from_dict(scenario_to_dict(s)) == s
+
+
+# Valid values of each file key, by its last dotted part; an input's
+# antisqueezing_db is drawn as its excess over the squeezing_db.
+VALID = {
+    "method": hs.sampled_from(METHODS), "port": hs.sampled_from(PORTS),
+    "theta": hs.floats(-10, 10), "phi": hs.floats(-10, 10),
+    "entangle_ratio": hs.floats(0, 1), "excess_correlation": hs.floats(0, 1),
+    "imbalance": hs.floats(-0.99, 10), "gain": hs.floats(0.01, 10) | hs.just("optimize"),
+    "seed": hs.integers(0, 2 ** 63), "mc_samples": hs.sampled_from([0, 2, 1000]),
+    "label": hs.text(max_size=8), "frequency_mhz": hs.none() | hs.floats(0, 100),
+    "amplitude": hs.floats(0, 1e6), "squeezing_db": hs.floats(0, 20),
+    "antisqueezing_db": hs.floats(0, 20), "excess_phase_db": hs.floats(0, 40),
+    "correlated_group": hs.none() | hs.integers(-3, 3),
+    "prop_loss": hs.floats(0, 1), "visibility": hs.floats(0, 1),
+    "quantum_efficiency": hs.floats(0, 1),
+}
+
+
+@hs.composite
+def valid_files(draw):
+    keys = draw(hs.lists(hs.sampled_from(sorted(known_keys())), unique=True))
+    flat = {key: draw(VALID[key.rpartition(".")[2]]) for key in keys}
+    for record in ("input_a", "input_b"):
+        if f"{record}.squeezing_db" in flat:
+            flat[f"{record}.antisqueezing_db"] = (
+                flat[f"{record}.squeezing_db"] + flat.get(f"{record}.antisqueezing_db", 0.0))
+    return flat
+
+
+@given(flat=valid_files())
+def test_any_valid_file_roundtrips(flat):
+    s = scenario_from_dict(flat)
+    assert scenario_from_dict(scenario_to_dict(s)) == s
+    assert set(scenario_to_dict(s)) == known_keys()
+
+
+@pytest.mark.parametrize("value", [-0.5, 1.5])
+def test_out_of_range_prop_loss_named_as_given(value):
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict({"budget_b.prop_loss": value})
+    assert str(exc.value) == f"budget_b: prop_loss must be a number in [0, 1], got {value!r}"
 
 
 def test_file_roundtrip(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as hs
 
 from brightbeam import (
     BrightGaussianState,
+    LossBudget,
     SqueezedInputSpec,
     apply_beamsplitter,
     apply_loss,
@@ -17,6 +18,7 @@ from brightbeam import (
     direct_detect_variance,
     make_coherent,
     make_squeezed,
+    method_a_measure,
     sample_fluctuations,
     squeezed_inputs,
 )
@@ -246,6 +248,28 @@ class TestLoss:
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             apply_loss(make_coherent(1), 0, 1.5)
+
+
+# Each entry point that takes a mode index, on a two-mode state.
+MODE_CALLS = {
+    "quad_index": lambda st, m: st.quad_index(m, "X"),
+    "variance": lambda st, m: st.variance(m, "Y"),
+    "apply_loss": lambda st, m: apply_loss(st, m, 0.5),
+    "apply_phase": lambda st, m: apply_phase(st, m, 0.3),
+    "apply_beamsplitter_i": lambda st, m: apply_beamsplitter(st, m, 1, 0.5, 0.0),
+    "apply_beamsplitter_j": lambda st, m: apply_beamsplitter(st, 0, m, 0.5, 0.0),
+    "direct_detect_variance": direct_detect_variance,
+    "method_a_measure": lambda st, m: method_a_measure(st, m, "X", LossBudget(0.5)),
+}
+
+
+@pytest.mark.parametrize("mode", [-1, 2, 1.0, True])
+@pytest.mark.parametrize("call", MODE_CALLS.values(), ids=MODE_CALLS)
+def test_mode_outside_the_state_rejected(call, mode):
+    # -1 once read the last mode, or attenuated nothing while adding vacuum.
+    pair = compose([make_squeezed(SqueezedInputSpec(10, 3, 3)), make_coherent(10)])
+    with pytest.raises(DomainError, match=r"mode must be an integer in \[0, 2\)"):
+        call(pair, mode)
 
 
 class TestPhase:
