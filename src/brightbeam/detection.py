@@ -35,6 +35,7 @@ from .errors import DomainError
 from .states import (
     BrightGaussianState,
     DetectionResult,
+    _apply_losses,
     apply_beamsplitter,
     apply_loss,
     bright_carriers,
@@ -44,6 +45,7 @@ from .states import (
 from .units import is_finite_real
 
 SPEED_OF_LIGHT = 299_792_458.0
+_LN10 = math.log(10.0)
 
 
 # The fields of a LossBudget.
@@ -95,20 +97,28 @@ def mz_geometry(repetition_rate: float, n: int) -> MzGeometry:
             f"repetition_rate must be a positive finite number, got {repetition_rate!r}")
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise DomainError(f"delay order n must be an integer >= 1, got {n!r}")
+    try:
+        delta_l = SPEED_OF_LIGHT * n / repetition_rate
+        measurement_frequency = repetition_rate / (2 * n)
+    except OverflowError:  # an n beyond the float range
+        delta_l = measurement_frequency = math.inf
+    if not (0.0 < delta_l < math.inf and 0.0 < measurement_frequency < math.inf):
+        raise DomainError(f"repetition_rate {repetition_rate!r} and delay order n = {n!r} "
+                          "give no finite, positive geometry")
     return MzGeometry(
         repetition_rate=repetition_rate,
         n=n,
-        delta_l=SPEED_OF_LIGHT * n / repetition_rate,
-        measurement_frequency=repetition_rate / (2 * n),
+        delta_l=delta_l,
+        measurement_frequency=measurement_frequency,
     )
 
 
 def _apply_budgets(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
                    include_visibility: bool = True) -> BrightGaussianState:
-    """Apply each arm's pre-detection loss budget to its mode."""
-    for mode, budget in enumerate(budgets):
-        state = apply_loss(state, mode, _efficiency(budget, include_visibility))
-    return state
+    """Apply each arm's pre-detection loss budget to its mode, in mode order,
+    as one map: ``apply_loss`` of each arm in turn, bit for bit."""
+    return _apply_losses(state, [(mode, _efficiency(budget, include_visibility))
+                                 for mode, budget in enumerate(budgets)])
 
 
 def method_a_measure(state: BrightGaussianState, mode: int, quadrature: str,
@@ -265,9 +275,11 @@ def correct_electronic_noise(signal_dbm: float, electronic_dbm: float) -> float:
     if not is_finite_real(electronic_dbm):
         raise DomainError("electronic noise floor must be a finite number of dBm or -inf, "
                           f"got {electronic_dbm!r}")
-    if signal_dbm <= electronic_dbm:
+    # 10 log10(10^(s/10) - 10^(e/10)) = s + 10 log10(1 - 10^((e - s)/10)): no
+    # power overflows, and expm1 keeps the difference of close powers.
+    remaining = -math.expm1(_LN10 * (electronic_dbm - signal_dbm) / 10.0)
+    if signal_dbm <= electronic_dbm or remaining == 0.0:
         raise DomainError(
             "signal power must exceed the electronic noise floor for subtraction"
         )
-    corrected = 10.0 ** (signal_dbm / 10.0) - 10.0 ** (electronic_dbm / 10.0)
-    return 10.0 * math.log10(corrected)
+    return signal_dbm + 10.0 * math.log10(remaining)

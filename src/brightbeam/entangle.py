@@ -174,10 +174,12 @@ def _bounded_brent(f, params):
     for every column of params at once; returns (x, f(x)) per column.
 
     This is the standard scalar loop with each branch turned into a
-    select: every column takes its own parabolic or golden step and
-    leaves the arrays when its stopping test holds.  Every operation is
-    the elementwise IEEE operation of the scalar loop, so each column
-    gets the scalar (xf, fx) bit for bit.
+    select: every column takes its own parabolic or golden step, and its
+    (x, f(x)) is recorded when its stopping test first holds.  Every
+    operation is the elementwise IEEE operation of the scalar loop, so
+    each column gets the scalar (xf, fx) bit for bit.  A finished column
+    rides along, its values discarded, until at least half the columns
+    are finished; then the arrays keep only the running ones.
     """
     n = params.shape[-1]
     x_out, f_out = np.empty(n), np.empty(n)
@@ -188,36 +190,45 @@ def _bounded_brent(f, params):
     fx = f(xf, params)
     nfc, fnfc, fulc, ffulc, e = xf, fx, xf, fx, rat
     num = 1
+    running, alive = None, n  # None: every column of the arrays runs
     while True:
         xm = 0.5 * (a + b)
+        dxm = xm - xf
         tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
         tol2 = 2.0 * tol1
-        live = (abs(xf - xm) > (tol2 - 0.5 * (b - a))) & (num < _MAXFUN)
-        alive = np.count_nonzero(live)
-        if alive < idx.size:
-            if not alive:
-                x_out[idx], f_out[idx] = xf, fx
+        live = (abs(dxm) > (tol2 - 0.5 * (b - a))) & (num < _MAXFUN)
+        if running is not None:
+            live &= running
+        still = np.count_nonzero(live)
+        if still < alive:
+            done = ~live if running is None else running & ~live
+            x_out[idx[done]], f_out[idx[done]] = xf[done], fx[done]
+            if not still:
                 return x_out, f_out
-            x_out[idx[~live]], f_out[idx[~live]] = xf[~live], fx[~live]
-            idx, params, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xm, tol1, tol2 = (
-                v[..., live] for v in (idx, params, a, b, xf, fx, nfc, fnfc, fulc, ffulc,
-                                       e, rat, xm, tol1, tol2))
+            alive, running = still, live
+            if 2 * still <= idx.size:
+                idx, params, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, dxm, tol1, tol2 = (
+                    v[..., live] for v in (idx, params, a, b, xf, fx, nfc, fnfc, fulc, ffulc,
+                                           e, rat, dxm, tol1, tol2))
+                running = None
+        da, db = a - xf, b - xf
         # A parabola through the three best points, taken where |e| > tol1
         # and it falls well inside [a, b] ...
-        r = (xf - nfc) * (fx - ffulc)
-        q = (xf - fulc) * (fx - fnfc)
-        p = (xf - fulc) * q - (xf - nfc) * r
+        d_nfc, d_fulc = xf - nfc, xf - fulc
+        r = d_nfc * (fx - ffulc)
+        q = d_fulc * (fx - fnfc)
+        p = d_fulc * q - d_nfc * r
         q = 2.0 * (q - r)
         p = where(q > 0.0, -p, p)
         q = abs(q)
         parabolic = ((abs(e) > tol1) & (abs(p) < abs(0.5 * q * e))
-                     & (p > q * (a - xf)) & (p < q * (b - xf)))
+                     & (p > q * da) & (p < q * db))
         rat_p = (p + 0.0) / q
         x = xf + rat_p
-        si = np.sign(xm - xf) + ((xm - xf) == 0)
+        si = np.sign(dxm) + (dxm == 0)
         rat_p = where(((x - a) < tol2) | ((b - x) < tol2), tol1 * si, rat_p)
         # ... otherwise a golden-section step into the larger part of [a, b].
-        e_golden = where(xf >= xm, a - xf, b - xf)
+        e_golden = where(dxm <= 0.0, da, db)  # dxm <= 0 where xf >= xm
         e = where(parabolic, rat, e_golden)
         rat = where(parabolic, rat_p, _GOLDEN * e_golden)
 
@@ -229,8 +240,9 @@ def _bounded_brent(f, params):
         # Narrow [a, b] around the best point, and keep the best three points
         # seen: xf, then nfc, then fulc.
         better = fu <= fx
-        a = where(better, where(x >= xf, xf, a), where(x < xf, x, a))
-        b = where(better, where(x >= xf, b, xf), where(x < xf, b, x))
+        right, left = x >= xf, x < xf
+        a = where(better, where(right, xf, a), where(left, x, a))
+        b = where(better, where(right, b, xf), where(left, b, x))
         second = better | (fu <= fnfc) | (nfc == xf)
         third = second | (fu <= ffulc) | (fulc == xf) | (fulc == nfc)
         fulc, ffulc = (where(second, nfc, where(third, x, fulc)),
@@ -274,9 +286,10 @@ def _witness_sum(g, params):
     params[3:6].  This closed form keeps the gains the scalar reference
     search's bit for bit; the readings differ by ulps, which moves some."""
     g = g * params[6]
-    norm = 1.0 + g * g
-    return ((params[0] + 2 * g * params[1] + g * g * params[2]) / norm
-            + (params[3] - 2 * g * params[4] + g * g * params[5]) / norm)
+    g_sq, g_2 = g * g, 2 * g
+    norm = 1.0 + g_sq
+    return ((params[0] + g_2 * params[1] + g_sq * params[2]) / norm
+            + (params[3] - g_2 * params[4] + g_sq * params[5]) / norm)
 
 
 def witness_gains(state_x: BrightGaussianState, state_y: BrightGaussianState,

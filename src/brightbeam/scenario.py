@@ -136,7 +136,7 @@ def scenario_from_dict(flat: dict) -> Scenario:
     """Build a validated Scenario from a flat dotted-key mapping."""
     unknown = set(flat) - _KNOWN_KEYS
     if unknown:
-        raise ScenarioError(f"unknown scenario key: {sorted(unknown)[0]!r}")
+        raise ScenarioError(f"unknown scenario key: {sorted(unknown, key=str)[0]!r}")
     paths = dict(flat)
     for key in sorted(flat):
         record, _, name = key.rpartition(".")

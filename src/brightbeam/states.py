@@ -59,8 +59,12 @@ def dark_modes(amplitudes) -> np.ndarray:
     total carrier sqrt(sum alpha^2) of the last axis, compared unsquared so
     huge carriers do not overflow.  A dark mode has no carrier-aligned
     frame and no shot-noise reference."""
-    total = np.hypot.reduce(amplitudes, axis=-1, keepdims=True)
-    return ~(amplitudes > DARK_PORT_FACTOR * total)
+    # hypot.reduce over the last axis, mode by mode: the same hypot calls in
+    # the same order, without a reduction loop per stack element.
+    total = amplitudes[..., 0]
+    for k in range(1, amplitudes.shape[-1]):
+        total = np.hypot(total, amplitudes[..., k])
+    return ~(amplitudes > DARK_PORT_FACTOR * total[..., None])
 
 
 def bright_carriers(state: BrightGaussianState, modes, message: str):
@@ -88,10 +92,14 @@ def check_mode(state: BrightGaussianState, mode) -> None:
 
 def rotation2(phi) -> np.ndarray:
     """Quadrature-plane rotation for a phase shift by phi (stacked for an array)."""
+    return _put_rotation(np.empty(np.shape(phi) + (2, 2)), phi)
+
+
+def _put_rotation(out: np.ndarray, phi) -> np.ndarray:
+    """Write ``rotation2(phi)`` into the (..., 2, 2) array out; returns out."""
     c, s = np.cos(phi), np.sin(phi)
-    rot = np.empty(np.shape(c) + (2, 2))
-    rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = c, -s, s, c
-    return rot
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
+    return out
 
 
 # The numeric fields of a SqueezedInputSpec.
@@ -153,6 +161,7 @@ class SqueezedInputSpec:
         return self.y_variance_quantum + self.y_variance_classical
 
 
+@functools.cache
 def mapped_unchecked_scale(dim: int) -> float:
     """Largest covariance entry up to which a map output of dimension dim
     skips the eigendecomposition of the uncertainty relation.
@@ -226,7 +235,8 @@ class BrightGaussianState:
 
     def _store(self, amplitudes, cov, mapped: bool):
         amps = np.array(amplitudes, dtype=float)
-        cov = np.array(cov, dtype=float)
+        # Not copied: the symmetrized covariance below is a new array.
+        cov = np.asarray(cov, dtype=float)
         if amps.ndim < 1:
             raise DomainError("amplitudes must be a 1-D vector or a stack of them")
         n = amps.shape[-1]
@@ -237,14 +247,19 @@ class BrightGaussianState:
         if (amps < 0).any():
             raise DomainError("amplitudes must be non-negative")
         cov_t = np.swapaxes(cov, -1, -2)
-        scale = np.abs(cov).max(axis=(-2, -1), keepdims=True, initial=1.0)
-        if not np.isfinite(scale).all():
+        top = np.abs(cov).max(initial=1.0)
+        if not np.isfinite(top):
             raise DomainError("covariance entries are not finite: noise levels overflow "
                               "double precision")
-        if (np.abs(cov - cov_t) > SYM_TOL * scale).any():
-            raise DomainError("covariance matrix is not symmetric")
+        # Each covariance's scale is its largest entry, at least 1, so an
+        # asymmetry within SYM_TOL is within SYM_TOL of every scale.
+        check = not mapped or top > mapped_unchecked_scale(2 * n)
+        if check or np.abs(cov - cov_t).max(initial=0.0) > SYM_TOL:
+            scale = np.abs(cov).max(axis=(-2, -1), keepdims=True, initial=1.0)
+            if (np.abs(cov - cov_t) > SYM_TOL * scale).any():
+                raise DomainError("covariance matrix is not symmetric")
         cov = 0.5 * (cov + cov_t)
-        if not mapped or scale.max(initial=0.0) > mapped_unchecked_scale(2 * n):
+        if check:
             _check_bona_fide(cov, scale)
         amps.setflags(write=False)
         cov.setflags(write=False)
@@ -369,14 +384,20 @@ def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
     """
     check_unit_range("excess_correlation", excess_correlation)
 
-    def column(name, dtype=float):
-        """Field `name` of every input, with the input index last."""
-        return np.stack(np.broadcast_arrays(*(
-            np.array([getattr(r, name) for r in s], dtype) if isinstance(s, (list, tuple))
-            else np.asarray(getattr(s, name), dtype) for s in specs)), -1)
+    def columns(names, dtype=float):
+        """Fields `names` of every input, shaped (len(names), ..., len(specs)):
+        each field of each input broadcast into its slot of one array."""
+        values = {(f, k): np.array([getattr(r, name) for r in s], dtype)
+                  if isinstance(s, (list, tuple)) else np.asarray(getattr(s, name), dtype)
+                  for f, name in enumerate(names) for k, s in enumerate(specs)}
+        out = np.empty((len(names),) + np.broadcast(*values.values()).shape + (len(specs),),
+                       dtype)
+        for (f, k), v in values.items():
+            out[f, ..., k] = v
+        return out
 
-    amplitude, squeezing, antisqueezing, excess = np.broadcast_arrays(*map(column, INPUT_FIELDS))
-    groups = column("correlated_group", object)
+    amplitude, squeezing, antisqueezing, excess = columns(INPUT_FIELDS)
+    (groups,) = columns(("correlated_group",), object)
     # The variances of SqueezedInputSpec, elementwise.  An overflowing sum
     # leaves inf, which the state rejects.
     x, y_quantum = db_to_var(-squeezing), db_to_var(antisqueezing)
@@ -395,10 +416,11 @@ def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
                                    out=np.zeros(batch + (n, n)), where=shared)
         cov[..., 1::2, 1::2] = (np.asarray(excess_correlation)[..., None, None]
                                 * np.sqrt(classical_sq))
-    k = np.arange(n)
-    cov[..., 2 * k, 2 * k] = x
-    cov[..., 2 * k + 1, 2 * k + 1] = y
-    amps = np.broadcast_to(amplitude, batch + (n,))
+    # The diagonal of each covariance, (x1, y1, x2, y2, ...), as a view.
+    diagonal = cov.reshape(batch + (4 * n * n,))[..., ::2 * n + 1]
+    diagonal[..., 0::2], diagonal[..., 1::2] = x, y
+    amps = np.empty(batch + (n,))
+    amps[...] = amplitude
     # Inputs that meet their own uncertainty relation make a bona fide state
     # if each pedestal c >= 0: a group's shared noise adds eps s s^T +
     # (1 - eps) diag(c) >= 0, s = sqrt(c).  Others get the full check.
@@ -437,13 +459,6 @@ def _embed(n: int, modes: tuple[int, ...], block: np.ndarray) -> np.ndarray:
     return s
 
 
-def _blocks(a, b, c, d) -> np.ndarray:
-    """The 4x4 matrices [[a, b], [c, d]] of (stacked) 2x2 blocks."""
-    out = np.empty(np.broadcast_shapes(*(x.shape[:-2] for x in (a, b, c, d))) + (4, 4))
-    out[..., :2, :2], out[..., :2, 2:], out[..., 2:, :2], out[..., 2:, 2:] = a, b, c, d
-    return out
-
-
 def _congruence(state: BrightGaussianState, S: np.ndarray, amps) -> BrightGaussianState:
     """State with covariance S cov S^T and the given carriers."""
     cov = S @ state.cov @ np.swapaxes(S, -1, -2)
@@ -470,17 +485,27 @@ def apply_beamsplitter(state: BrightGaussianState, i: int, j: int,
     t, s = np.sqrt(1.0 - r), np.sqrt(r)
     a = state.amplitudes[..., i]
     b = state.amplitudes[..., j] * np.exp(1j * theta)
-    g = np.stack((t * a + s * b, s * a - t * b), axis=-1)
+    plus, minus = t * a + s * b, s * a - t * b
+    g = np.empty(plus.shape + (2,), complex)
+    g[..., 0], g[..., 1] = plus, minus
     # hypot of the parts is abs() of a complex scalar to the last bit;
-    # abs() of a complex array is not.
+    # abs() of a complex array is not.  arctan2 of the parts is np.angle.
     m = np.hypot(g.real, g.imag)
-    phi = np.where(dark_modes(m), 0.0, np.angle(g))
-    eye = np.eye(2)
-    t, s = t[..., None, None], s[..., None, None]
-    mix = _blocks(t * eye, s * eye, s * eye, -t * eye)
-    zero = np.zeros((2, 2))
-    realign = _blocks(rotation2(-phi[..., 0]), zero, zero, rotation2(-phi[..., 1]))
-    pre = _blocks(eye, zero, zero, rotation2(theta))
+    phi = np.where(dark_modes(m), 0.0, np.arctan2(g.imag, g.real))
+    # The 4x4 matrices on (x_i, y_i, x_j, y_j), entry for entry those of the
+    # 2x2 blocks [[t I, s I], [s I, -t I]], [[R(-phi_i), 0], [0, R(-phi_j)]]
+    # and [[I, 0], [0, R(theta)]]; (-t) * I leaves -0.0 off its diagonal.
+    mix = np.zeros(t.shape + (4, 4))
+    mix[..., 0, 0] = mix[..., 1, 1] = t
+    mix[..., 2, 2] = mix[..., 3, 3] = -t
+    mix[..., 0, 2] = mix[..., 1, 3] = mix[..., 2, 0] = mix[..., 3, 1] = s
+    mix[..., 2, 3] = mix[..., 3, 2] = -0.0
+    realign = np.zeros(phi.shape[:-1] + (4, 4))
+    _put_rotation(realign[..., :2, :2], -phi[..., 0])
+    _put_rotation(realign[..., 2:, 2:], -phi[..., 1])
+    pre = np.zeros(theta.shape + (4, 4))
+    pre[..., 0, 0] = pre[..., 1, 1] = 1.0
+    _put_rotation(pre[..., 2:, 2:], theta)
     S = _embed(state.n_modes, (i, j), realign @ mix @ pre)
     amps = np.empty(m.shape[:-1] + (state.n_modes,))
     amps[...] = state.amplitudes
@@ -497,20 +522,37 @@ def apply_phase(state: BrightGaussianState, mode: int, phi) -> BrightGaussianSta
 
 def apply_loss(state: BrightGaussianState, mode: int, eta) -> BrightGaussianState:
     """Attenuate one mode with efficiency eta, admixing vacuum."""
-    check_unit_range("efficiency", eta)
-    check_mode(state, mode)
-    eta = np.asarray(eta, dtype=float)
+    return _apply_losses(state, ((mode, eta),))
+
+
+def _apply_losses(state: BrightGaussianState, losses) -> BrightGaussianState:
+    """Attenuate each (mode, eta) of losses in turn, admixing vacuum: the
+    ``apply_loss`` maps one after another, bit for bit, on one covariance
+    and made into one state."""
+    for mode, eta in losses:
+        check_unit_range("efficiency", eta)
+        check_mode(state, mode)
+    etas = [np.asarray(eta, dtype=float) for _, eta in losses]
     n = state.n_modes
-    batch = np.broadcast_shapes(state.amplitudes.shape[:-1], eta.shape)
-    scaling = np.ones(batch + (2 * n,))
-    scaling[..., 2 * mode:2 * mode + 2] = np.sqrt(eta)[..., None]
-    cov = state.cov * (scaling[..., :, None] * scaling[..., None, :])
-    for k in range(2):
-        q = 2 * mode + k
-        cov[..., q, q] += 1.0 - eta
+    batch = np.broadcast_shapes(state.amplitudes.shape[:-1], *(eta.shape for eta in etas))
     amps = np.empty(batch + (n,))
     amps[...] = state.amplitudes
-    amps[..., mode] *= np.sqrt(eta)
+    cov = state.cov
+    for k, ((mode, _), eta) in enumerate(zip(losses, etas)):
+        if k and np.abs(cov).max() > mapped_unchecked_scale(2 * n):
+            # The last loss's output, made a state as one apply_loss call
+            # would make it: entries this large get the uncertainty test.
+            cov = BrightGaussianState._mapped(amps, cov).cov
+        root = np.sqrt(eta)
+        scaling = np.ones(batch + (2 * n,))
+        scaling[..., 2 * mode:2 * mode + 2] = root[..., None]
+        # Each entry times the product of its two scalings, as one loss
+        # alone takes it: the scalings of successive losses are not merged.
+        cov = cov * (scaling[..., :, None] * scaling[..., None, :])
+        vacuum = 1.0 - eta
+        for q in (2 * mode, 2 * mode + 1):
+            cov[..., q, q] += vacuum
+        amps[..., mode] *= root
     return BrightGaussianState._mapped(amps, cov)
 
 

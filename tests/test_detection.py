@@ -68,6 +68,12 @@ class TestMzGeometry:
         with pytest.raises(DomainError, match="repetition_rate|delay order"):
             mz_geometry(rate, n)
 
+    @pytest.mark.parametrize("rate, n", [(1e8, 10 ** 308), (1e-300, 10 ** 10), (82e6, 2 ** 1100)],
+                             ids=["delta_l_overflows", "delta_l_inf", "n_beyond_float"])
+    def test_geometry_beyond_the_float_range_rejected(self, rate, n):
+        with pytest.raises(DomainError, match="no finite, positive geometry"):
+            mz_geometry(rate, n)
+
 
 class TestLossBudget:
     def test_effective_stacking(self):

@@ -13,6 +13,7 @@ from brightbeam import (
     compose,
     db_to_var,
     duan_simon,
+    entangle,
     generalized_witness,
     generate_entangled,
     make_coherent,
@@ -391,6 +392,33 @@ def test_each_stacked_gain_is_the_gain_of_its_pair_alone(drawn):
     gains, fallbacks = witness_gains(stack_of(pairs), stack_of(pairs), np.array(imbalance))
     for k, (pair, imb) in enumerate(zip(pairs, imbalance)):
         assert witness_gains(pair, pair, imb) == (gains[k], fallbacks[k])
+
+
+def test_pairs_finishing_around_a_compaction_keep_their_own_gains(monkeypatch):
+    """In a 240-pair stack some pairs finish while they ride along in the
+    arrays, before the first compaction, and others after it; each gets
+    the gain and fallback of its pair searched alone (numpy only)."""
+    widths = []
+
+    def recording(g, params):
+        widths.append(np.shape(g)[-1])
+        return _witness_sum(g, params)
+
+    monkeypatch.setattr(entangle, "_witness_sum", recording)
+    rng = np.random.default_rng(2001)
+    pairs = [random_lossy_pair(rng) for _ in range(236)] + [coherent_pair()] * 4
+    imbalance = np.where(np.arange(240) % 2, 0.0, rng.uniform(-0.5, 0.5, 240))
+    gains, fallbacks = witness_gains(stack_of(pairs), stack_of(pairs), imbalance)
+    stacked = widths[:-1]  # the last call scores the candidate gains
+    evaluations = []
+    for k, (pair, imb) in enumerate(zip(pairs, imbalance)):
+        widths.clear()
+        assert witness_gains(pair, pair, float(imb)) == (gains[k], fallbacks[k])
+        evaluations.append(len(widths) - 1)
+    first_compaction = next(i for i, w in enumerate(stacked) if w < 240)
+    # The first pairs to finish stay in the arrays for the next evaluation.
+    assert min(evaluations) < first_compaction and stacked[min(evaluations)] == 240
+    assert max(evaluations) > first_compaction
 
 
 class TestInvariants:

@@ -630,17 +630,17 @@ def test_parallel_draws_are_the_sequential_draws(monkeypatch):
 
 @pytest.mark.parametrize("gain", [1.3, "optimize"])
 def test_method_a_applies_each_loss_budget_once(monkeypatch, gain):
-    # Two paths (amplitude, phase) by two arms: four lossy maps.
+    # Two paths (amplitude, phase), each one lossy map over both arms.
     calls = []
-    real = detection.apply_loss
+    real = detection._apply_losses
 
-    def counting(state, mode, eta):
-        calls.append(mode)
-        return real(state, mode, eta)
+    def counting(state, losses):
+        calls.append([mode for mode, _ in losses])
+        return real(state, losses)
 
-    monkeypatch.setattr(detection, "apply_loss", counting)
+    monkeypatch.setattr(detection, "_apply_losses", counting)
     run_scenario(make("A", gain=gain, **BUDGETS))
-    assert len(calls) == 4
+    assert calls == [[0, 1], [0, 1]]
 
 
 def _first_point_error(s, param, start, stop, steps):

@@ -56,6 +56,13 @@ def test_unknown_key_named_in_error():
         scenario_from_dict({"input_a.squeeze_db": 3.0})
 
 
+def test_unknown_non_string_key_named_in_error():
+    # A mapping built in Python may mix key types; the error names the key
+    # that sorts first as text.
+    with pytest.raises(ScenarioError, match="unknown scenario key: 1$"):
+        scenario_from_dict({1: 2, "x": 3})
+
+
 def test_out_of_range_ratio_names_field():
     with pytest.raises(ScenarioError, match="entangle_ratio"):
         scenario_from_dict({"entangle_ratio": 1.2})

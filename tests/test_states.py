@@ -22,9 +22,16 @@ from brightbeam import (
     sample_fluctuations,
     squeezed_inputs,
 )
+from brightbeam import detection
 from brightbeam.entangle import generate_entangled
 from brightbeam.errors import DegenerateModeError, DomainError
-from brightbeam.states import _CHUNK_ROWS, mapped_unchecked_scale
+from brightbeam.states import (
+    _CHUNK_ROWS,
+    _apply_losses,
+    dark_modes,
+    mapped_unchecked_scale,
+    rotation2,
+)
 
 
 def paper_bs_matrix(theta):
@@ -406,6 +413,16 @@ def test_serialization_roundtrip():
     assert np.array_equal(back.cov, st.cov)
 
 
+def test_symmetry_tolerance_scales_with_each_covariance():
+    # An asymmetry of 1e-8 is 1e-14 of entries of 1e6, but 1e-8 of entries of 1.
+    large = np.array([[1e6, 1e-8], [0.0, 1e6]])
+    state = BrightGaussianState(np.array([1.0]), large)
+    assert state.cov[0, 1] == state.cov[1, 0] == 0.5e-8
+    with pytest.raises(DomainError, match="not symmetric"):
+        BrightGaussianState(np.array([[1.0], [1.0]]),
+                            np.stack([large, [[1.0, 1e-8], [0.0, 1.0]]]))
+
+
 def test_invalid_covariances_rejected():
     with pytest.raises(DomainError):
         BrightGaussianState(np.array([1.0]), np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -661,3 +678,115 @@ def test_joined_inputs_are_plain_physical_states(drawn):
     again = apply_beamsplitter(BrightGaussianState.from_dict(inputs.to_dict()), 0, 1, ratio, theta)
     assert np.array_equal(again.amplitudes, pair.amplitudes)
     assert np.array_equal(again.cov, pair.cov)
+
+
+def rotation_block_beamsplitter(st, i, j, r, theta):
+    """``apply_beamsplitter`` written out from 2x2 ``rotation2`` blocks: the
+    carriers |g| and the symmetrized S V S^T of S = realign @ mix @ pre on
+    modes (i, j)."""
+    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+    t, s = np.sqrt(1.0 - r), np.sqrt(r)
+    a = st.amplitudes[..., i]
+    b = st.amplitudes[..., j] * np.exp(1j * theta)
+    g = np.stack((t * a + s * b, s * a - t * b), axis=-1)
+    m = np.hypot(g.real, g.imag)
+    phi = np.where(dark_modes(m), 0.0, np.angle(g))
+
+    def blocks(p, q, u, v):
+        out = np.empty(np.broadcast_shapes(*(x.shape[:-2] for x in (p, q, u, v))) + (4, 4))
+        out[..., :2, :2], out[..., :2, 2:], out[..., 2:, :2], out[..., 2:, 2:] = p, q, u, v
+        return out
+
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    t, s = t[..., None, None], s[..., None, None]
+    mix = blocks(t * eye, s * eye, s * eye, -t * eye)
+    realign = blocks(rotation2(-phi[..., 0]), zero, zero, rotation2(-phi[..., 1]))
+    pre = blocks(eye, zero, zero, rotation2(theta))
+    block = realign @ mix @ pre
+    n = st.n_modes
+    S = np.array(np.broadcast_to(np.eye(2 * n), block.shape[:-2] + (2 * n, 2 * n)))
+    idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+    S[(..., *np.ix_(idx, idx))] = block
+    cov = S @ st.cov @ np.swapaxes(S, -1, -2)
+    amps = np.empty(m.shape[:-1] + (n,))
+    amps[...] = st.amplitudes
+    amps[..., i], amps[..., j] = m[..., 0], m[..., 1]
+    return amps, 0.5 * (cov + np.swapaxes(cov, -1, -2))
+
+
+def random_input_stack(rng, n_modes, size):
+    """A stack of joined squeezed inputs, some of them dark, some sharing
+    phase noise."""
+    specs = []
+    for _ in range(n_modes):
+        squeezing = rng.uniform(0.0, 6.0, size)
+        specs.append(SimpleNamespace(
+            amplitude=rng.choice([0.0, 1.0, 30.0], size) * rng.uniform(0.5, 2.0, size),
+            squeezing_db=squeezing, antisqueezing_db=squeezing + rng.uniform(0.0, 10.0, size),
+            excess_phase_db=rng.uniform(0.0, 5.0, size),
+            correlated_group=int(rng.integers(2)) or None))
+    return squeezed_inputs(specs, rng.uniform(0.0, 1.0, size))
+
+
+def assert_same_bits(state, amps, cov):
+    assert np.array_equal(state.amplitudes, amps)
+    assert np.array_equal(state.cov, cov)
+    assert np.array_equal(np.signbit(state.cov), np.signbit(cov))
+
+
+class TestMapsBitForBit:
+    """The beam splitter and the one-map loss budgets give, entry for entry
+    and sign bit for sign bit, what their written-out constructions give."""
+
+    @pytest.mark.parametrize("n_modes", [2, 3])
+    def test_beamsplitter_is_its_rotation_block_construction(self, n_modes):
+        rng = np.random.default_rng(40 + n_modes)
+        for _ in range(40):
+            size = int(rng.integers(1, 20))
+            st = random_input_stack(rng, n_modes, size)
+            for _ in range(3):
+                i, j = (int(k) for k in rng.choice(n_modes, 2, replace=False))
+                # Balanced splitters at phase 0 or pi leave a port dark.
+                r = [rng.uniform(0.0, 1.0, size), 0.5, 0.0, 1.0][int(rng.integers(4))]
+                theta = [rng.uniform(-4.0, 4.0, size), 0.0, math.pi][int(rng.integers(3))]
+                amps, cov = rotation_block_beamsplitter(st, i, j, r, theta)
+                st = apply_beamsplitter(st, i, j, r, theta)
+                assert_same_bits(st, amps, cov)
+
+    @pytest.mark.parametrize("include_visibility", [True, False])
+    def test_budgets_are_one_loss_after_the_other(self, include_visibility):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            size = int(rng.integers(1, 20))
+            st = apply_beamsplitter(random_input_stack(rng, 2, size), 0, 1,
+                                    rng.uniform(0.0, 1.0, size), rng.uniform(-4.0, 4.0, size))
+            budgets = (SimpleNamespace(propagation=rng.uniform(0.0, 1.0, size),
+                                       visibility=rng.uniform(0.5, 1.0), quantum_efficiency=0.9),
+                       SimpleNamespace(propagation=rng.uniform(0.0, 1.0),
+                                       visibility=rng.uniform(0.5, 1.0, size),
+                                       quantum_efficiency=rng.uniform(0.0, 1.0, size)))
+            one_map = detection._apply_budgets(st, budgets, include_visibility)
+            etas = [detection._efficiency(b, include_visibility) for b in budgets]
+            two = apply_loss(apply_loss(st, 0, etas[0]), 1, etas[1])
+            assert_same_bits(one_map, two.amplitudes, two.cov)
+
+    def test_each_loss_output_with_large_entries_is_tested(self):
+        # Entries of 5e29: the uncertainty test of the first loss's output
+        # fails by rounding, and the one-map losses raise as the first
+        # apply_loss does, not later where the second loss leaves mode 1 dark.
+        st = generate_entangled(SqueezedInputSpec(1.0, 3.0, 153.0, correlated_group=1),
+                                SqueezedInputSpec(100.0, 300.0, 300.0, correlated_group=1),
+                                math.pi, 0.5, 0.0)
+        with pytest.raises(DomainError, match="too large for double precision"):
+            apply_loss(st, 0, 0.25)
+        with pytest.raises(DomainError, match="too large for double precision"):
+            _apply_losses(st, [(0, 0.25), (1, 0.0)])
+
+    def test_losses_in_any_mode_order(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            st = random_input_stack(rng, 3, 5)
+            etas = rng.uniform(0.0, 1.0, (3, 5))
+            one_map = _apply_losses(st, [(2, etas[0]), (0, etas[1]), (1, 0.5)])
+            chained = apply_loss(apply_loss(apply_loss(st, 2, etas[0]), 0, etas[1]), 1, 0.5)
+            assert_same_bits(one_map, chained.amplitudes, chained.cov)

@@ -74,6 +74,21 @@ class TestElectronicNoiseCorrection:
         with pytest.raises(DomainError):
             correct_electronic_noise(-84.4, -84.4)
 
+    @pytest.mark.parametrize("signal, electronic, expected", [
+        (4000.0, -80.0, 4000.0),
+        (4000.0, 3999.0, 3999.0 + 10.0 * math.log10(10.0 ** 0.1 - 1.0)),
+        (3100.0, 3000.0, 3100.0 + 10.0 * math.log10(1.0 - 1e-10)),
+    ])
+    def test_powers_beyond_the_float_range(self, signal, electronic, expected):
+        # 10^(signal / 10) overflows a double; the corrected power does not.
+        assert correct_electronic_noise(signal, electronic) == pytest.approx(expected, abs=1e-9)
+
+    def test_close_levels_keep_their_difference(self):
+        # 10 log10(10^-6 - 10^-6.05), to 60 digits: -69.6357448083830224...
+        # A plain difference of the two powers loses digits to cancellation.
+        exact = -69.63574480838302
+        assert abs(correct_electronic_noise(-60.0, -60.5) - exact) <= math.ulp(exact)
+
     def test_roundtrip_add_then_subtract(self):
         electronic = -87.8
         clean = -82.0
