@@ -4,8 +4,6 @@ from .detection import (
     LossBudget,
     MzGeometry,
     correct_electronic_noise,
-    method_a_joint,
-    method_a_measure,
     method_b_channels,
     method_c_single_port,
     mz_geometry,
@@ -14,11 +12,9 @@ from .entangle import (
     GeneralizedCombination,
     WitnessReport,
     duan_simon,
-    generalized_witness,
     generate_entangled,
     normalized_combination_variances,
     optimal_gains_for_theta,
-    optimize_gain,
     squeezing_variances,
     theta_adapted_bound,
 )
@@ -38,9 +34,7 @@ from .states import (
     apply_loss,
     apply_phase,
     compose,
-    direct_detect_variance,
     make_coherent,
-    make_squeezed,
     sample_fluctuations,
     shot_noise_reference,
     squeezed_inputs,

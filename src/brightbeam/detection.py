@@ -37,7 +37,6 @@ from .states import (
     DetectionResult,
     _apply_losses,
     apply_beamsplitter,
-    apply_loss,
     bright_carriers,
     dark_modes,
     shot_noise_reference,  # noqa: F401  (re-exported with DetectionResult)
@@ -121,18 +120,6 @@ def _apply_budgets(state: BrightGaussianState, budgets: tuple[LossBudget, LossBu
                                  for mode, budget in enumerate(budgets)])
 
 
-def method_a_measure(state: BrightGaussianState, mode: int, quadrature: str,
-                     budget: LossBudget = LossBudget()) -> DetectionResult:
-    """Single-beam quadrature measurement with the unbalanced Mach-Zehnder.
-
-    Phase (Y) measurements pay the full budget including visibility;
-    amplitude (X) measurements need no interference and skip it.
-    """
-    lossy = apply_loss(state, mode, _efficiency(budget, include_visibility=(quadrature == "Y")))
-    alpha = bright_carriers(lossy, mode, "phase measurement needs a bright carrier")
-    return DetectionResult.read(lossy, (lossy.quad_index(mode, quadrature), alpha))
-
-
 def _method_a_paths(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget]
                     ) -> tuple[BrightGaussianState, BrightGaussianState]:
     """Method A's amplitude (X) and phase (Y) path states after the budgets:
@@ -150,35 +137,17 @@ def _joint_reading(lossy: BrightGaussianState, quadrature: str, sign: float, g,
     return DetectionResult.read(lossy, (q, a1), (2 + q, sign, g, 1.0 + imbalance, a1))
 
 
-def method_a_joint(state: BrightGaussianState, quadrature: str,
-                   budgets: tuple[LossBudget, LossBudget],
-                   g: float = 1.0,
-                   imbalance: float = 0.0) -> tuple[DetectionResult, DetectionResult]:
-    """Joint two-beam measurement: correlation and anti-correlation channels.
-
-    Returns (combination, anti_combination): for X the combination is the
-    sum V(dX1 + g dX2), for Y the difference V(dY1 - g dY2); the anti
-    channel flips the relative sign.  An electronic gain mismatch
-    ``imbalance`` multiplies the second photocurrent (and enters the
-    coherent reference the same way).
-    """
-    if state.n_modes != 2:
-        raise DomainError("method A joint measurement needs a two-mode state")
-    lossy = _apply_budgets(state, budgets, include_visibility=(quadrature == "Y"))
-    sign = 1.0 if quadrature == "X" else -1.0
-    return (_joint_reading(lossy, quadrature, sign, g, imbalance),
-            _joint_reading(lossy, quadrature, -sign, g, imbalance))
-
-
 def method_a_readings(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget],
                       g=None, imbalance: float = 0.0
                       ) -> tuple[float, DetectionResult, DetectionResult]:
-    """Method A's witness readings, each path's lossy state built once.
+    """Method A's joint two-beam readings, each path's lossy state built once.
 
     Returns the gain, where ``g`` is None the one ``witness_gains`` picks
-    for the two paths, and the ``method_a_joint`` combinations ``plus`` (X)
-    and ``minus`` (Y) at that gain; ``method_a_anti_readings`` gives their
-    anti-combinations.
+    for the two paths, and the correlation combinations at that gain:
+    ``plus`` = V(dX1 + g dX2) and ``minus`` = V(dY1 - g dY2).  An
+    electronic gain mismatch ``imbalance`` multiplies the second
+    photocurrent (and enters the coherent reference the same way);
+    ``method_a_anti_readings`` gives the anti-combinations.
     """
     if state.n_modes != 2:
         raise DomainError("method A joint measurement needs a two-mode state")
@@ -191,9 +160,9 @@ def method_a_readings(state: BrightGaussianState, budgets: tuple[LossBudget, Los
 
 def method_a_anti_readings(plus: DetectionResult, minus: DetectionResult, g,
                            imbalance: float = 0.0) -> tuple[DetectionResult, DetectionResult]:
-    """The ``method_a_joint`` anti-combinations that go with the ``plus`` and
-    ``minus`` of ``method_a_readings`` at gain g: the same lossy paths read
-    with the relative sign flipped."""
+    """The anti-combinations that go with the ``plus`` and ``minus`` of
+    ``method_a_readings`` at gain g: the same lossy paths read with the
+    relative sign flipped."""
     return (_joint_reading(plus.state, "X", -1.0, g, imbalance),
             _joint_reading(minus.state, "Y", 1.0, g, imbalance))
 

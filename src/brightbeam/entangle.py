@@ -17,7 +17,7 @@ gets its result bit for bit; tests/test_entangle.py compares the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +47,6 @@ class WitnessReport:
     product_value: float
     bound: float
     entangled_witnessed: bool
-    gain_fallback: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "v_sq_plus_x": self.v_sq_plus_x,
-            "v_sq_minus_y": self.v_sq_minus_y,
-            "gain": self.gain_used,
-            "sum": self.sum_value,
-            "product": self.product_value,
-            "bound": self.bound,
-            "witnessed": self.entangled_witnessed,
-        }
 
 
 @dataclass(frozen=True)
@@ -117,17 +105,6 @@ def duan_simon(state: BrightGaussianState, g: float = 1.0) -> WitnessReport:
         bound=SUM_BOUND,
         entangled_witnessed=total < SUM_BOUND,
     )
-
-
-def generalized_witness(state: BrightGaussianState,
-                        c: GeneralizedCombination) -> tuple[float, float, bool]:
-    """Gain-weighted witness: V(u) + V(v) against 2(|h_a g_a| + |h_b g_b|)."""
-    _require_bright_pair(state)
-    u = np.array([c.h_a, 0.0, c.h_b, 0.0])
-    v = np.array([0.0, c.g_a, 0.0, c.g_b])
-    lhs = state.combination_variance(u) + state.combination_variance(v)
-    rhs = 2.0 * (abs(c.h_a * c.g_a) + abs(c.h_b * c.g_b))
-    return float_if_scalar(lhs), float(rhs), lhs < rhs
 
 
 def normalized_combination_variances(state: BrightGaussianState,
@@ -311,12 +288,3 @@ def witness_gains(state_x: BrightGaussianState, state_y: BrightGaussianState,
     params = np.stack([np.broadcast_to(row, batch).ravel() for row in rows])
     gains, fallbacks = (v.reshape(batch) for v in minimize_gain(_witness_sum, params))
     return float_if_scalar(gains), (fallbacks if batch else bool(fallbacks))
-
-
-def optimize_gain(state: BrightGaussianState) -> tuple[float, WitnessReport]:
-    """Minimize the normalized witness sum over a single shared gain.
-
-    See ``minimize_gain``; a non-finite optimum is flagged in the report.
-    """
-    g_star, fallback = witness_gains(state, state)
-    return g_star, replace(duan_simon(state, g_star), gain_fallback=fallback)

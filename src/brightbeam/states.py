@@ -151,15 +151,6 @@ class SqueezedInputSpec:
     def y_variance_quantum(self) -> float:
         return db_to_var(self.antisqueezing_db)
 
-    @property
-    def y_variance_classical(self) -> float:
-        """Classical phase-noise pedestal on top of the quantum part."""
-        return db_to_var(self.excess_phase_db) - 1.0
-
-    @property
-    def y_variance(self) -> float:
-        return self.y_variance_quantum + self.y_variance_classical
-
 
 @functools.cache
 def mapped_unchecked_scale(dim: int) -> float:
@@ -181,6 +172,9 @@ def mapped_unchecked_scale(dim: int) -> float:
 
 _LOST_TO_ROUNDING = ("covariance entries are too large for double precision: "
                      "rounding breaks positive semi-definiteness")
+_NOT_FINITE = "covariance entries are not finite: noise levels overflow double precision"
+# Entries up to this size can be summed in pairs without overflow.
+_LARGEST_ENTRY = np.finfo(float).max / 2
 
 
 @functools.cache
@@ -196,7 +190,10 @@ def _check_bona_fide(cov: np.ndarray, scale: np.ndarray):
     the stack, to PSD_TOL: the uncertainty relation, which also makes V
     positive definite.  Omega is one [[0, 1], [-1, 0]] block per mode in
     the (x1, y1, x2, y2, ...) order; ``scale`` is each V's largest entry."""
-    lowest = np.linalg.eigvalsh(cov + _i_omega(cov.shape[-1]))[..., 0]
+    try:
+        lowest = np.linalg.eigvalsh(cov + _i_omega(cov.shape[-1]))[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(_NOT_FINITE) from exc
     negative = lowest < -PSD_TOL
     if negative.any():
         # eigvalsh errs by a few ulps of the largest entry, so a negative
@@ -248,9 +245,8 @@ class BrightGaussianState:
             raise DomainError("amplitudes must be non-negative")
         cov_t = np.swapaxes(cov, -1, -2)
         top = np.abs(cov).max(initial=1.0)
-        if not np.isfinite(top):
-            raise DomainError("covariance entries are not finite: noise levels overflow "
-                              "double precision")
+        if not top <= _LARGEST_ENTRY:  # also NaN
+            raise DomainError(_NOT_FINITE)
         # Each covariance's scale is its largest entry, at least 1, so an
         # asymmetry within SYM_TOL is within SYM_TOL of every scale.
         check = not mapped or top > mapped_unchecked_scale(2 * n)
@@ -398,8 +394,9 @@ def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
 
     amplitude, squeezing, antisqueezing, excess = columns(INPUT_FIELDS)
     (groups,) = columns(("correlated_group",), object)
-    # The variances of SqueezedInputSpec, elementwise.  An overflowing sum
-    # leaves inf, which the state rejects.
+    # Each input's x and y variance: SqueezedInputSpec's quantum parts plus
+    # the classical pedestal, elementwise.  An overflowing sum leaves inf,
+    # which the state rejects.
     x, y_quantum = db_to_var(-squeezing), db_to_var(antisqueezing)
     classical = db_to_var(excess) - 1.0
     with np.errstate(over="ignore"):
@@ -427,11 +424,6 @@ def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
     if (_input_uncertainty_holds(x, y_quantum) & (classical >= 0)).all():
         return BrightGaussianState._mapped(amps, cov)
     return BrightGaussianState(amps, cov)
-
-
-def make_squeezed(spec) -> BrightGaussianState:
-    """Single-mode squeezed state of one spec (a stack for a list of specs)."""
-    return squeezed_inputs([spec])
 
 
 def compose(states: list[BrightGaussianState]) -> BrightGaussianState:
@@ -554,14 +546,6 @@ def _apply_losses(state: BrightGaussianState, losses) -> BrightGaussianState:
             cov[..., q, q] += vacuum
         amps[..., mode] *= root
     return BrightGaussianState._mapped(amps, cov)
-
-
-def direct_detect_variance(state: BrightGaussianState, mode: int):
-    """Photocurrent variance in photon-number units: alpha^2 * V(dX)."""
-    x = state.quad_index(mode, "X")
-    alpha = bright_carriers(
-        state, mode, f"mode {mode} has no carrier; direct detection linearization is invalid")
-    return DetectionResult.read(state, (x, alpha)).variance
 
 
 # Rows of standard normals drawn and mapped at a time by sample_fluctuations

@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import brightbeam
@@ -488,6 +488,12 @@ PLAIN = [0, 0.0, 0.5, 1, 2.5, 100.0, -1.0, "A", "B", "C", "c", "d", "optimize"]
 COUNTS = [0, 2, 3, 1000, 10 ** 20, 10 ** 30, 1.5, float("nan"), "x", True, None, [2]]
 
 
+# dB values near the edges: around 40 dB map outputs cross
+# mapped_unchecked_scale, and from about 3000 dB one variance still fits a
+# float but the sum of two does not.
+EDGE_DB = hs.floats(35.0, 45.0) | hs.floats(3000.0, 3090.0)
+
+
 @hs.composite
 def hostile_scenarios(draw):
     # A few keys at a time, so that one hostile value often meets valid defaults.
@@ -497,6 +503,20 @@ def hostile_scenarios(draw):
               | hs.floats())
     return {k: draw(hs.sampled_from(COUNTS) if k in ("mc_samples", "seed") else values)
             for k in keys}
+
+
+@hs.composite
+def edge_scenarios(draw):
+    """Inputs with dB fields near their edges, each input's antisqueezing at
+    least its squeezing, so that the uncertainty relation rarely ends the run."""
+    flat = {}
+    for arm in "ab":
+        if draw(hs.booleans()):
+            low, high = sorted([draw(EDGE_DB), draw(EDGE_DB)])
+            flat.update({f"input_{arm}.squeezing_db": low, f"input_{arm}.antisqueezing_db": high})
+        if draw(hs.booleans()):
+            flat[f"input_{arm}.excess_phase_db"] = draw(EDGE_DB)
+    return flat
 
 
 def _exit_code_and_stderr(argv) -> tuple[int, str]:
@@ -515,14 +535,20 @@ def _exit_code_and_stderr(argv) -> tuple[int, str]:
 
 
 @settings(max_examples=300)
-@given(flat=hostile_scenarios())
-def test_any_scenario_file_exits_0_2_or_3(tmp_path_factory, flat):
-    """No scenario file ends in a traceback or a warning."""
+@given(flat=hostile_scenarios() | edge_scenarios(), param=hs.sampled_from(SWEEP_PARAMS))
+# One variance of 3080 dB fits a float, but the symmetrized covariance
+# overflows and its eigendecomposition fails.
+@example(flat={"input_a.squeezing_db": 3000, "input_a.antisqueezing_db": 3080}, param="theta")
+def test_any_scenario_file_exits_0_2_or_3(tmp_path_factory, flat, param):
+    """No scenario file ends in a traceback or a warning, in simulate, a
+    short sweep or validate."""
     path = tmp_path_factory.mktemp("hostile") / "s.json"
     path.write_text(json.dumps(flat))
-    code, err = _exit_code_and_stderr(["simulate", "--scenario", str(path)])
-    assert code in (0, 2, 3)
-    assert "Warning" not in err
+    for argv in (["simulate"], ["sweep", "--param", param, "--from", "0.5", "--to", "1",
+                                "--steps", "3"], ["validate", "--mc-samples", "2"]):
+        code, err = _exit_code_and_stderr([*argv, "--scenario", str(path)])
+        assert code in (0, 2, 3), argv
+        assert "Warning" not in err, argv
 
 
 # Flag values that read as negative or non-finite numbers, as flags or as

@@ -9,20 +9,19 @@ from brightbeam import (
     LossBudget,
     SqueezedInputSpec,
     apply_beamsplitter,
-    compose,
+    apply_loss,
+    duan_simon,
     generate_entangled,
     make_coherent,
-    make_squeezed,
-    method_a_joint,
-    method_a_measure,
     method_b_channels,
     method_c_single_port,
     mz_geometry,
     optimal_gains_for_theta,
     shot_noise_reference,
+    squeezed_inputs,
     squeezing_variances,
 )
-from brightbeam.detection import bright_port_readings, method_a_readings
+from brightbeam.detection import bright_port_readings, method_a_anti_readings, method_a_readings
 from brightbeam.errors import DegenerateModeError, DomainError
 from brightbeam.states import DARK_PORT_FACTOR, dark_modes
 
@@ -93,56 +92,80 @@ class TestLossBudget:
             LossBudget(**{field: value})
 
 
+def method_a_by_hand(state, budgets, g=1.0):
+    """Method A's four normalized readings, built apart from ``detection``:
+    one ``apply_loss`` per arm, the visibility on the phase (Y) path only,
+    and each photocurrent's explicit weights read with combination_variance.
+    Keys: plus (X1 + g X2), plus_anti (X1 - g X2), minus (Y1 - g Y2) and
+    minus_anti (Y1 + g Y2)."""
+    readings = {}
+    for key, q, sign, with_visibility in (("plus", 0, 1.0, False), ("minus", 1, -1.0, True)):
+        lossy = state
+        for mode, budget in enumerate(budgets):
+            lossy = apply_loss(lossy, mode, budget.effective(with_visibility))
+        a1 = lossy.amplitudes[0]
+        for name, s in ((key, sign), (f"{key}_anti", -sign)):
+            w = np.zeros(4)
+            w[q], w[2 + q] = a1, s * g * a1
+            readings[name] = lossy.combination_variance(w) / (w @ w)
+    return readings
+
+
+def method_a(state, budgets, g=1.0):
+    """The same four readings through method_a_readings and method_a_anti_readings."""
+    _, plus, minus = method_a_readings(state, budgets, g)
+    plus_anti, minus_anti = method_a_anti_readings(plus, minus, g)
+    return {"plus": plus.normalized, "plus_anti": plus_anti.normalized,
+            "minus": minus.normalized, "minus_anti": minus_anti.normalized}
+
+
 class TestMethodA:
     def test_ideal_budget_is_transparent(self):
-        st = make_squeezed(spec())
-        res = method_a_measure(st, 0, "Y", IDEAL)
-        assert res.normalized == pytest.approx(st.variance(0, "Y"), rel=1e-12)
+        st = entangled(sq=3.7)
+        _, plus, minus = method_a_readings(st, (IDEAL, IDEAL), 1.3)
+        assert np.array_equal(plus.state.cov, st.cov)
+        assert np.array_equal(minus.state.cov, st.cov)
 
     def test_budget_applies_loss_channel(self):
-        st = make_squeezed(SqueezedInputSpec(100, 5.2288, 5.2288))  # V(Y)=3.333 -> use X
-        vx = st.variance(0, "X")
-        budget = LossBudget(propagation=0.9, visibility=0.95, quantum_efficiency=0.9)
-        res = method_a_measure(st, 0, "Y", budget)
-        eta = budget.effective()
-        assert res.normalized == pytest.approx(eta * st.variance(0, "Y") + 1 - eta, rel=1e-12)
-        # oracle value from the loss-channel formula on V=0.3
-        eta_paper = 0.9 * 0.95 ** 2 * 0.9
-        assert eta_paper * 0.3 + (1 - eta_paper) == pytest.approx(0.488, abs=5e-4)
-        assert vx < 1.0
-
-    def test_coherent_input_unaffected_by_loss(self):
-        res = method_a_measure(make_coherent(100), 0, "Y", PAPER_BUDGET)
-        assert res.normalized == pytest.approx(1.0, rel=1e-12)
+        # The phase path pays the visibility, the amplitude path does not.
+        budgets = (PAPER_BUDGET, LossBudget(propagation=0.8, visibility=0.9))
+        st = generate_entangled(spec(3.0, 5.0), spec(2.0, 4.0), 1.2)
+        by_hand = method_a_by_hand(st, budgets, 0.7)
+        assert method_a(st, budgets, 0.7) == pytest.approx(by_hand, rel=1e-12)
+        # oracle: the loss-channel formula on each path of a symmetric pair
+        readings = method_a(entangled(sq=3.7), (PAPER_BUDGET, PAPER_BUDGET))
+        eta_x, eta_y = 0.9 * 0.9, 0.9 * 0.95 ** 2 * 0.9
+        vs = 10 ** (-0.37)
+        assert readings["plus"] == pytest.approx(eta_x * vs + 1 - eta_x, rel=1e-9)
+        assert readings["minus"] == pytest.approx(eta_y * vs + 1 - eta_y, rel=1e-9)
 
     def test_joint_matches_squeezing_variances_when_lossless(self):
-        st = entangled()
-        combo, _ = method_a_joint(st, "X", (IDEAL, IDEAL), g=1.0)
-        assert combo.normalized == pytest.approx(squeezing_variances(st)[0], rel=1e-12)
-        combo_y, _ = method_a_joint(st, "Y", (IDEAL, IDEAL), g=1.0)
-        assert combo_y.normalized == pytest.approx(squeezing_variances(st)[1], rel=1e-12)
+        st = generate_entangled(spec(2.0, 5.0), spec(2.0, 5.0), 1.2)
+        _, plus, minus = method_a_readings(st, (IDEAL, IDEAL), 1.0)
+        assert (plus.normalized, minus.normalized) == pytest.approx(
+            squeezing_variances(st), rel=1e-12)
+        assert plus.normalized + minus.normalized == pytest.approx(
+            duan_simon(st).sum_value, rel=1e-12)
 
     def test_anti_combination_matches_covariance_oracle(self):
         s = SqueezedInputSpec(100, 3.0, 5.0, excess_phase_db=23.0, correlated_group=1)
         st = generate_entangled(s, s, math.pi / 2)
-        combo, anti = method_a_joint(st, "X", (IDEAL, IDEAL))
+        readings = method_a(st, (IDEAL, IDEAL))
         # oracle: evaluate both linear combinations straight from the
         # covariance matrix
-        weights_anti = np.zeros(4)
-        weights_anti[st.quad_index(0, "X")] = 1.0
-        weights_anti[st.quad_index(1, "X")] = -1.0
-        assert anti.normalized == pytest.approx(
-            st.combination_variance(weights_anti) / 2, rel=1e-12)
+        assert readings["plus_anti"] == pytest.approx(
+            st.combination_variance([1.0, 0.0, -1.0, 0.0]) / 2, rel=1e-12)
+        assert readings["minus_anti"] == pytest.approx(
+            st.combination_variance([0.0, 1.0, 0.0, 1.0]) / 2, rel=1e-12)
         # the anti-correlated channel carries the anti-squeezing and sits
         # far above the squeezed channel
-        assert anti.normalized > 1.0 > combo.normalized
+        assert readings["plus_anti"] > 1.0 > readings["plus"]
 
     def test_coherent_pair_both_channels_at_shot_noise(self):
         s = SqueezedInputSpec(100.0)
         st = generate_entangled(s, s, math.pi / 2)
-        combo, anti = method_a_joint(st, "Y", (PAPER_BUDGET, PAPER_BUDGET))
-        assert combo.normalized == pytest.approx(1.0, rel=1e-12)
-        assert anti.normalized == pytest.approx(1.0, rel=1e-12)
+        readings = method_a(st, (PAPER_BUDGET, PAPER_BUDGET), 0.7)
+        assert readings == pytest.approx(dict.fromkeys(readings, 1.0), rel=1e-12)
 
 
 class TestMethodB:
@@ -266,9 +289,8 @@ class TestShotNoiseReference:
 def all_readings(state, phi):
     """Every DetectionResult of methods A, B and C on an entangled pair."""
     budgets = (PAPER_BUDGET, LossBudget(propagation=0.8))
-    return [method_a_measure(state, 1, "Y", PAPER_BUDGET),
-            *method_a_joint(state, "X", budgets, 0.7, 0.1),
-            *method_a_joint(state, "Y", budgets, 0.7, 0.1),
+    _, plus, minus = method_a_readings(state, budgets, 0.7, 0.1)
+    return [plus, minus, *method_a_anti_readings(plus, minus, 0.7, 0.1),
             *method_b_channels(state, phi, budgets, -0.2),
             method_c_single_port(state, phi, "c", budgets),
             method_c_single_port(state, phi, "d", budgets)]
@@ -298,7 +320,7 @@ class TestOneDarkTest:
         return 2 * math.asin(fraction * DARK_PORT_FACTOR)
 
     def pair(self):
-        return compose([make_squeezed(self.SPEC), make_squeezed(self.SPEC)])
+        return squeezed_inputs([self.SPEC, self.SPEC])
 
     @staticmethod
     def expected_cov(cov, phi, frame_c):
@@ -326,8 +348,7 @@ class TestOneDarkTest:
                                rtol=0, atol=1e-3)
         assert set(bright_port_readings(out)) == ({"port_d"} if dark else {"port_d", "port_c"})
         readouts = [lambda: method_b_channels(st, phi), lambda: method_c_single_port(st, phi, "c"),
-                    lambda: method_a_joint(out, "X", (IDEAL, IDEAL)),
-                    lambda: method_a_measure(out, 1, "X")]
+                    lambda: method_a_readings(out, (IDEAL, IDEAL), 1.0)]
         for readout in readouts:
             if dark:
                 with pytest.raises(DegenerateModeError):
@@ -358,7 +379,7 @@ def test_detection_result_consistency():
 
 # A single-mode state where a pair is needed, and inputs the checks must refuse.
 @pytest.mark.parametrize("call, message", [
-    (lambda: method_a_joint(make_coherent(10.0), "X", (IDEAL, IDEAL)),
+    (lambda: method_a_readings(make_coherent(10.0), (IDEAL, IDEAL), 1.0),
      "method A joint measurement needs a two-mode state"),
     (lambda: method_a_readings(make_coherent(10.0), (IDEAL, IDEAL)),
      "method A joint measurement needs a two-mode state"),

@@ -10,17 +10,12 @@ from brightbeam import (
     LossBudget,
     SqueezedInputSpec,
     apply_loss,
-    compose,
-    db_to_var,
     duan_simon,
     entangle,
-    generalized_witness,
     generate_entangled,
     make_coherent,
-    method_a_joint,
     normalized_combination_variances,
     optimal_gains_for_theta,
-    optimize_gain,
     sample_fluctuations,
     squeezing_variances,
     theta_adapted_bound,
@@ -79,7 +74,7 @@ class TestGenerateEntangled:
         c = math.cos(theta)
         s = math.sin(theta)
         vx_in = spec.x_variance
-        vy_in = spec.y_variance
+        vy_in = spec.y_variance_quantum  # no excess phase noise
         expected = (0.25 / (1 + c)) * ((1 + c) ** 2 * 2 * vx_in + s ** 2 * 2 * vy_in)
         assert st.variance(0, "X") == pytest.approx(expected, rel=1e-12)
         samples = sample_fluctuations(st, 500_000, seed=5)
@@ -131,25 +126,19 @@ class TestDuanSimon:
         assert report.product_value == pytest.approx(
             report.v_sq_plus_x * report.v_sq_minus_y, abs=1e-12)
 
-    def test_serialized_field_names(self):
-        d = duan_simon(coherent_pair()).to_dict()
-        assert set(d) == {"v_sq_plus_x", "v_sq_minus_y", "gain", "sum",
-                          "product", "bound", "witnessed"}
-
 
 class TestGeneralizedWitness:
     def test_coherent_boundary(self):
         comb = GeneralizedCombination(1, 1, 1, -1)
-        lhs, rhs, witnessed = generalized_witness(coherent_pair(), comb)
-        assert lhs == pytest.approx(4.0, abs=1e-12)
-        assert rhs == pytest.approx(4.0, abs=1e-12)
-        assert not witnessed
+        vu, vv = normalized_combination_variances(coherent_pair(), comb)
+        assert (vu, vv) == pytest.approx((1.0, 1.0), abs=1e-12)
+        assert not vu + vv < theta_adapted_bound(math.pi / 2)
 
-    def test_unit_gains_match_twice_duan_sum(self):
+    def test_unit_gains_match_duan_sum(self):
         spec = symmetric_spec(2.0, 5.0)
         st = generate_entangled(spec, spec, 1.2)
-        lhs, _, _ = generalized_witness(st, GeneralizedCombination(1, 1, 1, -1))
-        assert lhs == pytest.approx(2 * duan_simon(st).sum_value, abs=1e-12)
+        vu, vv = normalized_combination_variances(st, GeneralizedCombination(1, 1, 1, -1))
+        assert vu + vv == pytest.approx(duan_simon(st).sum_value, abs=1e-12)
 
     def test_amplitude_weighted_channels_recover_input_squeezing(self):
         # gains equal to the entangled-beam amplitudes give each joint
@@ -169,8 +158,8 @@ class TestGeneralizedWitness:
 
     @pytest.mark.parametrize("coefficients", [(0, 0, 1, -1), (1, 1, 0, 0)])
     def test_all_zero_combination_has_no_shot_noise_reference(self, coefficients):
-        # generalized_witness sums raw variances, so one all-zero combination
-        # is allowed there; its normalized variance has no reference.
+        # GeneralizedCombination refuses only four zero coefficients; a zero
+        # combination has no coherent value to normalize by.
         st = generate_entangled(symmetric_spec(), symmetric_spec(), math.pi / 2)
         with pytest.raises(DegenerateModeError, match="no shot-noise reference"):
             normalized_combination_variances(st, GeneralizedCombination(*coefficients))
@@ -214,15 +203,17 @@ class TestOptimalGains:
 class TestOptimizeGain:
     def test_symmetric_state_gives_unit_gain(self):
         spec = symmetric_spec()
-        g, report = optimize_gain(generate_entangled(spec, spec, math.pi / 2))
+        st = generate_entangled(spec, spec, math.pi / 2)
+        g, fallback = witness_gains(st, st)
         assert g == pytest.approx(1.0, abs=1e-5)
-        assert not report.gain_fallback
+        assert not fallback
 
     def test_asymmetric_loss_beats_unit_gain_and_matches_grid_search(self):
         spec = symmetric_spec(3.0, 5.0)
         st = generate_entangled(spec, spec, math.pi / 2)
         st = apply_loss(st, 0, 0.8)
-        g, report = optimize_gain(st)
+        g, _ = witness_gains(st, st)
+        report = duan_simon(st, g)
         unit = duan_simon(st, 1.0)
         assert report.sum_value <= unit.sum_value
         # independent grid-search oracle
@@ -232,8 +223,8 @@ class TestOptimizeGain:
         assert g != pytest.approx(1.0, abs=1e-3)
 
     def test_coherent_pair_is_flat(self):
-        g, report = optimize_gain(coherent_pair())
-        assert report.sum_value == pytest.approx(2.0, abs=1e-9)
+        g, _ = witness_gains(coherent_pair(), coherent_pair())
+        assert duan_simon(coherent_pair(), g).sum_value == pytest.approx(2.0, abs=1e-9)
 
 
 # Every gain the optimisers may return, 20001 points log-spaced on [1e-3, 1e3].
@@ -276,11 +267,12 @@ class TestGainAgainstDenseGrid:
     sits at one end of the range.
     """
 
-    def test_optimize_gain(self):
+    def test_witness_gains_of_one_state(self):
         worse = []
         for seed in range(GRID_STATES):
             st = random_lossy_pair(np.random.default_rng(seed))
-            g, report = optimize_gain(st)
+            g, _ = witness_gains(st, st)
+            report = duan_simon(st, g)
             assert grid_sums(st, st, g) == pytest.approx(report.sum_value, rel=1e-12)
             best = grid_sums(st, st, GAIN_GRID).min()
             if not no_worse_than_grid(report.sum_value, best):
@@ -295,9 +287,7 @@ class TestGainAgainstDenseGrid:
             budgets = tuple(LossBudget(rng.uniform(0.5, 1.0), rng.uniform(0.8, 1.0),
                                        rng.uniform(0.7, 1.0)) for _ in range(2))
             for imbalance in (0.0, rng.uniform(-0.5, 0.5)):
-                g = method_a_readings(st, budgets, None, imbalance)[0]
-                x, _ = method_a_joint(st, "X", budgets, g, imbalance)
-                y, _ = method_a_joint(st, "Y", budgets, g, imbalance)
+                g, x, y = method_a_readings(st, budgets, None, imbalance)
                 total = x.normalized + y.normalized
                 g_eff = g * (1.0 + imbalance)
                 assert grid_sums(x.state, y.state, g_eff) == pytest.approx(total, rel=1e-12)

@@ -11,13 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from brightbeam import detection, harness, states
-from brightbeam.detection import (
-    method_a_joint,
-    method_a_readings,
-    method_b_channels,
-    method_c_single_port,
-)
-from brightbeam.entangle import generate_entangled, optimize_gain
+from brightbeam.detection import method_b_channels, method_c_single_port
+from brightbeam.entangle import duan_simon, generate_entangled, witness_gains
 from brightbeam.errors import BrightBeamError, DegenerateModeError, DomainError, ScenarioError
 from brightbeam.harness import (
     CSV_HEADER,
@@ -223,19 +218,45 @@ def _entangled(s):
 
 def _assert_raw(raw, expected):
     assert set(raw) == set(expected)
-    for key, result in expected.items():
-        for field, value in result.to_dict().items():
+    for key, fields in expected.items():
+        for field, value in fields.items():
             assert raw[key][field] == pytest.approx(value, rel=1e-12), (key, field)
 
 
+def _pin(s):
+    """Method A's gain and raw readings, built apart from ``detection``: one
+    ``apply_loss`` per arm, the visibility on the phase (Y) path only, and
+    each photocurrent's explicit weights read with combination_variance."""
+    paths = []
+    for with_visibility in (False, True):
+        lossy = _entangled(s)
+        for mode, budget in enumerate((s.budget_a, s.budget_b)):
+            lossy = apply_loss(lossy, mode, budget.effective(with_visibility))
+        paths.append(lossy)
+    g = witness_gains(*paths, s.imbalance)[0] if s.gain == "optimize" else s.gain
+    raw = {}
+    for (key, q, sign), lossy in zip((("plus", 0, 1.0), ("minus", 1, -1.0)), paths):
+        a1 = lossy.amplitudes[0]
+        for name, relative in ((key, sign), (f"{key}_anti", -sign)):
+            w = np.zeros(4)
+            w[q], w[2 + q] = a1, relative * g * (1.0 + s.imbalance) * a1
+            variance, shot_noise = lossy.combination_variance(w), w @ w
+            raw[name] = {"variance": variance, "shot_noise": shot_noise,
+                         "normalized": variance / shot_noise,
+                         "rel_db": 10 * math.log10(variance / shot_noise)}
+    return g, raw
+
+
 def _assert_equals_detection(s):
-    """run_scenario(s) reports what the public detection functions read."""
+    """run_scenario(s) reports what the public detection functions read, and
+    for method A what ``_pin`` builds by hand."""
     budgets = (s.budget_a, s.budget_b)
     if s.method == "C":
         expected = {}
         for p in ("c", "d"):
             try:
-                expected[f"port_{p}"] = method_c_single_port(_entangled(s), s.phi, p, budgets)
+                expected[f"port_{p}"] = method_c_single_port(
+                    _entangled(s), s.phi, p, budgets).to_dict()
             except DegenerateModeError:
                 pass
         if f"port_{s.port}" not in expected:
@@ -243,22 +264,17 @@ def _assert_equals_detection(s):
                 run_scenario(s)
             return
         row = run_scenario(s)
-        v_plus = v_minus = expected[f"port_{s.port}"].normalized
+        v_plus = v_minus = expected[f"port_{s.port}"]["normalized"]
     elif s.method == "B":
         row = run_scenario(s)
         total, diff = method_b_channels(_entangled(s), s.phi, budgets, s.imbalance)
         v_plus, v_minus = total.normalized, diff.normalized
-        expected = {"sum_channel": total, "diff_channel": diff}
+        expected = {"sum_channel": total.to_dict(), "diff_channel": diff.to_dict()}
     else:
         row = run_scenario(s)
-        if s.gain == "optimize":
-            assert row.gain == pytest.approx(
-                method_a_readings(_entangled(s), budgets, None, s.imbalance)[0], rel=1e-12)
-        plus, plus_anti = method_a_joint(_entangled(s), "X", budgets, row.gain, s.imbalance)
-        minus, minus_anti = method_a_joint(_entangled(s), "Y", budgets, row.gain, s.imbalance)
-        v_plus, v_minus = plus.normalized, minus.normalized
-        expected = {"plus": plus, "plus_anti": plus_anti,
-                    "minus": minus, "minus_anti": minus_anti}
+        g, expected = _pin(s)
+        assert row.gain == pytest.approx(g, rel=1e-12)
+        v_plus, v_minus = expected["plus"]["normalized"], expected["minus"]["normalized"]
     assert row.v_sq_plus == pytest.approx(v_plus, rel=1e-12)
     assert row.v_sq_minus == pytest.approx(v_minus, rel=1e-12)
     _assert_raw(row.raw, expected)
@@ -285,7 +301,7 @@ class TestHarnessEqualsDetection:
         assert set(row.raw) == {"port_d"}
         assert set(run_scenario(make("C", port="d")).raw) == {"port_c", "port_d"}
 
-    def test_optimized_gain_matches_optimize_gain(self):
+    def test_optimized_gain_matches_witness_gains(self):
         extra = {"budget_a.prop_loss": 0.1, "budget_b.prop_loss": 0.3,
                  "budget_b.quantum_efficiency": 0.8,
                  "input_b.squeezing_db": 2.0, "input_b.antisqueezing_db": 2.5}
@@ -293,11 +309,11 @@ class TestHarnessEqualsDetection:
         lossy = _entangled(s)
         for mode, budget in enumerate((s.budget_a, s.budget_b)):
             lossy = apply_loss(lossy, mode, budget.effective())
-        g, report = optimize_gain(lossy)
+        g, _ = witness_gains(lossy, lossy)
         row = run_scenario(s)
         assert g != pytest.approx(1.0)
         assert row.gain == pytest.approx(g, rel=1e-12)
-        assert row.sum_value == pytest.approx(report.sum_value, rel=1e-12)
+        assert row.sum_value == pytest.approx(duan_simon(lossy, g).sum_value, rel=1e-12)
 
 
 class TestMonteCarloDrawPlan:

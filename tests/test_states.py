@@ -8,17 +8,14 @@ from hypothesis import strategies as hs
 
 from brightbeam import (
     BrightGaussianState,
-    LossBudget,
+    DetectionResult,
     SqueezedInputSpec,
     apply_beamsplitter,
     apply_loss,
     apply_phase,
     compose,
     db_to_var,
-    direct_detect_variance,
     make_coherent,
-    make_squeezed,
-    method_a_measure,
     sample_fluctuations,
     squeezed_inputs,
 )
@@ -81,12 +78,12 @@ class TestConstructors:
                                 np.broadcast_to(np.eye(4), (2, 4, 4)))
 
     def test_minimum_uncertainty_squeezed(self):
-        st = make_squeezed(SqueezedInputSpec(100, 3.01, 3.01))
+        st = squeezed_inputs([SqueezedInputSpec(100, 3.01, 3.01)])
         assert st.variance(0, "X") == pytest.approx(0.500, abs=5e-4)
         assert st.variance(0, "Y") == pytest.approx(2.000, abs=2e-3)
 
     def test_excess_noise_stacks_on_antisqueezing(self):
-        st = make_squeezed(SqueezedInputSpec(100, 3.0, 3.0, excess_phase_db=23.0))
+        st = squeezed_inputs([SqueezedInputSpec(100, 3.0, 3.0, excess_phase_db=23.0)])
         expected = db_to_var(3.0) + db_to_var(23.0) - 1.0
         assert st.variance(0, "Y") == pytest.approx(expected, rel=1e-12)
         # total individual noise sits at ~23 dB above shot noise
@@ -102,7 +99,7 @@ class TestConstructors:
         rng = np.random.default_rng(12345)
         samples = a * rng.standard_normal(1_000_000)
         empirical = samples.var(ddof=1)
-        analytic = direct_detect_variance(make_coherent(a), 0)
+        analytic = DetectionResult.read(make_coherent(a), (0, a)).variance
         se = empirical * math.sqrt(2 / 999_999)
         assert abs(analytic - empirical) < 3 * se
         assert analytic == a ** 2
@@ -115,8 +112,8 @@ class TestCompose:
         assert np.array_equal(st.cov, np.eye(4))
 
     def test_independent_modes_block_diagonal(self):
-        a = make_squeezed(SqueezedInputSpec(10, 3, 3))
-        b = make_squeezed(SqueezedInputSpec(10, 1, 2))
+        a = squeezed_inputs([SqueezedInputSpec(10, 3, 3)])
+        b = squeezed_inputs([SqueezedInputSpec(10, 1, 2)])
         st = compose([a, b])
         assert np.all(st.cov[:2, 2:] == 0)
 
@@ -147,7 +144,7 @@ class TestCompose:
 class TestBeamsplitter:
     def test_balanced_pi_half_mixes_squeezing(self):
         spec = SqueezedInputSpec(100, 3.0103, 3.0103)
-        st = compose([make_squeezed(spec), make_squeezed(spec)])
+        st = compose([squeezed_inputs([spec]), squeezed_inputs([spec])])
         out = apply_beamsplitter(st, 0, 1, 0.5, math.pi / 2)
         for mode in (0, 1):
             for q in "XY":
@@ -229,7 +226,7 @@ class TestBeamsplitter:
 
 class TestLoss:
     def test_unit_efficiency_is_identity(self):
-        st = make_squeezed(SqueezedInputSpec(10, 3, 5))
+        st = squeezed_inputs([SqueezedInputSpec(10, 3, 5)])
         out = apply_loss(st, 0, 1.0)
         assert np.allclose(out.cov, st.cov, atol=1e-15)
         assert out.amplitudes[0] == st.amplitudes[0]
@@ -243,7 +240,7 @@ class TestLoss:
         # independent route: loss channel == interference with vacuum on a
         # splitter of transmission eta, discarding the vacuum port
         eta = 0.73
-        st = make_squeezed(SqueezedInputSpec(10, 3.0103, 3.0103))
+        st = squeezed_inputs([SqueezedInputSpec(10, 3.0103, 3.0103)])
         direct = apply_loss(st, 0, eta)
         joint = compose([st, make_coherent(0)])
         # transmission sqrt(eta) for mode 0 -> splitting ratio r = 1 - eta
@@ -265,8 +262,6 @@ MODE_CALLS = {
     "apply_phase": lambda st, m: apply_phase(st, m, 0.3),
     "apply_beamsplitter_i": lambda st, m: apply_beamsplitter(st, m, 1, 0.5, 0.0),
     "apply_beamsplitter_j": lambda st, m: apply_beamsplitter(st, 0, m, 0.5, 0.0),
-    "direct_detect_variance": direct_detect_variance,
-    "method_a_measure": lambda st, m: method_a_measure(st, m, "X", LossBudget(0.5)),
 }
 
 
@@ -274,19 +269,19 @@ MODE_CALLS = {
 @pytest.mark.parametrize("call", MODE_CALLS.values(), ids=MODE_CALLS)
 def test_mode_outside_the_state_rejected(call, mode):
     # -1 once read the last mode, or attenuated nothing while adding vacuum.
-    pair = compose([make_squeezed(SqueezedInputSpec(10, 3, 3)), make_coherent(10)])
+    pair = compose([squeezed_inputs([SqueezedInputSpec(10, 3, 3)]), make_coherent(10)])
     with pytest.raises(DomainError, match=r"mode must be an integer in \[0, 2\)"):
         call(pair, mode)
 
 
 class TestPhase:
     def test_zero_is_identity(self):
-        st = make_squeezed(SqueezedInputSpec(10, 3, 3))
+        st = squeezed_inputs([SqueezedInputSpec(10, 3, 3)])
         out = apply_phase(st, 0, 0.0)
         assert np.allclose(out.cov, st.cov, atol=1e-15)
 
     def test_quarter_turn_swaps_quadratures(self):
-        st = make_squeezed(SqueezedInputSpec(10, 3.0103, 3.0103))
+        st = squeezed_inputs([SqueezedInputSpec(10, 3.0103, 3.0103)])
         out = apply_phase(st, 0, math.pi / 2)
         assert out.variance(0, "X") == pytest.approx(2.0, abs=1e-3)
         assert out.variance(0, "Y") == pytest.approx(0.5, abs=1e-3)
@@ -300,7 +295,7 @@ class TestPhase:
 
 class TestSampling:
     def test_deterministic_for_fixed_seed(self):
-        st = make_squeezed(SqueezedInputSpec(10, 3, 3))
+        st = squeezed_inputs([SqueezedInputSpec(10, 3, 3)])
         a = sample_fluctuations(st, 1000, seed=42)
         b = sample_fluctuations(st, 1000, seed=42)
         assert np.array_equal(a, b)
@@ -314,7 +309,7 @@ class TestSampling:
         assert np.max(np.abs(off)) < 0.005
 
     def test_squeezed_variance_tight_bound(self):
-        st = make_squeezed(SqueezedInputSpec(10, 3.0103, 3.0103))
+        st = squeezed_inputs([SqueezedInputSpec(10, 3.0103, 3.0103)])
         samples = sample_fluctuations(st, 1_000_000, seed=2)
         assert 0.495 < samples[:, 0].var(ddof=1) < 0.505
 
@@ -352,7 +347,7 @@ class TestOracleEquivalence:
         for trial in range(3):
             spec_a = SqueezedInputSpec(50, rng.uniform(0, 4), rng.uniform(4, 6))
             spec_b = SqueezedInputSpec(50, rng.uniform(0, 4), rng.uniform(4, 6))
-            st = compose([make_squeezed(spec_a), make_squeezed(spec_b)])
+            st = compose([squeezed_inputs([spec_a]), squeezed_inputs([spec_b])])
             for _ in range(rng.integers(1, 6)):
                 op = rng.integers(3)
                 if op == 0:
@@ -370,27 +365,30 @@ class TestOracleEquivalence:
 
 
 class TestDirectDetection:
+    """Direct detection of one beam: the photocurrent alpha dX, read off the state."""
+
     def test_shot_noise_level(self):
-        assert direct_detect_variance(make_coherent(100), 0) == pytest.approx(1e4)
+        assert DetectionResult.read(make_coherent(100), (0, 100.0)).variance == pytest.approx(1e4)
 
     def test_squeezed_level(self):
-        st = make_squeezed(SqueezedInputSpec(100, 3.0103, 3.0103))
-        assert direct_detect_variance(st, 0) == pytest.approx(5e3, rel=1e-3)
+        st = squeezed_inputs([SqueezedInputSpec(100, 3.0103, 3.0103)])
+        assert DetectionResult.read(st, (0, 100.0)).variance == pytest.approx(5e3, rel=1e-3)
 
     def test_dark_beam_rejected(self):
         with pytest.raises(DegenerateModeError):
-            direct_detect_variance(make_coherent(0), 0)
+            DetectionResult.read(make_coherent(0), (0, 0.0))
 
     def test_overflow_rejected(self):
         # The carrier's square overflows, as in every other reading.
         with pytest.raises(DomainError, match="photocurrent variance overflows"):
-            direct_detect_variance(make_coherent(1e200), 0)
+            DetectionResult.read(make_coherent(1e200), (0, 1e200))
 
     def test_stack_reads_each_element(self):
         st = make_coherent(3.7)
         stacked = BrightGaussianState(np.array([[3.7], [100.0]]), np.stack([st.cov, st.cov]))
-        assert direct_detect_variance(stacked, 0).tolist() == [
-            direct_detect_variance(st, 0), direct_detect_variance(make_coherent(100.0), 0)]
+        assert DetectionResult.read(stacked, (0, stacked.amplitudes[:, 0])).variance.tolist() == [
+            DetectionResult.read(st, (0, 3.7)).variance,
+            DetectionResult.read(make_coherent(100.0), (0, 100.0)).variance]
 
 
 def test_correlated_inputs_survive_serialization():
@@ -399,13 +397,13 @@ def test_correlated_inputs_survive_serialization():
     back = BrightGaussianState.from_dict(st.to_dict())
     assert back.cov[1, 3] == pytest.approx(99.0, rel=1e-12)
     assert np.array_equal(back.cov, st.cov)
-    one = make_squeezed(spec)
+    one = squeezed_inputs([spec])
     assert np.array_equal(compose([BrightGaussianState.from_dict(one.to_dict())] * 2).cov,
                           compose([one, one]).cov)
 
 
 def test_serialization_roundtrip():
-    st = make_squeezed(SqueezedInputSpec(10, 3, 5, excess_phase_db=10, correlated_group=2))
+    st = squeezed_inputs([SqueezedInputSpec(10, 3, 5, excess_phase_db=10, correlated_group=2)])
     d = st.to_dict()
     assert set(d) == {"amplitudes", "cov"}
     back = BrightGaussianState.from_dict(d)
@@ -421,6 +419,25 @@ def test_symmetry_tolerance_scales_with_each_covariance():
     with pytest.raises(DomainError, match="not symmetric"):
         BrightGaussianState(np.array([[1.0], [1.0]]),
                             np.stack([large, [[1.0, 1e-8], [0.0, 1.0]]]))
+
+
+def test_entries_above_half_the_float_range_are_not_finite():
+    # The symmetrization adds each entry to its transpose's, which overflows
+    # above half the float range.
+    half = np.finfo(float).max / 2
+    assert BrightGaussianState(np.array([1.0]), np.diag([1.0, half])).cov[1, 1] == half
+    for state in (BrightGaussianState, BrightGaussianState._mapped):
+        with pytest.raises(DomainError, match="covariance entries are not finite"):
+            state(np.array([1.0]), np.diag([1.0, 1e308]))
+
+
+def test_failed_eigendecomposition_is_a_domain_error(monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(DomainError, match="covariance entries are not finite"):
+        BrightGaussianState(np.array([1.0]), np.eye(2))
 
 
 def test_invalid_covariances_rejected():
@@ -590,8 +607,8 @@ class TestStackedMaps:
         assert_slices_equal(out, [squeezed_inputs([a, b], x)
                                   for a, b, x in zip(specs, specs[::-1], excess)])
         assert_physical(out)
-        out = compose([make_squeezed(specs), make_squeezed(specs[::-1])])
-        assert_slices_equal(out, [compose([make_squeezed(a), make_squeezed(b)])
+        out = compose([squeezed_inputs([specs]), squeezed_inputs([specs[::-1]])])
+        assert_slices_equal(out, [compose([squeezed_inputs([a]), squeezed_inputs([b])])
                                   for a, b in zip(specs, specs[::-1])])
 
     @pytest.mark.parametrize("group", [True, 1.5, "x", [1], [1, 2], {"a": 1}])
