@@ -2,7 +2,8 @@
 
 Verbs: simulate, sweep, table1, validate.  Exit codes: 0 success,
 1 stdout closed early, 2 usage or validation error (including a reading
-that overflows), 3 degenerate configuration.
+that overflows), 3 degenerate configuration.  A verb imports the harness,
+and so numpy, after its scenario loads: invalid input exits without it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import re
 import sys
 
 from .errors import DegenerateModeError, DomainError, ScenarioError
-from .harness import SWEEP_PARAMS, run_fixture_table, run_scenario, sweep_csv
-from .scenario import load_scenario, with_fields
+from .scenario import SWEEP_PARAMS, load_scenario, with_fields
 
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
@@ -37,13 +37,17 @@ def _load(path, **flags):
 
 def simulate(args):
     """Run one scenario and print its witness report as JSON."""
-    row = run_scenario(_load(args.scenario, mc_samples=args.mc_samples, seed=args.seed))
+    s = _load(args.scenario, mc_samples=args.mc_samples, seed=args.seed)
+    from .harness import run_scenario
+    row = run_scenario(s)
     print(json.dumps(_round6(row.to_dict()), indent=2, sort_keys=True))
 
 
 def sweep(args):
     """Sweep one parameter and emit the fixed-schema CSV."""
-    text = sweep_csv(load_scenario(args.scenario), args.param, args.start, args.stop, args.steps)
+    s = load_scenario(args.scenario)
+    from .harness import sweep_csv
+    text = sweep_csv(s, args.param, args.start, args.stop, args.steps)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -56,6 +60,7 @@ def sweep(args):
 
 def table1(args):
     """Reproduce the method-comparison table from the fitted fixtures."""
+    from .harness import run_fixture_table
     print(run_fixture_table(args.fixtures)[1])
 
 
@@ -63,7 +68,9 @@ def validate(args):
     """Check the analytic witness sum against the sampling oracle."""
     if args.mc_samples < 2:
         raise ScenarioError("validate needs --mc-samples >= 2")
-    row = run_scenario(_load(args.scenario, mc_samples=args.mc_samples, seed=args.seed))
+    s = _load(args.scenario, mc_samples=args.mc_samples, seed=args.seed)
+    from .harness import run_scenario
+    row = run_scenario(s)
     n_sigma = abs(row.mc_sum - row.sum_value) / row.mc_stderr if row.mc_stderr > 0 else float("inf")
     report = {
         "analytic_sum": row.sum_value,

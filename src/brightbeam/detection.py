@@ -32,6 +32,7 @@ import numpy as np
 
 from .entangle import witness_gains
 from .errors import DomainError
+from .scenario import LossBudget, _efficiency, is_finite_real
 from .states import (
     BrightGaussianState,
     DetectionResult,
@@ -41,38 +42,9 @@ from .states import (
     dark_modes,
     shot_noise_reference,  # noqa: F401  (re-exported with DetectionResult)
 )
-from .units import is_finite_real
 
 SPEED_OF_LIGHT = 299_792_458.0
 _LN10 = math.log(10.0)
-
-
-# The fields of a LossBudget.
-BUDGET_FIELDS = ("propagation", "visibility", "quantum_efficiency")
-
-
-@dataclass(frozen=True)
-class LossBudget:
-    """Pre-detection efficiency budget: propagation x visibility^2 x QE."""
-
-    propagation: float = 1.0
-    visibility: float = 1.0
-    quantum_efficiency: float = 1.0
-
-    def __post_init__(self):
-        for name in BUDGET_FIELDS:
-            v = getattr(self, name)
-            if not is_finite_real(v) or not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must be a number in [0, 1], got {v!r}")
-
-    def effective(self, include_visibility: bool = True) -> float:
-        return _efficiency(self, include_visibility)
-
-
-def _efficiency(budget, include_visibility: bool = True):
-    """LossBudget.effective of a budget whose fields may be arrays over a stack."""
-    eta = budget.propagation * budget.quantum_efficiency
-    return eta * budget.visibility ** 2 if include_visibility else eta
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .scenario import SqueezedInputSpec
 from .states import (
     BrightGaussianState,
     DetectionResult,
-    SqueezedInputSpec,
     apply_beamsplitter,
     bright_carriers,
     float_if_scalar,

@@ -7,15 +7,12 @@ import os
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
-from importlib import resources
 from operator import attrgetter
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from .detection import (
-    BUDGET_FIELDS,
     bright_port_readings,
     method_a_anti_readings,
     method_a_readings,
@@ -24,23 +21,11 @@ from .detection import (
 )
 from .entangle import SUM_BOUND, generate_entangled, theta_adapted_bound
 from .errors import BrightBeamError, DomainError, ScenarioError
-from .scenario import Scenario, load_scenario, with_fields
-from .states import INPUT_FIELDS, BrightGaussianState, DetectionResult, sample_fluctuations
+from .scenario import (_SWEPT_FIELDS, BUDGET_FIELDS, INPUT_FIELDS, SWEEP_PARAMS, Scenario,
+                       load_scenario, with_fields)
+from .states import BrightGaussianState, DetectionResult, sample_fluctuations
 
 CSV_HEADER = "method,param,value,v_sq_plus,v_sq_minus,sum,bound,witnessed,mc_sum,mc_stderr"
-# The scenario fields each sweep parameter sets, as dotted paths.
-_SWEPT_FIELDS = {
-    "theta": ("theta",),
-    "phi": ("phi",),
-    "gain": ("gain",),
-    # Minimum-uncertainty sweep: antisqueezing tracks the squeezing.
-    "squeezing_db": ("input_a.squeezing_db", "input_a.antisqueezing_db",
-                     "input_b.squeezing_db", "input_b.antisqueezing_db"),
-    "eta": ("budget_a.propagation", "budget_b.propagation"),
-    "excess_phase_db": ("input_a.excess_phase_db", "input_b.excess_phase_db"),
-    "entangle_ratio": ("entangle_ratio",),
-}
-SWEEP_PARAMS = tuple(_SWEPT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -444,13 +429,17 @@ def compare_methods(rows: list[ReportRow]) -> str:
     return "\n".join(lines)
 
 
-def fixtures_dir() -> Path:
-    """Bundled fixture directory."""
+def fixtures_dir():
+    """Bundled fixture directory, as a pathlib.Path (loaded here, for table1 alone)."""
+    from importlib import resources
+    from pathlib import Path
     return Path(resources.files("brightbeam") / "fixtures")
 
 
-def run_fixture_table(directory: Path | None = None) -> tuple[list[ReportRow], str]:
-    """Run every fixture scenario in the directory and format the table."""
+def run_fixture_table(directory=None) -> tuple[list[ReportRow], str]:
+    """Run every fixture scenario in the directory (by default the bundled
+    one) and format the table."""
+    from pathlib import Path
     directory = Path(directory) if directory is not None else fixtures_dir()
     paths = sorted(directory.glob("*.json"))
     if len(paths) < 2:

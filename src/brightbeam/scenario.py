@@ -6,24 +6,144 @@ records (e.g. ``input_a.squeezing_db``, ``budget_a.visibility``).
 Budgets are configured with ``prop_loss`` (a loss), stored internally as
 a propagation efficiency.  ``with_fields`` sets fields by dotted path for
 scenario files, sweeps and command-line flags alike.
+
+This module owns the file format, its records and their checks, and
+imports only the standard library and ``errors``: a file that fails
+validation exits before numpy loads.  The physics modules read the
+records' fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .detection import LossBudget
-from .errors import ScenarioError
-from .states import SqueezedInputSpec
-from .units import is_finite_real
+from .errors import DomainError, ScenarioError
 
 METHODS = ("A", "B", "C")
 PORTS = ("c", "d")
 # Float fields that must hold finite numbers (frequency_mhz may also be None).
 _REAL_FIELDS = ("theta", "entangle_ratio", "phi", "excess_correlation", "imbalance",
                 "frequency_mhz")
+# The numeric fields of a SqueezedInputSpec and of a LossBudget.
+INPUT_FIELDS = ("amplitude", "squeezing_db", "antisqueezing_db", "excess_phase_db")
+BUDGET_FIELDS = ("propagation", "visibility", "quantum_efficiency")
+PSD_TOL = 1e-9
+# The scenario fields each sweep parameter sets, as dotted paths.
+_SWEPT_FIELDS = {
+    "theta": ("theta",),
+    "phi": ("phi",),
+    "gain": ("gain",),
+    # Minimum-uncertainty sweep: antisqueezing tracks the squeezing.
+    "squeezing_db": ("input_a.squeezing_db", "input_a.antisqueezing_db",
+                     "input_b.squeezing_db", "input_b.antisqueezing_db"),
+    "eta": ("budget_a.propagation", "budget_b.propagation"),
+    "excess_phase_db": ("input_a.excess_phase_db", "input_b.excess_phase_db"),
+    "entangle_ratio": ("entangle_ratio",),
+}
+SWEEP_PARAMS = tuple(_SWEPT_FIELDS)
+
+
+def is_finite_real(x) -> bool:
+    """True for a finite int or float; bools, strings and NaN/inf are not."""
+    # float and int first: they match without the slower ABC check.
+    if isinstance(x, bool) or not isinstance(x, (float, int, numbers.Real)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def db_to_var(db):
+    """Convert a relative noise level in dB, or a numpy array of them, to a
+    linear variance ratio.  A number stays in Python floats, so the records'
+    checks run without numpy; an array overflows to inf without a warning."""
+    array = hasattr(db, "dtype")  # numpy is loaded, since db is its object
+    try:
+        with sys.modules["numpy"].errstate(over="ignore") if array else nullcontext():
+            v = 10.0 ** (db / 10.0)
+    except OverflowError:  # a Python float
+        v = math.inf
+    overflow = v == math.inf
+    if overflow.any() if array else overflow:
+        bad = float(db[overflow].flat[0]) if array else db
+        raise DomainError(f"{bad} dB is out of the representable variance range")
+    return v
+
+
+def _input_uncertainty_holds(x, y_quantum):
+    """Where an input's own uncertainty relation x * y_quantum >= 1 holds, to PSD_TOL."""
+    return x * y_quantum >= 1.0 - PSD_TOL
+
+
+@dataclass(frozen=True)
+class SqueezedInputSpec:
+    """Parameterization of a fiber-squeezed input beam.
+
+    squeezing_db is the amplitude-quadrature noise reduction below shot
+    noise; antisqueezing_db the quantum part of the phase-quadrature noise
+    above shot noise; excess_phase_db an additional classical phase-noise
+    pedestal (thermal fiber noise).  Inputs sharing a correlated_group
+    label share one classical phase-noise realization, correlated by the
+    excess_correlation of ``states.squeezed_inputs``.
+    """
+
+    amplitude: float
+    squeezing_db: float = 0.0
+    antisqueezing_db: float = 0.0
+    excess_phase_db: float = 0.0
+    correlated_group: int | None = None
+
+    def __post_init__(self):
+        for name in INPUT_FIELDS:
+            value = getattr(self, name)
+            if not is_finite_real(value) or value < 0:
+                raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
+        group = self.correlated_group
+        if group is not None and (not isinstance(group, int) or isinstance(group, bool)):
+            raise DomainError(f"correlated_group must be an integer or null, got {group!r}")
+        if not _input_uncertainty_holds(self.x_variance, self.y_variance_quantum):
+            raise DomainError(
+                "Heisenberg violation: squeezing %.3f dB needs antisqueezing >= %.3f dB"
+                % (self.squeezing_db, self.squeezing_db)
+            )
+
+    @property
+    def x_variance(self) -> float:
+        return db_to_var(-self.squeezing_db)
+
+    @property
+    def y_variance_quantum(self) -> float:
+        return db_to_var(self.antisqueezing_db)
+
+
+@dataclass(frozen=True)
+class LossBudget:
+    """Pre-detection efficiency budget: propagation x visibility^2 x QE."""
+
+    propagation: float = 1.0
+    visibility: float = 1.0
+    quantum_efficiency: float = 1.0
+
+    def __post_init__(self):
+        for name in BUDGET_FIELDS:
+            v = getattr(self, name)
+            if not is_finite_real(v) or not 0.0 <= v <= 1.0:
+                raise DomainError(f"{name} must be a number in [0, 1], got {v!r}")
+
+    def effective(self, include_visibility: bool = True) -> float:
+        return _efficiency(self, include_visibility)
+
+
+def _efficiency(budget, include_visibility: bool = True):
+    """LossBudget.effective of a budget whose fields may be arrays over a stack."""
+    eta = budget.propagation * budget.quantum_efficiency
+    return eta * budget.visibility ** 2 if include_visibility else eta
 
 
 def _default_input() -> SqueezedInputSpec:
@@ -150,10 +270,20 @@ def scenario_from_dict(flat: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file."""
+    """Parse and validate a scenario file; a key given twice is an error."""
+    def unique_keys(pairs: list) -> dict:
+        flat = {}
+        for key, value in pairs:
+            if key in flat:
+                raise ScenarioError(f"scenario file {path} repeats the key {key!r}")
+            flat[key] = value
+        return flat
+
     try:
         with open(path, encoding="utf-8") as fh:
-            flat = json.load(fh)
+            flat = json.load(fh, object_pairs_hook=unique_keys)
+    except ScenarioError:
+        raise
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

@@ -41,10 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateModeError, DomainError
-from .units import db_to_var, is_finite_real, var_to_db
+from .scenario import INPUT_FIELDS, PSD_TOL, _input_uncertainty_holds, db_to_var
 
 SYM_TOL = 1e-12
-PSD_TOL = 1e-9
 # Carriers up to this fraction of the total carrier are dark (see dark_modes).
 DARK_PORT_FACTOR = 1e-6
 
@@ -52,6 +51,16 @@ DARK_PORT_FACTOR = 1e-6
 def float_if_scalar(x):
     """An unstacked (0-d) result as a Python float; a stacked one as is."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+def var_to_db(v):
+    """Convert a linear variance ratio, or an array of them, to dB relative
+    to shot noise.  NaN entries stay NaN."""
+    v = np.asarray(v, dtype=float)
+    bad = v <= 0.0
+    if bad.any():
+        raise DomainError(f"variance must be positive, got {v[bad].flat[0]}")
+    return float_if_scalar(10.0 * np.log10(v))
 
 
 def dark_modes(amplitudes) -> np.ndarray:
@@ -100,56 +109,6 @@ def _put_rotation(out: np.ndarray, phi) -> np.ndarray:
     c, s = np.cos(phi), np.sin(phi)
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
     return out
-
-
-# The numeric fields of a SqueezedInputSpec.
-INPUT_FIELDS = ("amplitude", "squeezing_db", "antisqueezing_db", "excess_phase_db")
-
-
-def _input_uncertainty_holds(x, y_quantum):
-    """Where an input's own uncertainty relation x * y_quantum >= 1 holds, to PSD_TOL."""
-    return x * y_quantum >= 1.0 - PSD_TOL
-
-
-@dataclass(frozen=True)
-class SqueezedInputSpec:
-    """Parameterization of a fiber-squeezed input beam.
-
-    squeezing_db is the amplitude-quadrature noise reduction below shot
-    noise; antisqueezing_db the quantum part of the phase-quadrature noise
-    above shot noise; excess_phase_db an additional classical phase-noise
-    pedestal (thermal fiber noise).  Inputs sharing a correlated_group
-    label share one classical phase-noise realization, correlated by the
-    excess_correlation of ``squeezed_inputs``.
-    """
-
-    amplitude: float
-    squeezing_db: float = 0.0
-    antisqueezing_db: float = 0.0
-    excess_phase_db: float = 0.0
-    correlated_group: int | None = None
-
-    def __post_init__(self):
-        for name in INPUT_FIELDS:
-            value = getattr(self, name)
-            if not is_finite_real(value) or value < 0:
-                raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
-        group = self.correlated_group
-        if group is not None and (not isinstance(group, int) or isinstance(group, bool)):
-            raise DomainError(f"correlated_group must be an integer or null, got {group!r}")
-        if not _input_uncertainty_holds(self.x_variance, self.y_variance_quantum):
-            raise DomainError(
-                "Heisenberg violation: squeezing %.3f dB needs antisqueezing >= %.3f dB"
-                % (self.squeezing_db, self.squeezing_db)
-            )
-
-    @property
-    def x_variance(self) -> float:
-        return db_to_var(-self.squeezing_db)
-
-    @property
-    def y_variance_quantum(self) -> float:
-        return db_to_var(self.antisqueezing_db)
 
 
 @functools.cache

@@ -325,16 +325,19 @@ def test_sweep_through_a_dark_port_exits_3(tmp_path, capsys):
                    "shot-noise normalization degenerate\n")
 
 
-# Prints the scipy and click modules loaded (a blocked one is None, not loaded).
-PRINT_LOADED = ("print(json.dumps(sorted(m for m, module in sys.modules.items()\n"
-                "    if module is not None and m.split('.')[0] in ('scipy', 'click'))))\n")
+# Prints the numpy, scipy and click packages loaded (a blocked one is None, not loaded).
+PRINT_LOADED = ("print(json.dumps(sorted({m.split('.')[0] for m, module in sys.modules.items()\n"
+                "    if module is not None\n"
+                "    and m.split('.')[0] in ('numpy', 'scipy', 'click')})))\n")
 
 
-def _run_then_list_loaded(tmp_path, *argv) -> tuple[str, list[str]]:
-    """Import the CLI in a fresh interpreter and run it on argv, if given;
-    return its stdout, ending in "exit <code>" if it exits, and the scipy
-    and click modules loaded by the end."""
+def _run_then_list_loaded(tmp_path, *argv, blocked=()) -> tuple[str, str, list[str]]:
+    """Import the CLI in a fresh interpreter, where every import of a module
+    in ``blocked`` fails, and run it on argv, if given; return its stdout,
+    ending in "exit <code>" if it exits, its stderr, and the numpy, scipy
+    and click packages loaded by the end."""
     code = ("import json, sys\n"
+            f"sys.modules.update(dict.fromkeys({list(blocked)!r}))\n"
             "from brightbeam.cli import main\n"
             "if sys.argv[1:]:\n"
             "    try:\n"
@@ -345,14 +348,51 @@ def _run_then_list_loaded(tmp_path, *argv) -> tuple[str, list[str]]:
     done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=CHILD_ENV,
                           capture_output=True, text=True, timeout=120, check=True)
     out, _, loaded = done.stdout.rstrip("\n").rpartition("\n")
-    return out, json.loads(loaded)
+    return out, done.stderr, json.loads(loaded)
 
 
 def test_no_scipy_at_start_up(tmp_path):
-    assert _run_then_list_loaded(tmp_path)[1] == []
-    out, loaded = _run_then_list_loaded(tmp_path, "table1")
+    assert _run_then_list_loaded(tmp_path)[2] == []
+    out, _, loaded = _run_then_list_loaded(tmp_path, "table1")
     assert "method" in out
-    assert loaded == []
+    assert loaded == ["numpy"]
+
+
+# Invalid inputs: a scenario file, the verb and the flags after --scenario,
+# and a part of the message on stderr.
+INVALID_INPUTS = [
+    ({"entangle_ratio": 1.5}, ["simulate"], "error: entangle_ratio must be in [0, 1], got 1.5\n"),
+    ({"input_a.antisqueezing_db": 4000}, ["simulate"],
+     "error: input_a: 4000 dB is out of the representable variance range\n"),
+    ({}, ["sweep", "--param", "bogus", "--from", "0", "--to", "1", "--steps", "2"],
+     "error: argument --param: invalid choice: 'bogus'"),
+    ({}, ["validate", "--mc-samples", "1"], "error: validate needs --mc-samples >= 2\n"),
+]
+
+
+@pytest.mark.parametrize("flat, argv, message", INVALID_INPUTS,
+                         ids=["ratio", "antisqueezing", "param", "mc_samples"])
+def test_invalid_input_exits_2_before_numpy_loads(tmp_path, flat, argv, message):
+    # The scenario and its checks import no numpy: blocked or not, an
+    # invalid input exits 2 with the same message, and numpy never loads.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(flat))
+    argv = [argv[0], "--scenario", str(path), *argv[1:]]
+    out, err, loaded = _run_then_list_loaded(tmp_path, *argv)
+    assert (out, loaded) == ("exit 2", [])
+    assert message in err
+    assert _run_then_list_loaded(tmp_path, *argv, blocked=["numpy"]) == (out, err, loaded)
+
+
+def test_repeated_key_exits_2_naming_it(tmp_path, capsys):
+    # json.load keeps the last value of a repeated key; a scenario file
+    # with one is an error, not a silent choice of the second theta.
+    path = tmp_path / "twice.json"
+    path.write_text('{"theta": 1.0, "theta": 0.2}')
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: scenario file {path} repeats the key 'theta'\n")
 
 
 def test_monte_carlo_threads_load_no_executor(tmp_path):
@@ -377,9 +417,9 @@ def test_optimised_gain_still_runs(tmp_path):
     flat = json.loads((fixtures_dir() / "method_a.json").read_text(encoding="utf-8"))
     path = tmp_path / "opt.json"
     path.write_text(json.dumps(dict(flat, gain="optimize")))
-    out, loaded = _run_then_list_loaded(tmp_path, "simulate", "--scenario", str(path))
+    out, _, loaded = _run_then_list_loaded(tmp_path, "simulate", "--scenario", str(path))
     assert json.loads(out)["gain"] == 0.960531
-    assert loaded == []
+    assert loaded == ["numpy"]
 
 
 def test_every_verb_runs_with_scipy_blocked(tmp_path):
@@ -403,7 +443,7 @@ def test_every_verb_runs_with_scipy_blocked(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.count("verb done") == len(verbs)
     assert '"gain": 0.960531' in done.stdout
-    assert done.stdout.endswith("verb done\n[]\n")
+    assert done.stdout.endswith('verb done\n["numpy"]\n')
 
 
 @pytest.mark.parametrize("argv", [["table1"], ["simulate", "--scenario", FIXTURE_B],
@@ -476,9 +516,9 @@ def test_dark_pair_exits_3_before_the_gain_search(tmp_path):
     # At theta = 1e-9 mode 2's carrier is 5e-10 of the total: dark.
     path = tmp_path / "dark.json"
     path.write_text(json.dumps({"gain": "optimize", "theta": 1e-9}))
-    out, loaded = _run_then_list_loaded(tmp_path, "simulate", "--scenario", str(path))
+    out, _, loaded = _run_then_list_loaded(tmp_path, "simulate", "--scenario", str(path))
     assert out == "exit 3"
-    assert loaded == []
+    assert loaded == ["numpy"]
 
 
 HOSTILE = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 10 ** 400, -10 ** 400,

@@ -168,6 +168,19 @@ def test_load_rejects_non_object(tmp_path):
         load_scenario(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"theta": 1.0, "theta": 0.2}', "theta"),
+    ('{"budget_a.visibility": 0.9, "method": "B", "budget_a.visibility": 0.8}',
+     "budget_a.visibility"),
+])
+def test_load_rejects_a_repeated_key(tmp_path, text, key):
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == f"scenario file {path} repeats the key {key!r}"
+
+
 def test_bundled_fixture_files_load():
     paths = sorted(fixtures_dir().glob("*.json"))
     assert len(paths) == 4
