@@ -3,19 +3,28 @@
 Verbs: simulate, sweep, table1, validate.  Exit codes: 0 success,
 1 stdout closed early, 2 usage or validation error (including a reading
 that overflows), 3 degenerate configuration.  A verb imports the harness,
-and so numpy, after its scenario loads: invalid input exits without it.
+and so numpy, after its scenario and a sweep's grid are checked: invalid
+input exits without it.
+
+The process entry (the ``brightbeam`` console script, ``python -m
+brightbeam.cli``) calls ``main()`` without arguments.  It runs with the
+cyclic garbage collector off and freezes the heap before it exits, so the
+interpreter's shutdown collections skip numpy's objects: no output of a
+verb depends on a finalizer.  ``main(argv)``, called in process, leaves
+the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
 import sys
 
 from .errors import DegenerateModeError, DomainError, ScenarioError
-from .scenario import SWEEP_PARAMS, load_scenario, with_fields
+from .scenario import SWEEP_PARAMS, check_grid, load_scenario, with_fields
 
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
@@ -46,6 +55,7 @@ def simulate(args):
 def sweep(args):
     """Sweep one parameter and emit the fixed-schema CSV."""
     s = load_scenario(args.scenario)
+    check_grid(args.param, args.start, args.stop, args.steps)
     from .harness import sweep_csv
     text = sweep_csv(s, args.param, args.start, args.stop, args.steps)
     if args.out:
@@ -111,6 +121,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None):
+    """Run one verb on argv, or as the process entry on ``sys.argv[1:]``
+    when argv is None, and exit 1, 2 or 3 on an error (module docstring)."""
+    if argv is None:
+        # A one-shot process frees nothing it still needs: collecting over
+        # numpy's objects while it imports, and again at shutdown, is waste.
+        gc.disable()
     try:
         args = _parser().parse_args(argv)
         args.run(args)
@@ -126,6 +142,9 @@ def main(argv=None):
     except DegenerateModeError as exc:
         print(f"degenerate configuration: {exc}", file=sys.stderr)
         sys.exit(EXIT_DEGENERATE)
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

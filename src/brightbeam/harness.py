@@ -22,7 +22,7 @@ from .detection import (
 from .entangle import SUM_BOUND, generate_entangled, theta_adapted_bound
 from .errors import BrightBeamError, DomainError, ScenarioError
 from .scenario import (_SWEPT_FIELDS, BUDGET_FIELDS, INPUT_FIELDS, SWEEP_PARAMS, Scenario,
-                       load_scenario, with_fields)
+                       check_grid, load_scenario, with_fields)
 from .states import BrightGaussianState, DetectionResult, sample_fluctuations
 
 CSV_HEADER = "method,param,value,v_sq_plus,v_sq_minus,sum,bound,witnessed,mc_sum,mc_stderr"
@@ -351,15 +351,7 @@ def _grid(s: Scenario, param: str, start: float, stop: float, steps: int,
     largest values are: ``with_param`` checks those two, and the grid
     becomes one column of the scenario at the smallest, one stack.
     """
-    if steps < 2:
-        raise ScenarioError(f"sweep needs at least 2 steps, got {steps}")
-    for name, bound in (("start", start), ("stop", stop)):
-        if not math.isfinite(bound):
-            raise ScenarioError(
-                f"cannot sweep {param} to {bound!r}: the {name} bound must be finite")
-    if not math.isfinite(stop - start):
-        raise ScenarioError(
-            f"cannot sweep {param} to {stop!r}: the span from {start!r} overflows")
+    check_grid(param, start, stop, steps)
     try:
         grid = np.linspace(start, stop, steps)
     except (ValueError, MemoryError) as exc:

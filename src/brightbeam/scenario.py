@@ -200,6 +200,12 @@ class Scenario:
             raise ScenarioError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.label, str):
             raise ScenarioError(f"label must be a string, got {self.label!r}")
+        try:
+            self.label.encode("utf-8")
+        except UnicodeEncodeError:
+            # A JSON escape such as "\ud800" decodes to a lone surrogate,
+            # which a UTF-8 stdout cannot write.
+            raise ScenarioError(f"label must be UTF-8 encodable text, got {self.label!r}") from None
 
 
 def _is_int(x) -> bool:
@@ -224,6 +230,20 @@ def with_fields(s: Scenario, paths: dict) -> Scenario:
         return replace(s, **top)
     except (ValueError, TypeError) as exc:
         raise ScenarioError(str(exc)) from exc
+
+
+def check_grid(param: str, start: float, stop: float, steps: int) -> None:
+    """Refuse a sweep of fewer than 2 steps, with a bound that is not
+    finite, or over a span that overflows; numpy sizes the rest."""
+    if steps < 2:
+        raise ScenarioError(f"sweep needs at least 2 steps, got {steps}")
+    for name, bound in (("start", start), ("stop", stop)):
+        if not math.isfinite(bound):
+            raise ScenarioError(
+                f"cannot sweep {param} to {bound!r}: the {name} bound must be finite")
+    if not math.isfinite(stop - start):
+        raise ScenarioError(
+            f"cannot sweep {param} to {stop!r}: the span from {start!r} overflows")
 
 
 def scenario_to_dict(s: Scenario) -> dict:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -88,6 +89,18 @@ def test_non_string_label_exits_2(tmp_path, capsys):
         main(["table1", "--fixtures", str(tmp_path)])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "error: label must be a string, got 5\n"
+
+
+def test_lone_surrogate_label_exits_2(tmp_path, capsys):
+    # Valid JSON whose label no UTF-8 stdout can print: table1 used to end
+    # in a UnicodeEncodeError traceback.
+    (tmp_path / "a.json").write_text('{"method": "B", "label": "fine"}\n')
+    (tmp_path / "b.json").write_text('{"label": "x\\ud800"}\n')
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--fixtures", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "error: label must be UTF-8 encodable text, got 'x\\ud800'\n")
 
 
 FIXTURE_B = str(fixtures_dir() / "method_b.json")
@@ -367,11 +380,18 @@ INVALID_INPUTS = [
     ({}, ["sweep", "--param", "bogus", "--from", "0", "--to", "1", "--steps", "2"],
      "error: argument --param: invalid choice: 'bogus'"),
     ({}, ["validate", "--mc-samples", "1"], "error: validate needs --mc-samples >= 2\n"),
+    ({}, ["sweep", "--param", "theta", "--from", "0", "--to", "1", "--steps", "1"],
+     "error: sweep needs at least 2 steps, got 1\n"),
+    ({}, ["sweep", "--param", "theta", "--from", "nan", "--to", "1", "--steps", "3"],
+     "error: cannot sweep theta to nan: the start bound must be finite\n"),
+    ({}, ["sweep", "--param", "theta", "--from", "-1e308", "--to", "1e308", "--steps", "3"],
+     "error: cannot sweep theta to 1e+308: the span from -1e+308 overflows\n"),
 ]
 
 
 @pytest.mark.parametrize("flat, argv, message", INVALID_INPUTS,
-                         ids=["ratio", "antisqueezing", "param", "mc_samples"])
+                         ids=["ratio", "antisqueezing", "param", "mc_samples", "steps",
+                              "from_nan", "span"])
 def test_invalid_input_exits_2_before_numpy_loads(tmp_path, flat, argv, message):
     # The scenario and its checks import no numpy: blocked or not, an
     # invalid input exits 2 with the same message, and numpy never loads.
@@ -457,6 +477,57 @@ def test_closed_stdout_exits_1_quietly(argv):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+@pytest.fixture
+def restore_gc():
+    """Give the collector back to the test process after a process-entry run."""
+    yield
+    gc.unfreeze()
+    gc.enable()
+
+
+def _exit_code(argv=None) -> int:
+    """The exit code of main(argv): 0 when it returns."""
+    try:
+        main(argv)
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
+# One run for each exit code but 1 (a closed stdout): success, a
+# validation error and a degenerate setup; a scenario file, the verb and
+# the flags after --scenario, and the exit code.
+EXIT_RUNS = [({"method": "B"}, ["simulate"], 0),
+             ({}, ["sweep", "--param", "theta", "--from", "0", "--to", "1", "--steps", "1"], 2),
+             ({"method": "C", "phi": 0.0}, ["simulate"], 3)]
+
+
+def _scenario_argv(tmp_path, flat, argv):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(flat))
+    return [argv[0], "--scenario", str(path), *argv[1:]]
+
+
+@pytest.mark.parametrize("flat, argv, code", EXIT_RUNS, ids=["exit_0", "exit_2", "exit_3"])
+def test_process_entry_exits_with_the_collector_off_and_the_heap_frozen(
+        tmp_path, monkeypatch, capsys, restore_gc, flat, argv, code):
+    # main() without arguments is the console script and python -m: it
+    # runs without the cyclic collector and freezes the heap before it
+    # exits, so the interpreter's shutdown collections skip it.
+    monkeypatch.setattr(sys, "argv", ["brightbeam", *_scenario_argv(tmp_path, flat, argv)])
+    assert _exit_code() == code
+    assert not gc.isenabled()
+    assert gc.get_freeze_count() > 0
+
+
+@pytest.mark.parametrize("flat, argv, code", EXIT_RUNS, ids=["exit_0", "exit_2", "exit_3"])
+def test_main_with_argv_leaves_the_collector_as_found(tmp_path, capsys, flat, argv, code):
+    frozen = gc.get_freeze_count()
+    assert _exit_code(_scenario_argv(tmp_path, flat, argv)) == code
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
 
 
 def test_flat_witness_sum_keeps_unit_gain(tmp_path, capsys):

@@ -219,3 +219,12 @@ def test_mc_settings_accepted_and_revalidated_on_replace():
 def test_non_string_label_rejected(value):
     with pytest.raises(ScenarioError, match="label must be a string"):
         scenario_from_dict({"label": value})
+
+
+@pytest.mark.parametrize("label", ["x\ud800", "\udfff"])
+def test_label_utf8_cannot_encode_rejected(label):
+    # JSON's "\ud800" escape decodes to a lone surrogate; the strategy
+    # hs.text() never draws one.
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict({"label": label})
+    assert str(exc.value) == f"label must be UTF-8 encodable text, got {label!r}"
