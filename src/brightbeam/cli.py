@@ -71,7 +71,10 @@ def sweep(args):
 def table1(args):
     """Reproduce the method-comparison table from the fitted fixtures."""
     from .harness import run_fixture_table
-    print(run_fixture_table(args.fixtures)[1])
+    # Escape what stdout cannot encode, as json.dumps does in simulate and validate.
+    encoding = sys.stdout.encoding or "utf-8"
+    print(run_fixture_table(args.fixtures)[1].encode(encoding, "backslashreplace")
+          .decode(encoding))
 
 
 def validate(args):

@@ -40,7 +40,6 @@ from .states import (
     apply_beamsplitter,
     bright_carriers,
     dark_modes,
-    shot_noise_reference,  # noqa: F401  (re-exported with DetectionResult)
 )
 
 SPEED_OF_LIGHT = 299_792_458.0

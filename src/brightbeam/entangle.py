@@ -33,7 +33,6 @@ from .states import (
 )
 
 SUM_BOUND = 2.0
-PRODUCT_BOUND = 1.0
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,9 @@ def generate_entangled(a: SqueezedInputSpec, b: SqueezedInputSpec,
                        excess_correlation: float = 1.0) -> BrightGaussianState:
     """Interfere two squeezed inputs into a (potentially) entangled pair.
 
-    ``squeezed_inputs`` sets the phase noise the inputs share.  Stacked
-    specs (see there) and arrays of numbers give a stack of pairs.
+    ``squeezed_inputs`` sets the phase noise the inputs share.  Input
+    records whose numbers are arrays (see there), and arrays of theta,
+    ratio and excess_correlation, give a stack of pairs.
     """
     return apply_beamsplitter(squeezed_inputs([a, b], excess_correlation), 0, 1, ratio, theta)
 

@@ -435,6 +435,7 @@ def run_fixture_table(directory=None) -> tuple[list[ReportRow], str]:
     directory = Path(directory) if directory is not None else fixtures_dir()
     paths = sorted(directory.glob("*.json"))
     if len(paths) < 2:
-        raise ScenarioError(f"no fixture scenarios found in {directory}")
+        raise ScenarioError(f"method comparison needs at least 2 fixture scenarios, "
+                            f"found {len(paths)} in {directory}")
     rows = [run_scenario(load_scenario(p)) for p in paths]
     return rows, compare_methods(rows)

@@ -10,10 +10,10 @@ interleaved ordering [dX1, dY1, dX2, dY2, ...] in shot-noise units
 States and maps work on stacks: amplitudes shaped (..., n) and
 covariances shaped (..., 2n, 2n), with map parameters that broadcast
 against the leading stack axes.  A single state is the unstacked case of
-the same code.  A stacked input record is a list of records, one per
-stack element, or one record whose numbers are arrays over the stack.
-All operations are pure and return new states.  Each map checks its
-parameters once per stack.
+the same code.  A stacked input is one record whose numbers are arrays
+over the stack, with one correlated_group for all of it.  All operations
+are pure and return new states.  Each map checks its parameters once per
+stack.
 
 A state is checked once where it enters: the public constructor (and
 so ``from_dict``, ``compose`` and ``make_coherent``) tests every
@@ -327,32 +327,25 @@ def make_coherent(amplitude: float) -> BrightGaussianState:
 
 
 def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
-    """Joined state of squeezed inputs: mode k from specs[k], which is one
-    spec, a list of specs (one per stack element) or one record with a
-    spec's fields whose numbers are arrays over the stack.
+    """Joined state of squeezed inputs: mode k from specs[k], a
+    SqueezedInputSpec or a record with its fields whose numbers may be
+    arrays over the stack, and one correlated_group.
 
     The covariance is diagonal except for Y-Y cross terms between inputs
     that share a correlated_group (not None): those get
     excess_correlation * sqrt(V_cls_i * V_cls_j), i.e. a common classical
-    phase-noise realization (perfectly common-mode by default).  Groups
-    are compared element by element over a stack.
+    phase-noise realization (perfectly common-mode by default).
     """
     check_unit_range("excess_correlation", excess_correlation)
-
-    def columns(names, dtype=float):
-        """Fields `names` of every input, shaped (len(names), ..., len(specs)):
-        each field of each input broadcast into its slot of one array."""
-        values = {(f, k): np.array([getattr(r, name) for r in s], dtype)
-                  if isinstance(s, (list, tuple)) else np.asarray(getattr(s, name), dtype)
-                  for f, name in enumerate(names) for k, s in enumerate(specs)}
-        out = np.empty((len(names),) + np.broadcast(*values.values()).shape + (len(specs),),
-                       dtype)
-        for (f, k), v in values.items():
-            out[f, ..., k] = v
-        return out
-
-    amplitude, squeezing, antisqueezing, excess = columns(INPUT_FIELDS)
-    (groups,) = columns(("correlated_group",), object)
+    # Each field of each input broadcast into its slot of one array shaped
+    # (len(INPUT_FIELDS), ..., len(specs)).
+    values = {(f, k): np.asarray(getattr(s, name), dtype=float)
+              for f, name in enumerate(INPUT_FIELDS) for k, s in enumerate(specs)}
+    fields = np.empty((len(INPUT_FIELDS),) + np.broadcast(*values.values()).shape
+                      + (len(specs),))
+    for (f, k), v in values.items():
+        fields[f, ..., k] = v
+    amplitude, squeezing, antisqueezing, excess = fields
     # Each input's x and y variance: SqueezedInputSpec's quantum parts plus
     # the classical pedestal, elementwise.  An overflowing sum leaves inf,
     # which the state rejects.
@@ -362,8 +355,9 @@ def squeezed_inputs(specs, excess_correlation=1.0) -> BrightGaussianState:
         y = y_quantum + classical
     n = amplitude.shape[-1]
     batch = np.broadcast_shapes(amplitude.shape[:-1], np.shape(excess_correlation))
-    shared = ((groups[..., :, None] == groups[..., None, :]) & ~np.eye(n, dtype=bool)
-              & np.not_equal(groups, None)[..., None])
+    groups = [s.correlated_group for s in specs]
+    shared = np.array([[i != j and g is not None and g == h for j, h in enumerate(groups)]
+                       for i, g in enumerate(groups)])
     # Only shared pairs are multiplied; the others add nothing and may overflow.
     # An overflowing shared pair leaves inf or nan, which the state rejects.
     cov = np.zeros(batch + (2 * n, 2 * n))

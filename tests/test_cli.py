@@ -15,7 +15,7 @@ from hypothesis import strategies as hs
 import brightbeam
 from brightbeam import SqueezedInputSpec
 from brightbeam.cli import main
-from brightbeam.harness import SWEEP_PARAMS, fixtures_dir, sweep_csv
+from brightbeam.harness import SWEEP_PARAMS, fixtures_dir, run_fixture_table, sweep_csv
 from brightbeam.scenario import Scenario, known_keys, load_scenario, save_scenario
 
 # The source tree, for CLI runs in a fresh interpreter.
@@ -101,6 +101,23 @@ def test_lone_surrogate_label_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr() == (
         "", "error: label must be UTF-8 encodable text, got 'x\\ud800'\n")
+
+
+@pytest.mark.parametrize("encoding, label", [("ascii", "caf\\xe9"), ("utf-8", "café")])
+def test_table1_escapes_what_stdout_cannot_encode(tmp_path, encoding, label):
+    # On an ASCII stdout a non-ASCII label is written as a backslash escape,
+    # as json.dumps escapes it in simulate and validate; on a UTF-8 stdout
+    # the table is unchanged.  table1 used to end in a UnicodeEncodeError.
+    for path in fixtures_dir().glob("*.json"):
+        (tmp_path / path.name).write_text(path.read_text())
+    fixture = tmp_path / "method_a.json"
+    fixture.write_text(json.dumps({**json.loads(fixture.read_text()), "label": "café"}))
+    done = subprocess.run([sys.executable, "-m", "brightbeam.cli", "table1",
+                           "--fixtures", str(tmp_path)], capture_output=True, timeout=120,
+                          env={**CHILD_ENV, "PYTHONIOENCODING": encoding})
+    table = run_fixture_table(tmp_path)[1].replace("café", label)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode(encoding) == table + "\n"
 
 
 FIXTURE_B = str(fixtures_dir() / "method_b.json")

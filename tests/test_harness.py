@@ -192,7 +192,10 @@ class TestCompare:
             compare_methods([run_scenario(Scenario())])
 
     def test_empty_fixture_directory_rejected(self, tmp_path):
-        with pytest.raises(ScenarioError, match="no fixture scenarios"):
+        with pytest.raises(ScenarioError, match="at least 2 fixture scenarios, found 0 in"):
+            run_fixture_table(tmp_path)
+        (tmp_path / "a.json").write_text('{"method": "B"}\n')
+        with pytest.raises(ScenarioError, match="at least 2 fixture scenarios, found 1 in"):
             run_fixture_table(tmp_path)
 
 

@@ -22,6 +22,7 @@ from brightbeam import (
 from brightbeam import detection
 from brightbeam.entangle import generate_entangled
 from brightbeam.errors import DegenerateModeError, DomainError
+from brightbeam.scenario import INPUT_FIELDS
 from brightbeam.states import (
     _CHUNK_ROWS,
     _apply_losses,
@@ -476,6 +477,20 @@ def assert_physical(state):
         assert nu.min() >= 1.0 - 1e-9
 
 
+def stacked_record(specs):
+    """One input record whose numbers are arrays over the specs, which
+    share one correlated_group."""
+    (group,) = {spec.correlated_group for spec in specs}
+    return SimpleNamespace(**{f: np.array([getattr(spec, f) for spec in specs])
+                              for f in INPUT_FIELDS}, correlated_group=group)
+
+
+def element_spec(record, k):
+    """Element k of a stacked input record, as a SqueezedInputSpec."""
+    return SqueezedInputSpec(*(float(getattr(record, f)[k]) for f in INPUT_FIELDS),
+                             correlated_group=record.correlated_group)
+
+
 def assert_slices_equal(stack, slices):
     for k, expected in enumerate(slices):
         np.testing.assert_allclose(stack.amplitudes[k], expected.amplitudes, rtol=1e-12, atol=0)
@@ -602,14 +617,15 @@ class TestStackedMaps:
         specs = [SqueezedInputSpec(rng.uniform(1, 100), sq, sq + rng.uniform(0, 2),
                                    rng.uniform(0, 20), correlated_group=1)
                  for sq in rng.uniform(0, 5, self.N)]
+        a, b = stacked_record(specs), stacked_record(specs[::-1])
         excess = rng.uniform(0, 1, self.N)
-        out = squeezed_inputs([specs, specs[::-1]], excess)
-        assert_slices_equal(out, [squeezed_inputs([a, b], x)
-                                  for a, b, x in zip(specs, specs[::-1], excess)])
+        out = squeezed_inputs([a, b], excess)
+        assert_slices_equal(out, [squeezed_inputs([sa, sb], x)
+                                  for sa, sb, x in zip(specs, specs[::-1], excess)])
         assert_physical(out)
-        out = compose([squeezed_inputs([specs]), squeezed_inputs([specs[::-1]])])
-        assert_slices_equal(out, [compose([squeezed_inputs([a]), squeezed_inputs([b])])
-                                  for a, b in zip(specs, specs[::-1])])
+        out = compose([squeezed_inputs([a]), squeezed_inputs([b])])
+        assert_slices_equal(out, [compose([squeezed_inputs([sa]), squeezed_inputs([sb])])
+                                  for sa, sb in zip(specs, specs[::-1])])
 
     @pytest.mark.parametrize("group", [True, 1.5, "x", [1], [1, 2], {"a": 1}])
     def test_correlated_group_is_an_int_or_none(self, group):
@@ -617,13 +633,18 @@ class TestStackedMaps:
             SqueezedInputSpec(10, correlated_group=group)
 
     def test_stacked_inputs_of_mixed_groups(self):
-        groups = [(g, h) for g in (1, 2, None) for h in (1, 2, None)]
-        specs = [[SqueezedInputSpec(10, 1, 2, excess_phase_db=20.0, correlated_group=g[k])
-                  for g in groups] for k in (0, 1)]
-        out = squeezed_inputs(specs, 0.5)
-        assert_slices_equal(out, [squeezed_inputs([a, b], 0.5) for a, b in zip(*specs)])
-        shared = [g == h and g is not None for g, h in groups]
-        assert (out.cov[:, 1, 3] == 49.5).tolist() == shared
+        # Each pair of groups: the Y-Y cross term of every stack element is
+        # 0.5 * sqrt(99 * 99) where both inputs carry the same group, else 0.
+        for group_a in (1, 2, None):
+            for group_b in (1, 2, None):
+                specs = [[SqueezedInputSpec(10.0 + k, 1, 2 + k / self.N, excess_phase_db=20.0,
+                                            correlated_group=group)
+                          for k in range(self.N)] for group in (group_a, group_b)]
+                out = squeezed_inputs([stacked_record(s) for s in specs], 0.5)
+                assert_slices_equal(out, [squeezed_inputs([a, b], 0.5) for a, b in zip(*specs)])
+                shared = group_a == group_b and group_a is not None
+                assert out.cov[:, 1, 3].tolist() == [49.5 if shared else 0.0] * self.N
+                assert out.cov[:, 3, 1].tolist() == [49.5 if shared else 0.0] * self.N
 
     def test_out_of_range_entry_named(self, stack):
         with pytest.raises(DomainError, match=r"efficiency must be in \[0, 1\], got 1.5"):
@@ -664,31 +685,31 @@ def test_column_record_below_the_uncertainty_bound_raises(antisqueezing_db, exce
         squeezed_inputs([record, record])
 
 
-input_specs = hs.builds(
-    lambda amplitude, sq, anti, excess, group: SqueezedInputSpec(
-        amplitude, sq, sq + anti, excess, correlated_group=group),
-    hs.floats(0.1, 1e3), hs.floats(0, 10), hs.floats(0, 5), hs.floats(0, 30),
-    hs.sampled_from([1, 2, None]))
-
-
 def stack_columns(n):
-    """n specs per input, then n values each of excess_correlation, theta and ratio."""
+    """One record per input, each number an array of n values that make
+    valid specs, with one group; then n values each of excess_correlation,
+    theta and ratio."""
     def column(elements):
-        return hs.lists(elements, min_size=n, max_size=n)
-    return hs.tuples(column(input_specs), column(input_specs), column(hs.floats(0, 1)),
+        return hs.lists(elements, min_size=n, max_size=n).map(np.array)
+    input_record = hs.builds(
+        lambda amplitude, sq, anti, excess, group: SimpleNamespace(
+            amplitude=amplitude, squeezing_db=sq, antisqueezing_db=sq + anti,
+            excess_phase_db=excess, correlated_group=group),
+        column(hs.floats(0.1, 1e3)), column(hs.floats(0, 10)), column(hs.floats(0, 5)),
+        column(hs.floats(0, 30)), hs.sampled_from([1, 2, None]))
+    return hs.tuples(input_record, input_record, column(hs.floats(0, 1)),
                      column(hs.floats(0.05, 3.1)), column(hs.floats(0, 1)))
 
 
 @settings(max_examples=60)
 @given(hs.integers(1, 5).flatmap(stack_columns))
 def test_joined_inputs_are_plain_physical_states(drawn):
-    """Stacked inputs equal per-point inputs and are physical, and the
+    """Stacked input records equal per-point specs and are physical, and the
     entangled pair needs nothing from them but amplitudes and covariance."""
     a, b, excess, theta, ratio = drawn
-    excess, theta, ratio = map(np.array, (excess, theta, ratio))
     inputs = squeezed_inputs([a, b], excess)
-    assert_slices_equal(inputs, [squeezed_inputs([sa, sb], x)
-                                 for sa, sb, x in zip(a, b, excess)])
+    assert_slices_equal(inputs, [squeezed_inputs([element_spec(a, k), element_spec(b, k)], x)
+                                 for k, x in enumerate(excess)])
     assert_physical(inputs)
     pair = generate_entangled(a, b, theta, ratio, excess)
     assert_physical(pair)
