@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 
 from .errors import DegenerateModeError, DomainError, ScenarioError
 from .scenario import SWEEP_PARAMS, check_grid, load_scenario, with_fields
@@ -70,11 +71,14 @@ def sweep(args):
 
 def table1(args):
     """Reproduce the method-comparison table from the fitted fixtures."""
-    from .harness import run_fixture_table
-    # Escape what stdout cannot encode, as json.dumps does in simulate and validate.
+    from .harness import compare_methods, run_fixture_table
+    # Escape what stdout cannot encode, as json.dumps does in simulate and
+    # validate; only a label can hold such text, and it is escaped before
+    # the table pads it.
     encoding = sys.stdout.encoding or "utf-8"
-    print(run_fixture_table(args.fixtures)[1].encode(encoding, "backslashreplace")
-          .decode(encoding))
+    print(compare_methods([
+        replace(row, label=row.label.encode(encoding, "backslashreplace").decode(encoding))
+        for row in run_fixture_table(args.fixtures)[0]]))
 
 
 def validate(args):

@@ -340,16 +340,24 @@ def with_param(s: Scenario, param: str, value: float) -> Scenario:
         raise ScenarioError(f"cannot sweep {param} to {value!r}: {exc}") from exc
 
 
+_CHUNK = 4096
+
+
 def _grid(s: Scenario, param: str, start: float, stop: float, steps: int,
           finish: Callable[[Scenario, list[float], _Stack], list]) -> list:
     """Evaluate the scenario at each of ``steps`` evenly spaced values of one
     parameter and join finish(scenario, values, stack) of each evaluated
     stack, in grid order.
 
-    Every constraint on a swept value is an interval, and the dB
-    conversions are monotone, so the grid is valid when its smallest and
-    largest values are: ``with_param`` checks those two, and the grid
-    becomes one column of the scenario at the smallest, one stack.
+    The grid runs as stacks of at most ``_CHUNK`` consecutive values, slices
+    of one ``np.linspace``, so memory is bounded per stack.  Every constraint
+    on a swept value is an interval, and the dB conversions are monotone, so
+    a stack is valid when its smallest and largest values are:
+    ``with_param`` checks those two, and the stack becomes one column of the
+    scenario at the smallest.  A stack fails at its first failing stage, not
+    its first failing point, so a stack that raises is halved and tried
+    again; a stack of one that raises has every earlier point run, so its
+    error is the first failing point's.
     """
     check_grid(param, start, stop, steps)
     try:
@@ -357,25 +365,27 @@ def _grid(s: Scenario, param: str, start: float, stop: float, steps: int,
     except (ValueError, MemoryError) as exc:
         # numpy refuses a count it cannot size or allocate.
         raise ScenarioError(f"cannot sweep {param} in steps = {steps}: {exc}") from exc
-    values = grid.tolist()
-    try:
-        base = with_param(s, param, float(grid.min()))
-        with_param(s, param, float(grid.max()))
-        return finish(base, values, _evaluate(base, dict.fromkeys(_SWEPT_FIELDS[param], grid)))
-    except BrightBeamError:
-        # A stack fails at its first failing stage, not its first failing
-        # point; as stacks of one, the error is the first failing point's.
-        done = []
-        for v in values:
-            point = with_param(s, param, v)
-            done += finish(point, [v], _evaluate(point))
-        return done
+    done, lo, size = [], 0, _CHUNK
+    while lo < steps:
+        stack = grid[lo:lo + size]
+        try:
+            base = with_param(s, param, float(stack.min()))
+            with_param(s, param, float(stack.max()))
+            done += finish(base, stack.tolist(),
+                           _evaluate(base, dict.fromkeys(_SWEPT_FIELDS[param], stack)))
+        except BrightBeamError:
+            if len(stack) == 1:
+                raise
+            size = (len(stack) + 1) // 2
+            continue
+        lo, size = lo + len(stack), _CHUNK
+    return done
 
 
 def sweep(s: Scenario, param: str, start: float, stop: float,
           steps: int) -> list[tuple[float, ReportRow]]:
     """Evaluate the scenario at each of ``steps`` evenly spaced values of one
-    parameter, as one stack (see ``_grid``)."""
+    parameter, in stacks (see ``_grid``)."""
     return _grid(s, param, start, stop, steps,
                  lambda point, values, stack: list(zip(values, _rows(point, stack))))
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import strategies as hs
 import brightbeam
 from brightbeam import SqueezedInputSpec
 from brightbeam.cli import main
-from brightbeam.harness import SWEEP_PARAMS, fixtures_dir, run_fixture_table, sweep_csv
+from brightbeam.harness import (SWEEP_PARAMS, compare_methods, fixtures_dir,
+                                run_fixture_table, sweep_csv)
 from brightbeam.scenario import Scenario, known_keys, load_scenario, save_scenario
 
 # The source tree, for CLI runs in a fresh interpreter.
@@ -106,8 +108,9 @@ def test_lone_surrogate_label_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("encoding, label", [("ascii", "caf\\xe9"), ("utf-8", "café")])
 def test_table1_escapes_what_stdout_cannot_encode(tmp_path, encoding, label):
     # On an ASCII stdout a non-ASCII label is written as a backslash escape,
-    # as json.dumps escapes it in simulate and validate; on a UTF-8 stdout
-    # the table is unchanged.  table1 used to end in a UnicodeEncodeError.
+    # as json.dumps escapes it in simulate and validate, and padded as
+    # written, so every row stays aligned; on a UTF-8 stdout the table is
+    # unchanged.  table1 used to end in a UnicodeEncodeError.
     for path in fixtures_dir().glob("*.json"):
         (tmp_path / path.name).write_text(path.read_text())
     fixture = tmp_path / "method_a.json"
@@ -115,9 +118,12 @@ def test_table1_escapes_what_stdout_cannot_encode(tmp_path, encoding, label):
     done = subprocess.run([sys.executable, "-m", "brightbeam.cli", "table1",
                            "--fixtures", str(tmp_path)], capture_output=True, timeout=120,
                           env={**CHILD_ENV, "PYTHONIOENCODING": encoding})
-    table = run_fixture_table(tmp_path)[1].replace("café", label)
+    table = compare_methods([replace(row, label=row.label.replace("café", label))
+                             for row in run_fixture_table(tmp_path)[0]])
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout.decode(encoding) == table + "\n"
+    header, _, *lines = table.splitlines()
+    assert {len(line) for line in lines if not line.startswith("note:")} == {len(header)}
 
 
 FIXTURE_B = str(fixtures_dir() / "method_b.json")

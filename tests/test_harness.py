@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -721,6 +722,10 @@ def test_any_scenario_equals_detection(s):
 SWEEP_BOUNDS = hs.sampled_from([0.0, 1.0, -1.0, 0.5, 1.5]) | hs.floats(-2.0, 35.0)
 
 
+# Stacks of 3 split most grids of 2 to 8 steps; the default runs each whole.
+CHUNKS = (3, harness._CHUNK)
+
+
 @settings(max_examples=80)
 @given(s=scenarios(), param=hs.sampled_from(SWEEP_PARAMS), start=SWEEP_BOUNDS,
        stop=SWEEP_BOUNDS, steps=hs.integers(2, 8))
@@ -731,17 +736,22 @@ SWEEP_BOUNDS = hs.sampled_from([0.0, 1.0, -1.0, 0.5, 1.5]) | hs.floats(-2.0, 35.
          param="eta", start=0.5, stop=1.5, steps=3)
 def test_sweep_is_its_points_or_its_first_failing_point(s, param, start, stop, steps):
     """A grid gives run_scenario of each point exactly, or raises the error of
-    its first failing point."""
-    points = []
+    its first failing point, in stacks of any size."""
+    points, error = [], None
     for value in np.linspace(start, stop, steps).tolist():
         try:
             points.append((value, run_scenario(with_param(s, param, value))))
         except BrightBeamError as exc:
-            with pytest.raises(type(exc)) as raised:
+            error = exc
+            break
+    for chunk in CHUNKS:
+        with mock.patch.object(harness, "_CHUNK", chunk):
+            if error is None:
+                assert sweep(s, param, start, stop, steps) == points
+                continue
+            with pytest.raises(type(error)) as raised:
                 sweep(s, param, start, stop, steps)
-            assert str(raised.value) == str(exc)
-            return
-    assert sweep(s, param, start, stop, steps) == points
+            assert str(raised.value) == str(error)
 
 
 @pytest.mark.parametrize("param", SWEEP_PARAMS)
@@ -795,33 +805,84 @@ def _csv_of_rows(param, pairs) -> str:
 @given(s=scenarios(), param=hs.sampled_from(SWEEP_PARAMS), data=hs.data(),
        steps=hs.integers(2, 8))
 def test_csv_is_its_rows(s, param, data, steps):
-    """sweep_csv renders what sweep returns, or raises what it raises."""
+    """sweep_csv renders what sweep returns, or raises what it raises, in
+    stacks of any size."""
     bounds = hs.floats(*GRID_RANGES[param]) | SWEEP_BOUNDS
     start, stop = data.draw(bounds), data.draw(bounds)
-    try:
-        pairs = sweep(s, param, start, stop, steps)
-    except BrightBeamError as exc:
-        with pytest.raises(type(exc)) as raised:
-            sweep_csv(s, param, start, stop, steps)
-        assert str(raised.value) == str(exc)
-        return
-    assert sweep_csv(s, param, start, stop, steps) == _csv_of_rows(param, pairs)
+    for chunk in CHUNKS:
+        with mock.patch.object(harness, "_CHUNK", chunk):
+            try:
+                pairs = sweep(s, param, start, stop, steps)
+            except BrightBeamError as exc:
+                with pytest.raises(type(exc)) as raised:
+                    sweep_csv(s, param, start, stop, steps)
+                assert str(raised.value) == str(exc)
+                continue
+            assert sweep_csv(s, param, start, stop, steps) == _csv_of_rows(param, pairs)
 
 
 @pytest.mark.parametrize("method", ["A", "B", "C"])
 def test_csv_of_stacks_of_one_is_the_grid_csv(monkeypatch, method):
-    # A grid that only evaluates point by point renders the same bytes.
+    # A grid that only evaluates as stacks of one renders the same bytes.
     s = make(method, mc_samples=50, seed=2, **BUDGETS)
     grid = sweep_csv(s, "theta", 0.4, 2.6, 6)
     real = harness._evaluate
 
     def points_only(scenario, columns=None):
-        if columns:
-            raise DomainError("the grid fails as one stack")
-        return real(scenario)
+        if columns and len(next(iter(columns.values()))) > 1:
+            raise DomainError("the grid fails as a stack")
+        return real(scenario, columns)
 
     monkeypatch.setattr(harness, "_evaluate", points_only)
     assert sweep_csv(s, "theta", 0.4, 2.6, 6) == grid
+
+
+@pytest.mark.parametrize("start, stop", [(1.0, 0.0), (0.0, 1.0)])
+def test_failing_grid_evaluates_a_few_stacks(monkeypatch, start, stop):
+    # Port c is dark at phi = 0, the last point or the first: halving the
+    # failing stack finds it in about log2(steps) stacks, not one per point.
+    s, steps = make("C", phi=0.0), 10_000
+    expected = _first_point_error(s, "phi", start, stop, steps)
+    calls = []
+    real = harness._evaluate
+
+    def counting(scenario, columns=None):
+        calls.append(1)
+        return real(scenario, columns)
+
+    monkeypatch.setattr(harness, "_evaluate", counting)
+    with pytest.raises(type(expected)) as exc:
+        sweep(s, "phi", start, stop, steps)
+    assert str(exc.value) == str(expected)
+    assert len(calls) <= 40
+
+
+@pytest.mark.parametrize("s, param", [
+    (make("A", gain="optimize", **BUDGETS), "theta"),
+    (make("B", **BUDGETS), "squeezing_db"),
+    (make("C", **BUDGETS), "phi"),
+])
+def test_csv_at_chunk_boundaries_is_one_stacks_csv(s, param):
+    lo, hi = GRID_RANGES[param]
+    for steps in (4095, 4096, 4097, 8193):
+        chunked = sweep_csv(s, param, lo, hi, steps)
+        with mock.patch.object(harness, "_CHUNK", steps):
+            assert sweep_csv(s, param, lo, hi, steps) == chunked
+
+
+def test_sweep_csv_memory_is_bounded_per_step():
+    # The stacks are at most _CHUNK values; what grows with the steps is the
+    # lines and the CSV they join into, about 130 B a step.
+    s = load_scenario(fixtures_dir() / "method_b.json")
+    peaks = []
+    for steps in (10_000, 100_000):
+        tracemalloc.start()
+        try:
+            sweep_csv(s, "theta", 0.1, 3.0, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 90_000 < 200
 
 
 def test_sweep_csv_builds_no_report_row(monkeypatch):
