@@ -1,13 +1,12 @@
-"""Replay every reference output in perfbench/refs.json and report what moved.
+"""Replay every reference output and report what moved.
 
-    python3 scripts/check_refs.py
+    python3 -W error scripts/check_refs.py
 
-Checks, against the references the benchmark uses:
-
-- the SHA-256 of every reference sweep (all lengths, 10 to 1000 steps),
-- the bytes of ``table1``, of each ``simulate`` JSON and of the CLI sweep,
-- each scenario's analytic witness sum, to 1e-9.
-
+The one replay: tier-1 runs each of its check_* groups (tests/test_golden.py).
+Checks the bytes of ``table1``, of each ``simulate`` JSON and of the CLI
+sweep, each scenario's analytic witness sum to 1e-9 and the SHA-256 of every
+reference sweep (10 to 1000 steps), all against perfbench/refs.json, which
+the benchmark uses, and the SHA-256 of the Monte-Carlo sweeps pinned here.
 Each mismatch is printed with the rows or values that moved; a sweep is
 known only by its digest, so a moved sweep is printed as its reference
 entry.  The references are read, never written.  Exit status: 0 when
@@ -33,6 +32,18 @@ from brightbeam.harness import run_scenario, sweep_csv  # noqa: E402
 from brightbeam.scenario import scenario_from_dict  # noqa: E402
 
 SUM_TOL = 1e-9
+# SHA-256 of the 12-step theta sweep_csv from 0.3 to 2.8 with mc_samples 2000
+# and seed 5; perfbench/refs.json pins sweeps without Monte-Carlo columns only.
+MC_SWEEP = ("theta", 0.3, 2.8, 12)
+MC_SWEEP_DIGESTS = {
+    "method_a": "1247b2f64108b5ba1f0006a8528cf6755efca77ea94984a506f8468c612d80dd",
+    "method_a_opt": "296a7c3b39bd1f0d33d3fbbaed655be4fb10b71ebcc211dd161bf2e5080ff7f1",
+    "method_b": "4665b77597d1346bbfb35ab9c75db49d711c5f68f5fb000d3700567fe7bbfc6e",
+    "method_c_port_c": "79ff3d96a6a2af780f5511104b9af15ed14b48ec697e7d5b7ec195ae3bf37340",
+}
+REFS = workloads.load_refs()
+FLATS = workloads.scenario_dicts()
+SCENARIOS = {name: scenario_from_dict(flat) for name, flat in FLATS.items()}
 
 
 def cli_stdout(args: list[str]) -> str:
@@ -54,48 +65,58 @@ def text_mismatch(what: str, ref: str, got: str) -> list[str]:
     return [f"{what}: output differs"] + [f"  {line}" for line in diff]
 
 
-def check_cli(refs: dict, paths: dict[str, Path]) -> list[str]:
+# Each check_* replays one group and returns a line for each output that moved.
+
+def check_cli() -> list[str]:
+    refs = REFS["cli"]
     problems = text_mismatch("table1", refs["table1"], cli_stdout(["table1"]))
-    for name, ref in sorted(refs["simulate"].items()):
-        got = cli_stdout(["simulate", "--scenario", str(paths[name])])
-        problems += text_mismatch(f"simulate {name}", ref, got)
-    name, param, start, stop, steps = workloads.CLI_SWEEP
-    got = cli_stdout(["sweep", "--scenario", str(paths[name]), "--param", param,
-                      "--from", start, "--to", stop, "--steps", steps])
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = workloads.write_scenarios(Path(workdir))
+        for name, ref in sorted(refs["simulate"].items()):
+            got = cli_stdout(["simulate", "--scenario", str(paths[name])])
+            problems += text_mismatch(f"simulate {name}", ref, got)
+        name, param, start, stop, steps = workloads.CLI_SWEEP
+        got = cli_stdout(["sweep", "--scenario", str(paths[name]), "--param", param,
+                          "--from", start, "--to", stop, "--steps", steps])
     return problems + text_mismatch(f"sweep {name} {param}", refs["sweep"], got)
 
 
-def check_sums(refs: dict, scenarios: dict) -> list[str]:
+def check_sums() -> list[str]:
     problems = []
-    for name, ref in sorted(refs.items()):
-        got = run_scenario(scenarios[name]).sum_value
+    for name, ref in sorted(REFS["analytic_sum"].items()):
+        got = run_scenario(SCENARIOS[name]).sum_value
         if not abs(got - ref) <= SUM_TOL:
             problems.append(f"analytic sum {name}: reference {ref!r}, now {got!r}, "
                             f"off by {got - ref:.3g}")
     return problems
 
 
-def check_sweeps(refs: list[dict], scenarios: dict) -> list[str]:
+def check_sweeps() -> list[str]:
     problems = []
-    for v in refs:
-        text = sweep_csv(scenarios[v["scenario"]], v["param"], v["start"], v["stop"],
+    for v in REFS["sweeps"]:
+        text = sweep_csv(SCENARIOS[v["scenario"]], v["param"], v["start"], v["stop"],
                          v["steps"])
         if workloads.digest(text) != v["sha256"]:
             problems.append("sweep digest differs: " + json.dumps(v, sort_keys=True))
     return problems
 
 
+def check_mc_sweeps() -> list[str]:
+    problems = []
+    for name, ref in sorted(MC_SWEEP_DIGESTS.items()):
+        s = scenario_from_dict(dict(FLATS[name], mc_samples=2000, seed=5))
+        got = workloads.digest(sweep_csv(s, *MC_SWEEP))
+        if got != ref:
+            problems.append(f"MC sweep digest {name}: reference {ref}, now {got}")
+    return problems
+
+
 def main() -> int:
-    refs = workloads.load_refs()
-    scenarios = {name: scenario_from_dict(flat)
-                 for name, flat in workloads.scenario_dicts().items()}
-    with tempfile.TemporaryDirectory() as workdir:
-        cli_problems = check_cli(refs["cli"], workloads.write_scenarios(Path(workdir)))
     groups = [
-        (f"CLI outputs (table1, {len(refs['cli']['simulate'])} simulate, sweep)", cli_problems),
-        (f"{len(refs['analytic_sum'])} analytic sums to {SUM_TOL:g}",
-         check_sums(refs["analytic_sum"], scenarios)),
-        (f"{len(refs['sweeps'])} sweep digests", check_sweeps(refs["sweeps"], scenarios)),
+        (f"CLI outputs (table1, {len(REFS['cli']['simulate'])} simulate, sweep)", check_cli()),
+        (f"{len(REFS['analytic_sum'])} analytic sums to {SUM_TOL:g}", check_sums()),
+        (f"{len(REFS['sweeps'])} sweep digests", check_sweeps()),
+        (f"{len(MC_SWEEP_DIGESTS)} MC sweep digests", check_mc_sweeps()),
     ]
     for title, problems in groups:
         print(f"{title}: {'ok' if not problems else f'{len(problems)} mismatch(es)'}")

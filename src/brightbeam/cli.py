@@ -78,7 +78,7 @@ def table1(args):
     encoding = sys.stdout.encoding or "utf-8"
     print(compare_methods([
         replace(row, label=row.label.encode(encoding, "backslashreplace").decode(encoding))
-        for row in run_fixture_table(args.fixtures)[0]]))
+        for row in run_fixture_table(args.fixtures)]))
 
 
 def validate(args):

@@ -6,7 +6,7 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -46,23 +46,9 @@ class ReportRow:
     frequency_mhz: float | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "method": self.method,
-            "label": self.label,
-            "v_sq_plus": self.v_sq_plus,
-            "v_sq_minus": self.v_sq_minus,
-            "sum": self.sum_value,
-            "bound": self.bound,
-            "witnessed": self.witnessed,
-            "gain": self.gain,
-            "raw": self.raw,
-        }
-        if self.mc_sum is not None:
-            d["mc_sum"] = self.mc_sum
-            d["mc_stderr"] = self.mc_stderr
-        if self.frequency_mhz is not None:
-            d["frequency_mhz"] = self.frequency_mhz
-        return d
+        """Every field that is set, with ``sum_value`` as "sum"."""
+        return {"sum" if k == "sum_value" else k: v
+                for k, v in asdict(self).items() if v is not None}
 
 
 # Each evaluator takes the scenario, its columns (see ``_column``), their
@@ -438,14 +424,13 @@ def fixtures_dir():
     return Path(resources.files("brightbeam") / "fixtures")
 
 
-def run_fixture_table(directory=None) -> tuple[list[ReportRow], str]:
+def run_fixture_table(directory=None) -> list[ReportRow]:
     """Run every fixture scenario in the directory (by default the bundled
-    one) and format the table."""
+    one): the rows of the comparison table."""
     from pathlib import Path
     directory = Path(directory) if directory is not None else fixtures_dir()
     paths = sorted(directory.glob("*.json"))
     if len(paths) < 2:
         raise ScenarioError(f"method comparison needs at least 2 fixture scenarios, "
                             f"found {len(paths)} in {directory}")
-    rows = [run_scenario(load_scenario(p)) for p in paths]
-    return rows, compare_methods(rows)
+    return [run_scenario(load_scenario(p)) for p in paths]

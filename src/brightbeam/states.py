@@ -164,12 +164,12 @@ def _check_bona_fide(cov: np.ndarray, scale: np.ndarray):
                           "V + i*Omega is not positive semi-definite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BrightGaussianState:
     """n-mode bright Gaussian state: real carriers + quadrature covariance.
 
     amplitudes has shape (..., n) and cov (..., 2n, 2n); leading axes
-    index a stack of states.
+    index a stack of states.  Two states compare and hash by identity.
     """
 
     amplitudes: np.ndarray

@@ -109,7 +109,7 @@ def test_4_monte_carlo_oracle():
 
 
 def test_5_reference_table_reproduction():
-    rows, _ = run_fixture_table()
+    rows = run_fixture_table()
     by_label = {r.label: r for r in rows}
     a = next(r for r in rows if r.method == "A")
     b = next(r for r in rows if r.method == "B")

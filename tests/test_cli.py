@@ -119,7 +119,7 @@ def test_table1_escapes_what_stdout_cannot_encode(tmp_path, encoding, label):
                            "--fixtures", str(tmp_path)], capture_output=True, timeout=120,
                           env={**CHILD_ENV, "PYTHONIOENCODING": encoding})
     table = compare_methods([replace(row, label=row.label.replace("café", label))
-                             for row in run_fixture_table(tmp_path)[0]])
+                             for row in run_fixture_table(tmp_path)])
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout.decode(encoding) == table + "\n"
     header, _, *lines = table.splitlines()

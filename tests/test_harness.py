@@ -177,7 +177,8 @@ class TestSweep:
 
 class TestCompare:
     def test_fixture_table_runs_and_aligns(self):
-        rows, table = run_fixture_table()
+        rows = run_fixture_table()
+        table = compare_methods(rows)
         assert len(rows) == 4
         lines = table.split("\n")
         assert lines[0].startswith("method")

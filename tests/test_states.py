@@ -65,6 +65,13 @@ class TestConstructors:
         assert st.amplitudes[0] == 1000.0
         assert np.array_equal(st.cov, np.eye(2))
 
+    def test_states_compare_and_hash_by_identity(self):
+        # Value equality over the array fields would raise ValueError (an
+        # array's truth value is ambiguous), and hashing them TypeError.
+        st, twin = make_coherent(1.0), make_coherent(1.0)
+        assert st == st and st != twin
+        assert len({st, st, twin}) == 2
+
     def test_negative_amplitude_rejected(self):
         with pytest.raises(DomainError):
             make_coherent(-1.0)
