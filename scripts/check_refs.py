@@ -65,20 +65,34 @@ def text_mismatch(what: str, ref: str, got: str) -> list[str]:
     return [f"{what}: output differs"] + [f"  {line}" for line in diff]
 
 
-# Each check_* replays one group and returns a line for each output that moved.
+# Each check_* replays one output or group and returns a line for each output
+# that moved.
+
+def check_table1() -> list[str]:
+    return text_mismatch("table1", REFS["cli"]["table1"], cli_stdout(["table1"]))
+
+
+def check_simulate(name: str) -> list[str]:
+    with tempfile.TemporaryDirectory() as workdir:
+        path = workloads.write_scenarios(Path(workdir))[name]
+        got = cli_stdout(["simulate", "--scenario", str(path)])
+    return text_mismatch(f"simulate {name}", REFS["cli"]["simulate"][name], got)
+
+
+def check_cli_sweep() -> list[str]:
+    name, param, start, stop, steps = workloads.CLI_SWEEP
+    with tempfile.TemporaryDirectory() as workdir:
+        path = workloads.write_scenarios(Path(workdir))[name]
+        got = cli_stdout(["sweep", "--scenario", str(path), "--param", param,
+                          "--from", start, "--to", stop, "--steps", steps])
+    return text_mismatch(f"sweep {name} {param}", REFS["cli"]["sweep"], got)
+
 
 def check_cli() -> list[str]:
-    refs = REFS["cli"]
-    problems = text_mismatch("table1", refs["table1"], cli_stdout(["table1"]))
-    with tempfile.TemporaryDirectory() as workdir:
-        paths = workloads.write_scenarios(Path(workdir))
-        for name, ref in sorted(refs["simulate"].items()):
-            got = cli_stdout(["simulate", "--scenario", str(paths[name])])
-            problems += text_mismatch(f"simulate {name}", ref, got)
-        name, param, start, stop, steps = workloads.CLI_SWEEP
-        got = cli_stdout(["sweep", "--scenario", str(paths[name]), "--param", param,
-                          "--from", start, "--to", stop, "--steps", steps])
-    return problems + text_mismatch(f"sweep {name} {param}", refs["sweep"], got)
+    problems = check_table1()
+    for name in sorted(REFS["cli"]["simulate"]):
+        problems += check_simulate(name)
+    return problems + check_cli_sweep()
 
 
 def check_sums() -> list[str]:
@@ -101,14 +115,15 @@ def check_sweeps() -> list[str]:
     return problems
 
 
+def check_mc_sweep(name: str) -> list[str]:
+    s = scenario_from_dict(dict(FLATS[name], mc_samples=2000, seed=5))
+    got = workloads.digest(sweep_csv(s, *MC_SWEEP))
+    ref = MC_SWEEP_DIGESTS[name]
+    return [] if got == ref else [f"MC sweep digest {name}: reference {ref}, now {got}"]
+
+
 def check_mc_sweeps() -> list[str]:
-    problems = []
-    for name, ref in sorted(MC_SWEEP_DIGESTS.items()):
-        s = scenario_from_dict(dict(FLATS[name], mc_samples=2000, seed=5))
-        got = workloads.digest(sweep_csv(s, *MC_SWEEP))
-        if got != ref:
-            problems.append(f"MC sweep digest {name}: reference {ref}, now {got}")
-    return problems
+    return [line for name in sorted(MC_SWEEP_DIGESTS) for line in check_mc_sweep(name)]
 
 
 def main() -> int:

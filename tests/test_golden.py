@@ -1,6 +1,6 @@
-"""Golden outputs: one test per group of scripts/check_refs.py, the one replay
-of the reference outputs, with every warning an error as under ``-W error``.
-A moved digit fails with the script's mismatch lines."""
+"""Golden outputs, replayed by scripts/check_refs.py (the one replay of the
+reference outputs) one output or group at a time, with every warning an error
+as under ``-W error``.  A moved digit fails with the script's mismatch lines."""
 
 import sys
 from pathlib import Path
@@ -13,23 +13,32 @@ import check_refs  # noqa: E402
 pytestmark = pytest.mark.filterwarnings("error")
 
 
-def assert_replays(check):
-    problems = check()
+def assert_replays(problems):
     assert not problems, "\n".join(problems)
 
 
-def test_cli_bytes():
-    assert_replays(check_refs.check_cli)
+def test_table1_bytes():
+    assert_replays(check_refs.check_table1())
+
+
+@pytest.mark.parametrize("name", sorted(check_refs.REFS["cli"]["simulate"]))
+def test_simulate_bytes(name):
+    assert_replays(check_refs.check_simulate(name))
+
+
+def test_cli_sweep_bytes():
+    assert_replays(check_refs.check_cli_sweep())
 
 
 def test_analytic_sums():
-    assert_replays(check_refs.check_sums)
+    assert_replays(check_refs.check_sums())
 
 
 def test_sweep_digests():
     assert len(check_refs.REFS["sweeps"]) == 150
-    assert_replays(check_refs.check_sweeps)
+    assert_replays(check_refs.check_sweeps())
 
 
-def test_monte_carlo_sweep_digests():
-    assert_replays(check_refs.check_mc_sweeps)
+@pytest.mark.parametrize("name", sorted(check_refs.MC_SWEEP_DIGESTS))
+def test_monte_carlo_sweep_digests(name):
+    assert_replays(check_refs.check_mc_sweep(name))
