@@ -1,11 +1,15 @@
-"""Fit and freeze the bundled reference-scenario fixtures.
+"""Record how the frozen reference-scenario fixtures were derived.
 
-The measured squeezing variances from the reference bright-beam
-measurement campaign are taken as targets; the free setup parameters
-(per-arm efficiencies, entangling splitting ratio, electronic imbalance,
-inter-beam noise correlation) are fitted by least squares with weak
-priors pulling them toward their nominal values, then written to
-src/brightbeam/fixtures/*.json.
+MEASUREMENTS is the reference bright-beam measurement campaign, one row per
+file in src/brightbeam/fixtures/.  `fit` fits a row's free setup parameters
+by least squares to its measured variances, with weak priors pulling them
+toward their nominal values.
+
+Every reference output was made from the fixture files as they stand, and
+running this script overwrites them.  The package's arithmetic has moved in
+its last bits since the fit, so a rerun moves method A's parameters in the
+9th-10th digit, and 9 of the 150 reference sweep digests with them (B and C
+come out unchanged).  Do not commit a rerun.
 
 Run from the repository root:  python3 scripts/fit_fixtures.py
 It needs scipy, which the package itself does not: pip install -e .[fit]
@@ -15,117 +19,81 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-from scipy.optimize import least_squares
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from brightbeam.harness import run_scenario  # noqa: E402
-from brightbeam.scenario import scenario_from_dict  # noqa: E402
-
 OUT_DIR = Path(__file__).resolve().parents[1] / "src" / "brightbeam" / "fixtures"
-
-# Measured targets (normalized variances) and quoted input squeezing.
-METHOD_A = {"inputs": (2.5, 2.7), "targets": (0.55, 0.74)}
-METHOD_B = {"inputs": (3.7, 3.8), "targets": (0.47, 0.62)}
-METHOD_C = {"inputs": (3.7, 3.8), "targets": {"c": 0.525, "d": 0.55}}
+sys.path.insert(0, str(OUT_DIR.parents[1]))
 
 ANTISQUEEZE_DB = 5.0
 EXCESS_DB = 23.0
 
+# A free parameter: (scenario keys, transform of the fitted value or None,
+# nominal value, prior weight, start, (low, high)).
+SPLIT = (("entangle_ratio",), None, 0.5, 0.3, 0.5, (0.40, 0.60))
+CORRELATION = (("excess_correlation",), None, 1.0, 0.1, 0.98, (0.8, 1.0))
+FREE_A = ((("budget_a.visibility", "budget_b.visibility"), None, 0.95, 0.3, 0.95, (0.85, 1.0)),
+          SPLIT, (("imbalance",), None, 0.0, 0.1, 0.02, (0.0, 0.2)), CORRELATION)
+FREE_BC = (*(((f"budget_{arm}.prop_loss",), lambda eta: 1.0 - eta, 0.92, 0.2, 0.92, (0.7, 1.0))
+             for arm in "ab"),
+           SPLIT, (("imbalance",), None, 0.0, 0.1, 0.01, (0.0, 0.2)), CORRELATION)
 
-def base_config(method, inputs):
-    sq_a, sq_b = inputs
-    return {
-        "method": method,
-        "input_a.squeezing_db": sq_a,
-        "input_a.antisqueezing_db": ANTISQUEEZE_DB,
-        "input_a.excess_phase_db": EXCESS_DB,
-        "input_b.squeezing_db": sq_b,
-        "input_b.antisqueezing_db": ANTISQUEEZE_DB,
-        "input_b.excess_phase_db": EXCESS_DB,
-    }
+# Input squeezing (dB) of inputs a and b; measured variances (V+, V-), or a
+# single C port's one variance, each residual scaled by `weight`.
+MEASUREMENTS = {
+    "method_a.json": {"method": "A", "port": None, "inputs": (2.5, 2.7),
+                      "variances": (0.55, 0.74), "weight": 1.0, "frequency_mhz": 20.5,
+                      "label": "A phase-measuring interferometers", "free": FREE_A},
+    "method_b.json": {"method": "B", "port": None, "inputs": (3.7, 3.8),
+                      "variances": (0.47, 0.62), "weight": 1.0, "frequency_mhz": 17.5,
+                      "label": "B interferometric correlations", "free": FREE_BC},
+    "method_c_port_c.json": {"method": "C", "port": "c", "inputs": (3.7, 3.8),
+                             "variances": (0.525,), "weight": 3.0, "frequency_mhz": 17.5,
+                             "label": "C direct test, port c", "free": FREE_BC},
+    "method_c_port_d.json": {"method": "C", "port": "d", "inputs": (3.7, 3.8),
+                             "variances": (0.55,), "weight": 3.0, "frequency_mhz": 17.5,
+                             "label": "C direct test, port d", "free": FREE_BC},
+}
 
 
-def fit_method_a():
-    cfg = base_config("A", METHOD_A["inputs"])
+def _run(flat):
+    from brightbeam.harness import run_scenario
+    from brightbeam.scenario import scenario_from_dict
+    return run_scenario(scenario_from_dict(flat))
+
+
+def fit(row):
+    """Fit one MEASUREMENTS row: its fixture dict and the least-squares result."""
+    from scipy.optimize import least_squares
+    cfg = {"method": row["method"]}
+    for side, squeezing_db in zip("ab", row["inputs"]):
+        cfg[f"input_{side}.squeezing_db"] = squeezing_db
+        cfg[f"input_{side}.antisqueezing_db"] = ANTISQUEEZE_DB
+        cfg[f"input_{side}.excess_phase_db"] = EXCESS_DB
+    if row["port"] is not None:
+        cfg["port"] = row["port"]
 
     def build(p):
-        visibility, ratio, imbalance, corr = p
         c = dict(cfg)
-        c["budget_a.visibility"] = visibility
-        c["budget_b.visibility"] = visibility
-        c["entangle_ratio"] = ratio
-        c["imbalance"] = imbalance
-        c["excess_correlation"] = corr
+        for x, (keys, transform, *_) in zip(p, row["free"]):
+            c.update(dict.fromkeys(keys, x if transform is None else transform(x)))
         return c
 
     def residuals(p):
-        row = run_scenario(scenario_from_dict(build(p)))
-        vp_t, vm_t = METHOD_A["targets"]
-        prior = [0.3 * (p[0] - 0.95), 0.3 * (p[1] - 0.5), 0.1 * p[2], 0.1 * (p[3] - 1.0)]
-        return [row.v_sq_plus - vp_t, row.v_sq_minus - vm_t] + prior
+        out = _run(build(p))
+        err = [row["weight"] * (got - want)
+               for got, want in zip((out.v_sq_plus, out.v_sq_minus), row["variances"])]
+        return err + [w * (x - nominal) for x, (_, _, nominal, w, *_) in zip(p, row["free"])]
 
-    res = least_squares(residuals, x0=[0.95, 0.5, 0.02, 0.98],
-                        bounds=([0.85, 0.40, 0.0, 0.8], [1.0, 0.60, 0.2, 1.0]))
-    cfg = build(res.x)
-    cfg["label"] = "A phase-measuring interferometers"
-    cfg["frequency_mhz"] = 20.5
-    return cfg, res
-
-
-def fit_method_bc(method, port=None, targets=None):
-    cfg = base_config(method, METHOD_B["inputs"])
-    if port is not None:
-        cfg["port"] = port
-
-    def build(p):
-        eta_a, eta_b, ratio, imbalance, corr = p
-        c = dict(cfg)
-        c["budget_a.prop_loss"] = 1.0 - eta_a
-        c["budget_b.prop_loss"] = 1.0 - eta_b
-        c["entangle_ratio"] = ratio
-        c["imbalance"] = imbalance
-        c["excess_correlation"] = corr
-        return c
-
-    def residuals(p):
-        row = run_scenario(scenario_from_dict(build(p)))
-        prior = [0.2 * (p[0] - 0.92), 0.2 * (p[1] - 0.92), 0.3 * (p[2] - 0.5),
-                 0.1 * p[3], 0.1 * (p[4] - 1.0)]
-        if method == "B":
-            err = [row.v_sq_plus - targets[0], row.v_sq_minus - targets[1]]
-        else:
-            err = [3.0 * (row.v_sq_plus - targets)]
-        return err + prior
-
-    res = least_squares(residuals, x0=[0.92, 0.92, 0.5, 0.01, 0.98],
-                        bounds=([0.7, 0.7, 0.40, 0.0, 0.8], [1.0, 1.0, 0.60, 0.2, 1.0]))
-    cfg = build(res.x)
-    cfg["frequency_mhz"] = 17.5
-    return cfg, res
+    res = least_squares(residuals, x0=[f[4] for f in row["free"]],
+                        bounds=tuple(zip(*(f[5] for f in row["free"]))))
+    return {**build(res.x), "label": row["label"], "frequency_mhz": row["frequency_mhz"]}, res
 
 
 def main():
     OUT_DIR.mkdir(parents=True, exist_ok=True)
-    jobs = []
-
-    cfg_a, res_a = fit_method_a()
-    jobs.append(("method_a.json", cfg_a, res_a))
-
-    cfg_b, res_b = fit_method_bc("B", targets=METHOD_B["targets"])
-    cfg_b["label"] = "B interferometric correlations"
-    jobs.append(("method_b.json", cfg_b, res_b))
-
-    for port, target in METHOD_C["targets"].items():
-        cfg_c, res_c = fit_method_bc("C", port=port, targets=target)
-        cfg_c["label"] = f"C direct test, port {port}"
-        jobs.append((f"method_c_port_{port}.json", cfg_c, res_c))
-
-    for name, cfg, res in jobs:
-        row = run_scenario(scenario_from_dict(cfg))
-        print(f"{name}: v+={row.v_sq_plus:.4f} v-={row.v_sq_minus:.4f} "
-              f"sum={row.sum_value:.4f} cost={res.cost:.2e}")
+    for name, row in MEASUREMENTS.items():
+        cfg, res = fit(row)
+        out = _run(cfg)
+        print(f"{name}: v+={out.v_sq_plus:.4f} v-={out.v_sq_minus:.4f} "
+              f"sum={out.sum_value:.4f} cost={res.cost:.2e}")
         cfg = {k: (round(v, 10) if isinstance(v, float) else v)
                for k, v in sorted(cfg.items())}
         with open(OUT_DIR / name, "w", encoding="utf-8") as fh:

@@ -72,13 +72,19 @@ def sweep(args):
 def table1(args):
     """Reproduce the method-comparison table from the fitted fixtures."""
     from .harness import compare_methods, run_fixture_table
-    # Escape what stdout cannot encode, as json.dumps does in simulate and
+    # Escape what would break a row (a newline, a tab, a terminal control)
+    # and what stdout cannot encode, as json.dumps does in simulate and
     # validate; only a label can hold such text, and it is escaped before
     # the table pads it.
     encoding = sys.stdout.encoding or "utf-8"
-    print(compare_methods([
-        replace(row, label=row.label.encode(encoding, "backslashreplace").decode(encoding))
-        for row in run_fixture_table(args.fixtures)]))
+
+    def escape(label):
+        label = "".join(c if c.isprintable() else c.encode("unicode_escape").decode()
+                        for c in label)
+        return label.encode(encoding, "backslashreplace").decode(encoding)
+
+    print(compare_methods([replace(row, label=escape(row.label))
+                           for row in run_fixture_table(args.fixtures)]))
 
 
 def validate(args):

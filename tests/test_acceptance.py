@@ -5,7 +5,9 @@ line so the whole gate can be read off a verbose run at a glance.
 """
 
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,9 @@ from brightbeam import (
 )
 from brightbeam.harness import run_fixture_table, run_scenario
 from brightbeam.scenario import scenario_from_dict
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from fit_fixtures import MEASUREMENTS  # noqa: E402
 
 
 def _report(num, name, ok):
@@ -109,23 +114,19 @@ def test_4_monte_carlo_oracle():
 
 
 def test_5_reference_table_reproduction():
-    rows = run_fixture_table()
-    by_label = {r.label: r for r in rows}
-    a = next(r for r in rows if r.method == "A")
-    b = next(r for r in rows if r.method == "B")
-    c = [r for r in rows if r.method == "C"]
-    c_sums = sorted(r.sum_value for r in c)
-    ok = (abs(a.sum_value - 1.29) < 0.05
-          and abs(b.sum_value - 1.09) < 0.05
-          and abs(c_sums[0] - 1.05) < 0.05
-          and abs(c_sums[1] - 1.10) < 0.05)
-    # raw sub-shot-noise levels of the two interference methods
-    b_levels = sorted((b.raw["sum_channel"]["rel_db"],
-                       b.raw["diff_channel"]["rel_db"]))
-    ok = ok and abs(b_levels[0] - (-3.3)) < 0.3 and abs(b_levels[1] - (-2.1)) < 0.3
-    c_levels = sorted(10 * math.log10(r.sum_value / 2) for r in c)
-    ok = ok and abs(c_levels[0] - (-2.8)) < 0.3 and abs(c_levels[1] - (-2.6)) < 0.3
-    ok = ok and len(by_label) == 4
+    # Each fixture's witness sum against its measured V+ + V- (twice a single
+    # port's variance), and the raw sub-shot-noise levels of the two
+    # interference methods against the measured variances in dB.
+    rows = {r.label: r for r in run_fixture_table()}
+    ok = len(rows) == 4 and rows.keys() == {m["label"] for m in MEASUREMENTS.values()}
+    for measured in MEASUREMENTS.values():
+        row, variances = rows.get(measured["label"]), measured["variances"]
+        ok = ok and abs(row.sum_value - 2 * sum(variances) / len(variances)) < 0.05
+        if ok and measured["method"] != "A":
+            levels = (sorted((row.raw["sum_channel"]["rel_db"], row.raw["diff_channel"]["rel_db"]))
+                      if measured["method"] == "B" else [10 * math.log10(row.sum_value / 2)])
+            ok = all(abs(level - 10 * math.log10(v)) < 0.3
+                     for level, v in zip(levels, sorted(variances), strict=True))
     _report(5, "fitted reference-table reproduction", ok)
 
 

@@ -126,6 +126,23 @@ def test_table1_escapes_what_stdout_cannot_encode(tmp_path, encoding, label):
     assert {len(line) for line in lines if not line.startswith("note:")} == {len(header)}
 
 
+def test_table1_keeps_each_row_on_one_line(tmp_path, capsys):
+    # A newline or a tab in a label is valid JSON, and used to split its row;
+    # each character that is not printable is written as its backslash escape.
+    for path in fixtures_dir().glob("*.json"):
+        (tmp_path / path.name).write_text(path.read_text())
+    fixture = tmp_path / "method_a.json"
+    label, escaped = "A\nphase\tmeasuring\x1b[2J", r"A\nphase\tmeasuring\x1b[2J"
+    fixture.write_text(json.dumps({**json.loads(fixture.read_text()), "label": label}))
+    main(["table1", "--fixtures", str(tmp_path)])
+    table = compare_methods([replace(row, label=row.label.replace(label, escaped))
+                             for row in run_fixture_table(tmp_path)])
+    assert capsys.readouterr().out == table + "\n"
+    header, _, *lines = table.splitlines()
+    assert len(lines) == len(compare_methods(run_fixture_table()).splitlines()) - 2
+    assert {len(line) for line in lines if not line.startswith("note:")} == {len(header)}
+
+
 FIXTURE_B = str(fixtures_dir() / "method_b.json")
 SWEEP_B = ["sweep", "--scenario", FIXTURE_B, "--param", "theta"]
 RANGE = ["--from", "1", "--to", "2", "--steps", "3"]

@@ -1,6 +1,8 @@
 import json
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,6 +20,9 @@ from brightbeam.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from fit_fixtures import ANTISQUEEZE_DB, EXCESS_DB, MEASUREMENTS  # noqa: E402
 
 
 def test_defaults():
@@ -191,6 +196,19 @@ def test_bundled_fixture_files_load():
         with open(p, encoding="utf-8") as fh:
             raw = json.load(fh)
         assert raw["method"] == s.method
+
+
+def test_bundled_fixtures_carry_their_measurements():
+    # The fields a fixture was not fitted in are the measured run's own.
+    assert sorted(p.name for p in fixtures_dir().glob("*.json")) == sorted(MEASUREMENTS)
+    for name, measured in MEASUREMENTS.items():
+        flat = json.loads((fixtures_dir() / name).read_text(encoding="utf-8"))
+        expected = {key: measured[key] for key in ("method", "port", "frequency_mhz", "label")}
+        for side, squeezing_db in zip("ab", measured["inputs"], strict=True):
+            expected.update({f"input_{side}.squeezing_db": squeezing_db,
+                             f"input_{side}.antisqueezing_db": ANTISQUEEZE_DB,
+                             f"input_{side}.excess_phase_db": EXCESS_DB})
+        assert {key: flat.get(key) for key in expected} == expected, name
 
 
 @pytest.mark.parametrize("value", [1, -1, 1.5, 2.0, True, "100"])
