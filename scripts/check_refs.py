@@ -6,11 +6,12 @@ The one replay: tier-1 runs each of its check_* groups (tests/test_golden.py).
 Checks the bytes of ``table1``, of each ``simulate`` JSON and of the CLI
 sweep, each scenario's analytic witness sum to 1e-9 and the SHA-256 of every
 reference sweep (10 to 1000 steps), all against perfbench/refs.json, which
-the benchmark uses, and the SHA-256 of the Monte-Carlo sweeps pinned here.
-Each mismatch is printed with the rows or values that moved; a sweep is
-known only by its digest, so a moved sweep is printed as its reference
-entry.  The references are read, never written.  Exit status: 0 when
-everything matches, 1 otherwise.
+the benchmark uses, and the SHA-256 of the Monte-Carlo sweeps and of the
+``validate`` reports pinned here.  Each mismatch is printed with the rows
+or values that moved; a sweep or a report is known only by its digest, so
+a moved one is printed as its reference entry or digest.  The references
+are read, never written.  Exit status: 0 when everything matches, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -40,6 +41,16 @@ MC_SWEEP_DIGESTS = {
     "method_a_opt": "296a7c3b39bd1f0d33d3fbbaed655be4fb10b71ebcc211dd161bf2e5080ff7f1",
     "method_b": "4665b77597d1346bbfb35ab9c75db49d711c5f68f5fb000d3700567fe7bbfc6e",
     "method_c_port_c": "79ff3d96a6a2af780f5511104b9af15ed14b48ec697e7d5b7ec195ae3bf37340",
+}
+# SHA-256 of the ``validate`` stdout of each benchmark scenario at seed 0
+# and 1e5 samples.
+VALIDATE_ARGS = ["--seed", "0", "--mc-samples", "100000"]
+VALIDATE_DIGESTS = {
+    "method_a": "7c2488f70444f569d6fba6686f1e37dd9721fce7c61949626a4aeace15f21e15",
+    "method_a_opt": "51e415cd11a2be561ce8a7664fc260f335599d21025bb9fb1caf91e93be52de6",
+    "method_b": "e0294c45568bbcadabcb01454495b0d63cf957c3aaf8c27ab2f069dc9993985b",
+    "method_c_port_c": "5e619867c9e038a12d0e74ecd4b5d4b94a1ce31472dd16bfe36875f1ce4c8309",
+    "method_c_port_d": "629d0e8d8b127af35e84468f67a05602f4a38795e55d0ea21e44b75a8cd73544",
 }
 REFS = workloads.load_refs()
 FLATS = workloads.scenario_dicts()
@@ -126,12 +137,25 @@ def check_mc_sweeps() -> list[str]:
     return [line for name in sorted(MC_SWEEP_DIGESTS) for line in check_mc_sweep(name)]
 
 
+def check_validate(name: str) -> list[str]:
+    with tempfile.TemporaryDirectory() as workdir:
+        path = workloads.write_scenarios(Path(workdir))[name]
+        got = workloads.digest(cli_stdout(["validate", "--scenario", str(path), *VALIDATE_ARGS]))
+    ref = VALIDATE_DIGESTS[name]
+    return [] if got == ref else [f"validate digest {name}: reference {ref}, now {got}"]
+
+
+def check_validates() -> list[str]:
+    return [line for name in sorted(VALIDATE_DIGESTS) for line in check_validate(name)]
+
+
 def main() -> int:
     groups = [
         (f"CLI outputs (table1, {len(REFS['cli']['simulate'])} simulate, sweep)", check_cli()),
         (f"{len(REFS['analytic_sum'])} analytic sums to {SUM_TOL:g}", check_sums()),
         (f"{len(REFS['sweeps'])} sweep digests", check_sweeps()),
         (f"{len(MC_SWEEP_DIGESTS)} MC sweep digests", check_mc_sweeps()),
+        (f"{len(VALIDATE_DIGESTS)} validate digests", check_validates()),
     ]
     for title, problems in groups:
         print(f"{title}: {'ok' if not problems else f'{len(problems)} mismatch(es)'}")

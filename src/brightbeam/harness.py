@@ -23,7 +23,7 @@ from .entangle import SUM_BOUND, generate_entangled, theta_adapted_bound
 from .errors import BrightBeamError, DomainError, ScenarioError
 from .scenario import (_SWEPT_FIELDS, BUDGET_FIELDS, INPUT_FIELDS, SWEEP_PARAMS, Scenario,
                        check_grid, load_scenario, with_fields)
-from .states import BrightGaussianState, DetectionResult, sample_fluctuations
+from .states import BrightGaussianState, DetectionResult, sample_covariance
 
 CSV_HEADER = "method,param,value,v_sq_plus,v_sq_minus,sum,bound,witnessed,mc_sum,mc_stderr"
 
@@ -97,31 +97,14 @@ def _eval_c(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
 _EVALUATORS = {"A": _eval_a, "B": _eval_b, "C": _eval_c}
 
 
-def _row(x, k: int) -> int:
-    """Index of point k's element in a stack that holds one per point or one for all."""
-    return min(k, len(x) - 1)
-
-
 def _at(x, k: int):
     """Element k of a stack, or its only element where it holds one for all points."""
-    return x[_row(x, k)]
+    return x[min(k, len(x) - 1)]
 
 
 def _per_point(x, n: int) -> list:
     """x at each of n points, from a number, a stack of one or a stack of n."""
     return [x] * n if np.ndim(x) == 0 else x.tolist() * (n // len(x))
-
-
-def _variance(p: np.ndarray) -> float:
-    """``np.var(p, ddof=1)`` of a 1-D float64 array, bit for bit, computed
-    in place: numpy's own steps (sum, divide by n, subtract, square, sum,
-    divide by n - 1) without its count-sized temporary.  Overwrites p."""
-    n = p.size
-    mean = np.add.reduce(p, axis=None, keepdims=True)
-    np.true_divide(mean, n, out=mean)
-    np.subtract(p, mean, out=p)
-    np.square(p, out=p)
-    return float(np.add.reduce(p, axis=None) / (n - 1))
 
 
 def _usable_cpus() -> int:
@@ -133,92 +116,64 @@ def _usable_cpus() -> int:
 
 
 def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: int,
-                seed: int) -> tuple[list, list]:
+                seed: int, kept: dict | None = None) -> tuple[list, list]:
     """Empirical witness sum of each of n stack elements from the sampling
     oracle, with its standard error.
 
     Channels read off the same state share one draw; each new state gets
     the next seed.  A state is drawn once per element of its stack, or
-    once in all where it holds one element for every point.
-
-    A draw is read once at each distinct weight vector of its members; a
-    member whose weights hold one element for all points has one.  Each
-    vector's variance is added to every point it serves, in the order of
-    a point-by-point pass.  A draw read at no more vectors than it has
-    sample columns keeps only their projections; otherwise (a method-A
-    gain sweep) it keeps its samples, projected one vector at a time.
+    once in all where it holds one element for every point.  A draw is its
+    ``sample_covariance``, one 2n x 2n matrix whatever the count, and each
+    channel at each point reads its sample variance off it.  ``kept``, if
+    given, holds the draws of states that serve every point (the states a
+    swept parameter does not reach), keyed by seed and covariance, so that
+    the stacks of one grid draw such a state once.
 
     The draws are independent, each with its own seeded generator, so they
     run on up to one lane per usable CPU (numpy's generator and BLAS
     release the GIL): the calling thread and one thread more per further
     lane, each taking the next draw of the plan above until none is left
-    or one has failed.  Their variances are added here in plan order, so
-    every sum is the same, bit for bit, on any number of CPUs.  Each lane
-    reuses one buffer set, allocated here before any lane starts: a count
-    array per projection of the plan's largest projected draw, and a
-    samples array only where a draw keeps its samples.  The first failing
-    draw in plan order raises, after every lane has stopped.
-
-    Measured on mixed 1e6-sample runs of the five benchmark scenarios
-    (Linux, glibc malloc): buffers made on the lane threads, in their own
-    malloc arenas, which keep what they free, raised the peak RSS by about
-    15 MB.  Each projection is its own array of count, so that nearly
-    every large buffer has that one size and reuses the memory a freed one
-    leaves; one (m, count) array per draw raised the peak by 4-7 MB on
-    some scenario orders.
+    or one has failed.  Their variances are read here in plan order, so
+    every sum is the same, bit for bit, on any number of CPUs.  The first
+    failing draw in plan order raises, after every lane has stopped.
     """
     groups: list[tuple[BrightGaussianState, list]] = []
     for result, mult in channels:
         if not groups or result.state is not groups[-1][0]:
             groups.append((result.state, []))
         groups[-1][1].append((result, mult))
-    # Per draw: its state element, seed, points and members, and each
-    # distinct weight vector, keyed (member, row), in first-read order.
+    # Per draw: its state element, seed, points, members and, where it
+    # serves several points, its key in kept.
     plan = []
     for j, (state, members) in enumerate(groups):
         stack = len(state.amplitudes)
         for i in range(stack):
             points = range(n) if stack == 1 else (i,)
-            vectors = {(m, _row(result.weights, k)): _at(result.weights, k)
-                       for k in points for m, (result, _) in enumerate(members)}
-            plan.append((state[i], seed + j, points, members, vectors))
-    # The sample columns of each draw that keeps its samples, else 0.
-    sampled = [2 * element.n_modes if len(vectors) > 2 * element.n_modes else 0
-               for element, _, _, _, vectors in plan]
-    projected = max(1 if dim else len(vectors) for dim, (*_, vectors) in zip(sampled, plan))
-    variances: list = [None] * len(plan)
+            key = (seed + j, state.cov[i].tobytes()) if len(points) > 1 else None
+            plan.append((state[i], seed + j, points, members, key))
+    kept = {} if kept is None else kept
+    drawn = [kept.get(key) for *_, key in plan]
     failures: dict = {}
-    order = iter(range(len(plan)))  # its next() is one step under the GIL
+    # Its next() is one step under the GIL.
+    order = iter([index for index, draw in enumerate(drawn) if draw is None])
 
-    def lane(projections: list, samples: np.ndarray | None) -> None:
+    def lane() -> None:
         for index in order:
             if failures:
                 return
-            element, draw_seed, _, _, vectors = plan[index]
-            dim = sampled[index]
+            element, draw_seed, *_ = plan[index]
             try:
-                if dim:
-                    drawn = sample_fluctuations(element, count, draw_seed,
-                                                out=samples[:count * dim].reshape(count, dim))
-                    variances[index] = [_variance(np.matmul(drawn, w, out=projections[0]))
-                                        for w in vectors.values()]
-                else:
-                    drawn = sample_fluctuations(element, count, draw_seed,
-                                                weights=np.array(list(vectors.values())),
-                                                out=projections[:len(vectors)])
-                    variances[index] = [_variance(p) for p in drawn]
+                drawn[index] = sample_covariance(element, count, draw_seed)
             except BaseException as exc:
                 failures[index] = exc
                 return
 
     try:
-        buffers = [([np.empty(count) for _ in range(projected)],
-                    np.empty(count * max(sampled)) if max(sampled) else None)
-                   for _ in range(min(len(plan), _usable_cpus()))]
-        lanes = [threading.Thread(target=lane, args=b) for b in buffers[1:]]
+        lanes = [threading.Thread(target=lane)
+                 for _ in range(1, min(drawn.count(None), _usable_cpus()))]
         for thread in lanes:
             thread.start()
-        lane(*buffers[0])
+        lane()
         for thread in lanes:
             thread.join()
         if failures:
@@ -226,14 +181,16 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
     except DomainError:
         raise
     except (ValueError, MemoryError) as exc:
-        # numpy refuses a count it cannot size or allocate.
+        # A count numpy or the sampler cannot handle.
         raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
     sums, err_sq = [0.0] * n, [0.0] * n
-    for (_, _, points, members, vectors), drawn in zip(plan, variances):
-        variance = dict(zip(vectors, drawn))
+    for (*_, points, members, key), (root, cov) in zip(plan, drawn):
+        if key is not None:
+            kept[key] = root, cov
         for k in points:
-            for m, (result, mult) in enumerate(members):
-                v = variance[m, _row(result.weights, k)] / float(_at(result.shot_noise, k))
+            for result, mult in members:
+                u = root @ _at(result.weights, k)
+                v = float(u @ cov @ u) / float(_at(result.shot_noise, k))
                 sums[k] += mult * v
                 err_sq[k] += (mult * v) ** 2 * 2.0 / (count - 1)
     return sums, [math.sqrt(e) for e in err_sq]
@@ -256,12 +213,13 @@ class _Stack:
     mc_stderr: list | None
 
 
-def _evaluate(s: Scenario, columns: dict | None = None) -> _Stack:
+def _evaluate(s: Scenario, columns: dict | None = None, kept: dict | None = None) -> _Stack:
     """Evaluate a scenario as one stack.
 
     ``columns`` maps dotted field paths (``"theta"``, ``"input_a.squeezing_db"``)
     to float64 arrays of one length that replace the scenario's values;
-    without columns the stack holds the scenario alone.
+    without columns the stack holds the scenario alone.  ``kept`` keeps
+    Monte-Carlo draws across the stacks of one grid (see ``_mc_columns``).
     """
     columns = columns or {}
     n = len(next(iter(columns.values()))) if columns else 1
@@ -283,7 +241,7 @@ def _evaluate(s: Scenario, columns: dict | None = None) -> _Stack:
     sums = [p + m for p, m in zip(v_plus, v_minus)]
     mc_sum = mc_stderr = None
     if s.mc_samples > 0:
-        mc_sum, mc_stderr = _mc_columns(channels, n, s.mc_samples, s.seed)
+        mc_sum, mc_stderr = _mc_columns(channels, n, s.mc_samples, s.seed, kept)
     return _Stack(v_plus, v_minus, sums, bound, [t < b for t, b in zip(sums, bound)], gain,
                   raw, mc_sum, mc_stderr)
 
@@ -343,7 +301,8 @@ def _grid(s: Scenario, param: str, start: float, stop: float, steps: int,
     scenario at the smallest.  A stack fails at its first failing stage, not
     its first failing point, so a stack that raises is halved and tried
     again; a stack of one that raises has every earlier point run, so its
-    error is the first failing point's.
+    error is the first failing point's.  A state that serves every point of
+    its stack (every state of a ``gain`` sweep) is drawn once for the grid.
     """
     check_grid(param, start, stop, steps)
     try:
@@ -351,14 +310,14 @@ def _grid(s: Scenario, param: str, start: float, stop: float, steps: int,
     except (ValueError, MemoryError) as exc:
         # numpy refuses a count it cannot size or allocate.
         raise ScenarioError(f"cannot sweep {param} in steps = {steps}: {exc}") from exc
-    done, lo, size = [], 0, _CHUNK
+    done, lo, size, kept = [], 0, _CHUNK, {}
     while lo < steps:
         stack = grid[lo:lo + size]
         try:
             base = with_param(s, param, float(stack.min()))
             with_param(s, param, float(stack.max()))
             done += finish(base, stack.tolist(),
-                           _evaluate(base, dict.fromkeys(_SWEPT_FIELDS[param], stack)))
+                           _evaluate(base, dict.fromkeys(_SWEPT_FIELDS[param], stack), kept))
         except BrightBeamError:
             if len(stack) == 1:
                 raise

@@ -29,6 +29,11 @@ for rounding to matter (see ``mapped_unchecked_scale``).
 A state is its carriers and covariance only: ``squeezed_inputs`` sets
 the classical phase noise that inputs of one correlated_group share
 where it joins their specs.
+
+The sampling oracle maps seeded standard normals through a root of the
+covariance: ``sample_fluctuations`` returns the samples, and
+``sample_covariance`` only the root and the normals' sample covariance,
+in memory that does not grow with the count.
 """
 
 from __future__ import annotations
@@ -501,68 +506,90 @@ def _apply_losses(state: BrightGaussianState, losses) -> BrightGaussianState:
     return BrightGaussianState._mapped(amps, cov)
 
 
-# Rows of standard normals drawn and mapped at a time by sample_fluctuations
-# (see there for the size).
+# Rows of standard normals drawn at a time by sample_fluctuations and
+# sample_covariance (see _normal_chunks for the size).
 _CHUNK_ROWS = 16384
 
 
-def sample_fluctuations(state: BrightGaussianState, count: int, seed: int,
-                        weights=None, out=None) -> np.ndarray | list:
-    """Draw zero-mean Gaussian fluctuation samples (count x 2n) of one state,
-    or with ``weights`` (m x 2n) only their projections (m x count), row q
-    being ``samples @ weights[q]``.  ``out``, if given, is filled and
-    returned instead of a new array: a float64 array of the result's shape
-    or, with weights, a list of m float64 arrays of count, one per
-    projection.
-
-    Deterministic for a fixed (state, count, seed).  This is the sampling
-    oracle backing every analytic covariance claim in the test suite; for
-    a stack, sample ``state[k]``.
-
-    The draw is streamed: each chunk of at most ``_CHUNK_ROWS`` rows of
-    standard normals goes into one reused buffer from the one seeded
-    generator, whose stream is sequential, and is mapped and projected
-    before the next.  So the samples and projections equal those of one
-    whole draw bit for bit, and with weights no count x 2n array exists.
-    A chunk never has one row unless the draw does: numpy multiplies a
-    single row on its vector path, which can round differently.
-
-    Chunks are 16 384 rows so that a two-mode chunk's (rows x 4) @ (4 x 4)
-    product stays at OpenBLAS's single-thread cutoff (M*N*K <= 2**18).
-    ``harness._mc_columns`` runs independent draws side by side on lanes
-    (threads), each reusing its ``out`` from draw to draw; at 65 536 rows
-    and two BLAS threads, each chunk's product started a BLAS thread that
-    competed with the other draw, and two draws side by side took longer
-    than one after the other.
-    """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+def _sampling_root(state: BrightGaussianState) -> np.ndarray:
+    """The root A of a state's covariance that its samples ``z @ A`` are
+    drawn through, z being rows of standard normals: A^T A = cov."""
     w, v = np.linalg.eigh(state.cov)
     if w.min() < -PSD_TOL:
         # A state is bona fide when it is made, so this is rounding alone.
         raise DomainError(_LOST_TO_ROUNDING)
-    sqrt_cov_t = (v * np.sqrt(np.clip(w, 0.0, None))).T
-    dim = 2 * state.n_modes
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-    # The result is allocated before the chunk buffers: at 1e6 samples the
-    # other order peaked 2 MB higher in RSS (Linux, glibc malloc).
-    if out is None:
-        out = np.empty((count, dim) if weights is None else (len(weights), count))
+    return (v * np.sqrt(np.clip(w, 0.0, None))).T
+
+
+def _normal_chunks(count: int, seed: int, dim: int):
+    """Yield (lo, hi, z): rows lo to hi of a count x dim draw of standard
+    normals from one seeded generator, as one reused buffer.
+
+    The generator's stream is sequential, so the chunks are the rows of one
+    whole draw, bit for bit.  A chunk never has one row unless the draw
+    does: numpy multiplies a single row on its vector path, which can round
+    differently.  Chunks are 16 384 rows so that a two-mode chunk's 4 x 4
+    products stay at OpenBLAS's single-thread cutoff (M*N*K <= 2**18):
+    ``harness._mc_columns`` runs independent draws side by side on lanes
+    (threads), and at 65 536 rows and two BLAS threads each chunk's product
+    started a BLAS thread that competed with the other draw.
+    """
     z = np.empty((min(count, _CHUNK_ROWS + 1), dim))
-    mapped = None if weights is None else np.empty_like(z)
     rng = np.random.default_rng(seed)
     lo = 0
     while lo < count:
         # A remainder of one row joins the last full chunk.
         hi = count if count - lo <= _CHUNK_ROWS + 1 else lo + _CHUNK_ROWS
-        rows = hi - lo
-        rng.standard_normal(out=z[:rows])
-        if weights is None:
-            np.matmul(z[:rows], sqrt_cov_t, out=out[lo:hi])
-        else:
-            np.matmul(z[:rows], sqrt_cov_t, out=mapped[:rows])
-            for q, vector in enumerate(weights):
-                np.matmul(mapped[:rows], vector, out=out[q][lo:hi])
+        rng.standard_normal(out=z[:hi - lo])
+        yield lo, hi, z[:hi - lo]
         lo = hi
+
+
+def sample_fluctuations(state: BrightGaussianState, count: int, seed: int) -> np.ndarray:
+    """Draw zero-mean Gaussian fluctuation samples (count x 2n) of one state.
+
+    Deterministic for a fixed (state, count, seed): the samples are
+    ``z @ A``, z a count x 2n draw of standard normals from
+    ``np.random.default_rng(seed)`` and A the state's sampling root.  This
+    is the sampling oracle backing every analytic covariance claim in the
+    test suite; for a stack, sample ``state[k]``.
+    """
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
+    root = _sampling_root(state)
+    out = np.empty((count, len(root)))
+    for lo, hi, z in _normal_chunks(count, seed, len(root)):
+        np.matmul(z, root, out=out[lo:hi])
     return out
+
+
+def sample_covariance(state: BrightGaussianState, count: int,
+                      seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draw of ``sample_fluctuations(state, count, seed)`` as (A, S_z):
+    its root A, the samples being ``z @ A``, and S_z, the unbiased (ddof=1)
+    sample covariance of its standard normals z.
+
+    A photocurrent with weights w reads ``u @ S_z @ u`` with ``u = A @ w``:
+    the sample variance of the projected samples ``z @ A @ w``.  The 2n x 2n
+    matrix A^T S_z A would be the same in exact arithmetic, but where the
+    entries of A span many orders (shared excess phase noise of 150 dB) its
+    rounding loses the small channel variances.  The draw is summed chunk by
+    chunk into sum(z) and z^T z, so memory does not grow with count.
+    Counts above 2**53 raise ValueError, as numpy does for an array it
+    cannot size: beyond it neither count nor count - 1 is exact as a float.
+    """
+    if count < 2:
+        raise DomainError(f"count must be >= 2, got {count}")
+    if count > 2 ** 53:
+        raise ValueError(f"count must be at most 2**53, got {count}")
+    root = _sampling_root(state)
+    dim = len(root)
+    # A product with ones sums a chunk's columns an order of magnitude
+    # faster than z.sum(axis=0).
+    ones = np.ones(min(count, _CHUNK_ROWS + 1))
+    total, gram = np.zeros(dim), np.zeros((dim, dim))
+    for _, _, z in _normal_chunks(count, seed, dim):
+        total += ones[:len(z)] @ z
+        gram += z.T @ z
+    mean = total / count
+    return root, (gram - count * np.outer(mean, mean)) / (count - 1)

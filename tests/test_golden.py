@@ -42,3 +42,8 @@ def test_sweep_digests():
 @pytest.mark.parametrize("name", sorted(check_refs.MC_SWEEP_DIGESTS))
 def test_monte_carlo_sweep_digests(name):
     assert_replays(check_refs.check_mc_sweep(name))
+
+
+@pytest.mark.parametrize("name", sorted(check_refs.VALIDATE_DIGESTS))
+def test_validate_digests(name):
+    assert_replays(check_refs.check_validate(name))

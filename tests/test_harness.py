@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import threading
@@ -327,13 +328,13 @@ class TestMonteCarloDrawPlan:
     @pytest.mark.parametrize("method, seeds", [("A", [11, 12]), ("B", [11]), ("C", [11])])
     def test_draws_per_method(self, monkeypatch, method, seeds):
         calls = []
-        real = harness.sample_fluctuations
+        real = harness.sample_covariance
 
-        def recording(state, count, seed, weights=None, out=None):
+        def recording(state, count, seed):
             calls.append((count, seed))
-            return real(state, count, seed, weights, out=out)
+            return real(state, count, seed)
 
-        monkeypatch.setattr(harness, "sample_fluctuations", recording)
+        monkeypatch.setattr(harness, "sample_covariance", recording)
         run_scenario(make(method, mc_samples=1000, seed=11, **BUDGETS))
         # Worker threads may enter the sampler in either order; which seed
         # feeds which channel, test_parallel_draws_are_the_sequential_draws pins.
@@ -419,13 +420,13 @@ class TestGridEqualsPoint:
     def test_gain_sweep_draws_once_per_measured_state(self, monkeypatch, method, seeds):
         # The gain weighs the photocurrents but leaves every state alone.
         calls = []
-        real = harness.sample_fluctuations
+        real = harness.sample_covariance
 
-        def recording(state, count, seed, weights=None, out=None):
+        def recording(state, count, seed):
             calls.append(seed)
-            return real(state, count, seed, weights, out=out)
+            return real(state, count, seed)
 
-        monkeypatch.setattr(harness, "sample_fluctuations", recording)
+        monkeypatch.setattr(harness, "sample_covariance", recording)
         s = make(method, mc_samples=1000, seed=3, **BUDGETS)
         rows = sweep(s, "gain", 0.5, 2.0, 10)
         assert sorted(calls) == seeds  # threads may enter the sampler in either order
@@ -433,83 +434,66 @@ class TestGridEqualsPoint:
             assert row == run_scenario(with_param(s, "gain", value))
 
 
-def test_each_lane_reuses_one_buffer_set(monkeypatch):
-    # Method A draws two states; along a theta sweep each is drawn per point.
-    # Each of W = 2 lanes hands the sampler one buffer set, draw after draw,
-    # so no call keeps more than W sets, though 8 draws run in the sweep.
-    width = 2
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: width)
-    handed, calls = [], []
-    real_columns, real_sampler = harness._mc_columns, harness.sample_fluctuations
-
-    def sampler(state, count, seed, weights=None, out=None):
-        handed.append(list(out))  # held, so no id is reused within a call
-        return real_sampler(state, count, seed, weights, out=out)
-
-    def columns(*args):
-        result = real_columns(*args)
-        calls.append((len(handed), len({tuple(map(id, out)) for out in handed})))
-        handed.clear()
-        return result
-
-    monkeypatch.setattr(harness, "sample_fluctuations", sampler)
-    monkeypatch.setattr(harness, "_mc_columns", columns)
-    s = make("A", mc_samples=1000, seed=3, **BUDGETS)
-    run_scenario(s)
-    sweep_csv(s, "theta", 0.5, 2.5, 4)
-    assert [draws for draws, _ in calls] == [2, 2 * 4]
-    assert max(sets for _, sets in calls) <= width
-
-
-@pytest.mark.parametrize("method, kept", [("B", [2]), ("C", [1]), ("A", [None, None])])
+@pytest.mark.parametrize("method, kept", [("B", [2]), ("C", [1]), ("A", [1, 1])])
 def test_gain_sweep_reads_each_shared_weight_vector_once(monkeypatch, method, kept):
-    # B and C weigh every point of a gain sweep alike, so their one draw is
-    # projected once per channel; method A's weights move with the gain, and
-    # its 50 vectors per draw outnumber the 4 sample columns it keeps instead.
-    calls = []
-    real = harness.sample_fluctuations
+    # A gain sweep draws each measured state once: B's one draw serves its
+    # two channels, C's its one port, and each of A's two draws one channel.
+    # Each channel reads that draw at each of the 50 points' weights, as the
+    # np.var oracle does.
+    calls, seen = [], []
+    real_sampler, real_columns = harness.sample_covariance, harness._mc_columns
 
-    def recording(state, count, seed, weights=None, out=None):
-        calls.append(None if weights is None else len(weights))
-        return real(state, count, seed, weights, out=out)
+    def recording(state, count, seed):
+        calls.append(seed)
+        return real_sampler(state, count, seed)
 
-    monkeypatch.setattr(harness, "sample_fluctuations", recording)
+    def columns(channels, n, count, seed, kept=None):
+        seen.append((channels, real_columns(channels, n, count, seed, kept)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(harness, "sample_covariance", recording)
+    monkeypatch.setattr(harness, "_mc_columns", columns)
     sweep_csv(make(method, mc_samples=1000, seed=3, **BUDGETS), "gain", 0.5, 2.0, 50)
-    assert calls == kept
+    [(channels, got)] = seen
+    assert len(calls) == len(kept)
+    assert [len(members) for _, members in _draws(channels)] == kept
+    _assert_oracle_columns(got, _sequential_monte_carlo(channels, 50, 1000, 3))
 
 
 def test_monte_carlo_peak_memory_is_below_one_sample_array():
-    # A draw keeps its channel projections, never a whole count x 4 array.
-    count = 2 ** 20
-    s = make("A", mc_samples=count, seed=3, **BUDGETS)
-    run_scenario(replace(s, mc_samples=2))
-    tracemalloc.start()
-    try:
-        run_scenario(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < count * 4 * 8
+    # A draw is summed chunk by chunk into one 4 x 4 sample covariance, so
+    # its peak stays far below the 32 MiB of one 2**20 x 4 sample array and
+    # does not grow with the count.
+    s = make("A", mc_samples=2, seed=3, **BUDGETS)
+    run_scenario(s)
+    peaks = []
+    for count in (2 ** 16, 2 ** 20):
+        tracemalloc.start()
+        try:
+            run_scenario(replace(s, mc_samples=count))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * 2 ** 20
+    assert peaks[1] - peaks[0] < 64 * 2 ** 10
 
 
-@settings(max_examples=40)
-@given(seed=hs.integers(0, 2 ** 32 - 1), length=hs.sampled_from([2, 1025, 65537, 2 ** 20 + 3]),
-       layout=hs.sampled_from(["whole", "row", "column"]))
-def test_in_place_variance_is_numpys(seed, length, layout):
-    # The in-place steps are np.var's own, so they round alike, also on a
-    # row or a strided column of a 2-D buffer.
-    rng = np.random.default_rng(seed)
-    x = rng.normal(rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-6.0, 6.0), length)
-    expected = float(np.var(x, ddof=1))
-    if layout == "whole":
-        p = x.copy()
-    elif layout == "row":
-        p = np.zeros((3, length))[1]
-        p[:] = x
-    else:
-        p = np.zeros((length, 3))[:, 1]
-        p[:] = x
-    assert harness._variance(p) == expected
+def test_gain_sweep_draws_once_across_its_stacks(monkeypatch):
+    # 10 000 steps run as 3 stacks of at most _CHUNK values; the one state
+    # of fixture B, which the gain does not reach, is drawn once for all.
+    calls = []
+    real = harness.sample_covariance
+
+    def recording(state, count, seed):
+        calls.append(seed)
+        return real(state, count, seed)
+
+    monkeypatch.setattr(harness, "sample_covariance", recording)
+    s = replace(load_scenario(fixtures_dir() / "method_b.json"), mc_samples=1000)
+    text = sweep_csv(s, "gain", 0.5, 2.0, 10_000)
+    assert len(calls) == 1
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "02fed2bad2f213787eab899af07f7859ee898099343e12868cd679ca6dd2d4c8")
 
 
 @pytest.mark.parametrize("late, expected, message", [
@@ -523,14 +507,14 @@ def test_first_failing_draw_in_plan_order_raises(monkeypatch, late, expected, me
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     early_failed = threading.Event()
 
-    def failing(state, count, seed, weights=None, out=None):
+    def failing(state, count, seed):
         if seed == 4:
             early_failed.set()
             raise MemoryError("seed 4 failed")
         assert early_failed.wait(timeout=60)
         raise late
 
-    monkeypatch.setattr(harness, "sample_fluctuations", failing)
+    monkeypatch.setattr(harness, "sample_covariance", failing)
     with pytest.raises(expected) as exc:
         run_scenario(make("A", mc_samples=1000, seed=3))
     assert str(exc.value) == message
@@ -542,10 +526,10 @@ def test_no_draw_starts_after_the_first_failure(monkeypatch):
     # and once that one is done, its lane takes no further draw.
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     started, lock = [], threading.Lock()
-    real = harness.sample_fluctuations
+    real = harness.sample_covariance
     both_running, failed = threading.Event(), threading.Event()
 
-    def failing(state, count, seed, weights=None, out=None):
+    def failing(state, count, seed):
         with lock:
             started.append(seed)
             first = len(started) == 1
@@ -555,9 +539,9 @@ def test_no_draw_starts_after_the_first_failure(monkeypatch):
             raise ValueError("draw failed")
         both_running.set()
         assert failed.wait(timeout=60)
-        return real(state, count, seed, weights, out=out)
+        return real(state, count, seed)
 
-    monkeypatch.setattr(harness, "sample_fluctuations", failing)
+    monkeypatch.setattr(harness, "sample_covariance", failing)
     with pytest.raises(ScenarioError, match="cannot draw mc_samples = 500: draw failed"):
         harness._evaluate(make("A", mc_samples=500, seed=3), {"theta": np.linspace(0.5, 2.5, 6)})
     assert started == [3, 3]
@@ -589,14 +573,14 @@ def test_lanes_keep_plan_order_under_thread_switches(monkeypatch):
 @pytest.mark.parametrize("fails", [False, True])
 def test_no_lane_outlives_the_draws(monkeypatch, fails):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
-    real = harness.sample_fluctuations
+    real = harness.sample_covariance
 
-    def sampler(state, count, seed, weights=None, out=None):
+    def sampler(state, count, seed):
         if fails:
             raise DomainError("draw failed")
-        return real(state, count, seed, weights, out=out)
+        return real(state, count, seed)
 
-    monkeypatch.setattr(harness, "sample_fluctuations", sampler)
+    monkeypatch.setattr(harness, "sample_covariance", sampler)
     s, columns = make("A", mc_samples=500, seed=3), {"theta": np.linspace(0.5, 2.5, 4)}
     before = threading.active_count()
     with pytest.raises(DomainError, match="draw failed") if fails else nullcontext():
@@ -604,22 +588,41 @@ def test_no_lane_outlives_the_draws(monkeypatch, fails):
     assert threading.active_count() == before
 
 
+def _draws(channels):
+    """The channels grouped as the harness draws them: (state, members) for
+    each run of channels read off one state, the j-th drawn with seed + j."""
+    groups = []
+    for result, mult in channels:
+        if not groups or result.state is not groups[-1][0]:
+            groups.append((result.state, []))
+        groups[-1][1].append((result, mult))
+    return groups
+
+
 def _sequential_monte_carlo(channels, n, count, seed):
-    """mc_sum and mc_stderr of method A's channels (one state each, seeds
-    seed and seed + 1), drawn one after the other and read with np.var."""
+    """mc_sum and mc_stderr of the channels, each state drawn whole, one
+    after the other, and each channel's samples read with np.var."""
     def at(x, k):
         return x[k] if len(x) > 1 else x[0]
 
     sums, err_sq = [0.0] * n, [0.0] * n
-    for j, (result, mult) in enumerate(channels):
-        stack = len(result.state.amplitudes)
+    for j, (state, members) in enumerate(_draws(channels)):
+        stack = len(state.amplitudes)
         for k in range(n):
-            samples = sample_fluctuations(result.state[k if stack > 1 else 0], count, seed + j)
-            v = float(np.var(samples @ at(result.weights, k), ddof=1)) / float(
-                at(result.shot_noise, k))
-            sums[k] += mult * v
-            err_sq[k] += (mult * v) ** 2 * 2.0 / (count - 1)
+            samples = sample_fluctuations(state[k if stack > 1 else 0], count, seed + j)
+            for result, mult in members:
+                v = float(np.var(samples @ at(result.weights, k), ddof=1)) / float(
+                    at(result.shot_noise, k))
+                sums[k] += mult * v
+                err_sq[k] += (mult * v) ** 2 * 2.0 / (count - 1)
     return sums, [math.sqrt(e) for e in err_sq]
+
+
+def _assert_oracle_columns(columns, expected):
+    """MC columns that are the np.var oracle's, to 1e-12 and at "%.6g"."""
+    for got, want in zip(columns, expected):
+        assert got == pytest.approx(want, rel=1e-12)
+        assert ["%.6g" % x for x in got] == ["%.6g" % x for x in want]
 
 
 def test_parallel_draws_are_the_sequential_draws(monkeypatch):
@@ -627,8 +630,8 @@ def test_parallel_draws_are_the_sequential_draws(monkeypatch):
     seen = []
     real = harness._mc_columns
 
-    def recording(channels, n, count, seed):
-        columns = real(channels, n, count, seed)
+    def recording(channels, n, count, seed, kept=None):
+        columns = real(channels, n, count, seed, kept)
         seen.append((_sequential_monte_carlo(channels, n, count, seed), columns))
         return columns
 
@@ -637,16 +640,36 @@ def test_parallel_draws_are_the_sequential_draws(monkeypatch):
     for _ in range(5):
         row = run_scenario(s)
         expected_row, _ = seen[-1]
-        assert (row.mc_sum, row.mc_stderr) == (expected_row[0][0], expected_row[1][0])
-        # A gain sweep's 6 weight vectors per draw outnumber its 4 sample
-        # columns, so each draw keeps its samples in its lane's buffer.
+        _assert_oracle_columns([[row.mc_sum], [row.mc_stderr]], expected_row)
+        # A theta sweep draws each state per point, a gain sweep once.
         for param, start, stop, steps in (("theta", 0.5, 2.5, 4), ("gain", 0.5, 2.0, 6)):
             csv = sweep_csv(s, param, start, stop, steps)
             expected_sweep, columns = seen[-1]
-            assert columns == expected_sweep
+            _assert_oracle_columns(columns, expected_sweep)
             assert [line.split(",")[-2:] for line in csv.splitlines()[1:]] == [
                 ["%.6g" % m, "%.6g" % e] for m, e in zip(*expected_sweep)]
     assert len(seen) == 15
+
+
+def test_mc_reads_small_channels_under_huge_excess_noise(monkeypatch):
+    # 150 dB of shared excess phase noise: the sampling root spans about 15
+    # orders, and method A's channels cancel its largest part.  Each channel
+    # is projected through the root before it meets the sample covariance,
+    # so its variance is the oracle's, not lost to rounding.
+    seen = []
+    real = harness._mc_columns
+
+    def recording(channels, n, count, seed, kept=None):
+        seen.append(channels)
+        return real(channels, n, count, seed, kept)
+
+    monkeypatch.setattr(harness, "_mc_columns", recording)
+    s = scenario_from_dict({"method": "A", "mc_samples": 20_000, "seed": 3, **{
+        f"input_{arm}.{field}": value for arm in "ab"
+        for field, value in (("excess_phase_db", 150.0), ("correlated_group", 1))}})
+    row = run_scenario(s)
+    (mc_sum,), _ = _sequential_monte_carlo(seen[0], 1, 20_000, 3)
+    assert row.mc_sum == pytest.approx(mc_sum, rel=1e-9)
 
 
 @pytest.mark.parametrize("gain", [1.3, "optimize"])
@@ -829,10 +852,10 @@ def test_csv_of_stacks_of_one_is_the_grid_csv(monkeypatch, method):
     grid = sweep_csv(s, "theta", 0.4, 2.6, 6)
     real = harness._evaluate
 
-    def points_only(scenario, columns=None):
+    def points_only(scenario, columns=None, kept=None):
         if columns and len(next(iter(columns.values()))) > 1:
             raise DomainError("the grid fails as a stack")
-        return real(scenario, columns)
+        return real(scenario, columns, kept)
 
     monkeypatch.setattr(harness, "_evaluate", points_only)
     assert sweep_csv(s, "theta", 0.4, 2.6, 6) == grid
@@ -847,9 +870,9 @@ def test_failing_grid_evaluates_a_few_stacks(monkeypatch, start, stop):
     calls = []
     real = harness._evaluate
 
-    def counting(scenario, columns=None):
+    def counting(scenario, columns=None, kept=None):
         calls.append(1)
-        return real(scenario, columns)
+        return real(scenario, columns, kept)
 
     monkeypatch.setattr(harness, "_evaluate", counting)
     with pytest.raises(type(expected)) as exc:

@@ -29,6 +29,7 @@ from brightbeam.states import (
     dark_modes,
     mapped_unchecked_scale,
     rotation2,
+    sample_covariance,
 )
 
 
@@ -325,26 +326,38 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_fluctuations(make_coherent(1), 0, 0)
 
+    @pytest.mark.parametrize("count", [1, 2 ** 53 + 1, 10 ** 20])
+    def test_sample_covariance_counts(self, count):
+        # Two samples at least, for ddof=1; above 2**53, count - 1 is not
+        # exact and the draw is refused before it starts, as numpy refuses
+        # an array it cannot size.
+        expected = DomainError if count == 1 else ValueError
+        with pytest.raises(expected, match="count must be"):
+            sample_covariance(make_coherent(1), count, 0)
+
     @settings(max_examples=30)
     @given(state_seed=hs.integers(0, 2 ** 32 - 1), seed=hs.integers(0, 2 ** 32 - 1),
            vectors=hs.integers(1, 5),
            count=hs.sampled_from([2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
                                   2 * _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 17]))
     def test_chunked_draw_is_the_whole_draw(self, state_seed, seed, vectors, count):
-        # Streaming the draw in chunks changes no bit of the samples or of
-        # their projections, whatever the size of the last chunk.
+        # Streaming the draw in chunks changes no bit of the samples, whatever
+        # the size of the last chunk, and the chunked sample covariance reads
+        # each projection's np.var.
         rng = np.random.default_rng(state_seed)
         state = BrightGaussianState(*random_physical_pair(rng))
         weights = rng.normal(size=(vectors, 4))
         w, v = np.linalg.eigh(state.cov)
-        whole = (np.random.default_rng(seed).standard_normal((count, 4))
-                 @ (v * np.sqrt(np.clip(w, 0.0, None))).T)
+        root = (v * np.sqrt(np.clip(w, 0.0, None))).T
+        z = np.random.default_rng(seed).standard_normal((count, 4))
         samples = sample_fluctuations(state, count, seed)
-        assert np.array_equal(samples, whole)
-        projections = sample_fluctuations(state, count, seed, weights)
-        assert projections.shape == (vectors, count)
-        for q, vector in enumerate(weights):
-            assert np.array_equal(projections[q], samples @ vector)
+        assert np.array_equal(samples, z @ root)
+        drawn_root, s_z = sample_covariance(state, count, seed)
+        assert np.array_equal(drawn_root, root)
+        assert s_z == pytest.approx(np.cov(z.T), rel=1e-9, abs=1e-12)
+        for vector in weights:
+            u, p = root @ vector, samples @ vector
+            assert u @ s_z @ u == pytest.approx(np.var(p, ddof=1), rel=1e-9, abs=1e-12 * (p @ p))
 
 
 class TestOracleEquivalence:
