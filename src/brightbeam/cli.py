@@ -3,8 +3,8 @@
 Verbs: simulate, sweep, table1, validate.  Exit codes: 0 success,
 1 stdout closed early, 2 usage or validation error (including a reading
 that overflows), 3 degenerate configuration.  A verb imports the harness,
-and so numpy, after its scenario and a sweep's grid are checked: invalid
-input exits without it.
+and so numpy, after its scenario files and a sweep's grid are checked:
+invalid input exits without it.
 
 The process entry (the ``brightbeam`` console script, ``python -m
 brightbeam.cli``) calls ``main()`` without arguments.  It runs with the
@@ -25,7 +25,7 @@ import sys
 from dataclasses import replace
 
 from .errors import DegenerateModeError, DomainError, ScenarioError
-from .scenario import SWEEP_PARAMS, check_grid, load_scenario, with_fields
+from .scenario import SWEEP_PARAMS, check_grid, load_fixtures, load_scenario, with_fields
 
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
@@ -71,7 +71,8 @@ def sweep(args):
 
 def table1(args):
     """Reproduce the method-comparison table from the fitted fixtures."""
-    from .harness import compare_methods, run_fixture_table
+    scenarios = load_fixtures(args.fixtures)
+    from .harness import compare_methods, run_scenario
     # Escape what would break a row (a newline, a tab, a terminal control)
     # and what stdout cannot encode, as json.dumps does in simulate and
     # validate; only a label can hold such text, and it is escaped before
@@ -84,7 +85,7 @@ def table1(args):
         return label.encode(encoding, "backslashreplace").decode(encoding)
 
     print(compare_methods([replace(row, label=escape(row.label))
-                           for row in run_fixture_table(args.fixtures)]))
+                           for row in map(run_scenario, scenarios)]))
 
 
 def validate(args):

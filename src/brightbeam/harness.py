@@ -22,8 +22,8 @@ from .detection import (
 from .entangle import SUM_BOUND, generate_entangled, theta_adapted_bound
 from .errors import BrightBeamError, DomainError, ScenarioError
 from .scenario import (_SWEPT_FIELDS, BUDGET_FIELDS, INPUT_FIELDS, SWEEP_PARAMS, Scenario,
-                       check_grid, load_scenario, with_fields)
-from .states import BrightGaussianState, DetectionResult, sample_covariance
+                       check_grid, load_fixtures, with_fields)
+from .states import BrightGaussianState, DetectionResult, _sampling_root, normal_covariance
 
 CSV_HEADER = "method,param,value,v_sq_plus,v_sq_minus,sum,bound,witnessed,mc_sum,mc_stderr"
 
@@ -97,11 +97,6 @@ def _eval_c(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
 _EVALUATORS = {"A": _eval_a, "B": _eval_b, "C": _eval_c}
 
 
-def _at(x, k: int):
-    """Element k of a stack, or its only element where it holds one for all points."""
-    return x[min(k, len(x) - 1)]
-
-
 def _per_point(x, n: int) -> list:
     """x at each of n points, from a number, a stack of one or a stack of n."""
     return [x] * n if np.ndim(x) == 0 else x.tolist() * (n // len(x))
@@ -121,56 +116,47 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
     oracle, with its standard error.
 
     Channels read off the same state share one draw; each new state gets
-    the next seed.  A state is drawn once per element of its stack, or
-    once in all where it holds one element for every point.  A draw is its
-    ``sample_covariance``, one 2n x 2n matrix whatever the count, and each
-    channel at each point reads its sample variance off it.  ``kept``, if
-    given, holds the draws of states that serve every point (the states a
-    swept parameter does not reach), keyed by seed and covariance, so that
-    the stacks of one grid draw such a state once.
+    the next seed.  The normals of a draw do not depend on the state, so a
+    draw is their ``normal_covariance`` S_z, one 2n x 2n matrix whatever
+    the count, made once per measured state for every point.  Each channel
+    reads its sample variance ``u @ S_z @ u``, u = A w, at every point at
+    once, A being the root of that point's state (``_sampling_root``) and
+    w its weights.  ``kept``, if given, maps each seed to its S_z across
+    the stacks of one grid, whose count and seed are the scenario's.
 
     The draws are independent, each with its own seeded generator, so they
     run on up to one lane per usable CPU (numpy's generator and BLAS
     release the GIL): the calling thread and one thread more per further
-    lane, each taking the next draw of the plan above until none is left
-    or one has failed.  Their variances are read here in plan order, so
-    every sum is the same, bit for bit, on any number of CPUs.  The first
-    failing draw in plan order raises, after every lane has stopped.
+    lane, each taking the next seed until none is left or one has failed.
+    The first failing draw in seed order raises, after every lane has
+    stopped; a failing root raises after the draws.
     """
     groups: list[tuple[BrightGaussianState, list]] = []
     for result, mult in channels:
         if not groups or result.state is not groups[-1][0]:
             groups.append((result.state, []))
         groups[-1][1].append((result, mult))
-    # Per draw: its state element, seed, points, members and, where it
-    # serves several points, its key in kept.
-    plan = []
-    for j, (state, members) in enumerate(groups):
-        stack = len(state.amplitudes)
-        for i in range(stack):
-            points = range(n) if stack == 1 else (i,)
-            key = (seed + j, state.cov[i].tobytes()) if len(points) > 1 else None
-            plan.append((state[i], seed + j, points, members, key))
     kept = {} if kept is None else kept
-    drawn = [kept.get(key) for *_, key in plan]
+    seeds = [seed + j for j in range(len(groups))]
+    dim = groups[0][0].cov.shape[-1]
+    pending = [s for s in seeds if s not in kept]
     failures: dict = {}
     # Its next() is one step under the GIL.
-    order = iter([index for index, draw in enumerate(drawn) if draw is None])
+    order = iter(pending)
 
     def lane() -> None:
-        for index in order:
+        for draw_seed in order:
             if failures:
                 return
-            element, draw_seed, *_ = plan[index]
             try:
-                drawn[index] = sample_covariance(element, count, draw_seed)
+                kept[draw_seed] = normal_covariance(count, draw_seed, dim)
             except BaseException as exc:
-                failures[index] = exc
+                failures[draw_seed] = exc
                 return
 
     try:
         lanes = [threading.Thread(target=lane)
-                 for _ in range(1, min(drawn.count(None), _usable_cpus()))]
+                 for _ in range(1, min(len(pending), _usable_cpus()))]
         for thread in lanes:
             thread.start()
         lane()
@@ -178,22 +164,20 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
             thread.join()
         if failures:
             raise failures[min(failures)]
+        roots = [_sampling_root(state) for state, _ in groups]
     except DomainError:
         raise
     except (ValueError, MemoryError) as exc:
         # A count numpy or the sampler cannot handle.
         raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
-    sums, err_sq = [0.0] * n, [0.0] * n
-    for (*_, points, members, key), (root, cov) in zip(plan, drawn):
-        if key is not None:
-            kept[key] = root, cov
-        for k in points:
-            for result, mult in members:
-                u = root @ _at(result.weights, k)
-                v = float(u @ cov @ u) / float(_at(result.shot_noise, k))
-                sums[k] += mult * v
-                err_sq[k] += (mult * v) ** 2 * 2.0 / (count - 1)
-    return sums, [math.sqrt(e) for e in err_sq]
+    sums, err_sq = np.zeros(n), np.zeros(n)
+    for root, draw_seed, (_, members) in zip(roots, seeds, groups):
+        for result, mult in members:
+            u = (root @ result.weights[..., None])[..., 0]
+            v = (u[..., None, :] @ kept[draw_seed] @ u[..., None])[..., 0, 0] / result.shot_noise
+            sums += mult * v
+            err_sq += (mult * v) ** 2 * 2.0 / (count - 1)
+    return sums.tolist(), np.sqrt(err_sq).tolist()
 
 
 @dataclass(frozen=True)
@@ -219,7 +203,7 @@ def _evaluate(s: Scenario, columns: dict | None = None, kept: dict | None = None
     ``columns`` maps dotted field paths (``"theta"``, ``"input_a.squeezing_db"``)
     to float64 arrays of one length that replace the scenario's values;
     without columns the stack holds the scenario alone.  ``kept`` keeps
-    Monte-Carlo draws across the stacks of one grid (see ``_mc_columns``).
+    the Monte-Carlo draws of one grid across its stacks (see ``_mc_columns``).
     """
     columns = columns or {}
     n = len(next(iter(columns.values()))) if columns else 1
@@ -301,8 +285,9 @@ def _grid(s: Scenario, param: str, start: float, stop: float, steps: int,
     scenario at the smallest.  A stack fails at its first failing stage, not
     its first failing point, so a stack that raises is halved and tried
     again; a stack of one that raises has every earlier point run, so its
-    error is the first failing point's.  A state that serves every point of
-    its stack (every state of a ``gain`` sweep) is drawn once for the grid.
+    error is the first failing point's.  Each measured state is drawn once
+    for the grid, whatever the parameter reaches: the stacks share their
+    Monte-Carlo draws, and a halved stack draws nothing again.
     """
     check_grid(param, start, stop, steps)
     try:
@@ -376,20 +361,7 @@ def compare_methods(rows: list[ReportRow]) -> str:
     return "\n".join(lines)
 
 
-def fixtures_dir():
-    """Bundled fixture directory, as a pathlib.Path (loaded here, for table1 alone)."""
-    from importlib import resources
-    from pathlib import Path
-    return Path(resources.files("brightbeam") / "fixtures")
-
-
 def run_fixture_table(directory=None) -> list[ReportRow]:
     """Run every fixture scenario in the directory (by default the bundled
     one): the rows of the comparison table."""
-    from pathlib import Path
-    directory = Path(directory) if directory is not None else fixtures_dir()
-    paths = sorted(directory.glob("*.json"))
-    if len(paths) < 2:
-        raise ScenarioError(f"method comparison needs at least 2 fixture scenarios, "
-                            f"found {len(paths)} in {directory}")
-    return [run_scenario(load_scenario(p)) for p in paths]
+    return [run_scenario(s) for s in load_fixtures(directory)]

@@ -314,6 +314,25 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(flat)
 
 
+def fixtures_dir():
+    """Bundled fixture directory, as a pathlib.Path (loaded here, for table1 alone)."""
+    from importlib import resources
+    from pathlib import Path
+    return Path(resources.files("brightbeam") / "fixtures")
+
+
+def load_fixtures(directory=None) -> list[Scenario]:
+    """The scenario of every ``*.json`` file in the directory (by default the
+    bundled one), in name order: the rows of the comparison table."""
+    from pathlib import Path
+    directory = Path(directory) if directory is not None else fixtures_dir()
+    paths = sorted(directory.glob("*.json"))
+    if len(paths) < 2:
+        raise ScenarioError(f"method comparison needs at least 2 fixture scenarios, "
+                            f"found {len(paths)} in {directory}")
+    return [load_scenario(p) for p in paths]
+
+
 def save_scenario(s: Scenario, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scenario_to_dict(s), fh, indent=2, sort_keys=True)

@@ -31,9 +31,11 @@ the classical phase noise that inputs of one correlated_group share
 where it joins their specs.
 
 The sampling oracle maps seeded standard normals through a root of the
-covariance: ``sample_fluctuations`` returns the samples, and
-``sample_covariance`` only the root and the normals' sample covariance,
-in memory that does not grow with the count.
+covariance: ``sample_fluctuations`` returns the samples.  The normals do
+not depend on the state, so ``normal_covariance`` draws only their sample
+covariance, in memory that does not grow with the count, and
+``_sampling_root`` gives the root of every state of a stack to read it
+through.
 """
 
 from __future__ import annotations
@@ -507,18 +509,19 @@ def _apply_losses(state: BrightGaussianState, losses) -> BrightGaussianState:
 
 
 # Rows of standard normals drawn at a time by sample_fluctuations and
-# sample_covariance (see _normal_chunks for the size).
+# normal_covariance (see _normal_chunks for the size).
 _CHUNK_ROWS = 16384
 
 
 def _sampling_root(state: BrightGaussianState) -> np.ndarray:
-    """The root A of a state's covariance that its samples ``z @ A`` are
-    drawn through, z being rows of standard normals: A^T A = cov."""
+    """The root A of each covariance of a state's stack that its samples
+    ``z @ A`` are drawn through, z being rows of standard normals:
+    A^T A = cov, from one batched eigendecomposition."""
     w, v = np.linalg.eigh(state.cov)
     if w.min() < -PSD_TOL:
         # A state is bona fide when it is made, so this is rounding alone.
         raise DomainError(_LOST_TO_ROUNDING)
-    return (v * np.sqrt(np.clip(w, 0.0, None))).T
+    return np.swapaxes(v * np.sqrt(np.clip(w, 0.0, None))[..., None, :], -1, -2)
 
 
 def _normal_chunks(count: int, seed: int, dim: int):
@@ -563,27 +566,25 @@ def sample_fluctuations(state: BrightGaussianState, count: int, seed: int) -> np
     return out
 
 
-def sample_covariance(state: BrightGaussianState, count: int,
-                      seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draw of ``sample_fluctuations(state, count, seed)`` as (A, S_z):
-    its root A, the samples being ``z @ A``, and S_z, the unbiased (ddof=1)
-    sample covariance of its standard normals z.
+def normal_covariance(count: int, seed: int, dim: int) -> np.ndarray:
+    """S_z, the unbiased (ddof=1) sample covariance of the count x dim
+    standard normals z that ``sample_fluctuations(state, count, seed)``
+    draws for a state of dimension dim, whatever the state.
 
-    A photocurrent with weights w reads ``u @ S_z @ u`` with ``u = A @ w``:
-    the sample variance of the projected samples ``z @ A @ w``.  The 2n x 2n
-    matrix A^T S_z A would be the same in exact arithmetic, but where the
-    entries of A span many orders (shared excess phase noise of 150 dB) its
-    rounding loses the small channel variances.  The draw is summed chunk by
-    chunk into sum(z) and z^T z, so memory does not grow with count.
-    Counts above 2**53 raise ValueError, as numpy does for an array it
-    cannot size: beyond it neither count nor count - 1 is exact as a float.
+    A photocurrent with weights w reads ``u @ S_z @ u`` with ``u = A @ w``,
+    A the state's ``_sampling_root``: the sample variance of the projected
+    samples ``z @ A @ w``.  The 2n x 2n matrix A^T S_z A would be the same
+    in exact arithmetic, but where the entries of A span many orders
+    (shared excess phase noise of 150 dB) its rounding loses the small
+    channel variances.  The draw is summed chunk by chunk into sum(z) and
+    z^T z, so memory does not grow with count.  Counts above 2**53 raise
+    ValueError, as numpy does for an array it cannot size: beyond it
+    neither count nor count - 1 is exact as a float.
     """
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
     if count > 2 ** 53:
         raise ValueError(f"count must be at most 2**53, got {count}")
-    root = _sampling_root(state)
-    dim = len(root)
     # A product with ones sums a chunk's columns an order of magnitude
     # faster than z.sum(axis=0).
     ones = np.ones(min(count, _CHUNK_ROWS + 1))
@@ -592,4 +593,4 @@ def sample_covariance(state: BrightGaussianState, count: int,
         total += ones[:len(z)] @ z
         gram += z.T @ z
     mean = total / count
-    return root, (gram - count * np.outer(mean, mean)) / (count - 1)
+    return (gram - count * np.outer(mean, mean)) / (count - 1)

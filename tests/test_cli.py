@@ -16,9 +16,8 @@ from hypothesis import strategies as hs
 import brightbeam
 from brightbeam import SqueezedInputSpec
 from brightbeam.cli import main
-from brightbeam.harness import (SWEEP_PARAMS, compare_methods, fixtures_dir,
-                                run_fixture_table, sweep_csv)
-from brightbeam.scenario import Scenario, known_keys, load_scenario, save_scenario
+from brightbeam.harness import SWEEP_PARAMS, compare_methods, run_fixture_table, sweep_csv
+from brightbeam.scenario import Scenario, fixtures_dir, known_keys, load_scenario, save_scenario
 
 # The source tree, for CLI runs in a fresh interpreter.
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(brightbeam.__file__).resolve().parents[1]))
@@ -443,6 +442,28 @@ def test_invalid_input_exits_2_before_numpy_loads(tmp_path, flat, argv, message)
     assert message in err
     assert _run_then_list_loaded(tmp_path, *argv, blocked=["numpy"]) == (out, err, loaded)
 
+
+
+@pytest.mark.parametrize("files, message", [
+    ({"method_b.json": "method_b.json", "ratio.json": {"entangle_ratio": 1.5}},
+     "error: entangle_ratio must be in [0, 1], got 1.5\n"),
+    ({"one.json": {"method": "B"}},
+     "error: method comparison needs at least 2 fixture scenarios, found 1 in "),
+], ids=["ratio", "one_file"])
+def test_invalid_fixtures_exit_2_before_numpy_loads(tmp_path, files, message):
+    # table1 loads and counts its fixture files before the harness, as
+    # the other verbs load their scenario.
+    directory = tmp_path / "fixtures"
+    directory.mkdir()
+    for name, content in files.items():
+        (directory / name).write_text(
+            (fixtures_dir() / content).read_text(encoding="utf-8") if isinstance(content, str)
+            else json.dumps(content), encoding="utf-8")
+    argv = ["table1", "--fixtures", str(directory)]
+    out, err, loaded = _run_then_list_loaded(tmp_path, *argv)
+    assert (out, loaded) == ("exit 2", [])
+    assert message in err
+    assert _run_then_list_loaded(tmp_path, *argv, blocked=["numpy"]) == (out, err, loaded)
 
 def test_repeated_key_exits_2_naming_it(tmp_path, capsys):
     # json.load keeps the last value of a repeated key; a scenario file

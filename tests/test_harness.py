@@ -20,14 +20,13 @@ from brightbeam.harness import (
     CSV_HEADER,
     SWEEP_PARAMS,
     compare_methods,
-    fixtures_dir,
     run_fixture_table,
     run_scenario,
     sweep,
     sweep_csv,
     with_param,
 )
-from brightbeam.scenario import Scenario, load_scenario, scenario_from_dict
+from brightbeam.scenario import Scenario, fixtures_dir, load_scenario, scenario_from_dict
 from brightbeam.states import apply_loss, sample_fluctuations
 
 SQ37 = {
@@ -328,13 +327,13 @@ class TestMonteCarloDrawPlan:
     @pytest.mark.parametrize("method, seeds", [("A", [11, 12]), ("B", [11]), ("C", [11])])
     def test_draws_per_method(self, monkeypatch, method, seeds):
         calls = []
-        real = harness.sample_covariance
+        real = harness.normal_covariance
 
-        def recording(state, count, seed):
+        def recording(count, seed, dim):
             calls.append((count, seed))
-            return real(state, count, seed)
+            return real(count, seed, dim)
 
-        monkeypatch.setattr(harness, "sample_covariance", recording)
+        monkeypatch.setattr(harness, "normal_covariance", recording)
         run_scenario(make(method, mc_samples=1000, seed=11, **BUDGETS))
         # Worker threads may enter the sampler in either order; which seed
         # feeds which channel, test_parallel_draws_are_the_sequential_draws pins.
@@ -420,13 +419,13 @@ class TestGridEqualsPoint:
     def test_gain_sweep_draws_once_per_measured_state(self, monkeypatch, method, seeds):
         # The gain weighs the photocurrents but leaves every state alone.
         calls = []
-        real = harness.sample_covariance
+        real = harness.normal_covariance
 
-        def recording(state, count, seed):
+        def recording(count, seed, dim):
             calls.append(seed)
-            return real(state, count, seed)
+            return real(count, seed, dim)
 
-        monkeypatch.setattr(harness, "sample_covariance", recording)
+        monkeypatch.setattr(harness, "normal_covariance", recording)
         s = make(method, mc_samples=1000, seed=3, **BUDGETS)
         rows = sweep(s, "gain", 0.5, 2.0, 10)
         assert sorted(calls) == seeds  # threads may enter the sampler in either order
@@ -441,17 +440,17 @@ def test_gain_sweep_reads_each_shared_weight_vector_once(monkeypatch, method, ke
     # Each channel reads that draw at each of the 50 points' weights, as the
     # np.var oracle does.
     calls, seen = [], []
-    real_sampler, real_columns = harness.sample_covariance, harness._mc_columns
+    real_sampler, real_columns = harness.normal_covariance, harness._mc_columns
 
-    def recording(state, count, seed):
+    def recording(count, seed, dim):
         calls.append(seed)
-        return real_sampler(state, count, seed)
+        return real_sampler(count, seed, dim)
 
     def columns(channels, n, count, seed, kept=None):
         seen.append((channels, real_columns(channels, n, count, seed, kept)))
         return seen[-1][1]
 
-    monkeypatch.setattr(harness, "sample_covariance", recording)
+    monkeypatch.setattr(harness, "normal_covariance", recording)
     monkeypatch.setattr(harness, "_mc_columns", columns)
     sweep_csv(make(method, mc_samples=1000, seed=3, **BUDGETS), "gain", 0.5, 2.0, 50)
     [(channels, got)] = seen
@@ -480,20 +479,44 @@ def test_monte_carlo_peak_memory_is_below_one_sample_array():
 
 def test_gain_sweep_draws_once_across_its_stacks(monkeypatch):
     # 10 000 steps run as 3 stacks of at most _CHUNK values; the one state
-    # of fixture B, which the gain does not reach, is drawn once for all.
+    # of fixture B is drawn once for all.
     calls = []
-    real = harness.sample_covariance
+    real = harness.normal_covariance
 
-    def recording(state, count, seed):
+    def recording(count, seed, dim):
         calls.append(seed)
-        return real(state, count, seed)
+        return real(count, seed, dim)
 
-    monkeypatch.setattr(harness, "sample_covariance", recording)
+    monkeypatch.setattr(harness, "normal_covariance", recording)
     s = replace(load_scenario(fixtures_dir() / "method_b.json"), mc_samples=1000)
     text = sweep_csv(s, "gain", 0.5, 2.0, 10_000)
     assert len(calls) == 1
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "02fed2bad2f213787eab899af07f7859ee898099343e12868cd679ca6dd2d4c8")
+
+
+def test_method_a_sweeps_draw_each_seed_once(monkeypatch):
+    # Whatever the swept parameter reaches, each of method A's two measured
+    # states is drawn once for the whole grid, seeds 5 and 6, also where
+    # the theta grid runs as two stacks.  The CSVs are the ones the draw per
+    # stack element gave.
+    calls = []
+    real = harness.normal_covariance
+
+    def recording(count, seed, dim):
+        calls.append(seed)
+        return real(count, seed, dim)
+
+    monkeypatch.setattr(harness, "normal_covariance", recording)
+    s = make("A", mc_samples=200, seed=5, **BUDGETS)
+    digest = hashlib.sha256()
+    for param in SWEEP_PARAMS:
+        calls.clear()
+        steps = harness._CHUNK + 3 if param == "theta" else 9
+        digest.update(sweep_csv(s, param, *GRID_RANGES[param], steps).encode("utf-8"))
+        assert sorted(calls) == [5, 6], param
+    assert digest.hexdigest() == (
+        "b9ec97ce53c5a2c1ceb11548f8924700589418970c08372c757937c78c47800f")
 
 
 @pytest.mark.parametrize("late, expected, message", [
@@ -507,44 +530,33 @@ def test_first_failing_draw_in_plan_order_raises(monkeypatch, late, expected, me
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     early_failed = threading.Event()
 
-    def failing(state, count, seed):
+    def failing(count, seed, dim):
         if seed == 4:
             early_failed.set()
             raise MemoryError("seed 4 failed")
         assert early_failed.wait(timeout=60)
         raise late
 
-    monkeypatch.setattr(harness, "sample_covariance", failing)
+    monkeypatch.setattr(harness, "normal_covariance", failing)
     with pytest.raises(expected) as exc:
         run_scenario(make("A", mc_samples=1000, seed=3))
     assert str(exc.value) == message
 
 
 def test_no_draw_starts_after_the_first_failure(monkeypatch):
-    # A method-A theta sweep plans 12 draws on W = 2 lanes.  The first two
-    # draws run side by side; one fails while the other is still running,
-    # and once that one is done, its lane takes no further draw.
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    started, lock = [], threading.Lock()
-    real = harness.sample_covariance
-    both_running, failed = threading.Event(), threading.Event()
+    # A method-A theta sweep plans two draws, seeds 3 and 4, on one lane:
+    # seed 3 fails, and seed 4 never starts.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    started = []
 
-    def failing(state, count, seed):
-        with lock:
-            started.append(seed)
-            first = len(started) == 1
-        if first:
-            assert both_running.wait(timeout=60)
-            failed.set()
-            raise ValueError("draw failed")
-        both_running.set()
-        assert failed.wait(timeout=60)
-        return real(state, count, seed)
+    def failing(count, seed, dim):
+        started.append(seed)
+        raise ValueError("draw failed")
 
-    monkeypatch.setattr(harness, "sample_covariance", failing)
+    monkeypatch.setattr(harness, "normal_covariance", failing)
     with pytest.raises(ScenarioError, match="cannot draw mc_samples = 500: draw failed"):
         harness._evaluate(make("A", mc_samples=500, seed=3), {"theta": np.linspace(0.5, 2.5, 6)})
-    assert started == [3, 3]
+    assert started == [3]
 
 
 def test_lanes_keep_plan_order_under_thread_switches(monkeypatch):
@@ -573,14 +585,14 @@ def test_lanes_keep_plan_order_under_thread_switches(monkeypatch):
 @pytest.mark.parametrize("fails", [False, True])
 def test_no_lane_outlives_the_draws(monkeypatch, fails):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
-    real = harness.sample_covariance
+    real = harness.normal_covariance
 
-    def sampler(state, count, seed):
+    def sampler(count, seed, dim):
         if fails:
             raise DomainError("draw failed")
-        return real(state, count, seed)
+        return real(count, seed, dim)
 
-    monkeypatch.setattr(harness, "sample_covariance", sampler)
+    monkeypatch.setattr(harness, "normal_covariance", sampler)
     s, columns = make("A", mc_samples=500, seed=3), {"theta": np.linspace(0.5, 2.5, 4)}
     before = threading.active_count()
     with pytest.raises(DomainError, match="draw failed") if fails else nullcontext():
@@ -641,7 +653,7 @@ def test_parallel_draws_are_the_sequential_draws(monkeypatch):
         row = run_scenario(s)
         expected_row, _ = seen[-1]
         _assert_oracle_columns([[row.mc_sum], [row.mc_stderr]], expected_row)
-        # A theta sweep draws each state per point, a gain sweep once.
+        # Each sweep draws each measured state once, for every point.
         for param, start, stop, steps in (("theta", 0.5, 2.5, 4), ("gain", 0.5, 2.0, 6)):
             csv = sweep_csv(s, param, start, stop, steps)
             expected_sweep, columns = seen[-1]

@@ -9,11 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as hs
 
 from brightbeam.errors import ScenarioError
-from brightbeam.harness import fixtures_dir
 from brightbeam.scenario import (
     METHODS,
     PORTS,
     Scenario,
+    fixtures_dir,
     known_keys,
     load_scenario,
     save_scenario,

@@ -26,10 +26,11 @@ from brightbeam.scenario import INPUT_FIELDS
 from brightbeam.states import (
     _CHUNK_ROWS,
     _apply_losses,
+    _sampling_root,
     dark_modes,
     mapped_unchecked_scale,
+    normal_covariance,
     rotation2,
-    sample_covariance,
 )
 
 
@@ -333,7 +334,7 @@ class TestSampling:
         # an array it cannot size.
         expected = DomainError if count == 1 else ValueError
         with pytest.raises(expected, match="count must be"):
-            sample_covariance(make_coherent(1), count, 0)
+            normal_covariance(count, 0, 2)
 
     @settings(max_examples=30)
     @given(state_seed=hs.integers(0, 2 ** 32 - 1), seed=hs.integers(0, 2 ** 32 - 1),
@@ -352,8 +353,8 @@ class TestSampling:
         z = np.random.default_rng(seed).standard_normal((count, 4))
         samples = sample_fluctuations(state, count, seed)
         assert np.array_equal(samples, z @ root)
-        drawn_root, s_z = sample_covariance(state, count, seed)
-        assert np.array_equal(drawn_root, root)
+        s_z = normal_covariance(count, seed, 4)
+        assert np.array_equal(_sampling_root(state), root)
         assert s_z == pytest.approx(np.cov(z.T), rel=1e-9, abs=1e-12)
         for vector in weights:
             u, p = root @ vector, samples @ vector
@@ -737,6 +738,25 @@ def test_joined_inputs_are_plain_physical_states(drawn):
     assert np.array_equal(again.amplitudes, pair.amplitudes)
     assert np.array_equal(again.cov, pair.cov)
 
+
+
+@settings(max_examples=60)
+@given(hs.integers(1, 5).flatmap(stack_columns), hs.booleans())
+def test_stacked_root_is_each_states_root(drawn, loud):
+    """One batched eigendecomposition gives every element of a stack the
+    sampling root its own state gives, bit for bit, also where the first
+    element carries 150 dB of shared excess phase noise."""
+    a, b, excess, theta, ratio = drawn
+    if loud:
+        for record in (a, b):
+            record.amplitude[0], record.squeezing_db[0], record.antisqueezing_db[0] = 100, 0, 0
+            record.excess_phase_db[0], record.correlated_group = 150.0, 1
+        excess[0], theta[0], ratio[0] = 1.0, math.pi / 2, 0.5
+    pair = generate_entangled(a, b, theta, ratio, excess)
+    roots = _sampling_root(pair)
+    assert roots.shape == pair.cov.shape
+    for k in range(len(pair.amplitudes)):
+        assert roots[k].tobytes() == _sampling_root(pair[k]).tobytes()
 
 def rotation_block_beamsplitter(st, i, j, r, theta):
     """``apply_beamsplitter`` written out from 2x2 ``rotation2`` blocks: the
