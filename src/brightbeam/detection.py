@@ -91,14 +91,6 @@ def _apply_budgets(state: BrightGaussianState, budgets: tuple[LossBudget, LossBu
                                  for mode, budget in enumerate(budgets)])
 
 
-def _method_a_paths(state: BrightGaussianState, budgets: tuple[LossBudget, LossBudget]
-                    ) -> tuple[BrightGaussianState, BrightGaussianState]:
-    """Method A's amplitude (X) and phase (Y) path states after the budgets:
-    the amplitude channel needs no interference and skips the visibility."""
-    return (_apply_budgets(state, budgets, include_visibility=False),
-            _apply_budgets(state, budgets))
-
-
 def _joint_reading(lossy: BrightGaussianState, quadrature: str, sign: float, g,
                    imbalance) -> DetectionResult:
     """Photocurrent a1 (dQ1 + sign g (1 + imbalance) dQ2) of one lossy path,
@@ -122,7 +114,9 @@ def method_a_readings(state: BrightGaussianState, budgets: tuple[LossBudget, Los
     """
     if state.n_modes != 2:
         raise DomainError("method A joint measurement needs a two-mode state")
-    state_x, state_y = _method_a_paths(state, budgets)
+    # The amplitude (X) path needs no interference and skips the visibility.
+    state_x = _apply_budgets(state, budgets, include_visibility=False)
+    state_y = _apply_budgets(state, budgets)
     if g is None:
         g = witness_gains(state_x, state_y, imbalance)[0]
     return g, _joint_reading(state_x, "X", 1.0, g, imbalance), _joint_reading(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -102,14 +101,6 @@ def _per_point(x, n: int) -> list:
     return [x] * n if np.ndim(x) == 0 else x.tolist() * (n // len(x))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: int,
                 seed: int, kept: dict | None = None) -> tuple[list, list]:
     """Empirical witness sum of each of n stack elements from the sampling
@@ -124,12 +115,11 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
     w its weights.  ``kept``, if given, maps each seed to its S_z across
     the stacks of one grid, whose count and seed are the scenario's.
 
-    The draws are independent, each with its own seeded generator, so they
-    run on up to one lane per usable CPU (numpy's generator and BLAS
-    release the GIL): the calling thread and one thread more per further
-    lane, each taking the next seed until none is left or one has failed.
-    The first failing draw in seed order raises, after every lane has
-    stopped; a failing root raises after the draws.
+    The draws are independent, each with its own seeded generator, and
+    numpy's generator and BLAS release the GIL: the first pending draw runs
+    on the calling thread and each further one (method A's second) on a
+    helper thread.  The first failing draw in seed order raises, after
+    every draw has ended; a failing root raises after the draws.
     """
     groups: list[tuple[BrightGaussianState, list]] = []
     for result, mult in channels:
@@ -141,26 +131,20 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
     dim = groups[0][0].cov.shape[-1]
     pending = [s for s in seeds if s not in kept]
     failures: dict = {}
-    # Its next() is one step under the GIL.
-    order = iter(pending)
 
-    def lane() -> None:
-        for draw_seed in order:
-            if failures:
-                return
-            try:
-                kept[draw_seed] = normal_covariance(count, draw_seed, dim)
-            except BaseException as exc:
-                failures[draw_seed] = exc
-                return
+    def draw(draw_seed: int) -> None:
+        try:
+            kept[draw_seed] = normal_covariance(count, draw_seed, dim)
+        except BaseException as exc:
+            failures[draw_seed] = exc
 
     try:
-        lanes = [threading.Thread(target=lane)
-                 for _ in range(1, min(len(pending), _usable_cpus()))]
-        for thread in lanes:
+        helpers = [threading.Thread(target=draw, args=(later,)) for later in pending[1:]]
+        for thread in helpers:
             thread.start()
-        lane()
-        for thread in lanes:
+        if pending:
+            draw(pending[0])
+        for thread in helpers:
             thread.join()
         if failures:
             raise failures[min(failures)]

@@ -532,10 +532,10 @@ def _normal_chunks(count: int, seed: int, dim: int):
     whole draw, bit for bit.  A chunk never has one row unless the draw
     does: numpy multiplies a single row on its vector path, which can round
     differently.  Chunks are 16 384 rows so that a two-mode chunk's 4 x 4
-    products stay at OpenBLAS's single-thread cutoff (M*N*K <= 2**18):
-    ``harness._mc_columns`` runs independent draws side by side on lanes
-    (threads), and at 65 536 rows and two BLAS threads each chunk's product
-    started a BLAS thread that competed with the other draw.
+    products stay at OpenBLAS's single-thread cutoff (M*N*K <= 2**18): in
+    ``harness._mc_columns`` method A's two draws run side by side, and at
+    65 536 rows and two BLAS threads each chunk's product started a BLAS
+    thread that competed with the other draw.
     """
     z = np.empty((min(count, _CHUNK_ROWS + 1), dim))
     rng = np.random.default_rng(seed)

@@ -527,7 +527,6 @@ def test_method_a_sweeps_draw_each_seed_once(monkeypatch):
 def test_first_failing_draw_in_plan_order_raises(monkeypatch, late, expected, message):
     # Method A's draws (seeds 3 and 4) run side by side; seed 4 fails first,
     # but seed 3 comes first in the plan, so its error is the one raised.
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     early_failed = threading.Event()
 
     def failing(count, seed, dim):
@@ -543,48 +542,8 @@ def test_first_failing_draw_in_plan_order_raises(monkeypatch, late, expected, me
     assert str(exc.value) == message
 
 
-def test_no_draw_starts_after_the_first_failure(monkeypatch):
-    # A method-A theta sweep plans two draws, seeds 3 and 4, on one lane:
-    # seed 3 fails, and seed 4 never starts.
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    started = []
-
-    def failing(count, seed, dim):
-        started.append(seed)
-        raise ValueError("draw failed")
-
-    monkeypatch.setattr(harness, "normal_covariance", failing)
-    with pytest.raises(ScenarioError, match="cannot draw mc_samples = 500: draw failed"):
-        harness._evaluate(make("A", mc_samples=500, seed=3), {"theta": np.linspace(0.5, 2.5, 6)})
-    assert started == [3]
-
-
-def test_lanes_keep_plan_order_under_thread_switches(monkeypatch):
-    # More lanes than cores and a thread switch every microsecond: every
-    # column is the one a single lane gives, bit for bit.
-    s = make("A", mc_samples=64, seed=3, **BUDGETS)
-
-    def columns():
-        return [(row.mc_sum, row.mc_stderr) for _, row in sweep(s, "theta", 0.5, 2.5, 50)]
-
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    expected, results = columns(), []
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        caller = threading.Thread(target=lambda: results.append(columns()))
-        caller.start()
-        caller.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not caller.is_alive()
-    assert results == [expected]
-
-
 @pytest.mark.parametrize("fails", [False, True])
-def test_no_lane_outlives_the_draws(monkeypatch, fails):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+def test_no_helper_outlives_the_draws(monkeypatch, fails):
     real = harness.normal_covariance
 
     def sampler(count, seed, dim):
@@ -638,7 +597,9 @@ def _assert_oracle_columns(columns, expected):
 
 
 def test_parallel_draws_are_the_sequential_draws(monkeypatch):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    # Method A's second draw runs on a helper thread.  Every column is the
+    # one of drawing each state whole, one after the other, also where the
+    # call runs off the main thread with a thread switch every microsecond.
     seen = []
     real = harness._mc_columns
 
@@ -646,6 +607,12 @@ def test_parallel_draws_are_the_sequential_draws(monkeypatch):
         columns = real(channels, n, count, seed, kept)
         seen.append((_sequential_monte_carlo(channels, n, count, seed), columns))
         return columns
+
+    def check_sweep(csv):
+        expected_sweep, columns = seen[-1]
+        _assert_oracle_columns(columns, expected_sweep)
+        assert [line.split(",")[-2:] for line in csv.splitlines()[1:]] == [
+            ["%.6g" % m, "%.6g" % e] for m, e in zip(*expected_sweep)]
 
     monkeypatch.setattr(harness, "_mc_columns", recording)
     s = make("A", mc_samples=65537, seed=3, **BUDGETS)
@@ -655,12 +622,47 @@ def test_parallel_draws_are_the_sequential_draws(monkeypatch):
         _assert_oracle_columns([[row.mc_sum], [row.mc_stderr]], expected_row)
         # Each sweep draws each measured state once, for every point.
         for param, start, stop, steps in (("theta", 0.5, 2.5, 4), ("gain", 0.5, 2.0, 6)):
-            csv = sweep_csv(s, param, start, stop, steps)
-            expected_sweep, columns = seen[-1]
-            _assert_oracle_columns(columns, expected_sweep)
-            assert [line.split(",")[-2:] for line in csv.splitlines()[1:]] == [
-                ["%.6g" % m, "%.6g" % e] for m, e in zip(*expected_sweep)]
+            check_sweep(sweep_csv(s, param, start, stop, steps))
     assert len(seen) == 15
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: results.append(
+            sweep_csv(replace(s, mc_samples=64), "theta", 0.5, 2.5, 50)))
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    [csv] = results
+    check_sweep(csv)
+
+
+def test_helper_threads_are_the_further_measured_states():
+    # Method A measures two states and draws the second on one helper
+    # thread; B and C measure one and start none.  The second stack of a
+    # method-A theta grid finds both draws kept and starts none either.
+    started = []
+    real = harness._mc_columns
+
+    def columns(*args):
+        before = thread.call_count
+        result = real(*args)
+        started.append(thread.call_count - before)
+        return result
+
+    with mock.patch.object(harness.threading, "Thread", wraps=threading.Thread) as thread, \
+            mock.patch.object(harness, "_mc_columns", columns):
+        for s, expected in ((make("A", mc_samples=100), [1]), (make("B", mc_samples=100), [0]),
+                            (make("C", mc_samples=100), [0]),
+                            (make("C", mc_samples=100, port="d"), [0])):
+            started.clear()
+            run_scenario(s)
+            assert started == expected, s.method
+        started.clear()
+        sweep_csv(make("A", mc_samples=100), "theta", 0.5, 2.5, harness._CHUNK + 3)
+        assert started == [1, 0]
 
 
 def test_mc_reads_small_channels_under_huge_excess_noise(monkeypatch):
