@@ -596,10 +596,9 @@ def _assert_oracle_columns(columns, expected):
         assert ["%.6g" % x for x in got] == ["%.6g" % x for x in want]
 
 
-def test_parallel_draws_are_the_sequential_draws(monkeypatch):
-    # Method A's second draw runs on a helper thread.  Every column is the
-    # one of drawing each state whole, one after the other, also where the
-    # call runs off the main thread with a thread switch every microsecond.
+def _record_oracle(monkeypatch):
+    """A list that gets, for each _mc_columns call, the sequential oracle's
+    columns and the harness's."""
     seen = []
     real = harness._mc_columns
 
@@ -608,13 +607,14 @@ def test_parallel_draws_are_the_sequential_draws(monkeypatch):
         seen.append((_sequential_monte_carlo(channels, n, count, seed), columns))
         return columns
 
-    def check_sweep(csv):
-        expected_sweep, columns = seen[-1]
-        _assert_oracle_columns(columns, expected_sweep)
-        assert [line.split(",")[-2:] for line in csv.splitlines()[1:]] == [
-            ["%.6g" % m, "%.6g" % e] for m, e in zip(*expected_sweep)]
-
     monkeypatch.setattr(harness, "_mc_columns", recording)
+    return seen
+
+
+def test_parallel_draws_are_the_sequential_draws(monkeypatch):
+    # Method A's second draw runs on a helper thread.  Every column is the
+    # one of drawing each state whole, one after the other.
+    seen = _record_oracle(monkeypatch)
     s = make("A", mc_samples=65537, seed=3, **BUDGETS)
     for _ in range(5):
         row = run_scenario(s)
@@ -622,21 +622,39 @@ def test_parallel_draws_are_the_sequential_draws(monkeypatch):
         _assert_oracle_columns([[row.mc_sum], [row.mc_stderr]], expected_row)
         # Each sweep draws each measured state once, for every point.
         for param, start, stop, steps in (("theta", 0.5, 2.5, 4), ("gain", 0.5, 2.0, 6)):
-            check_sweep(sweep_csv(s, param, start, stop, steps))
+            csv = sweep_csv(s, param, start, stop, steps)
+            expected_sweep, columns = seen[-1]
+            _assert_oracle_columns(columns, expected_sweep)
+            assert [line.split(",")[-2:] for line in csv.splitlines()[1:]] == [
+                ["%.6g" % m, "%.6g" % e] for m, e in zip(*expected_sweep)]
     assert len(seen) == 15
-    results = []
+
+
+def test_lanes_keep_plan_order_under_thread_switches(monkeypatch):
+    # The helper thread under a thread switch every microsecond, with the
+    # call itself off the main thread: every column is the one the main
+    # thread gives, bit for bit, and the sequential draws' to 1e-12.
+    s = make("A", mc_samples=64, seed=3, **BUDGETS)
+    seen = _record_oracle(monkeypatch)
+
+    def columns():
+        return [(row.mc_sum, row.mc_stderr) for _, row in sweep(s, "theta", 0.5, 2.5, 50)]
+
+    expected, results = columns(), []
+    seen.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        caller = threading.Thread(target=lambda: results.append(
-            sweep_csv(replace(s, mc_samples=64), "theta", 0.5, 2.5, 50)))
+        caller = threading.Thread(target=lambda: results.append(columns()))
         caller.start()
         caller.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not caller.is_alive()
-    [csv] = results
-    check_sweep(csv)
+    assert results == [expected]
+    assert seen
+    for oracle, drawn in seen:
+        _assert_oracle_columns(drawn, oracle)
 
 
 def test_helper_threads_are_the_further_measured_states():
