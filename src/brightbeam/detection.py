@@ -94,8 +94,9 @@ def _apply_budgets(state: BrightGaussianState, budgets: tuple[LossBudget, LossBu
 def _joint_reading(lossy: BrightGaussianState, quadrature: str, sign: float, g,
                    imbalance) -> DetectionResult:
     """Photocurrent a1 (dQ1 + sign g (1 + imbalance) dQ2) of one lossy path,
-    with Q the given quadrature and a1 mode 1's carrier."""
-    a1 = bright_carriers(lossy, [0, 1], "joint measurement needs two bright carriers")[..., 0]
+    with Q the given quadrature and a1 mode 1's carrier, which
+    ``method_a_readings`` has checked bright."""
+    a1 = lossy.amplitudes[..., 0]
     q = 0 if quadrature == "X" else 1
     return DetectionResult.read(lossy, (q, a1), (2 + q, sign, g, 1.0 + imbalance, a1))
 
@@ -117,6 +118,8 @@ def method_a_readings(state: BrightGaussianState, budgets: tuple[LossBudget, Los
     # The amplitude (X) path needs no interference and skips the visibility.
     state_x = _apply_budgets(state, budgets, include_visibility=False)
     state_y = _apply_budgets(state, budgets)
+    for path in (state_x, state_y):
+        bright_carriers(path, [0, 1], "joint measurement needs two bright carriers")
     if g is None:
         g = witness_gains(state_x, state_y, imbalance)[0]
     return g, _joint_reading(state_x, "X", 1.0, g, imbalance), _joint_reading(

@@ -276,10 +276,9 @@ def witness_gains(state_x: BrightGaussianState, state_y: BrightGaussianState,
     g' = g (1 + imbalance).
 
     ``minimize_gain`` searches all pairs of the stack together.  Returns
-    (gains, fallbacks), scalars for unstacked states.
+    (gains, fallbacks), scalars for unstacked states.  Its caller,
+    ``method_a_readings``, has checked both paths for two bright carriers.
     """
-    _require_bright_pair(state_x)
-    _require_bright_pair(state_y)
     batch = np.broadcast_shapes(state_x.cov.shape[:-2], state_y.cov.shape[:-2],
                                 np.shape(imbalance))
     cx, cy = state_x.cov, state_y.cov

@@ -21,7 +21,7 @@ from .detection import (
 from .entangle import SUM_BOUND, generate_entangled, theta_adapted_bound
 from .errors import BrightBeamError, DomainError, ScenarioError
 from .scenario import (_SWEPT_FIELDS, BUDGET_FIELDS, INPUT_FIELDS, SWEEP_PARAMS, Scenario,
-                       check_grid, load_fixtures, with_fields)
+                       check_grid, with_fields)
 from .states import BrightGaussianState, DetectionResult, _sampling_root, normal_covariance
 
 CSV_HEADER = "method,param,value,v_sq_plus,v_sq_minus,sum,bound,witnessed,mc_sum,mc_stderr"
@@ -52,9 +52,10 @@ class ReportRow:
 
 # Each evaluator takes the scenario, its columns (see ``_column``), their
 # entangled pair and budgets, and returns (v_plus, v_minus, bound, gain,
-# channels, raw) over the stack: a channel is (DetectionResult, multiplier of
-# its normalized variance) for the MC oracle, and raw() reads the
-# DetectionResults reported under "raw", which the sweep CSV never prints.
+# draws, raw) over the stack.  ``draws`` is the MC oracle's plan: one list
+# per measured state, in seed order, of (DetectionResult read off that state,
+# multiplier of its normalized variance).  raw() reads the DetectionResults
+# reported under "raw", which the sweep CSV never prints.
 
 def _column(s: Scenario, columns: dict, path: str) -> np.ndarray:
     """The field at a dotted path: its column, or the scenario's value as a
@@ -73,7 +74,8 @@ def _eval_a(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
         plus_anti, minus_anti = method_a_anti_readings(plus, minus, g, imbalance)
         return {"plus": plus, "plus_anti": plus_anti, "minus": minus, "minus_anti": minus_anti}
 
-    return plus.normalized, minus.normalized, SUM_BOUND, g, [(plus, 1.0), (minus, 1.0)], raw
+    # The amplitude path, then the phase path.
+    return plus.normalized, minus.normalized, SUM_BOUND, g, [[(plus, 1.0)], [(minus, 1.0)]], raw
 
 
 def _eval_b(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
@@ -81,7 +83,7 @@ def _eval_b(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
                                     _column(s, columns, "imbalance"))
     return (total.normalized, diff.normalized,
             theta_adapted_bound(_column(s, columns, "theta")), 1.0,
-            [(total, 1.0), (diff, 1.0)], lambda: {"sum_channel": total, "diff_channel": diff})
+            [[(total, 1.0), (diff, 1.0)]], lambda: {"sum_channel": total, "diff_channel": diff})
 
 
 def _eval_c(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
@@ -90,7 +92,7 @@ def _eval_c(s: Scenario, columns: dict, state: BrightGaussianState, budgets):
     # the same output is reported.
     port = method_c_single_port(state, _column(s, columns, "phi"), s.port, budgets)
     v = port.normalized
-    return v, v, SUM_BOUND, 1.0, [(port, 2.0)], lambda: bright_port_readings(port.state)
+    return v, v, SUM_BOUND, 1.0, [[(port, 2.0)]], lambda: bright_port_readings(port.state)
 
 
 _EVALUATORS = {"A": _eval_a, "B": _eval_b, "C": _eval_c}
@@ -101,16 +103,17 @@ def _per_point(x, n: int) -> list:
     return [x] * n if np.ndim(x) == 0 else x.tolist() * (n // len(x))
 
 
-def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: int,
+def _mc_columns(draws: list[list[tuple[DetectionResult, float]]], n: int, count: int,
                 seed: int, kept: dict | None = None) -> tuple[list, list]:
     """Empirical witness sum of each of n stack elements from the sampling
     oracle, with its standard error.
 
-    Channels read off the same state share one draw; each new state gets
-    the next seed.  The normals of a draw do not depend on the state, so a
+    ``draws`` is an evaluator's plan: per measured state, in seed order, the
+    (DetectionResult, multiplier) pairs read off it; the j-th state is drawn
+    with seed + j.  The normals of a draw do not depend on the state, so a
     draw is their ``normal_covariance`` S_z, one 2n x 2n matrix whatever
-    the count, made once per measured state for every point.  Each channel
-    reads its sample variance ``u @ S_z @ u``, u = A w, at every point at
+    the count, made once per measured state for every point.  Each reading
+    takes its sample variance ``u @ S_z @ u``, u = A w, at every point at
     once, A being the root of that point's state (``_sampling_root``) and
     w its weights.  ``kept``, if given, maps each seed to its S_z across
     the stacks of one grid, whose count and seed are the scenario's.
@@ -121,14 +124,9 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
     helper thread.  The first failing draw in seed order raises, after
     every draw has ended; a failing root raises after the draws.
     """
-    groups: list[tuple[BrightGaussianState, list]] = []
-    for result, mult in channels:
-        if not groups or result.state is not groups[-1][0]:
-            groups.append((result.state, []))
-        groups[-1][1].append((result, mult))
     kept = {} if kept is None else kept
-    seeds = [seed + j for j in range(len(groups))]
-    dim = groups[0][0].cov.shape[-1]
+    seeds = [seed + j for j in range(len(draws))]
+    dim = draws[0][0][0].state.cov.shape[-1]
     pending = [s for s in seeds if s not in kept]
     failures: dict = {}
 
@@ -148,14 +146,14 @@ def _mc_columns(channels: list[tuple[DetectionResult, float]], n: int, count: in
             thread.join()
         if failures:
             raise failures[min(failures)]
-        roots = [_sampling_root(state) for state, _ in groups]
+        roots = [_sampling_root(members[0][0].state) for members in draws]
     except DomainError:
         raise
     except (ValueError, MemoryError) as exc:
         # A count numpy or the sampler cannot handle.
         raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
     sums, err_sq = np.zeros(n), np.zeros(n)
-    for root, draw_seed, (_, members) in zip(roots, seeds, groups):
+    for root, draw_seed, members in zip(roots, seeds, draws):
         for result, mult in members:
             u = (root @ result.weights[..., None])[..., 0]
             v = (u[..., None, :] @ kept[draw_seed] @ u[..., None])[..., 0, 0] / result.shot_noise
@@ -203,13 +201,13 @@ def _evaluate(s: Scenario, columns: dict | None = None, kept: dict | None = None
         _column(s, columns, "theta"), _column(s, columns, "entangle_ratio"),
         excess_correlation=_column(s, columns, "excess_correlation"))
     budgets = (record("budget_a", BUDGET_FIELDS), record("budget_b", BUDGET_FIELDS))
-    v_plus, v_minus, bound, gain, channels, raw = _EVALUATORS[s.method](
+    v_plus, v_minus, bound, gain, draws, raw = _EVALUATORS[s.method](
         s, columns, state, budgets)
     v_plus, v_minus, bound, gain = (_per_point(x, n) for x in (v_plus, v_minus, bound, gain))
     sums = [p + m for p, m in zip(v_plus, v_minus)]
     mc_sum = mc_stderr = None
     if s.mc_samples > 0:
-        mc_sum, mc_stderr = _mc_columns(channels, n, s.mc_samples, s.seed, kept)
+        mc_sum, mc_stderr = _mc_columns(draws, n, s.mc_samples, s.seed, kept)
     return _Stack(v_plus, v_minus, sums, bound, [t < b for t, b in zip(sums, bound)], gain,
                   raw, mc_sum, mc_stderr)
 
@@ -343,9 +341,3 @@ def compare_methods(rows: list[ReportRow]) -> str:
         lines.append("note: rows taken at different measurement frequencies "
                      "cannot be compared directly")
     return "\n".join(lines)
-
-
-def run_fixture_table(directory=None) -> list[ReportRow]:
-    """Run every fixture scenario in the directory (by default the bundled
-    one): the rows of the comparison table."""
-    return [run_scenario(s) for s in load_fixtures(directory)]

@@ -316,9 +316,8 @@ def load_scenario(path) -> Scenario:
 
 def fixtures_dir():
     """Bundled fixture directory, as a pathlib.Path (loaded here, for table1 alone)."""
-    from importlib import resources
     from pathlib import Path
-    return Path(resources.files("brightbeam") / "fixtures")
+    return Path(__file__).parent / "fixtures"
 
 
 def load_fixtures(directory=None) -> list[Scenario]:

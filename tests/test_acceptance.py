@@ -26,8 +26,8 @@ from brightbeam import (
     sample_fluctuations,
     theta_adapted_bound,
 )
-from brightbeam.harness import run_fixture_table, run_scenario
-from brightbeam.scenario import scenario_from_dict
+from brightbeam.harness import run_scenario
+from brightbeam.scenario import load_fixtures, scenario_from_dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from fit_fixtures import MEASUREMENTS  # noqa: E402
@@ -117,7 +117,7 @@ def test_5_reference_table_reproduction():
     # Each fixture's witness sum against its measured V+ + V- (twice a single
     # port's variance), and the raw sub-shot-noise levels of the two
     # interference methods against the measured variances in dB.
-    rows = {r.label: r for r in run_fixture_table()}
+    rows = {r.label: r for r in map(run_scenario, load_fixtures())}
     ok = len(rows) == 4 and rows.keys() == {m["label"] for m in MEASUREMENTS.values()}
     for measured in MEASUREMENTS.values():
         row, variances = rows.get(measured["label"]), measured["variances"]

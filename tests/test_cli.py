@@ -16,8 +16,9 @@ from hypothesis import strategies as hs
 import brightbeam
 from brightbeam import SqueezedInputSpec
 from brightbeam.cli import main
-from brightbeam.harness import SWEEP_PARAMS, compare_methods, run_fixture_table, sweep_csv
-from brightbeam.scenario import Scenario, fixtures_dir, known_keys, load_scenario, save_scenario
+from brightbeam.harness import SWEEP_PARAMS, compare_methods, run_scenario, sweep_csv
+from brightbeam.scenario import (Scenario, fixtures_dir, known_keys, load_fixtures, load_scenario,
+                                 save_scenario)
 
 # The source tree, for CLI runs in a fresh interpreter.
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(brightbeam.__file__).resolve().parents[1]))
@@ -118,7 +119,7 @@ def test_table1_escapes_what_stdout_cannot_encode(tmp_path, encoding, label):
                            "--fixtures", str(tmp_path)], capture_output=True, timeout=120,
                           env={**CHILD_ENV, "PYTHONIOENCODING": encoding})
     table = compare_methods([replace(row, label=row.label.replace("café", label))
-                             for row in run_fixture_table(tmp_path)])
+                             for row in map(run_scenario, load_fixtures(tmp_path))])
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout.decode(encoding) == table + "\n"
     header, _, *lines = table.splitlines()
@@ -135,10 +136,11 @@ def test_table1_keeps_each_row_on_one_line(tmp_path, capsys):
     fixture.write_text(json.dumps({**json.loads(fixture.read_text()), "label": label}))
     main(["table1", "--fixtures", str(tmp_path)])
     table = compare_methods([replace(row, label=row.label.replace(label, escaped))
-                             for row in run_fixture_table(tmp_path)])
+                             for row in map(run_scenario, load_fixtures(tmp_path))])
     assert capsys.readouterr().out == table + "\n"
     header, _, *lines = table.splitlines()
-    assert len(lines) == len(compare_methods(run_fixture_table()).splitlines()) - 2
+    bundled = compare_methods([run_scenario(s) for s in load_fixtures()])
+    assert len(lines) == len(bundled.splitlines()) - 2
     assert {len(line) for line in lines if not line.startswith("note:")} == {len(header)}
 
 
@@ -651,6 +653,19 @@ def test_dark_pair_exits_3_before_the_gain_search(tmp_path):
     out, _, loaded = _run_then_list_loaded(tmp_path, "simulate", "--scenario", str(path))
     assert out == "exit 3"
     assert loaded == ["numpy"]
+
+
+@pytest.mark.parametrize("gain", [1.3, "optimize"])
+def test_dark_method_a_path_has_one_message(tmp_path, capsys, gain):
+    # All of arm a's light is lost: both of method A's paths are dark in
+    # mode 1, with or without the gain search.
+    path = tmp_path / "dark.json"
+    path.write_text(json.dumps({"budget_a.prop_loss": 1, "gain": gain}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(path)])
+    assert exc.value.code == 3
+    assert capsys.readouterr() == (
+        "", "degenerate configuration: joint measurement needs two bright carriers\n")
 
 
 HOSTILE = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 10 ** 400, -10 ** 400,

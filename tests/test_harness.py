@@ -20,13 +20,13 @@ from brightbeam.harness import (
     CSV_HEADER,
     SWEEP_PARAMS,
     compare_methods,
-    run_fixture_table,
     run_scenario,
     sweep,
     sweep_csv,
     with_param,
 )
-from brightbeam.scenario import Scenario, fixtures_dir, load_scenario, scenario_from_dict
+from brightbeam.scenario import (Scenario, fixtures_dir, load_fixtures, load_scenario,
+                                 scenario_from_dict)
 from brightbeam.states import apply_loss, sample_fluctuations
 
 SQ37 = {
@@ -177,7 +177,7 @@ class TestSweep:
 
 class TestCompare:
     def test_fixture_table_runs_and_aligns(self):
-        rows = run_fixture_table()
+        rows = [run_scenario(s) for s in load_fixtures()]
         table = compare_methods(rows)
         assert len(rows) == 4
         lines = table.split("\n")
@@ -195,10 +195,10 @@ class TestCompare:
 
     def test_empty_fixture_directory_rejected(self, tmp_path):
         with pytest.raises(ScenarioError, match="at least 2 fixture scenarios, found 0 in"):
-            run_fixture_table(tmp_path)
+            load_fixtures(tmp_path)
         (tmp_path / "a.json").write_text('{"method": "B"}\n')
         with pytest.raises(ScenarioError, match="at least 2 fixture scenarios, found 1 in"):
-            run_fixture_table(tmp_path)
+            load_fixtures(tmp_path)
 
 
 BUDGETS = {
@@ -228,16 +228,24 @@ def _assert_raw(raw, expected):
             assert raw[key][field] == pytest.approx(value, rel=1e-12), (key, field)
 
 
-def _pin(s):
-    """Method A's gain and raw readings, built apart from ``detection``: one
-    ``apply_loss`` per arm, the visibility on the phase (Y) path only, and
-    each photocurrent's explicit weights read with combination_variance."""
+def _method_a_paths(s):
+    """Method A's amplitude (X) and phase (Y) paths, built apart from
+    ``detection``: one ``apply_loss`` per arm, the visibility on the phase
+    path only."""
     paths = []
     for with_visibility in (False, True):
         lossy = _entangled(s)
         for mode, budget in enumerate((s.budget_a, s.budget_b)):
             lossy = apply_loss(lossy, mode, budget.effective(with_visibility))
         paths.append(lossy)
+    return paths
+
+
+def _pin(s):
+    """Method A's gain and raw readings, built apart from ``detection`` on
+    ``_method_a_paths``, each photocurrent's explicit weights read with
+    combination_variance."""
+    paths = _method_a_paths(s)
     g = witness_gains(*paths, s.imbalance)[0] if s.gain == "optimize" else s.gain
     raw = {}
     for (key, q, sign), lossy in zip((("plus", 0, 1.0), ("minus", 1, -1.0)), paths):
@@ -322,7 +330,7 @@ class TestHarnessEqualsDetection:
 
 
 class TestMonteCarloDrawPlan:
-    """One draw per measured state, in channel order, seeded seed, seed + 1, ..."""
+    """One draw per measured state, in plan order, seeded seed, seed + 1, ..."""
 
     @pytest.mark.parametrize("method, seeds", [("A", [11, 12]), ("B", [11]), ("C", [11])])
     def test_draws_per_method(self, monkeypatch, method, seeds):
@@ -436,8 +444,9 @@ class TestGridEqualsPoint:
 @pytest.mark.parametrize("method, kept", [("B", [2]), ("C", [1]), ("A", [1, 1])])
 def test_gain_sweep_reads_each_shared_weight_vector_once(monkeypatch, method, kept):
     # A gain sweep draws each measured state once: B's one draw serves its
-    # two channels, C's its one port, and each of A's two draws one channel.
-    # Each channel reads that draw at each of the 50 points' weights, as the
+    # two channels, C's its one port, and A's two draws, its amplitude path
+    # then its phase path, one channel each.  Every reading of a draw is
+    # read off its one state, at each of the 50 points' weights, as the
     # np.var oracle does.
     calls, seen = [], []
     real_sampler, real_columns = harness.normal_covariance, harness._mc_columns
@@ -446,17 +455,23 @@ def test_gain_sweep_reads_each_shared_weight_vector_once(monkeypatch, method, ke
         calls.append(seed)
         return real_sampler(count, seed, dim)
 
-    def columns(channels, n, count, seed, kept=None):
-        seen.append((channels, real_columns(channels, n, count, seed, kept)))
+    def columns(draws, n, count, seed, kept=None):
+        seen.append((draws, real_columns(draws, n, count, seed, kept)))
         return seen[-1][1]
 
     monkeypatch.setattr(harness, "normal_covariance", recording)
     monkeypatch.setattr(harness, "_mc_columns", columns)
-    sweep_csv(make(method, mc_samples=1000, seed=3, **BUDGETS), "gain", 0.5, 2.0, 50)
-    [(channels, got)] = seen
+    s = make(method, mc_samples=1000, seed=3, **BUDGETS)
+    sweep_csv(s, "gain", 0.5, 2.0, 50)
+    [(draws, got)] = seen
     assert len(calls) == len(kept)
-    assert [len(members) for _, members in _draws(channels)] == kept
-    _assert_oracle_columns(got, _sequential_monte_carlo(channels, 50, 1000, 3))
+    assert [len(members) for members in draws] == kept
+    for members in draws:
+        assert all(r.state is members[0][0].state for r, _ in members)
+    if method == "A":
+        for members, path in zip(draws, _method_a_paths(s), strict=True):
+            assert np.allclose(members[0][0].state.cov, path.cov, rtol=1e-12, atol=0)
+    _assert_oracle_columns(got, _sequential_monte_carlo(draws, 50, 1000, 3))
 
 
 def test_monte_carlo_peak_memory_is_below_one_sample_array():
@@ -559,25 +574,16 @@ def test_no_helper_outlives_the_draws(monkeypatch, fails):
     assert threading.active_count() == before
 
 
-def _draws(channels):
-    """The channels grouped as the harness draws them: (state, members) for
-    each run of channels read off one state, the j-th drawn with seed + j."""
-    groups = []
-    for result, mult in channels:
-        if not groups or result.state is not groups[-1][0]:
-            groups.append((result.state, []))
-        groups[-1][1].append((result, mult))
-    return groups
-
-
-def _sequential_monte_carlo(channels, n, count, seed):
-    """mc_sum and mc_stderr of the channels, each state drawn whole, one
-    after the other, and each channel's samples read with np.var."""
+def _sequential_monte_carlo(draws, n, count, seed):
+    """mc_sum and mc_stderr of a draw plan, the j-th state drawn whole with
+    seed + j, one after the other, and each reading's samples read with
+    np.var."""
     def at(x, k):
         return x[k] if len(x) > 1 else x[0]
 
     sums, err_sq = [0.0] * n, [0.0] * n
-    for j, (state, members) in enumerate(_draws(channels)):
+    for j, members in enumerate(draws):
+        state = members[0][0].state
         stack = len(state.amplitudes)
         for k in range(n):
             samples = sample_fluctuations(state[k if stack > 1 else 0], count, seed + j)
@@ -602,9 +608,9 @@ def _record_oracle(monkeypatch):
     seen = []
     real = harness._mc_columns
 
-    def recording(channels, n, count, seed, kept=None):
-        columns = real(channels, n, count, seed, kept)
-        seen.append((_sequential_monte_carlo(channels, n, count, seed), columns))
+    def recording(draws, n, count, seed, kept=None):
+        columns = real(draws, n, count, seed, kept)
+        seen.append((_sequential_monte_carlo(draws, n, count, seed), columns))
         return columns
 
     monkeypatch.setattr(harness, "_mc_columns", recording)
@@ -691,9 +697,9 @@ def test_mc_reads_small_channels_under_huge_excess_noise(monkeypatch):
     seen = []
     real = harness._mc_columns
 
-    def recording(channels, n, count, seed, kept=None):
-        seen.append(channels)
-        return real(channels, n, count, seed, kept)
+    def recording(draws, n, count, seed, kept=None):
+        seen.append(draws)
+        return real(draws, n, count, seed, kept)
 
     monkeypatch.setattr(harness, "_mc_columns", recording)
     s = scenario_from_dict({"method": "A", "mc_samples": 20_000, "seed": 3, **{
