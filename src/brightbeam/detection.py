@@ -121,7 +121,7 @@ def method_a_readings(state: BrightGaussianState, budgets: tuple[LossBudget, Los
     for path in (state_x, state_y):
         bright_carriers(path, [0, 1], "joint measurement needs two bright carriers")
     if g is None:
-        g = witness_gains(state_x, state_y, imbalance)[0]
+        g = witness_gains(state_x, state_y, imbalance)
     return g, _joint_reading(state_x, "X", 1.0, g, imbalance), _joint_reading(
         state_y, "Y", -1.0, g, imbalance)
 

@@ -229,7 +229,7 @@ def _bounded_brent(f, params):
         xf, fx = where(better, x, xf), where(better, fu, fx)
 
 
-def minimize_gain(objective, params) -> tuple[np.ndarray, np.ndarray]:
+def minimize_gain(objective, params) -> np.ndarray:
     """Minimize objective(g, params) over a gain g in GAIN_BOUNDS, for every
     column of the 2-D array params at once.
 
@@ -242,19 +242,19 @@ def minimize_gain(objective, params) -> tuple[np.ndarray, np.ndarray]:
     warnings inside the search are silenced, as a scalar search on Python
     floats never warns: an overflow gives inf, and parabolic steps that
     are computed and then discarded may divide 0 by 0.
-    Returns (g, fallback) per column: g = 1 where the optimum is not
-    finite (fallback is then True) or is no better than unit gain.
+    Returns g per column: g = 1 where the optimum is not finite or is no
+    better than unit gain.
     """
     with np.errstate(all="ignore"):
         x, brent = _bounded_brent(lambda log_g, p: objective(np.exp(log_g), p), params)
         brent_g = np.exp(x)
-        fallback = ~(np.isfinite(brent_g) & np.isfinite(brent))
+        finite = np.isfinite(brent_g) & np.isfinite(brent)
         unit, lo, hi = objective(np.array([1.0, *GAIN_BOUNDS])[:, None], params)
     g, best = np.ones(x.shape), unit
     for candidate, value in ((brent_g, brent), (GAIN_BOUNDS[0], lo), (GAIN_BOUNDS[1], hi)):
         wins = value < best
         g, best = np.where(wins, candidate, g), np.where(wins, value, best)
-    return np.where(fallback, 1.0, g), fallback
+    return np.where(finite, g, 1.0)
 
 
 def _witness_sum(g, params):
@@ -275,9 +275,10 @@ def witness_gains(state_x: BrightGaussianState, state_y: BrightGaussianState,
     V(dX1 + g' dX2) of state_x plus V(dY1 - g' dY2) of state_y, at
     g' = g (1 + imbalance).
 
-    ``minimize_gain`` searches all pairs of the stack together.  Returns
-    (gains, fallbacks), scalars for unstacked states.  Its caller,
-    ``method_a_readings``, has checked both paths for two bright carriers.
+    ``minimize_gain`` searches all pairs of the stack together; a pair
+    whose optimum is not finite gets g = 1.  Returns the gains, a scalar
+    for unstacked states.  Its caller, ``method_a_readings``, has checked
+    both paths for two bright carriers.
     """
     batch = np.broadcast_shapes(state_x.cov.shape[:-2], state_y.cov.shape[:-2],
                                 np.shape(imbalance))
@@ -285,5 +286,4 @@ def witness_gains(state_x: BrightGaussianState, state_y: BrightGaussianState,
     rows = (cx[..., 0, 0], cx[..., 0, 2], cx[..., 2, 2], cy[..., 1, 1], cy[..., 1, 3],
             cy[..., 3, 3], 1.0 + np.asarray(imbalance, dtype=float))
     params = np.stack([np.broadcast_to(row, batch).ravel() for row in rows])
-    gains, fallbacks = (v.reshape(batch) for v in minimize_gain(_witness_sum, params))
-    return float_if_scalar(gains), (fallbacks if batch else bool(fallbacks))
+    return float_if_scalar(minimize_gain(_witness_sum, params).reshape(batch))

@@ -31,11 +31,11 @@ the classical phase noise that inputs of one correlated_group share
 where it joins their specs.
 
 The sampling oracle maps seeded standard normals through a root of the
-covariance: ``sample_fluctuations`` returns the samples.  The normals do
-not depend on the state, so ``normal_covariance`` draws only their sample
-covariance, in memory that does not grow with the count, and
-``_sampling_root`` gives the root of every state of a stack to read it
-through.
+covariance: ``sample_fluctuations`` draws them whole and returns the
+samples of one state.  The normals do not depend on the state, so
+``normal_covariance`` sums only their sample covariance, chunk by chunk in
+memory that does not grow with the count, and ``_sampling_root`` gives the
+root of every state of a stack to read it through.
 """
 
 from __future__ import annotations
@@ -508,8 +508,8 @@ def _apply_losses(state: BrightGaussianState, losses) -> BrightGaussianState:
     return BrightGaussianState._mapped(amps, cov)
 
 
-# Rows of standard normals drawn at a time by sample_fluctuations and
-# normal_covariance (see _normal_chunks for the size).
+# Rows of standard normals that normal_covariance draws at a time; its
+# docstring gives the reason for the size.
 _CHUNK_ROWS = 16384
 
 
@@ -524,30 +524,6 @@ def _sampling_root(state: BrightGaussianState) -> np.ndarray:
     return np.swapaxes(v * np.sqrt(np.clip(w, 0.0, None))[..., None, :], -1, -2)
 
 
-def _normal_chunks(count: int, seed: int, dim: int):
-    """Yield (lo, hi, z): rows lo to hi of a count x dim draw of standard
-    normals from one seeded generator, as one reused buffer.
-
-    The generator's stream is sequential, so the chunks are the rows of one
-    whole draw, bit for bit.  A chunk never has one row unless the draw
-    does: numpy multiplies a single row on its vector path, which can round
-    differently.  Chunks are 16 384 rows so that a two-mode chunk's 4 x 4
-    products stay at OpenBLAS's single-thread cutoff (M*N*K <= 2**18): in
-    ``harness._mc_columns`` method A's two draws run side by side, and at
-    65 536 rows and two BLAS threads each chunk's product started a BLAS
-    thread that competed with the other draw.
-    """
-    z = np.empty((min(count, _CHUNK_ROWS + 1), dim))
-    rng = np.random.default_rng(seed)
-    lo = 0
-    while lo < count:
-        # A remainder of one row joins the last full chunk.
-        hi = count if count - lo <= _CHUNK_ROWS + 1 else lo + _CHUNK_ROWS
-        rng.standard_normal(out=z[:hi - lo])
-        yield lo, hi, z[:hi - lo]
-        lo = hi
-
-
 def sample_fluctuations(state: BrightGaussianState, count: int, seed: int) -> np.ndarray:
     """Draw zero-mean Gaussian fluctuation samples (count x 2n) of one state.
 
@@ -555,15 +531,14 @@ def sample_fluctuations(state: BrightGaussianState, count: int, seed: int) -> np
     ``z @ A``, z a count x 2n draw of standard normals from
     ``np.random.default_rng(seed)`` and A the state's sampling root.  This
     is the sampling oracle backing every analytic covariance claim in the
-    test suite; for a stack, sample ``state[k]``.
+    test suite; a stack raises DomainError, so sample ``state[k]``.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
+    if state.amplitudes.ndim > 1:
+        raise DomainError("sample_fluctuations draws one state, not a stack: sample state[k]")
     root = _sampling_root(state)
-    out = np.empty((count, len(root)))
-    for lo, hi, z in _normal_chunks(count, seed, len(root)):
-        np.matmul(z, root, out=out[lo:hi])
-    return out
+    return np.random.default_rng(seed).standard_normal((count, len(root))) @ root
 
 
 def normal_covariance(count: int, seed: int, dim: int) -> np.ndarray:
@@ -576,10 +551,20 @@ def normal_covariance(count: int, seed: int, dim: int) -> np.ndarray:
     samples ``z @ A @ w``.  The 2n x 2n matrix A^T S_z A would be the same
     in exact arithmetic, but where the entries of A span many orders
     (shared excess phase noise of 150 dB) its rounding loses the small
-    channel variances.  The draw is summed chunk by chunk into sum(z) and
-    z^T z, so memory does not grow with count.  Counts above 2**53 raise
-    ValueError, as numpy does for an array it cannot size: beyond it
-    neither count nor count - 1 is exact as a float.
+    channel variances.  Counts above 2**53 raise ValueError, as numpy does
+    for an array it cannot size: beyond it neither count nor count - 1 is
+    exact as a float.
+
+    The draw is summed chunk by chunk into sum(z) and z^T z, so memory does
+    not grow with count.  The generator's stream is sequential, so the
+    chunks are the rows of one whole draw, bit for bit, drawn into one
+    reused buffer.  A chunk never has one row unless the draw does: numpy
+    multiplies a single row on its vector path, which can round
+    differently.  Chunks are 16 384 rows so that a two-mode chunk's 4 x 4
+    products stay at OpenBLAS's single-thread cutoff (M*N*K <= 2**18): in
+    ``harness._mc_columns`` method A's two draws run side by side, and at
+    65 536 rows and two BLAS threads each chunk's product started a BLAS
+    thread that competed with the other draw.
     """
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
@@ -589,8 +574,15 @@ def normal_covariance(count: int, seed: int, dim: int) -> np.ndarray:
     # faster than z.sum(axis=0).
     ones = np.ones(min(count, _CHUNK_ROWS + 1))
     total, gram = np.zeros(dim), np.zeros((dim, dim))
-    for _, _, z in _normal_chunks(count, seed, dim):
-        total += ones[:len(z)] @ z
+    buffer = np.empty((len(ones), dim))
+    rng = np.random.default_rng(seed)
+    left = count
+    while left:
+        # A remainder of one row joins the last full chunk.
+        rows = left if left <= _CHUNK_ROWS + 1 else _CHUNK_ROWS
+        z = rng.standard_normal(out=buffer[:rows])
+        total += ones[:rows] @ z
         gram += z.T @ z
+        left -= rows
     mean = total / count
     return (gram - count * np.outer(mean, mean)) / (count - 1)

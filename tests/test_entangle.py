@@ -204,15 +204,14 @@ class TestOptimizeGain:
     def test_symmetric_state_gives_unit_gain(self):
         spec = symmetric_spec()
         st = generate_entangled(spec, spec, math.pi / 2)
-        g, fallback = witness_gains(st, st)
+        g = witness_gains(st, st)
         assert g == pytest.approx(1.0, abs=1e-5)
-        assert not fallback
 
     def test_asymmetric_loss_beats_unit_gain_and_matches_grid_search(self):
         spec = symmetric_spec(3.0, 5.0)
         st = generate_entangled(spec, spec, math.pi / 2)
         st = apply_loss(st, 0, 0.8)
-        g, _ = witness_gains(st, st)
+        g = witness_gains(st, st)
         report = duan_simon(st, g)
         unit = duan_simon(st, 1.0)
         assert report.sum_value <= unit.sum_value
@@ -223,7 +222,7 @@ class TestOptimizeGain:
         assert g != pytest.approx(1.0, abs=1e-3)
 
     def test_coherent_pair_is_flat(self):
-        g, _ = witness_gains(coherent_pair(), coherent_pair())
+        g = witness_gains(coherent_pair(), coherent_pair())
         assert duan_simon(coherent_pair(), g).sum_value == pytest.approx(2.0, abs=1e-9)
 
 
@@ -271,7 +270,7 @@ class TestGainAgainstDenseGrid:
         worse = []
         for seed in range(GRID_STATES):
             st = random_lossy_pair(np.random.default_rng(seed))
-            g, _ = witness_gains(st, st)
+            g = witness_gains(st, st)
             report = duan_simon(st, g)
             assert grid_sums(st, st, g) == pytest.approx(report.sum_value, rel=1e-12)
             best = grid_sums(st, st, GAIN_GRID).min()
@@ -317,8 +316,8 @@ def scipy_gain(minimize_scalar, state_x, state_y, imbalance):
                           method="bounded", options={"xatol": 1e-12})
     g = float(np.exp(res.x))
     if not (np.isfinite(g) and np.isfinite(res.fun)):
-        return 1.0, True
-    return min((1.0, g, lo, hi), key=witness_sum), False
+        return 1.0
+    return min((1.0, g, lo, hi), key=witness_sum)
 
 
 class TestGainAgainstScipy:
@@ -335,10 +334,10 @@ class TestGainAgainstScipy:
         # A coherent pair's sum is 2 at almost every gain: candidates tie.
         xs, ys = xs + [coherent_pair()] * 4, ys + [coherent_pair()] * 4
         imbalance = np.where(np.arange(404) % 2, 0.0, rng.uniform(-0.5, 0.5, 404))
-        gains, fallbacks = witness_gains(stack_of(xs), stack_of(ys), imbalance)
+        gains = witness_gains(stack_of(xs), stack_of(ys), imbalance)
         expected = [scipy_gain(minimize_scalar, sx, sy, float(imb))
                     for sx, sy, imb in zip(xs, ys, imbalance)]
-        assert list(zip(gains.tolist(), fallbacks.tolist())) == expected
+        assert gains.tolist() == expected
         # An end of the range beats Brent's local minimum only past an
         # interior maximum; both kinds of pair are in the stack.
         at_end = np.isin(gains, GAIN_BOUNDS)
@@ -346,12 +345,11 @@ class TestGainAgainstScipy:
 
     def test_non_finite_minimum_falls_back_to_unit_gain(self):
         params = np.array([[2.0, np.nan, -0.5]])
-        g, fallback = minimize_gain(lambda g, p: (np.log(g) - p[0]) ** 2, params)
-        assert fallback.tolist() == [False, True, False]
+        g = minimize_gain(lambda g, p: (np.log(g) - p[0]) ** 2, params)
         assert g[1] == 1.0
         assert g[[0, 2]] == pytest.approx(np.exp([2.0, -0.5]), rel=1e-9)
-        g, fallback = minimize_gain(lambda g, p: (np.log(g) - p[0]) ** 2, params[:, 1:2])
-        assert (g.tolist(), fallback.tolist()) == ([1.0], [True])
+        g = minimize_gain(lambda g, p: (np.log(g) - p[0]) ** 2, params[:, 1:2])
+        assert g.tolist() == [1.0]
 
 
 @settings(max_examples=200)
@@ -379,15 +377,15 @@ def test_each_stacked_gain_is_the_gain_of_its_pair_alone(drawn):
     """Pairs that stop early leave the search without touching the others."""
     seeds, imbalance = zip(*drawn)
     pairs = [random_lossy_pair(np.random.default_rng(seed)) for seed in seeds]
-    gains, fallbacks = witness_gains(stack_of(pairs), stack_of(pairs), np.array(imbalance))
+    gains = witness_gains(stack_of(pairs), stack_of(pairs), np.array(imbalance))
     for k, (pair, imb) in enumerate(zip(pairs, imbalance)):
-        assert witness_gains(pair, pair, imb) == (gains[k], fallbacks[k])
+        assert witness_gains(pair, pair, imb) == gains[k]
 
 
 def test_pairs_finishing_around_a_compaction_keep_their_own_gains(monkeypatch):
     """In a 240-pair stack some pairs finish while they ride along in the
     arrays, before the first compaction, and others after it; each gets
-    the gain and fallback of its pair searched alone (numpy only)."""
+    the gain of its pair searched alone (numpy only)."""
     widths = []
 
     def recording(g, params):
@@ -398,12 +396,12 @@ def test_pairs_finishing_around_a_compaction_keep_their_own_gains(monkeypatch):
     rng = np.random.default_rng(2001)
     pairs = [random_lossy_pair(rng) for _ in range(236)] + [coherent_pair()] * 4
     imbalance = np.where(np.arange(240) % 2, 0.0, rng.uniform(-0.5, 0.5, 240))
-    gains, fallbacks = witness_gains(stack_of(pairs), stack_of(pairs), imbalance)
+    gains = witness_gains(stack_of(pairs), stack_of(pairs), imbalance)
     stacked = widths[:-1]  # the last call scores the candidate gains
     evaluations = []
     for k, (pair, imb) in enumerate(zip(pairs, imbalance)):
         widths.clear()
-        assert witness_gains(pair, pair, float(imb)) == (gains[k], fallbacks[k])
+        assert witness_gains(pair, pair, float(imb)) == gains[k]
         evaluations.append(len(widths) - 1)
     first_compaction = next(i for i, w in enumerate(stacked) if w < 240)
     # The first pairs to finish stay in the arrays for the next evaluation.

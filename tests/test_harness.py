@@ -246,7 +246,7 @@ def _pin(s):
     ``_method_a_paths``, each photocurrent's explicit weights read with
     combination_variance."""
     paths = _method_a_paths(s)
-    g = witness_gains(*paths, s.imbalance)[0] if s.gain == "optimize" else s.gain
+    g = witness_gains(*paths, s.imbalance) if s.gain == "optimize" else s.gain
     raw = {}
     for (key, q, sign), lossy in zip((("plus", 0, 1.0), ("minus", 1, -1.0)), paths):
         a1 = lossy.amplitudes[0]
@@ -322,7 +322,7 @@ class TestHarnessEqualsDetection:
         lossy = _entangled(s)
         for mode, budget in enumerate((s.budget_a, s.budget_b)):
             lossy = apply_loss(lossy, mode, budget.effective())
-        g, _ = witness_gains(lossy, lossy)
+        g = witness_gains(lossy, lossy)
         row = run_scenario(s)
         assert g != pytest.approx(1.0)
         assert row.gain == pytest.approx(g, rel=1e-12)

@@ -360,6 +360,37 @@ class TestSampling:
             u, p = root @ vector, samples @ vector
             assert u @ s_z @ u == pytest.approx(np.var(p, ddof=1), rel=1e-9, abs=1e-12 * (p @ p))
 
+    @pytest.mark.parametrize("count", [2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                       _CHUNK_ROWS + 2, 2 * _CHUNK_ROWS + 1,
+                                       3 * _CHUNK_ROWS + 17])
+    def test_chunk_schedule_bit_for_bit(self, count):
+        # S_z sums _CHUNK_ROWS-row slices of one whole draw, a one-row
+        # remainder joined to the last full slice, with a product by ones
+        # and z^T z per slice.  Printed digits cannot tell schedules apart.
+        dim, seed = 4, 5
+        z = np.random.default_rng(seed).standard_normal((count, dim))
+        stops = list(range(_CHUNK_ROWS, count, _CHUNK_ROWS))
+        if stops and count - stops[-1] == 1:
+            stops.pop()
+        total, gram = np.zeros(dim), np.zeros((dim, dim))
+        for part in np.split(z, stops):
+            total += np.ones(len(part)) @ part
+            gram += part.T @ part
+        mean = total / count
+        expected = (gram - count * np.outer(mean, mean)) / (count - 1)
+        assert np.array_equal(normal_covariance(count, seed, dim), expected)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_stack_is_refused(self, k):
+        # A stack of 2n = 4 two-mode states has roots that a count x 4 draw
+        # would broadcast against into k arrays of samples.
+        rng = np.random.default_rng(k)
+        states = [random_two_mode_state(rng) for _ in range(k)]
+        stack = BrightGaussianState(np.stack([s.amplitudes for s in states]),
+                                    np.stack([s.cov for s in states]))
+        with pytest.raises(DomainError, match=r"not a stack: sample state\[k\]"):
+            sample_fluctuations(stack, 100, 0)
+
 
 class TestOracleEquivalence:
     def test_random_element_sequences(self):
