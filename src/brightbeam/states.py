@@ -20,22 +20,23 @@ so ``from_dict``, ``compose`` and ``make_coherent``) tests every
 covariance of its stack for finiteness and symmetry, then for the
 uncertainty relation V + i*Omega >= 0 (Simon, PRL 84, 2726 (2000)) with
 one batched complex eigvalsh; the vacuum is V = I.  Physical maps (beam
-splitters, phases, loss) keep a state bona fide, and inputs that meet
-their own uncertainty relation join into one, so map outputs, stack
-elements and such ``squeezed_inputs`` get the finiteness and symmetry
-tests but no eigendecomposition unless their entries are large enough
-for rounding to matter (see ``mapped_unchecked_scale``).
+splitters, phases, loss) keep a state symmetric and bona fide, and inputs
+that meet their own uncertainty relation join into one, so map outputs,
+stack elements and such ``squeezed_inputs`` get the finiteness test, and
+the symmetry and uncertainty tests only where their entries are large
+enough for rounding to matter (see ``mapped_unchecked_scale``).
 
 A state is its carriers and covariance only: ``squeezed_inputs`` sets
 the classical phase noise that inputs of one correlated_group share
 where it joins their specs.
 
 The sampling oracle maps seeded standard normals through a root of the
-covariance: ``sample_fluctuations`` draws them whole and returns the
-samples of one state.  The normals do not depend on the state, so
-``normal_covariance`` sums only their sample covariance, chunk by chunk in
-memory that does not grow with the count, and ``_sampling_root`` gives the
-root of every state of a stack to read it through.
+covariance: ``sample_fluctuations`` draws them whole, multiplies them by
+the root in place and returns the samples of one state.  The normals do
+not depend on the state, so ``normal_covariance`` sums only their sample
+covariance, chunk by chunk in memory that does not grow with the count,
+and ``_sampling_root`` gives the root of every state of a stack to read
+it through.
 """
 
 from __future__ import annotations
@@ -190,8 +191,11 @@ class BrightGaussianState:
         """A state known to be bona fide: made by a physical map (or stack
         indexing) from checked states, or by ``squeezed_inputs`` from inputs
         that pass their own uncertainty test.  The constructor's checks,
-        except that the uncertainty relation is tested only where rounding
-        could break it."""
+        except that symmetry and the uncertainty relation are tested only
+        where rounding could break them (entries above
+        ``mapped_unchecked_scale``): the maps build exactly symmetric
+        covariances, or S V S^T with an orthogonal S, whose rounding
+        asymmetry stays far below SYM_TOL."""
         state = object.__new__(cls)
         state._store(amplitudes, cov, mapped=True)
         return state
@@ -213,10 +217,8 @@ class BrightGaussianState:
         top = np.abs(cov).max(initial=1.0)
         if not top <= _LARGEST_ENTRY:  # also NaN
             raise DomainError(_NOT_FINITE)
-        # Each covariance's scale is its largest entry, at least 1, so an
-        # asymmetry within SYM_TOL is within SYM_TOL of every scale.
         check = not mapped or top > mapped_unchecked_scale(2 * n)
-        if check or np.abs(cov - cov_t).max(initial=0.0) > SYM_TOL:
+        if check:
             scale = np.abs(cov).max(axis=(-2, -1), keepdims=True, initial=1.0)
             if (np.abs(cov - cov_t) > SYM_TOL * scale).any():
                 raise DomainError("covariance matrix is not symmetric")
@@ -508,8 +510,9 @@ def _apply_losses(state: BrightGaussianState, losses) -> BrightGaussianState:
     return BrightGaussianState._mapped(amps, cov)
 
 
-# Rows of standard normals that normal_covariance draws at a time; its
-# docstring gives the reason for the size.
+# Rows of standard normals that normal_covariance draws, and that
+# sample_fluctuations multiplies, at a time; normal_covariance's docstring
+# gives the reason for the size.
 _CHUNK_ROWS = 16384
 
 
@@ -532,13 +535,24 @@ def sample_fluctuations(state: BrightGaussianState, count: int, seed: int) -> np
     ``np.random.default_rng(seed)`` and A the state's sampling root.  This
     is the sampling oracle backing every analytic covariance claim in the
     test suite; a stack raises DomainError, so sample ``state[k]``.
+
+    The draw is multiplied by A in place, _CHUNK_ROWS rows at a time, so
+    memory peaks at one count x 2n array and a block's product.  A block
+    never has one row unless the draw does, as in ``normal_covariance``.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     if state.amplitudes.ndim > 1:
         raise DomainError("sample_fluctuations draws one state, not a stack: sample state[k]")
     root = _sampling_root(state)
-    return np.random.default_rng(seed).standard_normal((count, len(root))) @ root
+    samples = np.random.default_rng(seed).standard_normal((count, len(root)))
+    lo = 0
+    while lo < count:
+        # A remainder of one row joins the last full block.
+        hi = count if count - lo <= _CHUNK_ROWS + 1 else lo + _CHUNK_ROWS
+        samples[lo:hi] = samples[lo:hi] @ root
+        lo = hi
+    return samples
 
 
 def normal_covariance(count: int, seed: int, dim: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from brightbeam.errors import DegenerateModeError, DomainError
 from brightbeam.scenario import INPUT_FIELDS
 from brightbeam.states import (
     _CHUNK_ROWS,
+    SYM_TOL,
     _apply_losses,
     _sampling_root,
     dark_modes,
@@ -380,6 +382,28 @@ class TestSampling:
         expected = (gram - count * np.outer(mean, mean)) / (count - 1)
         assert np.array_equal(normal_covariance(count, seed, dim), expected)
 
+    @pytest.mark.parametrize("count", [1, 2, 3, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                       _CHUNK_ROWS + 2, 2 * _CHUNK_ROWS + 1,
+                                       3 * _CHUNK_ROWS + 17, 10 ** 6])
+    def test_samples_multiplied_in_place_are_the_whole_product(self, count):
+        # The draw is multiplied by the root block by block, a one-row
+        # remainder joined to the last block: the same bits as one product.
+        state = BrightGaussianState(*random_physical_pair(np.random.default_rng(count)))
+        z = np.random.default_rng(3).standard_normal((count, 4))
+        assert np.array_equal(sample_fluctuations(state, count, 3), z @ _sampling_root(state))
+
+    def test_samples_peak_near_their_own_size(self):
+        # The product is written back into the draw, so the peak is the
+        # output and one block's product, not two count x 2n arrays.
+        state = BrightGaussianState(*random_physical_pair(np.random.default_rng(1)))
+        tracemalloc.start()
+        try:
+            samples = sample_fluctuations(state, 10 ** 6, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * samples.nbytes
+
     @pytest.mark.parametrize("k", [2, 4])
     def test_stack_is_refused(self, k):
         # A stack of 2n = 4 two-mode states has roots that a count x 4 draw
@@ -557,6 +581,31 @@ def assert_map_output_physical(state):
     assert np.array_equal(again.cov, state.cov)
 
 
+def mapped_covariances(maps):
+    """Every covariance that maps() hands to BrightGaussianState._mapped,
+    as it arrives there, before its symmetrization."""
+    seen = []
+    mapped = BrightGaussianState._mapped.__func__
+
+    def recording(cls, amplitudes, cov):
+        seen.append(np.array(cov, dtype=float))
+        return mapped(cls, amplitudes, cov)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BrightGaussianState, "_mapped", classmethod(recording))
+        maps()
+    return seen
+
+
+def assert_constructor_symmetric(covs):
+    """Each covariance passes the constructor's symmetry test:
+    |V - V^T| <= SYM_TOL * max(1, max|V|)."""
+    assert covs
+    for cov in covs:
+        scale = np.abs(cov).max(axis=(-2, -1), keepdims=True, initial=1.0)
+        assert (np.abs(cov - np.swapaxes(cov, -1, -2)) <= SYM_TOL * scale).all()
+
+
 @hs.composite
 def bona_fide_stacks(draw):
     """A stack of random physical pairs, each scaled by a factor >= 1 (which
@@ -659,6 +708,53 @@ class TestStackedMaps:
                 states = [apply_phase(st, mode, phi[k]) for k, st in enumerate(states)]
             assert_map_output_physical(stack)
         assert_slices_equal(stack, states)
+
+    @settings(max_examples=40)
+    @given(stack=bona_fide_stacks(), data=hs.data())
+    def test_map_outputs_pass_the_symmetry_test(self, stack, data):
+        # A map output is tested for symmetry only where its entries are
+        # large, so every covariance a map makes must pass that test anyway.
+        r, theta = data.draw(columns(stack, UNIT)), data.draw(columns(stack, ANGLE))
+        eta, phi = data.draw(columns(stack, UNIT)), data.draw(columns(stack, ANGLE))
+
+        def maps():
+            out = apply_beamsplitter(stack, 0, 1, r, theta)
+            out = _apply_losses(out, ((0, eta), (1, eta[::-1])))
+            out = apply_beamsplitter(apply_phase(out, 1, phi), 1, 0, r[::-1], theta)
+            return apply_loss(out, 0, eta)[0]
+
+        assert_constructor_symmetric(mapped_covariances(maps))
+
+    def test_map_outputs_under_150_db_of_shared_phase_noise_pass_the_symmetry_test(self):
+        # Covariance entries up to 1e15, summed in S V S^T and scaled by loss.
+        def record(amplitude):
+            return SimpleNamespace(amplitude=np.full(self.N, amplitude),
+                                   squeezing_db=np.full(self.N, 3.0),
+                                   antisqueezing_db=np.full(self.N, 5.0),
+                                   excess_phase_db=np.linspace(0.0, 150.0, self.N),
+                                   correlated_group=1)
+
+        theta, eta = np.linspace(0.3, 2.8, self.N), np.linspace(0.1, 1.0, self.N)
+
+        def maps():
+            out = squeezed_inputs([record(10.0), record(11.0)])
+            out = apply_beamsplitter(out, 0, 1, 0.5, theta)
+            out = _apply_losses(out, ((0, 0.9), (1, 0.8)))
+            out = apply_beamsplitter(apply_phase(out, 1, 0.4), 1, 0, 0.3, 1.0)
+            return apply_loss(out, 0, eta)[self.N - 1]
+
+        covs = mapped_covariances(maps)
+        assert np.abs(covs[0]).max() > 1e15
+        assert_constructor_symmetric(covs)
+
+    def test_large_mapped_covariance_is_tested_for_symmetry(self):
+        # Above mapped_unchecked_scale a map output gets the constructor's
+        # symmetry test: 1e-2 off entries of 1e6 is an asymmetry of 1e-8.
+        cov = 1e6 * np.eye(4)
+        cov[0, 1] = 1e-2
+        assert np.abs(cov).max() > mapped_unchecked_scale(4)
+        with pytest.raises(DomainError, match="not symmetric"):
+            BrightGaussianState._mapped(np.ones(2), cov)
 
     def test_scalar_parameters_broadcast(self, stack):
         out = apply_loss(apply_beamsplitter(stack, 1, 0, 0.3, 1.2), 1, 0.6)
