@@ -25,7 +25,8 @@ import sys
 from dataclasses import replace
 
 from .errors import DegenerateModeError, DomainError, ScenarioError
-from .scenario import SWEEP_PARAMS, check_grid, load_fixtures, load_scenario, with_fields
+from .scenario import (SWEEP_PARAMS, check_grid, load_fixtures, load_scenario, with_fields,
+                       write_whole)
 
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
@@ -61,8 +62,7 @@ def sweep(args):
     text = sweep_csv(s, args.param, args.start, args.stop, args.steps)
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            write_whole(args.out, text)
         except OSError as exc:
             raise ScenarioError(f"cannot write {args.out}: {exc}") from exc
     else:

@@ -18,8 +18,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import stat
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import DomainError, ScenarioError
@@ -332,7 +334,37 @@ def load_fixtures(directory=None) -> list[Scenario]:
     return [load_scenario(p) for p in paths]
 
 
+def write_whole(path, text: str) -> None:
+    """Write text to the file at path whole or not at all.
+
+    The text goes into a new file beside path, which then takes its
+    place, so a symlink there is replaced, not followed.  The new file is
+    opened with mode "x", so its permissions follow the umask.  If a step
+    fails, the new file is removed and path keeps what it held.  A path
+    that names no regular file, such as a pipe or a device, is written in
+    place.
+    """
+    path = os.fspath(path)
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    fh = open(temp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temp)
+        raise
+
+
 def save_scenario(s: Scenario, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_whole(path, json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n")

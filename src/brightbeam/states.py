@@ -31,12 +31,12 @@ the classical phase noise that inputs of one correlated_group share
 where it joins their specs.
 
 The sampling oracle maps seeded standard normals through a root of the
-covariance: ``sample_fluctuations`` draws them whole, multiplies them by
-the root in place and returns the samples of one state.  The normals do
-not depend on the state, so ``normal_covariance`` sums only their sample
-covariance, chunk by chunk in memory that does not grow with the count,
-and ``_sampling_root`` gives the root of every state of a stack to read
-it through.
+covariance: ``sample_fluctuations`` draws them whole and multiplies them
+by the root in place into the samples of one state.  The normals do not
+depend on the state, so ``normal_covariance`` sums only their sample
+covariance, in memory that does not grow with the count, and
+``_sampling_root`` gives the root of every state of a stack to read it
+through.  One block walk of the rows, ``_row_blocks``, serves both.
 """
 
 from __future__ import annotations
@@ -510,10 +510,24 @@ def _apply_losses(state: BrightGaussianState, losses) -> BrightGaussianState:
     return BrightGaussianState._mapped(amps, cov)
 
 
-# Rows of standard normals that normal_covariance draws, and that
-# sample_fluctuations multiplies, at a time; normal_covariance's docstring
-# gives the reason for the size.
 _CHUNK_ROWS = 16384
+
+
+def _row_blocks(count: int):
+    """The (lo, hi) bounds of count rows in blocks of _CHUNK_ROWS, the
+    normals that ``normal_covariance`` draws and ``sample_fluctuations``
+    multiplies at a time; a one-row remainder joins the last block, since
+    numpy multiplies a single row on its vector path, which can round
+    differently.  Blocks are 16 384 rows so that a two-mode block's 4 x 4
+    products stay at OpenBLAS's single-thread cutoff (M*N*K <= 2**18): in
+    ``harness._mc_columns`` method A's two draws run side by side, and at
+    65 536 rows and two BLAS threads each block's product started a BLAS
+    thread that competed with the other draw."""
+    lo = 0
+    while lo < count:
+        hi = count if count - lo <= _CHUNK_ROWS + 1 else lo + _CHUNK_ROWS
+        yield lo, hi
+        lo = hi
 
 
 def _sampling_root(state: BrightGaussianState) -> np.ndarray:
@@ -536,9 +550,8 @@ def sample_fluctuations(state: BrightGaussianState, count: int, seed: int) -> np
     is the sampling oracle backing every analytic covariance claim in the
     test suite; a stack raises DomainError, so sample ``state[k]``.
 
-    The draw is multiplied by A in place, _CHUNK_ROWS rows at a time, so
-    memory peaks at one count x 2n array and a block's product.  A block
-    never has one row unless the draw does, as in ``normal_covariance``.
+    The draw is multiplied by A in place, block by block (``_row_blocks``),
+    so memory peaks at one count x 2n array and a block's product.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -546,12 +559,8 @@ def sample_fluctuations(state: BrightGaussianState, count: int, seed: int) -> np
         raise DomainError("sample_fluctuations draws one state, not a stack: sample state[k]")
     root = _sampling_root(state)
     samples = np.random.default_rng(seed).standard_normal((count, len(root)))
-    lo = 0
-    while lo < count:
-        # A remainder of one row joins the last full block.
-        hi = count if count - lo <= _CHUNK_ROWS + 1 else lo + _CHUNK_ROWS
+    for lo, hi in _row_blocks(count):
         samples[lo:hi] = samples[lo:hi] @ root
-        lo = hi
     return samples
 
 
@@ -569,34 +578,24 @@ def normal_covariance(count: int, seed: int, dim: int) -> np.ndarray:
     for an array it cannot size: beyond it neither count nor count - 1 is
     exact as a float.
 
-    The draw is summed chunk by chunk into sum(z) and z^T z, so memory does
-    not grow with count.  The generator's stream is sequential, so the
-    chunks are the rows of one whole draw, bit for bit, drawn into one
-    reused buffer.  A chunk never has one row unless the draw does: numpy
-    multiplies a single row on its vector path, which can round
-    differently.  Chunks are 16 384 rows so that a two-mode chunk's 4 x 4
-    products stay at OpenBLAS's single-thread cutoff (M*N*K <= 2**18): in
-    ``harness._mc_columns`` method A's two draws run side by side, and at
-    65 536 rows and two BLAS threads each chunk's product started a BLAS
-    thread that competed with the other draw.
+    The draw is summed block by block (``_row_blocks``) into sum(z) and
+    z^T z, so memory does not grow with count.  The generator's stream is
+    sequential, so the blocks are the rows of one whole draw, bit for bit,
+    drawn into one reused buffer.
     """
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
     if count > 2 ** 53:
         raise ValueError(f"count must be at most 2**53, got {count}")
-    # A product with ones sums a chunk's columns an order of magnitude
+    # A product with ones sums a block's columns an order of magnitude
     # faster than z.sum(axis=0).
     ones = np.ones(min(count, _CHUNK_ROWS + 1))
     total, gram = np.zeros(dim), np.zeros((dim, dim))
     buffer = np.empty((len(ones), dim))
     rng = np.random.default_rng(seed)
-    left = count
-    while left:
-        # A remainder of one row joins the last full chunk.
-        rows = left if left <= _CHUNK_ROWS + 1 else _CHUNK_ROWS
-        z = rng.standard_normal(out=buffer[:rows])
-        total += ones[:rows] @ z
+    for lo, hi in _row_blocks(count):
+        z = rng.standard_normal(out=buffer[:hi - lo])
+        total += ones[:hi - lo] @ z
         gram += z.T @ z
-        left -= rows
     mean = total / count
     return (gram - count * np.outer(mean, mean)) / (count - 1)

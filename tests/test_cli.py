@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -76,6 +77,57 @@ def test_sweep_out_not_writable_exits_2(scenario_file, tmp_path, capsys, out):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: cannot write {out_path}: ")
+
+
+def test_sweep_out_is_written_whole_or_not_at_all(scenario_file, tmp_path):
+    # A 1000-point CSV under a 4096-byte file-size limit: the write fails
+    # and exits 2, an earlier file at --out keeps its bytes, and no
+    # temporary file is left beside it.  A truncating open used to leave
+    # the first 4096 bytes of the new CSV.
+    if not hasattr(pytest.importorskip("resource"), "RLIMIT_FSIZE"):
+        pytest.skip("no RLIMIT_FSIZE")
+    out = tmp_path / "out" / "sweep.csv"
+    out.parent.mkdir()
+    out.write_bytes(b"earlier\n")
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+            "from brightbeam.cli import main\n"
+            "main()\n")
+    done = subprocess.run([sys.executable, "-c", code, "sweep", "--scenario", str(scenario_file),
+                           "--param", "theta", "--from", "0.2", "--to", "3.0", "--steps", "1000",
+                           "--out", str(out)],
+                          env={**CHILD_ENV, "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"error: cannot write {out}: ")
+    assert out.read_bytes() == b"earlier\n"
+    assert os.listdir(out.parent) == ["sweep.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_sweep_out_replaces_a_symlink_and_writes_into_a_pipe(scenario_file, tmp_path, capsys):
+    args = ["sweep", "--scenario", str(scenario_file), "--param", "theta",
+            "--from", "0.2", "--to", "3.0", "--steps", "5"]
+    main(args)
+    text = capsys.readouterr().out
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("kept\n")
+    link.symlink_to(target)
+    main(args + ["--out", str(link)])
+    assert not link.is_symlink() and link.read_text() == text
+    assert target.read_text() == "kept\n"
+    # A pipe is not replaced: the CSV goes into it.  Held open for reading
+    # and writing here, it neither blocks the CLI's open nor this read.
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    fd = os.open(pipe, os.O_RDWR | os.O_NONBLOCK)
+    try:
+        main(args + ["--out", str(pipe)])
+        assert os.read(fd, 1 << 16).decode() == text
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "pipe", "scenario.json", "target.csv"]
 
 
 def test_non_string_label_exits_2(tmp_path, capsys):
