@@ -37,20 +37,20 @@ SUM_TOL = 1e-9
 # and seed 5; perfbench/refs.json pins sweeps without Monte-Carlo columns only.
 MC_SWEEP = ("theta", 0.3, 2.8, 12)
 MC_SWEEP_DIGESTS = {
-    "method_a": "1247b2f64108b5ba1f0006a8528cf6755efca77ea94984a506f8468c612d80dd",
-    "method_a_opt": "296a7c3b39bd1f0d33d3fbbaed655be4fb10b71ebcc211dd161bf2e5080ff7f1",
-    "method_b": "4665b77597d1346bbfb35ab9c75db49d711c5f68f5fb000d3700567fe7bbfc6e",
-    "method_c_port_c": "79ff3d96a6a2af780f5511104b9af15ed14b48ec697e7d5b7ec195ae3bf37340",
+    "method_a": "55862309503f1087eab81544f8beaa96532918dc21a1467594da1641750c8a7b",
+    "method_a_opt": "5b39de894e90eaa541f0f0007b5a78db4d984ffaf4124e8e50f70efe9d57e493",
+    "method_b": "f9e8255637cfb66904ed210cfd18dcedb8bbd3eb4a0910fd4b40a5b903de2cfc",
+    "method_c_port_c": "5d328328035ec44d0170b30f55961ccbab3214add439cb383b793ed27f66eba2",
 }
 # SHA-256 of the ``validate`` stdout of each benchmark scenario at seed 0
 # and 1e5 samples.
 VALIDATE_ARGS = ["--seed", "0", "--mc-samples", "100000"]
 VALIDATE_DIGESTS = {
-    "method_a": "7c2488f70444f569d6fba6686f1e37dd9721fce7c61949626a4aeace15f21e15",
-    "method_a_opt": "51e415cd11a2be561ce8a7664fc260f335599d21025bb9fb1caf91e93be52de6",
-    "method_b": "e0294c45568bbcadabcb01454495b0d63cf957c3aaf8c27ab2f069dc9993985b",
-    "method_c_port_c": "5e619867c9e038a12d0e74ecd4b5d4b94a1ce31472dd16bfe36875f1ce4c8309",
-    "method_c_port_d": "629d0e8d8b127af35e84468f67a05602f4a38795e55d0ea21e44b75a8cd73544",
+    "method_a": "08d8cb71ce4c7efa1e20e5cdf3434b4471e2add67b9a49b161328ed61ca3decf",
+    "method_a_opt": "5bc1b58eea233aa4afb9384aafb912b1391fd423484e05a11ff757342a96861b",
+    "method_b": "65981178869f2e43a555042bd4ad682c0f90cc81b266ff150b6424cd92f88fea",
+    "method_c_port_c": "36a5768a194a4ba7c24083727c59c9d45b657edb62247c82c5a33f2b2c8641d8",
+    "method_c_port_d": "38f494142525983a43fbc92516b22bf5a516d097f7145617e20b2b76972d56c1",
 }
 REFS = workloads.load_refs()
 FLATS = workloads.scenario_dicts()

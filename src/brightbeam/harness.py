@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-import threading
+import random
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from operator import attrgetter
@@ -53,7 +53,7 @@ class ReportRow:
 # Each evaluator takes the scenario, its columns (see ``_column``), their
 # entangled pair and budgets, and returns (v_plus, v_minus, bound, gain,
 # draws, raw) over the stack.  ``draws`` is the MC oracle's plan: one list
-# per measured state, in seed order, of (DetectionResult read off that state,
+# per measured state, in plan order, of (DetectionResult read off that state,
 # multiplier of its normalized variance).  raw() reads the DetectionResults
 # reported under "raw", which the sweep CSV never prints.
 
@@ -104,61 +104,48 @@ def _per_point(x, n: int) -> list:
 
 
 def _mc_columns(draws: list[list[tuple[DetectionResult, float]]], n: int, count: int,
-                seed: int, kept: dict | None = None) -> tuple[list, list]:
+                seed: int, kept: list | None = None) -> tuple[list, list]:
     """Empirical witness sum of each of n stack elements from the sampling
     oracle, with its standard error.
 
-    ``draws`` is an evaluator's plan: per measured state, in seed order, the
-    (DetectionResult, multiplier) pairs read off it; the j-th state is drawn
-    with seed + j.  The normals of a draw do not depend on the state, so a
-    draw is their ``normal_covariance`` S_z, one 2n x 2n matrix whatever
-    the count, made once per measured state for every point.  Each reading
-    takes its sample variance ``u @ S_z @ u``, u = A w, at every point at
-    once, A being the root of that point's state (``_sampling_root``) and
-    w its weights.  ``kept``, if given, maps each seed to its S_z across
-    the stacks of one grid, whose count and seed are the scenario's.
+    ``draws`` is an evaluator's plan: per measured state, in plan order, the
+    (DetectionResult, multiplier) pairs read off it.  The normals of a draw
+    do not depend on the state, so a draw is their ``normal_covariance``
+    S_z, one 2n x 2n matrix whatever the count; the plan's matrices are
+    drawn in plan order from one ``random.Random(seed)``, once for every
+    point.  Each reading takes its sample variance ``u @ S_z @ u``, u = A w,
+    at every point at once, A being the root of that point's state
+    (``_sampling_root``) and w its weights.  ``kept``, if given, keeps the
+    plan's list of S_z across the stacks of one grid, whose count and seed
+    are the scenario's.
 
-    The draws are independent, each with its own seeded generator, and
-    numpy's generator and BLAS release the GIL: the first pending draw runs
-    on the calling thread and each further one (method A's second) on a
-    helper thread.  The first failing draw in seed order raises, after
-    every draw has ended; a failing root raises after the draws.
+    The readings of one draw are sample variances of one sample, so by
+    Isserlis' theorem two of them covary by 2 c_ij^2 / (count - 1), with
+    c_ij = u_i S_z u_j / sqrt(shot_i shot_j); draws are independent.
     """
-    kept = {} if kept is None else kept
-    seeds = [seed + j for j in range(len(draws))]
+    kept = [] if kept is None else kept
     dim = draws[0][0][0].state.cov.shape[-1]
-    pending = [s for s in seeds if s not in kept]
-    failures: dict = {}
-
-    def draw(draw_seed: int) -> None:
-        try:
-            kept[draw_seed] = normal_covariance(count, draw_seed, dim)
-        except BaseException as exc:
-            failures[draw_seed] = exc
-
     try:
-        helpers = [threading.Thread(target=draw, args=(later,)) for later in pending[1:]]
-        for thread in helpers:
-            thread.start()
-        if pending:
-            draw(pending[0])
-        for thread in helpers:
-            thread.join()
-        if failures:
-            raise failures[min(failures)]
+        if not kept:
+            rng = random.Random(seed)
+            kept[:] = [normal_covariance(count, rng, dim) for _ in draws]
         roots = [_sampling_root(members[0][0].state) for members in draws]
     except DomainError:
         raise
-    except (ValueError, MemoryError) as exc:
-        # A count numpy or the sampler cannot handle.
+    except ValueError as exc:
+        # A count the sampler cannot handle.
         raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
     sums, err_sq = np.zeros(n), np.zeros(n)
-    for root, draw_seed, members in zip(roots, seeds, draws):
-        for result, mult in members:
-            u = (root @ result.weights[..., None])[..., 0]
-            v = (u[..., None, :] @ kept[draw_seed] @ u[..., None])[..., 0, 0] / result.shot_noise
-            sums += mult * v
-            err_sq += (mult * v) ** 2 * 2.0 / (count - 1)
+    for root, s_z, members in zip(roots, kept, draws):
+        # Each reading's u, scaled to its shot noise, as the rows of one
+        # (..., k, 2n) stack.
+        u = np.stack(np.broadcast_arrays(*(
+            (root @ result.weights[..., None])[..., 0] / np.sqrt(result.shot_noise)[..., None]
+            for result, _ in members)), axis=-2)
+        c = u @ s_z @ np.swapaxes(u, -1, -2)
+        mult = np.array([m for _, m in members])
+        sums += np.diagonal(c, axis1=-2, axis2=-1) @ mult
+        err_sq += mult @ c ** 2 @ mult * 2.0 / (count - 1)
     return sums.tolist(), np.sqrt(err_sq).tolist()
 
 
@@ -179,7 +166,7 @@ class _Stack:
     mc_stderr: list | None
 
 
-def _evaluate(s: Scenario, columns: dict | None = None, kept: dict | None = None) -> _Stack:
+def _evaluate(s: Scenario, columns: dict | None = None, kept: list | None = None) -> _Stack:
     """Evaluate a scenario as one stack.
 
     ``columns`` maps dotted field paths (``"theta"``, ``"input_a.squeezing_db"``)
@@ -277,7 +264,7 @@ def _grid(s: Scenario, param: str, start: float, stop: float, steps: int,
     except (ValueError, MemoryError) as exc:
         # numpy refuses a count it cannot size or allocate.
         raise ScenarioError(f"cannot sweep {param} in steps = {steps}: {exc}") from exc
-    done, lo, size, kept = [], 0, _CHUNK, {}
+    done, lo, size, kept = [], 0, _CHUNK, []
     while lo < steps:
         stack = grid[lo:lo + size]
         try:

@@ -33,10 +33,11 @@ where it joins their specs.
 The sampling oracle maps seeded standard normals through a root of the
 covariance: ``sample_fluctuations`` draws them whole and multiplies them
 by the root in place into the samples of one state.  The normals do not
-depend on the state, so ``normal_covariance`` sums only their sample
-covariance, in memory that does not grow with the count, and
+depend on the state, so the Monte-Carlo path needs only their sample
+covariance S_z, and ``normal_covariance`` draws that matrix from its
+Wishart law, in time and memory that do not grow with the count;
 ``_sampling_root`` gives the root of every state of a stack to read it
-through.  One block walk of the rows, ``_row_blocks``, serves both.
+through.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -510,24 +512,8 @@ def _apply_losses(state: BrightGaussianState, losses) -> BrightGaussianState:
     return BrightGaussianState._mapped(amps, cov)
 
 
+# sample_fluctuations multiplies its draw by the root this many rows at a time.
 _CHUNK_ROWS = 16384
-
-
-def _row_blocks(count: int):
-    """The (lo, hi) bounds of count rows in blocks of _CHUNK_ROWS, the
-    normals that ``normal_covariance`` draws and ``sample_fluctuations``
-    multiplies at a time; a one-row remainder joins the last block, since
-    numpy multiplies a single row on its vector path, which can round
-    differently.  Blocks are 16 384 rows so that a two-mode block's 4 x 4
-    products stay at OpenBLAS's single-thread cutoff (M*N*K <= 2**18): in
-    ``harness._mc_columns`` method A's two draws run side by side, and at
-    65 536 rows and two BLAS threads each block's product started a BLAS
-    thread that competed with the other draw."""
-    lo = 0
-    while lo < count:
-        hi = count if count - lo <= _CHUNK_ROWS + 1 else lo + _CHUNK_ROWS
-        yield lo, hi
-        lo = hi
 
 
 def _sampling_root(state: BrightGaussianState) -> np.ndarray:
@@ -550,8 +536,10 @@ def sample_fluctuations(state: BrightGaussianState, count: int, seed: int) -> np
     is the sampling oracle backing every analytic covariance claim in the
     test suite; a stack raises DomainError, so sample ``state[k]``.
 
-    The draw is multiplied by A in place, block by block (``_row_blocks``),
-    so memory peaks at one count x 2n array and a block's product.
+    The draw is multiplied by A in place, _CHUNK_ROWS rows at a time, so
+    memory peaks at one count x 2n array and a block's product.  A one-row
+    remainder joins the last block, since numpy multiplies a single row on
+    its vector path, which can round differently.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -559,43 +547,46 @@ def sample_fluctuations(state: BrightGaussianState, count: int, seed: int) -> np
         raise DomainError("sample_fluctuations draws one state, not a stack: sample state[k]")
     root = _sampling_root(state)
     samples = np.random.default_rng(seed).standard_normal((count, len(root)))
-    for lo, hi in _row_blocks(count):
+    lo = 0
+    while lo < count:
+        hi = count if count - lo <= _CHUNK_ROWS + 1 else lo + _CHUNK_ROWS
         samples[lo:hi] = samples[lo:hi] @ root
+        lo = hi
     return samples
 
 
-def normal_covariance(count: int, seed: int, dim: int) -> np.ndarray:
-    """S_z, the unbiased (ddof=1) sample covariance of the count x dim
-    standard normals z that ``sample_fluctuations(state, count, seed)``
-    draws for a state of dimension dim, whatever the state.
+def normal_covariance(count: int, seed, dim: int) -> np.ndarray:
+    """S_z, the unbiased (ddof=1) sample covariance of count draws of dim
+    standard normals z, drawn from its law without drawing z.
 
     A photocurrent with weights w reads ``u @ S_z @ u`` with ``u = A @ w``,
     A the state's ``_sampling_root``: the sample variance of the projected
     samples ``z @ A @ w``.  The 2n x 2n matrix A^T S_z A would be the same
     in exact arithmetic, but where the entries of A span many orders
     (shared excess phase noise of 150 dB) its rounding loses the small
-    channel variances.  Counts above 2**53 raise ValueError, as numpy does
-    for an array it cannot size: beyond it neither count nor count - 1 is
-    exact as a float.
+    channel variances.
 
-    The draw is summed block by block (``_row_blocks``) into sum(z) and
-    z^T z, so memory does not grow with count.  The generator's stream is
-    sequential, so the blocks are the rows of one whole draw, bit for bit,
-    drawn into one reused buffer.
+    With m = count - 1, m S_z follows the Wishart law W(I, m).  For
+    m >= dim, Bartlett's decomposition draws it from dim (dim + 1) / 2
+    numbers (Odell & Feiveson, JASA 61, 199 (1966)): S_z = L L^T / m, L
+    lower triangular with L_ii^2 ~ chi^2(m - i) and standard normals below
+    the diagonal.  For m < dim, S_z = Z^T Z / m with Z m x dim standard
+    normals, the same law.  seed is an int, or a ``random.Random`` whose
+    stream the draw continues; the standard library's generator keeps
+    numpy.random out of every CLI path.  Counts above 2**53 raise
+    ValueError: beyond it neither count nor m is exact as a float.
     """
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
     if count > 2 ** 53:
         raise ValueError(f"count must be at most 2**53, got {count}")
-    # A product with ones sums a block's columns an order of magnitude
-    # faster than z.sum(axis=0).
-    ones = np.ones(min(count, _CHUNK_ROWS + 1))
-    total, gram = np.zeros(dim), np.zeros((dim, dim))
-    buffer = np.empty((len(ones), dim))
-    rng = np.random.default_rng(seed)
-    for lo, hi in _row_blocks(count):
-        z = rng.standard_normal(out=buffer[:hi - lo])
-        total += ones[:hi - lo] @ z
-        gram += z.T @ z
-    mean = total / count
-    return (gram - count * np.outer(mean, mean)) / (count - 1)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    m = count - 1
+    if m < dim:
+        z = np.array([[rng.gauss(0.0, 1.0) for _ in range(dim)] for _ in range(m)])
+        return z.T @ z / m
+    low = np.zeros((dim, dim))
+    for i in range(dim):
+        low[i, i] = math.sqrt(rng.gammavariate((m - i) / 2, 2.0))
+        low[i, :i] = [rng.gauss(0.0, 1.0) for _ in range(i)]
+    return low @ low.T / m

@@ -532,8 +532,8 @@ def test_repeated_key_exits_2_naming_it(tmp_path, capsys):
 
 def test_monte_carlo_threads_load_no_executor(tmp_path):
     # concurrent.futures (with logging) adds about 10 ms to a cold process;
-    # the draws run on plain threads, so neither start-up nor a method-A
-    # validate, whose two draws run side by side, loads it.
+    # neither start-up nor a method-A validate, which makes two draws,
+    # loads it.
     code = ("import sys\n"
             "from brightbeam.cli import main\n"
             "print('concurrent.futures' in sys.modules)\n"
@@ -546,6 +546,23 @@ def test_monte_carlo_threads_load_no_executor(tmp_path):
     lines = done.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("False", "False")
     assert "mc_sum" in done.stdout
+
+
+def test_validate_never_loads_numpy_random(tmp_path):
+    # The draws come from the standard library's generator: importing
+    # numpy.random alone adds about 10 ms and 2 MB to a cold process.  Each
+    # draw costs the same at any count, so 10**12 samples run at once.
+    code = ("import sys\n"
+            "from brightbeam.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "print('numpy.random' in sys.modules)\n")
+    for name in ("method_a", "method_b"):
+        done = subprocess.run(
+            [sys.executable, "-c", code, "validate", "--scenario",
+             str(fixtures_dir() / f"{name}.json"), "--mc-samples", str(10 ** 12)],
+            cwd=tmp_path, env=CHILD_ENV, capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == "False"
+        assert "mc_sum" in done.stdout
 
 
 def test_optimised_gain_still_runs(tmp_path):

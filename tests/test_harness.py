@@ -1,9 +1,7 @@
 import hashlib
 import math
-import sys
-import threading
+import random
 import tracemalloc
-from contextlib import nullcontext
 from dataclasses import replace
 from unittest import mock
 
@@ -329,23 +327,37 @@ class TestHarnessEqualsDetection:
         assert row.sum_value == pytest.approx(duan_simon(lossy, g).sum_value, rel=1e-12)
 
 
+def _record_draws(monkeypatch):
+    """A list that gets (count, S_z as nested lists) of each draw the
+    harness makes."""
+    calls = []
+    real = harness.normal_covariance
+
+    def recording(count, seed, dim):
+        s_z = real(count, seed, dim)
+        calls.append((count, s_z.tolist()))
+        return s_z
+
+    monkeypatch.setattr(harness, "normal_covariance", recording)
+    return calls
+
+
+def _stream_draws(count, seeds):
+    """(count, S_z as nested lists) of a plan's draws, in turn, the j-th from
+    the random.Random(seeds[j]) stream; the draws of one plan share it."""
+    streams = {seed: random.Random(seed) for seed in seeds}
+    return [(count, states.normal_covariance(count, streams[seed], 4).tolist())
+            for seed in seeds]
+
+
 class TestMonteCarloDrawPlan:
-    """One draw per measured state, in plan order, seeded seed, seed + 1, ..."""
+    """One draw per measured state, in plan order, from one random.Random(seed)."""
 
-    @pytest.mark.parametrize("method, seeds", [("A", [11, 12]), ("B", [11]), ("C", [11])])
+    @pytest.mark.parametrize("method, seeds", [("A", [11, 11]), ("B", [11]), ("C", [11])])
     def test_draws_per_method(self, monkeypatch, method, seeds):
-        calls = []
-        real = harness.normal_covariance
-
-        def recording(count, seed, dim):
-            calls.append((count, seed))
-            return real(count, seed, dim)
-
-        monkeypatch.setattr(harness, "normal_covariance", recording)
+        calls = _record_draws(monkeypatch)
         run_scenario(make(method, mc_samples=1000, seed=11, **BUDGETS))
-        # Worker threads may enter the sampler in either order; which seed
-        # feeds which channel, test_parallel_draws_are_the_sequential_draws pins.
-        assert sorted(calls) == [(1000, seed) for seed in seeds]
+        assert calls == _stream_draws(1000, seeds)
 
 
 def _random_scenario(rng, method, **extra):
@@ -423,20 +435,13 @@ class TestGridEqualsPoint:
             point = run_scenario(with_param(s, "theta", value))
             assert (row.mc_sum, row.mc_stderr) == (point.mc_sum, point.mc_stderr)
 
-    @pytest.mark.parametrize("method, seeds", [("A", [3, 4]), ("B", [3]), ("C", [3])])
+    @pytest.mark.parametrize("method, seeds", [("A", [3, 3]), ("B", [3]), ("C", [3])])
     def test_gain_sweep_draws_once_per_measured_state(self, monkeypatch, method, seeds):
         # The gain weighs the photocurrents but leaves every state alone.
-        calls = []
-        real = harness.normal_covariance
-
-        def recording(count, seed, dim):
-            calls.append(seed)
-            return real(count, seed, dim)
-
-        monkeypatch.setattr(harness, "normal_covariance", recording)
+        calls = _record_draws(monkeypatch)
         s = make(method, mc_samples=1000, seed=3, **BUDGETS)
         rows = sweep(s, "gain", 0.5, 2.0, 10)
-        assert sorted(calls) == seeds  # threads may enter the sampler in either order
+        assert calls == _stream_draws(1000, seeds)
         for value, row in rows:
             assert row == run_scenario(with_param(s, "gain", value))
 
@@ -475,9 +480,9 @@ def test_gain_sweep_reads_each_shared_weight_vector_once(monkeypatch, method, ke
 
 
 def test_monte_carlo_peak_memory_is_below_one_sample_array():
-    # A draw is summed chunk by chunk into one 4 x 4 sample covariance, so
-    # its peak stays far below the 32 MiB of one 2**20 x 4 sample array and
-    # does not grow with the count.
+    # A draw is one 4 x 4 sample covariance drawn from its law, so its peak
+    # stays far below the 32 MiB of one 2**20 x 4 sample array and does not
+    # grow with the count.
     s = make("A", mc_samples=2, seed=3, **BUDGETS)
     run_scenario(s)
     peaks = []
@@ -507,91 +512,57 @@ def test_gain_sweep_draws_once_across_its_stacks(monkeypatch):
     text = sweep_csv(s, "gain", 0.5, 2.0, 10_000)
     assert len(calls) == 1
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "02fed2bad2f213787eab899af07f7859ee898099343e12868cd679ca6dd2d4c8")
+        "3d70023f324d36a145f3ea664a9a88cdb03b012ea070445a29385374c385af61")
 
 
 def test_method_a_sweeps_draw_each_seed_once(monkeypatch):
     # Whatever the swept parameter reaches, each of method A's two measured
-    # states is drawn once for the whole grid, seeds 5 and 6, also where
-    # the theta grid runs as two stacks.  The CSVs are the ones the draw per
-    # stack element gave.
-    calls = []
-    real = harness.normal_covariance
-
-    def recording(count, seed, dim):
-        calls.append(seed)
-        return real(count, seed, dim)
-
-    monkeypatch.setattr(harness, "normal_covariance", recording)
+    # states is drawn once for the whole grid, in turn from one stream
+    # seeded 5, also where the theta grid runs as two stacks.  The CSVs are
+    # the ones the draw per stack element gave.
+    calls = _record_draws(monkeypatch)
     s = make("A", mc_samples=200, seed=5, **BUDGETS)
     digest = hashlib.sha256()
     for param in SWEEP_PARAMS:
         calls.clear()
         steps = harness._CHUNK + 3 if param == "theta" else 9
         digest.update(sweep_csv(s, param, *GRID_RANGES[param], steps).encode("utf-8"))
-        assert sorted(calls) == [5, 6], param
+        assert calls == _stream_draws(200, [5, 5]), param
     assert digest.hexdigest() == (
-        "b9ec97ce53c5a2c1ceb11548f8924700589418970c08372c757937c78c47800f")
-
-
-@pytest.mark.parametrize("late, expected, message", [
-    (DomainError("seed 3 failed"), DomainError, "seed 3 failed"),
-    (ValueError("seed 3 failed"), ScenarioError, "cannot draw mc_samples = 1000: seed 3 failed"),
-    (MemoryError("seed 3 failed"), ScenarioError, "cannot draw mc_samples = 1000: seed 3 failed"),
-])
-def test_first_failing_draw_in_plan_order_raises(monkeypatch, late, expected, message):
-    # Method A's draws (seeds 3 and 4) run side by side; seed 4 fails first,
-    # but seed 3 comes first in the plan, so its error is the one raised.
-    early_failed = threading.Event()
-
-    def failing(count, seed, dim):
-        if seed == 4:
-            early_failed.set()
-            raise MemoryError("seed 4 failed")
-        assert early_failed.wait(timeout=60)
-        raise late
-
-    monkeypatch.setattr(harness, "normal_covariance", failing)
-    with pytest.raises(expected) as exc:
-        run_scenario(make("A", mc_samples=1000, seed=3))
-    assert str(exc.value) == message
-
-
-@pytest.mark.parametrize("fails", [False, True])
-def test_no_helper_outlives_the_draws(monkeypatch, fails):
-    real = harness.normal_covariance
-
-    def sampler(count, seed, dim):
-        if fails:
-            raise DomainError("draw failed")
-        return real(count, seed, dim)
-
-    monkeypatch.setattr(harness, "normal_covariance", sampler)
-    s, columns = make("A", mc_samples=500, seed=3), {"theta": np.linspace(0.5, 2.5, 4)}
-    before = threading.active_count()
-    with pytest.raises(DomainError, match="draw failed") if fails else nullcontext():
-        harness._evaluate(s, columns)
-    assert threading.active_count() == before
+        "a93e4296bcdf6c6968d7e61c53aed49445811bb8d6c8f500d14aa4d63af9e1c2")
 
 
 def _sequential_monte_carlo(draws, n, count, seed):
-    """mc_sum and mc_stderr of a draw plan, the j-th state drawn whole with
-    seed + j, one after the other, and each reading's samples read with
-    np.var."""
+    """mc_sum and mc_stderr of a draw plan, read as the np.var oracle reads
+    samples.  Each state's S_z is drawn in plan order from one
+    random.Random(seed) and stood in for by count rows whose ddof=1 sample
+    covariance it is; at each point the rows are mapped through the
+    state's sampling root, as ``sample_fluctuations`` maps its normals, and
+    projected on each reading's weights.  The error is Isserlis' from the
+    sample covariances of those projections."""
     def at(x, k):
         return x[k] if len(x) > 1 else x[0]
 
+    stream = random.Random(seed)
     sums, err_sq = [0.0] * n, [0.0] * n
-    for j, members in enumerate(draws):
+    for members in draws:
         state = members[0][0].state
+        dim = state.cov.shape[-1]
+        w, v = np.linalg.eigh(states.normal_covariance(count, stream, dim))
+        # rows x dim orthonormal columns, each orthogonal to the mean and
+        # scaled so that the ddof=1 sample covariance of z is S_z.
+        rows = max(count, dim + 1)
+        basis = np.linalg.qr(np.column_stack(
+            [np.ones(rows), np.random.default_rng(0).standard_normal((rows, dim))]))[0][:, 1:]
+        z = math.sqrt(rows - 1) * basis @ (v * np.sqrt(np.clip(w, 0.0, None))).T
+        mult = np.array([m for _, m in members])
         stack = len(state.amplitudes)
         for k in range(n):
-            samples = sample_fluctuations(state[k if stack > 1 else 0], count, seed + j)
-            for result, mult in members:
-                v = float(np.var(samples @ at(result.weights, k), ddof=1)) / float(
-                    at(result.shot_noise, k))
-                sums[k] += mult * v
-                err_sq[k] += (mult * v) ** 2 * 2.0 / (count - 1)
+            samples = z @ states._sampling_root(state[k if stack > 1 else 0])
+            c = np.atleast_2d(np.cov([samples @ at(r.weights, k) / math.sqrt(at(r.shot_noise, k))
+                                      for r, _ in members]))
+            sums[k] += float(np.diag(c) @ mult)
+            err_sq[k] += float(mult @ c ** 2 @ mult) * 2.0 / (count - 1)
     return sums, [math.sqrt(e) for e in err_sq]
 
 
@@ -600,93 +571,6 @@ def _assert_oracle_columns(columns, expected):
     for got, want in zip(columns, expected):
         assert got == pytest.approx(want, rel=1e-12)
         assert ["%.6g" % x for x in got] == ["%.6g" % x for x in want]
-
-
-def _record_oracle(monkeypatch):
-    """A list that gets, for each _mc_columns call, the sequential oracle's
-    columns and the harness's."""
-    seen = []
-    real = harness._mc_columns
-
-    def recording(draws, n, count, seed, kept=None):
-        columns = real(draws, n, count, seed, kept)
-        seen.append((_sequential_monte_carlo(draws, n, count, seed), columns))
-        return columns
-
-    monkeypatch.setattr(harness, "_mc_columns", recording)
-    return seen
-
-
-def test_parallel_draws_are_the_sequential_draws(monkeypatch):
-    # Method A's second draw runs on a helper thread.  Every column is the
-    # one of drawing each state whole, one after the other.
-    seen = _record_oracle(monkeypatch)
-    s = make("A", mc_samples=65537, seed=3, **BUDGETS)
-    for _ in range(5):
-        row = run_scenario(s)
-        expected_row, _ = seen[-1]
-        _assert_oracle_columns([[row.mc_sum], [row.mc_stderr]], expected_row)
-        # Each sweep draws each measured state once, for every point.
-        for param, start, stop, steps in (("theta", 0.5, 2.5, 4), ("gain", 0.5, 2.0, 6)):
-            csv = sweep_csv(s, param, start, stop, steps)
-            expected_sweep, columns = seen[-1]
-            _assert_oracle_columns(columns, expected_sweep)
-            assert [line.split(",")[-2:] for line in csv.splitlines()[1:]] == [
-                ["%.6g" % m, "%.6g" % e] for m, e in zip(*expected_sweep)]
-    assert len(seen) == 15
-
-
-def test_lanes_keep_plan_order_under_thread_switches(monkeypatch):
-    # The helper thread under a thread switch every microsecond, with the
-    # call itself off the main thread: every column is the one the main
-    # thread gives, bit for bit, and the sequential draws' to 1e-12.
-    s = make("A", mc_samples=64, seed=3, **BUDGETS)
-    seen = _record_oracle(monkeypatch)
-
-    def columns():
-        return [(row.mc_sum, row.mc_stderr) for _, row in sweep(s, "theta", 0.5, 2.5, 50)]
-
-    expected, results = columns(), []
-    seen.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        caller = threading.Thread(target=lambda: results.append(columns()))
-        caller.start()
-        caller.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not caller.is_alive()
-    assert results == [expected]
-    assert seen
-    for oracle, drawn in seen:
-        _assert_oracle_columns(drawn, oracle)
-
-
-def test_helper_threads_are_the_further_measured_states():
-    # Method A measures two states and draws the second on one helper
-    # thread; B and C measure one and start none.  The second stack of a
-    # method-A theta grid finds both draws kept and starts none either.
-    started = []
-    real = harness._mc_columns
-
-    def columns(*args):
-        before = thread.call_count
-        result = real(*args)
-        started.append(thread.call_count - before)
-        return result
-
-    with mock.patch.object(harness.threading, "Thread", wraps=threading.Thread) as thread, \
-            mock.patch.object(harness, "_mc_columns", columns):
-        for s, expected in ((make("A", mc_samples=100), [1]), (make("B", mc_samples=100), [0]),
-                            (make("C", mc_samples=100), [0]),
-                            (make("C", mc_samples=100, port="d"), [0])):
-            started.clear()
-            run_scenario(s)
-            assert started == expected, s.method
-        started.clear()
-        sweep_csv(make("A", mc_samples=100), "theta", 0.5, 2.5, harness._CHUNK + 3)
-        assert started == [1, 0]
 
 
 def test_mc_reads_small_channels_under_huge_excess_noise(monkeypatch):
@@ -708,6 +592,68 @@ def test_mc_reads_small_channels_under_huge_excess_noise(monkeypatch):
     row = run_scenario(s)
     (mc_sum,), _ = _sequential_monte_carlo(seen[0], 1, 20_000, 3)
     assert row.mc_sum == pytest.approx(mc_sum, rel=1e-9)
+
+
+# The bundled fixtures, fixture A with an optimised gain, and method B at
+# phi = 0.2, where its two channels correlate at rho = -0.83, at 2000 samples.
+MC_SCENARIOS = {
+    **{name: replace(load_scenario(fixtures_dir() / f"{name}.json"), mc_samples=2000)
+       for name in ("method_a", "method_b", "method_c_port_c", "method_c_port_d")},
+    "method_a_opt": replace(load_scenario(fixtures_dir() / "method_a.json"),
+                            mc_samples=2000, gain="optimize"),
+    "method_b_phi_0.2": scenario_from_dict({
+        "method": "B", "phi": 0.2, "theta": 1.2, "mc_samples": 2000,
+        "input_a.squeezing_db": 0.0, "input_a.antisqueezing_db": 3.0,
+        "input_b.squeezing_db": 1.0, "input_b.antisqueezing_db": 4.0}),
+}
+
+
+def _plan_and_sum(monkeypatch, s):
+    """The Monte-Carlo draw plan of one run of s, and its analytic sum."""
+    plans, real = [], harness._mc_columns
+
+    def recording(draws, *args):
+        plans.append(draws)
+        return real(draws, *args)
+
+    monkeypatch.setattr(harness, "_mc_columns", recording)
+    total = run_scenario(s).sum_value
+    return plans[0], total
+
+
+@pytest.mark.parametrize("name", sorted(MC_SCENARIOS))
+def test_mc_stderr_is_calibrated(monkeypatch, name):
+    # z = (mc_sum - sum) / mc_stderr over 400 seeds spreads by one, to 15%.
+    # Method B at phi = 0.2 spread by 1.22 while its error bar left out the
+    # covariance of its two channels.
+    s = MC_SCENARIOS[name]
+    draws, total = _plan_and_sum(monkeypatch, s)
+    z = []
+    for seed in range(400):
+        (mc_sum,), (mc_stderr,) = harness._mc_columns(draws, 1, s.mc_samples, seed)
+        z.append((mc_sum - total) / mc_stderr)
+    assert 0.85 <= np.std(z, ddof=1) <= 1.15
+
+
+@pytest.mark.parametrize("name", sorted(MC_SCENARIOS))
+def test_drawn_sums_are_the_sampled_sums_in_law(monkeypatch, name):
+    # mc_sum from S_z drawn from its law, and from the np.var of the samples
+    # sample_fluctuations draws (the j-th state of the plan with seed
+    # 2 * seed + j, so no two draws share a stream), over 400 seeds: the
+    # same mean to 5 standard errors, and the same spread to 15%.
+    s = MC_SCENARIOS[name]
+    draws, _ = _plan_and_sum(monkeypatch, s)
+    drawn, sampled = [], []
+    for seed in range(400):
+        drawn += harness._mc_columns(draws, 1, s.mc_samples, seed)[0]
+        sampled.append(sum(
+            mult * float(np.var(sample_fluctuations(members[0][0].state[0], s.mc_samples,
+                                                    2 * seed + j) @ r.weights[0], ddof=1))
+            / float(r.shot_noise[0])
+            for j, members in enumerate(draws) for r, mult in members))
+    assert abs(np.mean(drawn) - np.mean(sampled)) <= 5 * math.sqrt(
+        (np.var(drawn, ddof=1) + np.var(sampled, ddof=1)) / 400)
+    assert 0.85 <= np.std(drawn, ddof=1) / np.std(sampled, ddof=1) <= 1.15
 
 
 @pytest.mark.parametrize("gain", [1.3, "optimize"])

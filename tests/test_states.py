@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from types import SimpleNamespace
 
@@ -340,47 +341,18 @@ class TestSampling:
 
     @settings(max_examples=30)
     @given(state_seed=hs.integers(0, 2 ** 32 - 1), seed=hs.integers(0, 2 ** 32 - 1),
-           vectors=hs.integers(1, 5),
            count=hs.sampled_from([2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
                                   2 * _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 17]))
-    def test_chunked_draw_is_the_whole_draw(self, state_seed, seed, vectors, count):
-        # Streaming the draw in chunks changes no bit of the samples, whatever
-        # the size of the last chunk, and the chunked sample covariance reads
-        # each projection's np.var.
+    def test_chunked_draw_is_the_whole_draw(self, state_seed, seed, count):
+        # Multiplying the draw by the root in blocks changes no bit of the
+        # samples, whatever the size of the last block.
         rng = np.random.default_rng(state_seed)
         state = BrightGaussianState(*random_physical_pair(rng))
-        weights = rng.normal(size=(vectors, 4))
         w, v = np.linalg.eigh(state.cov)
         root = (v * np.sqrt(np.clip(w, 0.0, None))).T
         z = np.random.default_rng(seed).standard_normal((count, 4))
-        samples = sample_fluctuations(state, count, seed)
-        assert np.array_equal(samples, z @ root)
-        s_z = normal_covariance(count, seed, 4)
+        assert np.array_equal(sample_fluctuations(state, count, seed), z @ root)
         assert np.array_equal(_sampling_root(state), root)
-        assert s_z == pytest.approx(np.cov(z.T), rel=1e-9, abs=1e-12)
-        for vector in weights:
-            u, p = root @ vector, samples @ vector
-            assert u @ s_z @ u == pytest.approx(np.var(p, ddof=1), rel=1e-9, abs=1e-12 * (p @ p))
-
-    @pytest.mark.parametrize("count", [2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
-                                       _CHUNK_ROWS + 2, 2 * _CHUNK_ROWS + 1,
-                                       3 * _CHUNK_ROWS + 17])
-    def test_chunk_schedule_bit_for_bit(self, count):
-        # S_z sums _CHUNK_ROWS-row slices of one whole draw, a one-row
-        # remainder joined to the last full slice, with a product by ones
-        # and z^T z per slice.  Printed digits cannot tell schedules apart.
-        dim, seed = 4, 5
-        z = np.random.default_rng(seed).standard_normal((count, dim))
-        stops = list(range(_CHUNK_ROWS, count, _CHUNK_ROWS))
-        if stops and count - stops[-1] == 1:
-            stops.pop()
-        total, gram = np.zeros(dim), np.zeros((dim, dim))
-        for part in np.split(z, stops):
-            total += np.ones(len(part)) @ part
-            gram += part.T @ part
-        mean = total / count
-        expected = (gram - count * np.outer(mean, mean)) / (count - 1)
-        assert np.array_equal(normal_covariance(count, seed, dim), expected)
 
     @pytest.mark.parametrize("count", [1, 2, 3, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
                                        _CHUNK_ROWS + 2, 2 * _CHUNK_ROWS + 1,
@@ -414,6 +386,40 @@ class TestSampling:
                                     np.stack([s.cov for s in states]))
         with pytest.raises(DomainError, match=r"not a stack: sample state\[k\]"):
             sample_fluctuations(stack, 100, 0)
+
+
+class TestWishartDraw:
+    """normal_covariance draws S_z from its law, (count - 1) S_z ~ W(I, count - 1)."""
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 5, 2000, 10 ** 6, 10 ** 12])
+    def test_moments_are_the_wishart_law(self, count):
+        # Over 2000 seeds each entry's mean is I and its variance 2/m on the
+        # diagonal and 1/m off it (m = count - 1), each to 5 standard
+        # errors; counts 2 to 4 have m below the dimension, 5 has m = 4.
+        draws = np.array([normal_covariance(count, seed, 4) for seed in range(2000)])
+        m, k = count - 1, len(draws)
+        mean, var = draws.mean(axis=0), draws.var(axis=0, ddof=1)
+        assert (np.abs(mean - np.eye(4)) <= 5 * np.sqrt(var / k)).all()
+        var_stderr = ((draws - mean) ** 2).std(axis=0, ddof=1) / np.sqrt(k)
+        assert (np.abs(var - (1 + np.eye(4)) / m) <= 5 * var_stderr).all()
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 5])
+    def test_few_samples_have_rank_count_minus_one(self, count):
+        # Below the dimension the draw is Z^T Z / m of m rows of normals:
+        # symmetric, positive semi-definite and of rank m.
+        for seed in range(20):
+            s_z = normal_covariance(count, seed, 4)
+            assert np.array_equal(s_z, s_z.T)
+            assert np.linalg.eigvalsh(s_z)[0] > -1e-12
+            assert np.linalg.matrix_rank(s_z) == min(count - 1, 4)
+
+    def test_a_generator_continues_its_stream(self):
+        # An int seed starts its own random.Random; a generator passed in is
+        # drawn on, so draws in turn from one are those of one stream.
+        rng = random.Random(7)
+        first, second = normal_covariance(100, rng, 4), normal_covariance(100, rng, 4)
+        assert np.array_equal(first, normal_covariance(100, 7, 4))
+        assert not np.array_equal(first, second)
 
 
 class TestOracleEquivalence:
