@@ -19,7 +19,7 @@ from .detection import (
     method_c_single_port,
 )
 from .entangle import SUM_BOUND, generate_entangled, theta_adapted_bound
-from .errors import BrightBeamError, DomainError, ScenarioError
+from .errors import BrightBeamError, ScenarioError
 from .scenario import (_SWEPT_FIELDS, BUDGET_FIELDS, INPUT_FIELDS, SWEEP_PARAMS, Scenario,
                        check_grid, with_fields)
 from .states import BrightGaussianState, DetectionResult, _sampling_root, normal_covariance
@@ -104,7 +104,7 @@ def _per_point(x, n: int) -> list:
 
 
 def _mc_columns(draws: list[list[tuple[DetectionResult, float]]], n: int, count: int,
-                seed: int, kept: list | None = None) -> tuple[list, list]:
+                seed: int) -> tuple[list, list]:
     """Empirical witness sum of each of n stack elements from the sampling
     oracle, with its standard error.
 
@@ -112,31 +112,21 @@ def _mc_columns(draws: list[list[tuple[DetectionResult, float]]], n: int, count:
     (DetectionResult, multiplier) pairs read off it.  The normals of a draw
     do not depend on the state, so a draw is their ``normal_covariance``
     S_z, one 2n x 2n matrix whatever the count; the plan's matrices are
-    drawn in plan order from one ``random.Random(seed)``, once for every
-    point.  Each reading takes its sample variance ``u @ S_z @ u``, u = A w,
-    at every point at once, A being the root of that point's state
-    (``_sampling_root``) and w its weights.  ``kept``, if given, keeps the
-    plan's list of S_z across the stacks of one grid, whose count and seed
-    are the scenario's.
+    drawn in plan order from a new ``random.Random(seed)`` at each call, so
+    they depend on (seed, count, plan) alone and every stack of a grid
+    draws the ones its points draw alone.  Each reading takes its sample
+    variance ``u @ S_z @ u``, u = A w, at every point at once, A being the
+    root of that point's state (``_sampling_root``) and w its weights.
 
     The readings of one draw are sample variances of one sample, so by
     Isserlis' theorem two of them covary by 2 c_ij^2 / (count - 1), with
     c_ij = u_i S_z u_j / sqrt(shot_i shot_j); draws are independent.
     """
-    kept = [] if kept is None else kept
-    dim = draws[0][0][0].state.cov.shape[-1]
-    try:
-        if not kept:
-            rng = random.Random(seed)
-            kept[:] = [normal_covariance(count, rng, dim) for _ in draws]
-        roots = [_sampling_root(members[0][0].state) for members in draws]
-    except DomainError:
-        raise
-    except ValueError as exc:
-        # A count the sampler cannot handle.
-        raise ScenarioError(f"cannot draw mc_samples = {count}: {exc}") from exc
+    rng = random.Random(seed)
     sums, err_sq = np.zeros(n), np.zeros(n)
-    for root, s_z, members in zip(roots, kept, draws):
+    for members in draws:
+        state = members[0][0].state
+        root, s_z = _sampling_root(state), normal_covariance(count, rng, state.cov.shape[-1])
         # Each reading's u, scaled to its shot noise, as the rows of one
         # (..., k, 2n) stack.
         u = np.stack(np.broadcast_arrays(*(
@@ -166,13 +156,12 @@ class _Stack:
     mc_stderr: list | None
 
 
-def _evaluate(s: Scenario, columns: dict | None = None, kept: list | None = None) -> _Stack:
+def _evaluate(s: Scenario, columns: dict | None = None) -> _Stack:
     """Evaluate a scenario as one stack.
 
     ``columns`` maps dotted field paths (``"theta"``, ``"input_a.squeezing_db"``)
     to float64 arrays of one length that replace the scenario's values;
-    without columns the stack holds the scenario alone.  ``kept`` keeps
-    the Monte-Carlo draws of one grid across its stacks (see ``_mc_columns``).
+    without columns the stack holds the scenario alone.
     """
     columns = columns or {}
     n = len(next(iter(columns.values()))) if columns else 1
@@ -194,7 +183,7 @@ def _evaluate(s: Scenario, columns: dict | None = None, kept: list | None = None
     sums = [p + m for p, m in zip(v_plus, v_minus)]
     mc_sum = mc_stderr = None
     if s.mc_samples > 0:
-        mc_sum, mc_stderr = _mc_columns(draws, n, s.mc_samples, s.seed, kept)
+        mc_sum, mc_stderr = _mc_columns(draws, n, s.mc_samples, s.seed)
     return _Stack(v_plus, v_minus, sums, bound, [t < b for t, b in zip(sums, bound)], gain,
                   raw, mc_sum, mc_stderr)
 
@@ -254,9 +243,9 @@ def _grid(s: Scenario, param: str, start: float, stop: float, steps: int,
     scenario at the smallest.  A stack fails at its first failing stage, not
     its first failing point, so a stack that raises is halved and tried
     again; a stack of one that raises has every earlier point run, so its
-    error is the first failing point's.  Each measured state is drawn once
-    for the grid, whatever the parameter reaches: the stacks share their
-    Monte-Carlo draws, and a halved stack draws nothing again.
+    error is the first failing point's.  Each stack makes its own
+    Monte-Carlo draws, the ones each of its points makes alone (see
+    ``_mc_columns``).
     """
     check_grid(param, start, stop, steps)
     try:
@@ -264,14 +253,14 @@ def _grid(s: Scenario, param: str, start: float, stop: float, steps: int,
     except (ValueError, MemoryError) as exc:
         # numpy refuses a count it cannot size or allocate.
         raise ScenarioError(f"cannot sweep {param} in steps = {steps}: {exc}") from exc
-    done, lo, size, kept = [], 0, _CHUNK, []
+    done, lo, size = [], 0, _CHUNK
     while lo < steps:
         stack = grid[lo:lo + size]
         try:
             base = with_param(s, param, float(stack.min()))
             with_param(s, param, float(stack.max()))
             done += finish(base, stack.tolist(),
-                           _evaluate(base, dict.fromkeys(_SWEPT_FIELDS[param], stack), kept))
+                           _evaluate(base, dict.fromkeys(_SWEPT_FIELDS[param], stack)))
         except BrightBeamError:
             if len(stack) == 1:
                 raise

@@ -35,6 +35,9 @@ _REAL_FIELDS = ("theta", "entangle_ratio", "phi", "excess_correlation", "imbalan
 INPUT_FIELDS = ("amplitude", "squeezing_db", "antisqueezing_db", "excess_phase_db")
 BUDGET_FIELDS = ("propagation", "visibility", "quantum_efficiency")
 PSD_TOL = 1e-9
+# The most Monte-Carlo samples a draw takes: beyond it a count is not
+# exact as a float.
+MC_SAMPLES_MAX = 2 ** 53
 # The scenario fields each sweep parameter sets, as dotted paths.
 _SWEPT_FIELDS = {
     "theta": ("theta",),
@@ -198,6 +201,9 @@ class Scenario:
             raise ScenarioError(f"imbalance must be > -1, got {self.imbalance}")
         if not _is_int(self.mc_samples) or self.mc_samples < 0 or self.mc_samples == 1:
             raise ScenarioError(f"mc_samples must be 0 or an integer >= 2, got {self.mc_samples!r}")
+        if self.mc_samples > MC_SAMPLES_MAX:
+            raise ScenarioError(f"cannot draw mc_samples = {self.mc_samples}: "
+                                f"count must be at most 2**53, got {self.mc_samples}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ScenarioError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.label, str):

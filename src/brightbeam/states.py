@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateModeError, DomainError
-from .scenario import INPUT_FIELDS, PSD_TOL, _input_uncertainty_holds, db_to_var
+from .scenario import INPUT_FIELDS, MC_SAMPLES_MAX, PSD_TOL, _input_uncertainty_holds, db_to_var
 
 SYM_TOL = 1e-12
 # Carriers up to this fraction of the total carrier are dark (see dark_modes).
@@ -520,7 +520,10 @@ def _sampling_root(state: BrightGaussianState) -> np.ndarray:
     """The root A of each covariance of a state's stack that its samples
     ``z @ A`` are drawn through, z being rows of standard normals:
     A^T A = cov, from one batched eigendecomposition."""
-    w, v = np.linalg.eigh(state.cov)
+    try:
+        w, v = np.linalg.eigh(state.cov)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(_NOT_FINITE) from exc
     if w.min() < -PSD_TOL:
         # A state is bona fide when it is made, so this is rounding alone.
         raise DomainError(_LOST_TO_ROUNDING)
@@ -573,12 +576,12 @@ def normal_covariance(count: int, seed, dim: int) -> np.ndarray:
     the diagonal.  For m < dim, S_z = Z^T Z / m with Z m x dim standard
     normals, the same law.  seed is an int, or a ``random.Random`` whose
     stream the draw continues; the standard library's generator keeps
-    numpy.random out of every CLI path.  Counts above 2**53 raise
-    ValueError: beyond it neither count nor m is exact as a float.
+    numpy.random out of every CLI path.  Counts above MC_SAMPLES_MAX, which
+    a Scenario refuses, raise ValueError.
     """
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
-    if count > 2 ** 53:
+    if count > MC_SAMPLES_MAX:
         raise ValueError(f"count must be at most 2**53, got {count}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     m = count - 1

@@ -10,6 +10,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
@@ -17,6 +18,7 @@ from hypothesis import strategies as hs
 import brightbeam
 from brightbeam import SqueezedInputSpec
 from brightbeam.cli import main
+from brightbeam.errors import DomainError
 from brightbeam.harness import SWEEP_PARAMS, compare_methods, run_scenario, sweep_csv
 from brightbeam.scenario import (Scenario, fixtures_dir, known_keys, load_fixtures, load_scenario,
                                  save_scenario)
@@ -377,8 +379,10 @@ def test_out_of_range_sweep_values_exit_2(capsys, param, start, stop, value):
     assert "Warning" not in err
 
 
-# Counts of 10**20 and more fail at once; smaller huge counts may allocate
-# gigabytes before they fail, so they are not tried.
+# A --steps count numpy cannot size fails at once, and so does an
+# mc_samples count above 2**53, which the scenario refuses.  Smaller huge
+# step counts may allocate gigabytes before they fail, so they are not
+# tried; every mc_samples count up to 2**53 runs in the same memory.
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--scenario", FIXTURE_B, "--param", "theta", "--from", "0.1", "--to", "1",
       "--steps", str(10 ** 30)], f"error: cannot sweep theta in steps = {10 ** 30}: "),
@@ -416,6 +420,24 @@ def test_sampler_lost_to_rounding_exits_2(tmp_path, capsys):
     assert out == ""
     assert err == ("error: covariance entries are too large for double precision: "
                    "rounding breaks positive semi-definiteness\n")
+
+
+def test_sampler_eigh_failure_exits_2(monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError: an eigendecomposition of the
+    # sampler that does not converge is a DomainError, as the uncertainty
+    # check's is, not a failed count or a traceback.
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    message = "covariance entries are not finite: noise levels overflow double precision"
+    with pytest.raises(DomainError) as exc:
+        run_scenario(replace(load_scenario(FIXTURE_B), mc_samples=100))
+    assert str(exc.value) == message
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--scenario", FIXTURE_B, "--mc-samples", "100"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_sweep_through_a_dark_port_exits_3(tmp_path, capsys):
@@ -464,6 +486,8 @@ def test_no_scipy_at_start_up(tmp_path):
     assert loaded == ["numpy"]
 
 
+TOO_MANY_SAMPLES = (f"error: cannot draw mc_samples = {10 ** 20}: "
+                    f"count must be at most 2**53, got {10 ** 20}\n")
 # Invalid inputs: a scenario file, the verb and the flags after --scenario,
 # and a part of the message on stderr.
 INVALID_INPUTS = [
@@ -479,12 +503,15 @@ INVALID_INPUTS = [
      "error: cannot sweep theta to nan: the start bound must be finite\n"),
     ({}, ["sweep", "--param", "theta", "--from", "-1e308", "--to", "1e308", "--steps", "3"],
      "error: cannot sweep theta to 1e+308: the span from -1e+308 overflows\n"),
+    ({"mc_samples": 10 ** 20}, ["simulate"], TOO_MANY_SAMPLES),
+    ({}, ["validate", "--mc-samples", str(10 ** 20)], TOO_MANY_SAMPLES),
 ]
 
 
 @pytest.mark.parametrize("flat, argv, message", INVALID_INPUTS,
                          ids=["ratio", "antisqueezing", "param", "mc_samples", "steps",
-                              "from_nan", "span"])
+                              "from_nan", "span", "mc_samples_file_1e20",
+                              "mc_samples_flag_1e20"])
 def test_invalid_input_exits_2_before_numpy_loads(tmp_path, flat, argv, message):
     # The scenario and its checks import no numpy: blocked or not, an
     # invalid input exits 2 with the same message, and numpy never loads.
@@ -740,7 +767,8 @@ def test_dark_method_a_path_has_one_message(tmp_path, capsys, gain):
 HOSTILE = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 10 ** 400, -10 ** 400,
            10 ** 20, "x", "", True, False, None, [], [1.0], {"a": 1}]
 PLAIN = [0, 0.0, 0.5, 1, 2.5, 100.0, -1.0, "A", "B", "C", "c", "d", "optimize"]
-# Counts that cannot allocate: small ones, ones numpy cannot size, non-integers.
+# Counts that cannot allocate: small ones, ones above 2**53 that the
+# scenario refuses as mc_samples, non-integers.
 COUNTS = [0, 2, 3, 1000, 10 ** 20, 10 ** 30, 1.5, float("nan"), "x", True, None, [2]]
 
 
@@ -808,7 +836,8 @@ def test_any_scenario_file_exits_0_2_or_3(tmp_path_factory, flat, param):
 
 
 # Flag values that read as negative or non-finite numbers, as flags or as
-# nothing, and counts from COUNTS that numpy cannot size.
+# nothing, and counts from COUNTS that numpy cannot size as --steps and the
+# scenario refuses as --mc-samples.
 FLAG_VALUES = ["-inf", "nan", "1e400", "-1e308", "", "-", "--", " -1", "0x10", "1_000",
                str(10 ** 20), str(10 ** 30)]
 # Each verb's flags, with values that run; validate always gets a small --mc-samples.

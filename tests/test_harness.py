@@ -434,6 +434,14 @@ class TestGridEqualsPoint:
         for value, row in sweep(s, "theta", 0.5, 2.5, 4):
             point = run_scenario(with_param(s, "theta", value))
             assert (row.mc_sum, row.mc_stderr) == (point.mc_sum, point.mc_stderr)
+        # Two stacks: the first and last rows, and the rows either side of
+        # the edge between the stacks.
+        steps = harness._CHUNK + 3
+        rows = sweep(s, "theta", 0.5, 2.5, steps)
+        for k in (0, harness._CHUNK - 1, harness._CHUNK, steps - 1):
+            value, row = rows[k]
+            point = run_scenario(with_param(s, "theta", value))
+            assert (row.mc_sum, row.mc_stderr) == (point.mc_sum, point.mc_stderr), k
 
     @pytest.mark.parametrize("method, seeds", [("A", [3, 3]), ("B", [3]), ("C", [3])])
     def test_gain_sweep_draws_once_per_measured_state(self, monkeypatch, method, seeds):
@@ -460,8 +468,8 @@ def test_gain_sweep_reads_each_shared_weight_vector_once(monkeypatch, method, ke
         calls.append(seed)
         return real_sampler(count, seed, dim)
 
-    def columns(draws, n, count, seed, kept=None):
-        seen.append((draws, real_columns(draws, n, count, seed, kept)))
+    def columns(draws, n, count, seed):
+        seen.append((draws, real_columns(draws, n, count, seed)))
         return seen[-1][1]
 
     monkeypatch.setattr(harness, "normal_covariance", recording)
@@ -498,28 +506,22 @@ def test_monte_carlo_peak_memory_is_below_one_sample_array():
 
 
 def test_gain_sweep_draws_once_across_its_stacks(monkeypatch):
-    # 10 000 steps run as 3 stacks of at most _CHUNK values; the one state
-    # of fixture B is drawn once for all.
-    calls = []
-    real = harness.normal_covariance
-
-    def recording(count, seed, dim):
-        calls.append(seed)
-        return real(count, seed, dim)
-
-    monkeypatch.setattr(harness, "normal_covariance", recording)
+    # 10 000 steps run as 3 stacks of at most _CHUNK values; each stack
+    # draws the one state of fixture B from its own random.Random(seed),
+    # so all three draw the same S_z.
+    calls = _record_draws(monkeypatch)
     s = replace(load_scenario(fixtures_dir() / "method_b.json"), mc_samples=1000)
     text = sweep_csv(s, "gain", 0.5, 2.0, 10_000)
-    assert len(calls) == 1
+    assert calls == _stream_draws(1000, [s.seed]) * 3
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "3d70023f324d36a145f3ea664a9a88cdb03b012ea070445a29385374c385af61")
 
 
 def test_method_a_sweeps_draw_each_seed_once(monkeypatch):
-    # Whatever the swept parameter reaches, each of method A's two measured
-    # states is drawn once for the whole grid, in turn from one stream
-    # seeded 5, also where the theta grid runs as two stacks.  The CSVs are
-    # the ones the draw per stack element gave.
+    # Whatever the swept parameter reaches, each stack draws method A's two
+    # measured states in turn from one stream seeded 5: once for a grid of
+    # one stack, and the same two matrices again for each further stack of
+    # the theta grid.  The CSVs are the ones the draw per stack element gave.
     calls = _record_draws(monkeypatch)
     s = make("A", mc_samples=200, seed=5, **BUDGETS)
     digest = hashlib.sha256()
@@ -527,7 +529,8 @@ def test_method_a_sweeps_draw_each_seed_once(monkeypatch):
         calls.clear()
         steps = harness._CHUNK + 3 if param == "theta" else 9
         digest.update(sweep_csv(s, param, *GRID_RANGES[param], steps).encode("utf-8"))
-        assert calls == _stream_draws(200, [5, 5]), param
+        stacks = 2 if param == "theta" else 1
+        assert calls == _stream_draws(200, [5, 5]) * stacks, param
     assert digest.hexdigest() == (
         "a93e4296bcdf6c6968d7e61c53aed49445811bb8d6c8f500d14aa4d63af9e1c2")
 
@@ -581,9 +584,9 @@ def test_mc_reads_small_channels_under_huge_excess_noise(monkeypatch):
     seen = []
     real = harness._mc_columns
 
-    def recording(draws, n, count, seed, kept=None):
+    def recording(draws, n, count, seed):
         seen.append(draws)
-        return real(draws, n, count, seed, kept)
+        return real(draws, n, count, seed)
 
     monkeypatch.setattr(harness, "_mc_columns", recording)
     s = scenario_from_dict({"method": "A", "mc_samples": 20_000, "seed": 3, **{
@@ -836,10 +839,10 @@ def test_csv_of_stacks_of_one_is_the_grid_csv(monkeypatch, method):
     grid = sweep_csv(s, "theta", 0.4, 2.6, 6)
     real = harness._evaluate
 
-    def points_only(scenario, columns=None, kept=None):
+    def points_only(scenario, columns=None):
         if columns and len(next(iter(columns.values()))) > 1:
             raise DomainError("the grid fails as a stack")
-        return real(scenario, columns, kept)
+        return real(scenario, columns)
 
     monkeypatch.setattr(harness, "_evaluate", points_only)
     assert sweep_csv(s, "theta", 0.4, 2.6, 6) == grid
@@ -854,9 +857,9 @@ def test_failing_grid_evaluates_a_few_stacks(monkeypatch, start, stop):
     calls = []
     real = harness._evaluate
 
-    def counting(scenario, columns=None, kept=None):
+    def counting(scenario, columns=None):
         calls.append(1)
-        return real(scenario, columns, kept)
+        return real(scenario, columns)
 
     monkeypatch.setattr(harness, "_evaluate", counting)
     with pytest.raises(type(expected)) as exc:

@@ -217,6 +217,17 @@ def test_bad_mc_samples_rejected(value):
         scenario_from_dict({"mc_samples": value})
 
 
+def test_mc_samples_at_most_2_to_the_53():
+    # Beyond 2**53 the count is not exact as a float: refused with the
+    # file's other checks, before numpy loads.
+    assert scenario_from_dict({"mc_samples": 2 ** 53}).mc_samples == 2 ** 53
+    count = 2 ** 53 + 1
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict({"mc_samples": count})
+    assert str(exc.value) == (
+        f"cannot draw mc_samples = {count}: count must be at most 2**53, got {count}")
+
+
 @pytest.mark.parametrize("value", [-1, 1.5, True, "3"])
 def test_bad_seed_rejected(value):
     with pytest.raises(ScenarioError, match="seed"):

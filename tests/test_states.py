@@ -332,9 +332,8 @@ class TestSampling:
 
     @pytest.mark.parametrize("count", [1, 2 ** 53 + 1, 10 ** 20])
     def test_sample_covariance_counts(self, count):
-        # Two samples at least, for ddof=1; above 2**53, count - 1 is not
-        # exact and the draw is refused before it starts, as numpy refuses
-        # an array it cannot size.
+        # Two samples at least, for ddof=1; above 2**53 a count is not
+        # exact as a float, and the draw is refused before it starts.
         expected = DomainError if count == 1 else ValueError
         with pytest.raises(expected, match="count must be"):
             normal_covariance(count, 0, 2)
