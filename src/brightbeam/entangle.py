@@ -10,9 +10,10 @@ Generation, witnesses and the gain search broadcast over stacked states
 ``states.squeezed_inputs``, which sets their shared phase noise.
 
 ``minimize_gain`` runs a bounded Brent search (Brent, *Algorithms for
-Minimization Without Derivatives*, 1973) on all pairs of a stack in
-lockstep.  Each pair takes the steps of the standard scalar search and
-gets its result bit for bit; tests/test_entangle.py compares the two.
+Minimization Without Derivatives*, 1973).  A single pair runs the scalar
+loop on Python floats; a stack of pairs runs a port of it on all pairs in
+lockstep, where each pair takes the scalar loop's steps and gets its
+result bit for bit.  tests/test_entangle.py compares both with scipy.
 """
 
 from __future__ import annotations
@@ -137,26 +138,99 @@ def optimal_gains_for_theta(alpha: float, theta: float) -> GeneralizedCombinatio
 # Bounded Brent search on log g: it stops at an absolute tolerance of 1e-12
 # on log g or after 500 evaluations.  Its constants are those of the scalar
 # reference search, 2.2e-16 for machine epsilon included, so that the steps
-# agree bit for bit.
+# agree bit for bit.  They are Python floats, so that the scalar loop's
+# arithmetic stays on Python floats.
 GAIN_BOUNDS = (1e-3, 1e3)
-_LOG_LO, _LOG_HI = np.log(GAIN_BOUNDS[0]), np.log(GAIN_BOUNDS[1])
-_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
-_SQRT_EPS = np.sqrt(2.2e-16)
+_LOG_LO, _LOG_HI = float(np.log(GAIN_BOUNDS[0])), float(np.log(GAIN_BOUNDS[1]))
+_GOLDEN = 0.5 * (3.0 - float(np.sqrt(5.0)))
+_SQRT_EPS = float(np.sqrt(2.2e-16))
 _XATOL = 1e-12
 _MAXFUN = 500
+
+
+def _scalar_brent(f, params):
+    """Brent's bounded minimization of f(x, params) over x in [_LOG_LO, _LOG_HI]
+    on Python floats; returns (x, f(x)).
+
+    This is the standard scalar loop, and the reference for
+    ``_bounded_brent``.  It divides only where it takes the parabolic
+    step, which needs q != 0, so Python never raises where the lockstep
+    loop's discarded division gives nan or inf.  Its sign and step length
+    mirror np.sign and np.maximum, nan included.
+    """
+    a, b = _LOG_LO, _LOG_HI
+    xf = a + _GOLDEN * (b - a)
+    fx = f(xf, params)
+    nfc, fnfc, fulc, ffulc = xf, fx, xf, fx
+    e = rat = 0.0
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        dxm = xm - xf
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if not (abs(dxm) > (tol2 - 0.5 * (b - a)) and num < _MAXFUN):
+            return xf, fx
+        da, db = a - xf, b - xf
+        # A parabola through the three best points, taken where |e| > tol1
+        # and it falls well inside [a, b] ...
+        parabolic = abs(e) > tol1
+        if parabolic:
+            d_nfc, d_fulc = xf - nfc, xf - fulc
+            r = d_nfc * (fx - ffulc)
+            q = d_fulc * (fx - fnfc)
+            p = d_fulc * q - d_nfc * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            parabolic = abs(p) < abs(0.5 * q * e) and p > q * da and p < q * db
+        if parabolic:
+            e, rat = rat, (p + 0.0) / q
+            x = xf + rat
+            if (x - a) < tol2 or (b - x) < tol2:
+                rat = tol1 * (1.0 if dxm >= 0.0 else -1.0 if dxm < 0.0 else dxm)
+        else:
+            # ... otherwise a golden-section step into the larger part of [a, b].
+            e = da if dxm <= 0.0 else db  # dxm <= 0 where xf >= xm
+            rat = _GOLDEN * e
+
+        step = abs(rat)
+        step = step if step >= tol1 or step != step else tol1
+        x = xf + (1.0 if rat >= 0.0 else -1.0 if rat < 0.0 else rat) * step
+        fu = f(x, params)
+        num += 1
+
+        # Narrow [a, b] around the best point, and keep the best three points
+        # seen: xf, then nfc, then fulc.
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
 
 
 def _bounded_brent(f, params):
     """Brent's bounded minimization of f(x, params) over x in [_LOG_LO, _LOG_HI]
     for every column of params at once; returns (x, f(x)) per column.
 
-    This is the standard scalar loop with each branch turned into a
-    select: every column takes its own parabolic or golden step, and its
+    This is ``_scalar_brent`` with each branch turned into a select:
+    every column takes its own parabolic or golden step, and its
     (x, f(x)) is recorded when its stopping test first holds.  Every
     operation is the elementwise IEEE operation of the scalar loop, so
-    each column gets the scalar (xf, fx) bit for bit.  A finished column
-    rides along, its values discarded, until at least half the columns
-    are finished; then the arrays keep only the running ones.
+    each column gets the scalar loop's (x, f(x)) bit for bit.  A finished
+    column rides along, its values discarded, until at least half the
+    columns are finished; then the arrays keep only the running ones.
     """
     n = params.shape[-1]
     x_out, f_out = np.empty(n), np.empty(n)
@@ -229,11 +303,32 @@ def _bounded_brent(f, params):
         xf, fx = where(better, x, xf), where(better, fu, fx)
 
 
+def _gain_of_one(objective, params):
+    """``minimize_gain``'s rule for one column, on Python floats."""
+    x, brent = _scalar_brent(lambda log_g, p: objective(float(np.exp(log_g)), p), params)
+    brent_g = float(np.exp(x))
+    if not (np.isfinite(brent_g) and np.isfinite(brent)):
+        return 1.0
+    lo, hi = GAIN_BOUNDS
+    g, best = 1.0, objective(1.0, params)
+    for candidate, value in ((brent_g, brent), (lo, objective(lo, params)),
+                             (hi, objective(hi, params))):
+        if value < best:
+            g, best = candidate, value
+    return g
+
+
 def minimize_gain(objective, params) -> np.ndarray:
     """Minimize objective(g, params) over a gain g in GAIN_BOUNDS, for every
-    column of the 2-D array params at once.
+    column of the 2-D array params.
 
-    A bounded Brent search on log g runs over all columns in lockstep.
+    A bounded Brent search runs on log g.  A single column runs the scalar
+    loop on Python floats, and objective gets a float g with the column as
+    a 1-D list of floats: a lockstep step on arrays of one element costs
+    tens of times more in numpy's per-call overhead.  Two or more columns
+    run the lockstep port in one pass, and objective gets arrays: a 1-D g
+    with the 2-D params, and a column of gains for the candidates below.
+    Both give a column the same gain bit for bit.
     Brent's search settles in one local minimum; when the objective has
     an interior maximum, the lowest value may sit at the other end of the
     range, so its result and both ends compete with unit gain.  Unit gain
@@ -246,6 +341,8 @@ def minimize_gain(objective, params) -> np.ndarray:
     better than unit gain.
     """
     with np.errstate(all="ignore"):
+        if params.shape[-1] == 1:
+            return np.array([_gain_of_one(objective, params[:, 0].tolist())])
         x, brent = _bounded_brent(lambda log_g, p: objective(np.exp(log_g), p), params)
         brent_g = np.exp(x)
         finite = np.isfinite(brent_g) & np.isfinite(brent)

@@ -557,38 +557,25 @@ def test_repeated_key_exits_2_naming_it(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: scenario file {path} repeats the key 'theta'\n")
 
 
-def test_monte_carlo_threads_load_no_executor(tmp_path):
-    # concurrent.futures (with logging) adds about 10 ms to a cold process;
-    # neither start-up nor a method-A validate, which makes two draws,
-    # loads it.
-    code = ("import sys\n"
-            "from brightbeam.cli import main\n"
-            "print('concurrent.futures' in sys.modules)\n"
-            "main(sys.argv[1:])\n"
-            "print('concurrent.futures' in sys.modules)\n")
-    done = subprocess.run(
-        [sys.executable, "-c", code, "validate", "--scenario",
-         str(fixtures_dir() / "method_a.json"), "--mc-samples", "2000"],
-        cwd=tmp_path, env=CHILD_ENV, capture_output=True, text=True, timeout=120, check=True)
-    lines = done.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("False", "False")
-    assert "mc_sum" in done.stdout
-
-
 def test_validate_never_loads_numpy_random(tmp_path):
     # The draws come from the standard library's generator: importing
-    # numpy.random alone adds about 10 ms and 2 MB to a cold process.  Each
-    # draw costs the same at any count, so 10**12 samples run at once.
+    # numpy.random alone adds about 10 ms and 2 MB to a cold process, and
+    # concurrent.futures (with logging) about 10 ms.  Neither start-up nor
+    # a validate, which makes one draw per measured state, loads either.
+    # Each draw costs the same at any count, so 10**12 samples run at once.
     code = ("import sys\n"
+            "modules = ('concurrent.futures', 'numpy.random')\n"
             "from brightbeam.cli import main\n"
+            "print([m in sys.modules for m in modules])\n"
             "main(sys.argv[1:])\n"
-            "print('numpy.random' in sys.modules)\n")
+            "print([m in sys.modules for m in modules])\n")
     for name in ("method_a", "method_b"):
         done = subprocess.run(
             [sys.executable, "-c", code, "validate", "--scenario",
              str(fixtures_dir() / f"{name}.json"), "--mc-samples", str(10 ** 12)],
             cwd=tmp_path, env=CHILD_ENV, capture_output=True, text=True, timeout=120, check=True)
-        assert done.stdout.splitlines()[-1] == "False"
+        lines = done.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("[False, False]", "[False, False]"), name
         assert "mc_sum" in done.stdout
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -321,8 +322,9 @@ def scipy_gain(minimize_scalar, state_x, state_y, imbalance):
 
 
 class TestGainAgainstScipy:
-    """The lockstep search over a stack gives, pair by pair, exactly what
-    scipy's scalar search and the candidate rule give."""
+    """The lockstep search over a stack, and the scalar search of a pair
+    alone, give pair by pair exactly what scipy's scalar search and the
+    candidate rule give."""
 
     def test_stacked_gains_equal_scipy_per_pair(self):
         minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
@@ -342,6 +344,11 @@ class TestGainAgainstScipy:
         # interior maximum; both kinds of pair are in the stack.
         at_end = np.isin(gains, GAIN_BOUNDS)
         assert 0 < at_end.sum() < 400
+        # A pair alone runs the search on Python floats.
+        alone = [*range(40), *range(400, 404)]
+        assert [witness_gains(xs[k], ys[k], float(imbalance[k])) for k in alone] == [
+            expected[k] for k in alone]
+        assert 0 < np.isin(gains[:40], GAIN_BOUNDS).sum() < 40
 
     def test_non_finite_minimum_falls_back_to_unit_gain(self):
         params = np.array([[2.0, np.nan, -0.5]])
@@ -350,6 +357,47 @@ class TestGainAgainstScipy:
         assert g[[0, 2]] == pytest.approx(np.exp([2.0, -0.5]), rel=1e-9)
         g = minimize_gain(lambda g, p: (np.log(g) - p[0]) ** 2, params[:, 1:2])
         assert g.tolist() == [1.0]
+
+
+def extreme_gain_columns():
+    """Columns of ``_witness_sum``'s params: a lossy pair with imbalance,
+    then the same with each entry in turn nan, +-inf, +-1e300 or 0; a flat
+    objective (a coherent pair); and objectives that overflow to inf or to
+    nan inside the range, or everywhere."""
+    c = random_lossy_pair(np.random.default_rng(2002)).cov
+    base = [c[0, 0], c[0, 2], c[2, 2], c[1, 1], c[1, 3], c[3, 3], 1.2]
+    columns = [base]
+    for row in range(7):
+        for value in (np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0):
+            columns.append(base[:row] + [value] + base[row + 1:])
+    columns += [
+        [1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0],             # flat: the sum is 2 at every g
+        [1.0, 0.0, 1e308, 1.0, 0.0, 1.0, 1.0],            # inf above g ~ 1.3
+        [1.0, -1e308, 1.0, 1.0, 0.0, 1.0, 1.0],           # -inf above g ~ 0.9
+        [1e300, 1e300, 1e300, 1e300, -1e300, 1e300, 1.0],  # large but finite
+        [1e308, 1e308, 1e308, 1e308, 1e308, 1e308, 1.0],  # inf - inf: nan above g ~ 0.9
+        [1.0, 0.5, 1.0, 1.0, -0.5, 1.0, 1e300],           # g' overflows: inf / inf
+        [1.0, 0.5, 1.0, 1.0, -0.5, 1.0, 1e-300],          # g' underflows
+        [np.inf] * 7,
+        [np.nan] * 7,
+    ]
+    return np.array(columns, dtype=float).T
+
+
+def test_extreme_columns_get_the_same_gain_alone_and_stacked():
+    """A column searched alone, on Python floats, gets the gain of its
+    column in the lockstep search; neither path raises or warns."""
+    params = extreme_gain_columns()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = minimize_gain(_witness_sum, params)
+        alone = [minimize_gain(_witness_sum, params[:, k:k + 1]).item()
+                 for k in range(params.shape[1])]
+    assert alone == stacked.tolist()
+    assert np.isfinite(stacked).all()
+    # The flat objective (the ninth column from the end) keeps unit gain;
+    # the others are not all at unit gain.
+    assert stacked[-9] == 1.0 and 0 < np.sum(stacked != 1.0) < params.shape[1]
 
 
 @settings(max_examples=200)
@@ -389,7 +437,7 @@ def test_pairs_finishing_around_a_compaction_keep_their_own_gains(monkeypatch):
     widths = []
 
     def recording(g, params):
-        widths.append(np.shape(g)[-1])
+        widths.append(np.size(g))  # a pair alone is searched on a float g
         return _witness_sum(g, params)
 
     monkeypatch.setattr(entangle, "_witness_sum", recording)
@@ -402,7 +450,8 @@ def test_pairs_finishing_around_a_compaction_keep_their_own_gains(monkeypatch):
     for k, (pair, imb) in enumerate(zip(pairs, imbalance)):
         widths.clear()
         assert witness_gains(pair, pair, float(imb)) == gains[k]
-        evaluations.append(len(widths) - 1)
+        # Alone, the last three calls score the candidate gains one by one.
+        evaluations.append(len(widths) - 3)
     first_compaction = next(i for i, w in enumerate(stacked) if w < 240)
     # The first pairs to finish stay in the arrays for the next evaluation.
     assert min(evaluations) < first_compaction and stacked[min(evaluations)] == 240

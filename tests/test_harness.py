@@ -505,7 +505,7 @@ def test_monte_carlo_peak_memory_is_below_one_sample_array():
     assert peaks[1] - peaks[0] < 64 * 2 ** 10
 
 
-def test_gain_sweep_draws_once_across_its_stacks(monkeypatch):
+def test_each_stack_of_a_gain_sweep_draws_its_own_matrices(monkeypatch):
     # 10 000 steps run as 3 stacks of at most _CHUNK values; each stack
     # draws the one state of fixture B from its own random.Random(seed),
     # so all three draw the same S_z.
@@ -517,7 +517,7 @@ def test_gain_sweep_draws_once_across_its_stacks(monkeypatch):
         "3d70023f324d36a145f3ea664a9a88cdb03b012ea070445a29385374c385af61")
 
 
-def test_method_a_sweeps_draw_each_seed_once(monkeypatch):
+def test_each_stack_of_a_method_a_sweep_draws_its_own_matrices(monkeypatch):
     # Whatever the swept parameter reaches, each stack draws method A's two
     # measured states in turn from one stream seeded 5: once for a grid of
     # one stack, and the same two matrices again for each further stack of
