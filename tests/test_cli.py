@@ -557,26 +557,41 @@ def test_repeated_key_exits_2_naming_it(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: scenario file {path} repeats the key 'theta'\n")
 
 
-def test_validate_never_loads_numpy_random(tmp_path):
+@pytest.fixture(scope="module")
+def validate_loads(tmp_path_factory):
     # The draws come from the standard library's generator: importing
     # numpy.random alone adds about 10 ms and 2 MB to a cold process, and
-    # concurrent.futures (with logging) about 10 ms.  Neither start-up nor
-    # a validate, which makes one draw per measured state, loads either.
+    # concurrent.futures (with logging) about 10 ms.  One validate
+    # subprocess per fixture, which makes one draw per measured state,
+    # lists which of the two are loaded after start-up and after main.
     # Each draw costs the same at any count, so 10**12 samples run at once.
-    code = ("import sys\n"
+    code = ("import json, sys\n"
             "modules = ('concurrent.futures', 'numpy.random')\n"
             "from brightbeam.cli import main\n"
-            "print([m in sys.modules for m in modules])\n"
+            "print(json.dumps([m for m in modules if m in sys.modules]))\n"
             "main(sys.argv[1:])\n"
-            "print([m in sys.modules for m in modules])\n")
+            "print(json.dumps([m for m in modules if m in sys.modules]))\n")
+    cwd = tmp_path_factory.mktemp("validate_loads")
+    runs = {}
     for name in ("method_a", "method_b"):
         done = subprocess.run(
             [sys.executable, "-c", code, "validate", "--scenario",
              str(fixtures_dir() / f"{name}.json"), "--mc-samples", str(10 ** 12)],
-            cwd=tmp_path, env=CHILD_ENV, capture_output=True, text=True, timeout=120, check=True)
+            cwd=cwd, env=CHILD_ENV, capture_output=True, text=True, timeout=120, check=True)
         lines = done.stdout.splitlines()
-        assert (lines[0], lines[-1]) == ("[False, False]", "[False, False]"), name
-        assert "mc_sum" in done.stdout
+        runs[name] = (json.loads(lines[0]), json.loads(lines[-1]), done.stdout)
+    return runs
+
+
+def test_monte_carlo_threads_load_no_executor(validate_loads):
+    for name, (at_start, after_main, _) in validate_loads.items():
+        assert "concurrent.futures" not in at_start + after_main, name
+
+
+def test_validate_never_loads_numpy_random(validate_loads):
+    for name, (at_start, after_main, out) in validate_loads.items():
+        assert "numpy.random" not in at_start + after_main, name
+        assert "mc_sum" in out, name
 
 
 def test_optimised_gain_still_runs(tmp_path):
