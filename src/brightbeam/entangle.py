@@ -10,10 +10,10 @@ Generation, witnesses and the gain search broadcast over stacked states
 ``states.squeezed_inputs``, which sets their shared phase noise.
 
 ``minimize_gain`` runs a bounded Brent search (Brent, *Algorithms for
-Minimization Without Derivatives*, 1973).  A single pair runs the scalar
-loop on Python floats; a stack of pairs runs a port of it on all pairs in
-lockstep, where each pair takes the scalar loop's steps and gets its
-result bit for bit.  tests/test_entangle.py compares both with scipy.
+Minimization Without Derivatives*, 1973).  Its step, ``_brent_step``, is
+written once in select form: a single pair runs it on Python floats, a
+stack of pairs on arrays, all pairs in lockstep, and each pair gets the
+same result bit for bit.  tests/test_entangle.py compares both with scipy.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def optimal_gains_for_theta(alpha: float, theta: float) -> GeneralizedCombinatio
 # Bounded Brent search on log g: it stops at an absolute tolerance of 1e-12
 # on log g or after 500 evaluations.  Its constants are those of the scalar
 # reference search, 2.2e-16 for machine epsilon included, so that the steps
-# agree bit for bit.  They are Python floats, so that the scalar loop's
-# arithmetic stays on Python floats.
+# agree bit for bit.  They are Python floats, so that a lone column's
+# search stays on Python floats.
 GAIN_BOUNDS = (1e-3, 1e3)
 _LOG_LO, _LOG_HI = float(np.log(GAIN_BOUNDS[0])), float(np.log(GAIN_BOUNDS[1]))
 _GOLDEN = 0.5 * (3.0 - float(np.sqrt(5.0)))
@@ -148,185 +148,149 @@ _XATOL = 1e-12
 _MAXFUN = 500
 
 
+def _select(c, x, y):
+    return x if c else y
+
+
+# The step's select, sign, maximum and division: numpy's on arrays, and on
+# Python floats these, which give numpy's values: sign(0) = 1 and
+# sign(nan) = nan, a maximum with nan is nan, and p / 0 is nan rather than
+# ZeroDivisionError (the step takes no parabola where q == 0).
+_FLOAT_OPS = (_select, lambda v: 1.0 if v >= 0.0 else -1.0 if v < 0.0 else v,
+              lambda v, w: v if v >= w or v != v else w, lambda p, q: p / q if q else np.nan)
+_ARRAY_OPS = (np.where, lambda v: np.sign(v) + (v == 0), np.maximum, np.divide)
+
+
+def _brent_tolerances(s):
+    """Brent's stopping terms at state s: the distance dxm from the best
+    point to the middle of [a, b], the tolerances tol1 and tol2, and
+    whether [a, b] is still too wide to stop."""
+    a, b, xf = s[:3]
+    dxm = 0.5 * (a + b) - xf
+    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+    return dxm, tol1, tol2, abs(dxm) > (tol2 - 0.5 * (b - a))
+
+
+def _brent_step(f, params, s, dxm, tol1, tol2, ops):
+    """One step of Brent's bounded search of f(x, params), with the terms
+    of ``_brent_tolerances``: it evaluates f at one new point and returns
+    the new state s = (a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat).
+
+    Each branch of the scalar reference loop is a select of ``ops`` (see
+    ``_FLOAT_OPS``), so the step runs on the floats of one column or,
+    elementwise, on the arrays of a stack, and gives every column the
+    reference's IEEE results.  Both sides of each select are computed.
+    """
+    where, sign, maximum, divide = ops
+    a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat = s
+    da, db = a - xf, b - xf
+    # A parabola through the three best points, taken where |e| > tol1
+    # and it falls well inside [a, b] ...
+    d_nfc, d_fulc = xf - nfc, xf - fulc
+    r = d_nfc * (fx - ffulc)
+    q = d_fulc * (fx - fnfc)
+    p = d_fulc * q - d_nfc * r
+    q = 2.0 * (q - r)
+    p = where(q > 0.0, -p, p)
+    q = abs(q)
+    parabolic = ((abs(e) > tol1) & (abs(p) < abs(0.5 * q * e))
+                 & (p > q * da) & (p < q * db))
+    rat_p = divide(p + 0.0, q)
+    x = xf + rat_p
+    rat_p = where(((x - a) < tol2) | ((b - x) < tol2), tol1 * sign(dxm), rat_p)
+    # ... otherwise a golden-section step into the larger part of [a, b].
+    e_golden = where(dxm <= 0.0, da, db)  # dxm <= 0 where xf >= xm
+    e = where(parabolic, rat, e_golden)
+    rat = where(parabolic, rat_p, _GOLDEN * e_golden)
+
+    x = xf + sign(rat) * maximum(abs(rat), tol1)
+    fu = f(x, params)
+
+    # Narrow [a, b] around the best point, and keep the best three points
+    # seen: xf, then nfc, then fulc.
+    better = fu <= fx
+    right, left = x >= xf, x < xf
+    a = where(better, where(right, xf, a), where(left, x, a))
+    b = where(better, where(right, b, xf), where(left, b, x))
+    second = better | (fu <= fnfc) | (nfc == xf)
+    third = second | (fu <= ffulc) | (fulc == xf) | (fulc == nfc)
+    fulc, ffulc = (where(second, nfc, where(third, x, fulc)),
+                   where(second, fnfc, where(third, fu, ffulc)))
+    nfc, fnfc = (where(better, xf, where(second, x, nfc)),
+                 where(better, fx, where(second, fu, fnfc)))
+    return a, b, where(better, x, xf), where(better, fu, fx), nfc, fnfc, fulc, ffulc, e, rat
+
+
 def _scalar_brent(f, params):
     """Brent's bounded minimization of f(x, params) over x in [_LOG_LO, _LOG_HI]
-    on Python floats; returns (x, f(x)).
+    for one column, on Python floats; returns (x, f(x)).
 
-    This is the standard scalar loop, and the reference for
-    ``_bounded_brent``.  It divides only where it takes the parabolic
-    step, which needs q != 0, so Python never raises where the lockstep
-    loop's discarded division gives nan or inf.  Its sign and step length
-    mirror np.sign and np.maximum, nan included.
+    It runs ``_brent_step`` on ``_FLOAT_OPS``: on one column, numpy's
+    per-call overhead would cost more than the whole float search.
     """
     a, b = _LOG_LO, _LOG_HI
     xf = a + _GOLDEN * (b - a)
     fx = f(xf, params)
-    nfc, fnfc, fulc, ffulc = xf, fx, xf, fx
-    e = rat = 0.0
+    s = (a, b, xf, fx, xf, fx, xf, fx, 0.0, 0.0)
     num = 1
     while True:
-        xm = 0.5 * (a + b)
-        dxm = xm - xf
-        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if not (abs(dxm) > (tol2 - 0.5 * (b - a)) and num < _MAXFUN):
-            return xf, fx
-        da, db = a - xf, b - xf
-        # A parabola through the three best points, taken where |e| > tol1
-        # and it falls well inside [a, b] ...
-        parabolic = abs(e) > tol1
-        if parabolic:
-            d_nfc, d_fulc = xf - nfc, xf - fulc
-            r = d_nfc * (fx - ffulc)
-            q = d_fulc * (fx - fnfc)
-            p = d_fulc * q - d_nfc * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            parabolic = abs(p) < abs(0.5 * q * e) and p > q * da and p < q * db
-        if parabolic:
-            e, rat = rat, (p + 0.0) / q
-            x = xf + rat
-            if (x - a) < tol2 or (b - x) < tol2:
-                rat = tol1 * (1.0 if dxm >= 0.0 else -1.0 if dxm < 0.0 else dxm)
-        else:
-            # ... otherwise a golden-section step into the larger part of [a, b].
-            e = da if dxm <= 0.0 else db  # dxm <= 0 where xf >= xm
-            rat = _GOLDEN * e
-
-        step = abs(rat)
-        step = step if step >= tol1 or step != step else tol1
-        x = xf + (1.0 if rat >= 0.0 else -1.0 if rat < 0.0 else rat) * step
-        fu = f(x, params)
+        dxm, tol1, tol2, wide = _brent_tolerances(s)
+        if not (wide and num < _MAXFUN):
+            return s[2], s[3]
+        s = _brent_step(f, params, s, dxm, tol1, tol2, _FLOAT_OPS)
         num += 1
-
-        # Narrow [a, b] around the best point, and keep the best three points
-        # seen: xf, then nfc, then fulc.
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
 
 
 def _bounded_brent(f, params):
     """Brent's bounded minimization of f(x, params) over x in [_LOG_LO, _LOG_HI]
     for every column of params at once; returns (x, f(x)) per column.
 
-    This is ``_scalar_brent`` with each branch turned into a select:
-    every column takes its own parabolic or golden step, and its
-    (x, f(x)) is recorded when its stopping test first holds.  Every
-    operation is the elementwise IEEE operation of the scalar loop, so
-    each column gets the scalar loop's (x, f(x)) bit for bit.  A finished
-    column rides along, its values discarded, until at least half the
-    columns are finished; then the arrays keep only the running ones.
+    It runs ``_brent_step`` on ``_ARRAY_OPS``, so every column takes the
+    steps ``_scalar_brent`` takes on it alone, and its (x, f(x)) is
+    recorded when its stopping test first holds.  A finished column rides
+    along, its values discarded, until at least half the columns are
+    finished; then the arrays keep only the running ones.  A stack of
+    no columns gives empty results.
     """
     n = params.shape[-1]
     x_out, f_out = np.empty(n), np.empty(n)
     idx = np.arange(n)
-    where = np.where
-    a, b, rat = np.full(n, _LOG_LO), np.full(n, _LOG_HI), np.zeros(n)
+    a, b, zero = np.full(n, _LOG_LO), np.full(n, _LOG_HI), np.zeros(n)
     xf = a + _GOLDEN * (b - a)
     fx = f(xf, params)
-    nfc, fnfc, fulc, ffulc, e = xf, fx, xf, fx, rat
+    s = (a, b, xf, fx, xf, fx, xf, fx, zero, zero)
     num = 1
     running, alive = None, n  # None: every column of the arrays runs
     while True:
-        xm = 0.5 * (a + b)
-        dxm = xm - xf
-        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
-        tol2 = 2.0 * tol1
-        live = (abs(dxm) > (tol2 - 0.5 * (b - a))) & (num < _MAXFUN)
+        dxm, tol1, tol2, wide = _brent_tolerances(s)
+        live = wide & (num < _MAXFUN)
         if running is not None:
             live &= running
         still = np.count_nonzero(live)
-        if still < alive:
+        if still < alive or not still:
             done = ~live if running is None else running & ~live
-            x_out[idx[done]], f_out[idx[done]] = xf[done], fx[done]
+            x_out[idx[done]], f_out[idx[done]] = s[2][done], s[3][done]
             if not still:
                 return x_out, f_out
             alive, running = still, live
             if 2 * still <= idx.size:
-                idx, params, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, dxm, tol1, tol2 = (
-                    v[..., live] for v in (idx, params, a, b, xf, fx, nfc, fnfc, fulc, ffulc,
-                                           e, rat, dxm, tol1, tol2))
+                idx, params, dxm, tol1, tol2, *s = (
+                    v[..., live] for v in (idx, params, dxm, tol1, tol2, *s))
                 running = None
-        da, db = a - xf, b - xf
-        # A parabola through the three best points, taken where |e| > tol1
-        # and it falls well inside [a, b] ...
-        d_nfc, d_fulc = xf - nfc, xf - fulc
-        r = d_nfc * (fx - ffulc)
-        q = d_fulc * (fx - fnfc)
-        p = d_fulc * q - d_nfc * r
-        q = 2.0 * (q - r)
-        p = where(q > 0.0, -p, p)
-        q = abs(q)
-        parabolic = ((abs(e) > tol1) & (abs(p) < abs(0.5 * q * e))
-                     & (p > q * da) & (p < q * db))
-        rat_p = (p + 0.0) / q
-        x = xf + rat_p
-        si = np.sign(dxm) + (dxm == 0)
-        rat_p = where(((x - a) < tol2) | ((b - x) < tol2), tol1 * si, rat_p)
-        # ... otherwise a golden-section step into the larger part of [a, b].
-        e_golden = where(dxm <= 0.0, da, db)  # dxm <= 0 where xf >= xm
-        e = where(parabolic, rat, e_golden)
-        rat = where(parabolic, rat_p, _GOLDEN * e_golden)
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(abs(rat), tol1)
-        fu = f(x, params)
+        s = _brent_step(f, params, s, dxm, tol1, tol2, _ARRAY_OPS)
         num += 1
-
-        # Narrow [a, b] around the best point, and keep the best three points
-        # seen: xf, then nfc, then fulc.
-        better = fu <= fx
-        right, left = x >= xf, x < xf
-        a = where(better, where(right, xf, a), where(left, x, a))
-        b = where(better, where(right, b, xf), where(left, b, x))
-        second = better | (fu <= fnfc) | (nfc == xf)
-        third = second | (fu <= ffulc) | (fulc == xf) | (fulc == nfc)
-        fulc, ffulc = (where(second, nfc, where(third, x, fulc)),
-                       where(second, fnfc, where(third, fu, ffulc)))
-        nfc, fnfc = (where(better, xf, where(second, x, nfc)),
-                     where(better, fx, where(second, fu, fnfc)))
-        xf, fx = where(better, x, xf), where(better, fu, fx)
-
-
-def _gain_of_one(objective, params):
-    """``minimize_gain``'s rule for one column, on Python floats."""
-    x, brent = _scalar_brent(lambda log_g, p: objective(float(np.exp(log_g)), p), params)
-    brent_g = float(np.exp(x))
-    if not (np.isfinite(brent_g) and np.isfinite(brent)):
-        return 1.0
-    lo, hi = GAIN_BOUNDS
-    g, best = 1.0, objective(1.0, params)
-    for candidate, value in ((brent_g, brent), (lo, objective(lo, params)),
-                             (hi, objective(hi, params))):
-        if value < best:
-            g, best = candidate, value
-    return g
 
 
 def minimize_gain(objective, params) -> np.ndarray:
     """Minimize objective(g, params) over a gain g in GAIN_BOUNDS, for every
     column of the 2-D array params.
 
-    A bounded Brent search runs on log g.  A single column runs the scalar
-    loop on Python floats, and objective gets a float g with the column as
-    a 1-D list of floats: a lockstep step on arrays of one element costs
-    tens of times more in numpy's per-call overhead.  Two or more columns
-    run the lockstep port in one pass, and objective gets arrays: a 1-D g
+    A bounded Brent search runs on log g, one ``_brent_step`` per
+    evaluation.  A single column runs it on Python floats
+    (``_scalar_brent``), and objective gets a float g with the column as
+    a 1-D list of floats.  Any other number of columns runs it on arrays
+    in one pass (``_bounded_brent``), and objective gets arrays: a 1-D g
     with the 2-D params, and a column of gains for the candidates below.
     Both give a column the same gain bit for bit.
     Brent's search settles in one local minimum; when the objective has
@@ -334,24 +298,28 @@ def minimize_gain(objective, params) -> np.ndarray:
     range, so its result and both ends compete with unit gain.  Unit gain
     wins any tie with the minimum, so a flat objective (a coherent pair)
     keeps g = 1; the others win only when strictly lower.  Floating-point
-    warnings inside the search are silenced, as a scalar search on Python
-    floats never warns: an overflow gives inf, and parabolic steps that
-    are computed and then discarded may divide 0 by 0.
+    warnings inside the search are silenced, as a search on Python floats
+    never warns: an overflow gives inf, and parabolic steps that are
+    computed and then discarded may divide 0 by 0.
     Returns g per column: g = 1 where the optimum is not finite or is no
     better than unit gain.
     """
     with np.errstate(all="ignore"):
         if params.shape[-1] == 1:
-            return np.array([_gain_of_one(objective, params[:, 0].tolist())])
-        x, brent = _bounded_brent(lambda log_g, p: objective(np.exp(log_g), p), params)
-        brent_g = np.exp(x)
-        finite = np.isfinite(brent_g) & np.isfinite(brent)
-        unit, lo, hi = objective(np.array([1.0, *GAIN_BOUNDS])[:, None], params)
-    g, best = np.ones(x.shape), unit
+            params, where = params[:, 0].tolist(), _select
+            x, brent = _scalar_brent(lambda log_g, p: objective(float(np.exp(log_g)), p), params)
+            brent_g = float(np.exp(x))
+            unit, lo, hi = (objective(g, params) for g in (1.0, *GAIN_BOUNDS))
+        else:
+            where = np.where
+            x, brent = _bounded_brent(lambda log_g, p: objective(np.exp(log_g), p), params)
+            brent_g = np.exp(x)
+            unit, lo, hi = objective(np.array([1.0, *GAIN_BOUNDS])[:, None], params)
+    g, best = 1.0, unit
     for candidate, value in ((brent_g, brent), (GAIN_BOUNDS[0], lo), (GAIN_BOUNDS[1], hi)):
         wins = value < best
-        g, best = np.where(wins, candidate, g), np.where(wins, value, best)
-    return np.where(finite, g, 1.0)
+        g, best = where(wins, candidate, g), where(wins, value, best)
+    return np.atleast_1d(where(np.isfinite(brent_g) & np.isfinite(brent), g, 1.0))
 
 
 def _witness_sum(g, params):

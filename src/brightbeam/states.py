@@ -495,7 +495,7 @@ def _apply_losses(state: BrightGaussianState, losses) -> BrightGaussianState:
     amps[...] = state.amplitudes
     cov = state.cov
     for k, ((mode, _), eta) in enumerate(zip(losses, etas)):
-        if k and np.abs(cov).max() > mapped_unchecked_scale(2 * n):
+        if k and np.abs(cov).max(initial=0.0) > mapped_unchecked_scale(2 * n):
             # The last loss's output, made a state as one apply_loss call
             # would make it: entries this large get the uncertainty test.
             cov = BrightGaussianState._mapped(amps, cov).cov

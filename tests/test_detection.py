@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brightbeam
 from brightbeam import (
     BrightGaussianState,
     correct_electronic_noise,
@@ -375,6 +380,45 @@ def test_detection_result_consistency():
     assert res.normalized == pytest.approx(res.variance / res.shot_noise, abs=1e-12)
     assert res.rel_db == pytest.approx(10 * math.log10(res.normalized), abs=1e-9)
     assert set(res.to_dict()) == {"variance", "shot_noise", "normalized", "rel_db"}
+
+
+def no_pairs():
+    """A stack of zero entangled pairs."""
+    s = spec(3.0, 5.0)
+    return generate_entangled(s, s, np.empty(0))
+
+
+def test_a_stack_of_no_pairs_gives_empty_readings():
+    budgets = (PAPER_BUDGET, LossBudget(0.8, 0.95, 0.9))
+    g, plus, minus = method_a_readings(no_pairs(), budgets, 1.0, 0.1)
+    readings = [plus, minus, *method_b_channels(no_pairs(), 1.0, budgets),
+                method_c_single_port(no_pairs(), 1.0, "c", budgets)]
+    assert g == 1.0
+    assert [r.normalized.shape for r in readings] == [(0,)] * 5
+
+
+# Method A with its gain searched, and the search itself, on no pairs.
+NO_PAIRS_GAIN_SEARCH = """
+import numpy as np
+from brightbeam import LossBudget, SqueezedInputSpec, generate_entangled
+from brightbeam.detection import method_a_readings
+from brightbeam.entangle import _witness_sum, minimize_gain
+gains = minimize_gain(_witness_sum, np.empty((7, 0)))
+s = SqueezedInputSpec(100.0, 3.0, 5.0)
+budgets = (LossBudget(0.9, 0.95, 0.9), LossBudget(0.8, 0.95, 0.9))
+g, plus, minus = method_a_readings(generate_entangled(s, s, np.empty(0)), budgets, None, 0.1)
+print([v.shape for v in (gains, g, plus.normalized, minus.normalized)])
+"""
+
+
+def test_the_gain_search_of_no_pairs_returns_empty_gains():
+    """In a child process with a time limit, as a search that never stops
+    would hang the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(brightbeam.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", NO_PAIRS_GAIN_SEARCH], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str([(0,)] * 4)
 
 
 # A single-mode state where a pair is needed, and inputs the checks must refuse.

@@ -350,6 +350,38 @@ class TestGainAgainstScipy:
             expected[k] for k in alone]
         assert 0 < np.isin(gains[:40], GAIN_BOUNDS).sum() < 40
 
+    def test_each_brent_driver_gives_scipys_minimum(self):
+        """Brent's own (x, f(x)), before the candidates compete with it:
+        each column alone, with scipy's count of evaluations, and the
+        stack in one pass."""
+        minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+        rng = np.random.default_rng(2003)
+        xs = [random_lossy_pair(rng) for _ in range(200)]
+        ys = [apply_loss(apply_loss(st, 0, rng.uniform(0.7, 1.0)), 1, rng.uniform(0.7, 1.0))
+              for st in xs]
+        cx, cy = stack_of(xs).cov, stack_of(ys).cov
+        params = np.array([cx[:, 0, 0], cx[:, 0, 2], cx[:, 2, 2], cy[:, 1, 1], cy[:, 1, 3],
+                           cy[:, 3, 3], 1.0 + rng.uniform(-0.5, 0.5, 200)])
+        lo, hi = GAIN_BOUNDS
+        expected, alone = [], []
+        for column in params.T.tolist():
+            res = minimize_scalar(lambda log_g: _witness_sum(float(np.exp(log_g)), column),
+                                  bounds=(np.log(lo), np.log(hi)),
+                                  method="bounded", options={"xatol": 1e-12})
+            expected.append((res.x, res.fun, res.nfev))
+            calls = []
+
+            def counted(log_g, p):
+                calls.append(log_g)
+                return _witness_sum(float(np.exp(log_g)), p)
+
+            alone.append((*entangle._scalar_brent(counted, column), len(calls)))
+        assert alone == expected
+        with np.errstate(all="ignore"):  # as in minimize_gain
+            x, fx = entangle._bounded_brent(lambda log_g, p: _witness_sum(np.exp(log_g), p),
+                                            params)
+        assert list(zip(x.tolist(), fx.tolist())) == [e[:2] for e in expected]
+
     def test_non_finite_minimum_falls_back_to_unit_gain(self):
         params = np.array([[2.0, np.nan, -0.5]])
         g = minimize_gain(lambda g, p: (np.log(g) - p[0]) ** 2, params)
@@ -428,6 +460,24 @@ def test_each_stacked_gain_is_the_gain_of_its_pair_alone(drawn):
     gains = witness_gains(stack_of(pairs), stack_of(pairs), np.array(imbalance))
     for k, (pair, imb) in enumerate(zip(pairs, imbalance)):
         assert witness_gains(pair, pair, imb) == gains[k]
+
+
+def test_a_lone_pair_is_searched_on_python_floats(monkeypatch):
+    """A pair alone calls the objective with a float gain and a list of
+    floats; a stack, with arrays."""
+    calls = []
+
+    def recording(g, params):
+        calls.append((type(g), type(params), type(params[0])))
+        return _witness_sum(g, params)
+
+    monkeypatch.setattr(entangle, "_witness_sum", recording)
+    pair = random_lossy_pair(np.random.default_rng(2004))
+    witness_gains(pair, pair, 0.1)
+    assert set(calls) == {(float, list, float)}
+    calls.clear()
+    witness_gains(stack_of([pair, pair]), stack_of([pair, pair]), 0.1)
+    assert set(calls) == {(np.ndarray, np.ndarray, np.ndarray)}
 
 
 def test_pairs_finishing_around_a_compaction_keep_their_own_gains(monkeypatch):
